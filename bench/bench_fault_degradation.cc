@@ -120,7 +120,7 @@ SweepRow RunSweep(const char* label, double transient_rate,
   faults.transient_rate = transient_rate;
   FaultInjector injector(faults);
   if (hard_outage) injector.ForceOutage(true);
-  mgr->site().set_fault_injector(&injector);
+  mgr->site().set_site_fault_injector(0, &injector);
 
   Rng rng(99);
   for (const Update& u : MakeStream(120, &rng)) {
@@ -131,7 +131,7 @@ SweepRow RunSweep(const char* label, double transient_rate,
   // row, so at 50% per-trip loss the site is *effectively* unreachable
   // until it does); simulated time is free here, so wait out the breaker
   // cooldown between rounds and drain until the queue clears.
-  mgr->site().set_fault_injector(nullptr);
+  mgr->site().set_site_fault_injector(0, nullptr);
   for (int idle = 0; !mgr->deferred_queue().empty() && idle < 4;) {
     mgr->TickBreaker(resilience.breaker.cooldown_ticks + 1);
     auto late = mgr->RecheckDeferred();
@@ -225,7 +225,7 @@ void BM_UpdateLossyLinkRetries(benchmark::State& state) {
   faults.seed = 5;
   faults.transient_rate = 0.3;
   FaultInjector injector(faults);
-  mgr->site().set_fault_injector(&injector);
+  mgr->site().set_site_fault_injector(0, &injector);
   Rng rng(3);
   for (auto _ : state) {
     int64_t lo = rng.Range(350, 900);
@@ -252,7 +252,7 @@ void BM_UpdateDuringOutageFastFail(benchmark::State& state) {
   Seed(mgr.get());
   FaultInjector injector(FaultConfig{});
   injector.ForceOutage(true);
-  mgr->site().set_fault_injector(&injector);
+  mgr->site().set_site_fault_injector(0, &injector);
   // Trip the breaker once so every timed update takes the fast path.
   CCPI_CHECK(
       mgr->ApplyUpdate(Update::Insert("reserved", {V("p0"), V(500), V(520)}))

@@ -2,9 +2,10 @@
 // headline properties of the per-site fault-domain design:
 //
 //  * BATCH — a healthy run whose tier-3 worklist needs four remote
-//    relations. With one site the prefetch pays one trip per relation;
-//    with N sites the relations coalesce into one batched round trip per
-//    site, so the per-episode trip count drops as relations share a site.
+//    relations. At every site count the prefetch coalesces the cold
+//    relations into one batched round trip per site, so the trip count
+//    follows the number of sites the relations spread over: one trip at
+//    one site, two at two, four at four.
 //
 //  * OUTAGE — a scripted outage-then-return per site, either aligned
 //    across sites (correlation 1: every site dark in the same trip

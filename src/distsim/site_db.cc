@@ -142,11 +142,9 @@ Status SiteDatabase::ReadRemote(const std::string& pred, size_t count) {
         // failed fill.
         Status fault = st.injector->InjectOnRead(pred);
         if (!fault.ok()) {
-          remote_trips_.fetch_add(1, std::memory_order_relaxed);
           st.remote_trips.fetch_add(1, std::memory_order_relaxed);
           if (ctr_remote_trips_ != nullptr) ctr_remote_trips_->Add(1);
           if (st.ctr_trips != nullptr) st.ctr_trips->Add(1);
-          remote_failures_.fetch_add(1, std::memory_order_relaxed);
           st.remote_failures.fetch_add(1, std::memory_order_relaxed);
           if (ctr_remote_failures_ != nullptr) ctr_remote_failures_->Add(1);
           if (st.ctr_failures != nullptr) st.ctr_failures->Add(1);
@@ -154,8 +152,6 @@ Status SiteDatabase::ReadRemote(const std::string& pred, size_t count) {
           return fault;
         }
       }
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      cached_tuples_.fetch_add(count, std::memory_order_relaxed);
       st.cache_hits.fetch_add(1, std::memory_order_relaxed);
       st.cached_tuples.fetch_add(count, std::memory_order_relaxed);
       if (ctr_cache_hits_ != nullptr) ctr_cache_hits_->Add(1);
@@ -236,20 +232,24 @@ uint64_t SiteDatabase::DrawTripLatencyUs(size_t site) const {
   return us;
 }
 
-size_t SiteDatabase::SimulateHedgedTripLatency(size_t site) const {
+size_t SiteDatabase::SimulateHedgedTripLatency(size_t site,
+                                               bool sleep) const {
   SiteState& st = *site_states_[site];
-  if (hedge_after_ == 0 || st.costs.latency_model == LatencyModel::kFixed) {
-    // Hedging off, or a deterministic site (a backup could never beat the
-    // primary): the plain trip, zero extra billing.
-    SimulateTripLatency(site);
+  const auto pause = [sleep](uint64_t us) {
+    if (sleep) SleepUs(us);
+  };
+  if (st.costs.latency_model == LatencyModel::kFixed) {
+    // A deterministic site: no draw, and a backup could never beat the
+    // primary — the plain trip, zero extra billing.
+    pause(st.costs.trip_latency_us);
     return 0;
   }
   // Read the EWMA *before* drawing, so the threshold reflects past trips
   // only; the primary draw itself then feeds the average as usual.
   const uint64_t ewma = site_latency_ewma_us(site);
   const uint64_t primary = DrawTripLatencyUs(site);
-  if (ewma == 0 || primary <= hedge_after_ * ewma) {
-    SleepUs(primary);
+  if (hedge_after_ == 0 || ewma == 0 || primary <= hedge_after_ * ewma) {
+    pause(primary);
     return 0;
   }
   // The primary overshot: launch the deterministic single backup at the
@@ -264,11 +264,11 @@ size_t SiteDatabase::SimulateHedgedTripLatency(size_t site) const {
   if (hedged < primary) {
     hedges_won_.fetch_add(1, std::memory_order_relaxed);
     if (ctr_hedge_won_ != nullptr) ctr_hedge_won_->Add(1);
-    SleepUs(hedged);
+    pause(hedged);
   } else {
     hedges_wasted_.fetch_add(1, std::memory_order_relaxed);
     if (ctr_hedge_wasted_ != nullptr) ctr_hedge_wasted_->Add(1);
-    SleepUs(primary);
+    pause(primary);
   }
   return 1;
 }
@@ -290,14 +290,12 @@ Status SiteDatabase::FetchRemote(size_t site, const std::string& pred,
   }
   SimulateTripLatency(site);
   // The round trip is paid whether or not it succeeds.
-  remote_trips_.fetch_add(1, std::memory_order_relaxed);
   st.remote_trips.fetch_add(1, std::memory_order_relaxed);
   if (ctr_remote_trips_ != nullptr) ctr_remote_trips_->Add(1);
   if (st.ctr_trips != nullptr) st.ctr_trips->Add(1);
   if (st.injector != nullptr) {
     Status fault = st.injector->InjectOnRead(pred);
     if (!fault.ok()) {
-      remote_failures_.fetch_add(1, std::memory_order_relaxed);
       st.remote_failures.fetch_add(1, std::memory_order_relaxed);
       if (ctr_remote_failures_ != nullptr) ctr_remote_failures_->Add(1);
       if (st.ctr_failures != nullptr) st.ctr_failures->Add(1);
@@ -305,190 +303,128 @@ Status SiteDatabase::FetchRemote(size_t site, const std::string& pred,
       return fault;
     }
   }
-  remote_tuples_.fetch_add(count, std::memory_order_relaxed);
   st.remote_tuples.fetch_add(count, std::memory_order_relaxed);
   if (ctr_remote_tuples_ != nullptr) ctr_remote_tuples_->Add(count);
   fill_timer.RecordTo(hist_fill_latency_);
   return Status::OK();
 }
 
-void SiteDatabase::PrefetchRemote(const std::set<std::string>& preds) {
-  // Under fault injection the per-read draw alignment forbids batching;
-  // the manager already skips prefetch then, this guard makes a direct
-  // call harmless too.
-  if (!cache_enabled_ || any_fault_injector()) return;
-  for (const std::string& pred : preds) {
-    if (IsLocal(pred)) continue;
-    const Relation& rel = cache_source().Get(pred, 0);
-    const RemoteReadCache& cache = site_states_[SiteOf(pred)]->cache;
-    if (cache.Find(pred, rel.version()) == RemoteReadCache::Lookup::kHit) {
-      continue;  // already current: no logical read happened, bill nothing
-    }
-    // The fill routes through ReadRemote so miss/invalidation counters and
-    // the fill path behave exactly as an inline read of the whole relation
-    // would. Without an injector the fetch can only fail by exhausting an
-    // attached budget; stop prefetching then — the fan-out's own reads
-    // will hit the same exhausted scope and shed.
-    Status st = ReadRemote(pred, rel.size());
-    if (!st.ok()) {
-      CCPI_DCHECK(st.code() == StatusCode::kResourceExhausted);
-      return;
+bool SiteDatabase::SiteBatch::SameFetch(const SiteBatch& other) const {
+  if (site != other.site || entries.size() != other.entries.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].pred != other.entries[i].pred ||
+        entries[i].version != other.entries[i].version) {
+      return false;
     }
   }
+  return true;
 }
 
-void SiteDatabase::PrefetchRemoteBatched(const std::set<std::string>& preds,
-                                         ThreadPool* pool) {
-  if (!cache_enabled_ || any_fault_injector()) return;
-  // Group the cold/stale relations by owning site: each site's batch is
-  // one coalesced round trip however many relations it carries.
-  std::vector<std::vector<std::string>> batches(site_states_.size());
+std::vector<SiteDatabase::SiteBatch> SiteDatabase::PlanBatches(
+    const std::set<std::string>& preds, const Database& db) const {
+  std::vector<SiteBatch> batches;
+  if (preds.empty() || !cache_enabled_ || any_fault_injector()) {
+    return batches;
+  }
+  std::vector<SiteBatch> by_site(site_states_.size());
   for (const std::string& pred : preds) {
     if (IsLocal(pred)) continue;
     const size_t site = SiteOf(pred);
-    const Relation& rel = cache_source().Get(pred, 0);
-    if (site_states_[site]->cache.Find(pred, rel.version()) ==
-        RemoteReadCache::Lookup::kHit) {
-      continue;
-    }
-    batches[site].push_back(pred);
+    const Relation& rel = db.Get(pred, 0);
+    const RemoteReadCache::Lookup lookup =
+        site_states_[site]->cache.Find(pred, rel.version());
+    if (lookup == RemoteReadCache::Lookup::kHit) continue;
+    by_site[site].site = site;
+    by_site[site].entries.push_back(
+        {pred, rel.version(), rel.size(),
+         lookup == RemoteReadCache::Lookup::kMissStale});
   }
-  std::vector<size_t> work;
-  for (size_t s = 0; s < batches.size(); ++s) {
-    if (!batches[s].empty()) work.push_back(s);
+  for (SiteBatch& batch : by_site) {
+    if (!batch.entries.empty()) batches.push_back(std::move(batch));
   }
-  if (work.empty()) return;
+  return batches;
+}
 
-  auto fetch_batch = [&](size_t k) -> Status {
-    ActiveReadGuard guard(&active_reads_);
-    const size_t site = work[k];
-    SiteState& st = *site_states_[site];
-    obs::Span span("distsim.remote_batch", "distsim");
-    if (span.active()) {
-      span.Attr("site", static_cast<int64_t>(site));
-      span.Attr("relations", static_cast<int64_t>(batches[site].size()));
+Status SiteDatabase::FetchBatch(const SiteBatch& batch, bool sleep) {
+  ActiveReadGuard guard(&active_reads_);
+  SiteState& st = *site_states_[batch.site];
+  obs::Span span("distsim.remote_batch", "distsim");
+  if (span.active()) {
+    span.Attr("site", static_cast<int64_t>(batch.site));
+    span.Attr("relations", static_cast<int64_t>(batch.entries.size()));
+  }
+  obs::Stopwatch fill_timer;
+  if (st.budget != nullptr) {
+    CCPI_RETURN_IF_ERROR(st.budget->Check());
+    // One budgeted trip buys the whole batch; a refusal leaves the
+    // site's entries unfilled and the fan-out's own reads will shed
+    // against the same exhausted scope.
+    CCPI_RETURN_IF_ERROR(st.budget->OnRemoteTrip());
+  }
+  // The batched trip is the hedging point: with hedging armed and a
+  // slow draw, a single backup attempt races the primary. An issued
+  // hedge bills exactly one extra physical trip (the tuples are billed
+  // once — both attempts carry the same payload); the budget's trip cap
+  // was charged once above, before paying, per the refuse-before-pay
+  // rule — the backup is the simulator's own recovery of an
+  // already-approved trip, not a second logical fetch.
+  const size_t trips = 1 + SimulateHedgedTripLatency(batch.site, sleep);
+  st.remote_trips.fetch_add(trips, std::memory_order_relaxed);
+  if (ctr_remote_trips_ != nullptr) ctr_remote_trips_->Add(trips);
+  if (st.ctr_trips != nullptr) st.ctr_trips->Add(trips);
+  for (const SiteBatch::Entry& e : batch.entries) {
+    if (e.stale && ctr_cache_invalidations_ != nullptr) {
+      ctr_cache_invalidations_->Add(1);
     }
-    if (st.budget != nullptr) {
-      CCPI_RETURN_IF_ERROR(st.budget->Check());
-      // One budgeted trip buys the whole batch; a refusal leaves the
-      // site's entries unfilled and the fan-out's own reads will shed
-      // against the same exhausted scope.
-      CCPI_RETURN_IF_ERROR(st.budget->OnRemoteTrip());
-    }
-    // The batched trip is the hedging point: with hedging armed and a
-    // slow draw, a single backup attempt races the primary. An issued
-    // hedge bills exactly one extra physical trip (the tuples are billed
-    // once — both attempts carry the same payload); the budget's trip cap
-    // was charged once above, before paying, per the refuse-before-pay
-    // rule — the backup is the simulator's own recovery of an
-    // already-approved trip, not a second logical fetch.
-    const size_t trips = 1 + SimulateHedgedTripLatency(site);
-    remote_trips_.fetch_add(trips, std::memory_order_relaxed);
-    st.remote_trips.fetch_add(trips, std::memory_order_relaxed);
-    if (ctr_remote_trips_ != nullptr) ctr_remote_trips_->Add(trips);
-    if (st.ctr_trips != nullptr) st.ctr_trips->Add(trips);
-    for (const std::string& pred : batches[site]) {
-      const Relation& rel = cache_source().Get(pred, 0);
-      if (ctr_cache_misses_ != nullptr) ctr_cache_misses_->Add(1);
-      remote_tuples_.fetch_add(rel.size(), std::memory_order_relaxed);
-      st.remote_tuples.fetch_add(rel.size(), std::memory_order_relaxed);
-      if (ctr_remote_tuples_ != nullptr) ctr_remote_tuples_->Add(rel.size());
-      st.cache.NoteFill(pred, rel.version());
-    }
-    return Status::OK();
+    if (ctr_cache_misses_ != nullptr) ctr_cache_misses_->Add(1);
+    st.remote_tuples.fetch_add(e.count, std::memory_order_relaxed);
+    if (ctr_remote_tuples_ != nullptr) ctr_remote_tuples_->Add(e.count);
+    st.cache.NoteFill(e.pred, e.version);
+  }
+  fill_timer.RecordTo(hist_fill_latency_);
+  return Status::OK();
+}
+
+void SiteDatabase::PrefetchRemoteBatched(const std::set<std::string>& preds,
+                                         ThreadPool* pool,
+                                         const std::vector<SiteBatch>& staged) {
+  const std::vector<SiteBatch> batches = PlanBatches(preds, cache_source());
+  auto fetch = [&](size_t k) -> Status {
+    // A batch staged by a speculation is billed only if it is exactly the
+    // fetch planned here (same relations, same versions); otherwise the
+    // staged one vanishes without a trace and this trip is paid in full.
+    bool slept = false;
+    for (const SiteBatch& s : staged) slept = slept || s.SameFetch(batches[k]);
+    return FetchBatch(batches[k], /*sleep=*/!slept);
   };
-  if (pool != nullptr && pool->thread_count() > 1 && work.size() > 1) {
+  if (pool != nullptr && pool->thread_count() > 1 && batches.size() > 1) {
     // Concurrent per-site round trips. Budget refusals surface per site;
     // the fan-out that follows re-encounters the same exhausted scopes,
     // so swallowing the status here loses nothing.
-    (void)pool->ParallelFor(work.size(), fetch_batch);
+    (void)pool->ParallelFor(batches.size(), fetch);
   } else {
-    for (size_t k = 0; k < work.size(); ++k) {
-      (void)fetch_batch(k);
-    }
+    for (size_t k = 0; k < batches.size(); ++k) (void)fetch(k);
   }
 }
 
-SiteDatabase::StagedFetch SiteDatabase::StageRemoteFetch(
-    const std::string& pred, const Database& snapshot) const {
-  StagedFetch staged;
-  staged.pred = pred;
-  staged.site = SiteOf(pred);
-  const Relation& rel = snapshot.Get(pred, 0);
-  staged.version = rel.version();
-  staged.count = rel.size();
-  // The round trip's wall-clock cost is paid here, on the speculation
+std::vector<SiteDatabase::SiteBatch> SiteDatabase::StageRemoteBatches(
+    const std::set<std::string>& preds, const Database& snapshot) const {
+  std::vector<SiteBatch> batches = PlanBatches(preds, snapshot);
+  // The round trips' wall-clock cost is paid here, on the speculation
   // thread, where it overlaps other episodes' work; everything observable
-  // waits for CommitStagedFetch. Under a non-fixed latency model the
-  // speculation sleeps a draw-free hint (the distribution's fast mode):
-  // consuming a real draw here would let speculation-thread interleaving
-  // reorder the site's deterministic latency stream. The real draw is
-  // consumed at commit time, in commit order.
-  const SiteState& st = *site_states_[staged.site];
-  if (st.costs.latency_model == LatencyModel::kFixed) {
-    SimulateTripLatency(staged.site);
-  } else {
-    SleepUs(st.costs.latency_lo_us);
+  // waits for the commit-time PrefetchRemoteBatched. A non-fixed model
+  // sleeps its fast mode: consuming a real draw here would let
+  // speculation-thread interleaving reorder the site's deterministic
+  // latency stream.
+  for (const SiteBatch& batch : batches) {
+    const CostModel& costs = site_states_[batch.site]->costs;
+    SleepUs(costs.latency_model == LatencyModel::kFixed
+                ? costs.trip_latency_us
+                : costs.latency_lo_us);
   }
-  return staged;
-}
-
-bool SiteDatabase::CommitStagedFetch(const StagedFetch& staged) {
-  if (!cache_enabled_) return false;
-  ActiveReadGuard guard(&active_reads_);
-  SiteState& st = *site_states_[staged.site];
-  const uint64_t live_version = cache_source().Get(staged.pred, 0).version();
-  if (live_version != staged.version) {
-    // An intervening commit mutated the relation: the staged fetch
-    // observed contents the serial path would not fetch here. Discard
-    // without a trace; the caller's normal prefetch pays the (now
-    // differently-versioned) trip itself.
-    return false;
-  }
-  switch (st.cache.Find(staged.pred, live_version)) {
-    case RemoteReadCache::Lookup::kHit:
-      // Another episode's commit already filled the entry at this version;
-      // the serial path would skip the fetch, so the staged one vanishes.
-      return false;
-    case RemoteReadCache::Lookup::kMissStale:
-      if (ctr_cache_invalidations_ != nullptr) {
-        ctr_cache_invalidations_->Add(1);
-      }
-      [[fallthrough]];
-    case RemoteReadCache::Lookup::kMissCold:
-      break;
-  }
-  // From here this is ReadRemote's miss path minus the already-slept
-  // latency: miss counter, successful physical trip (the caller gates
-  // staging on no-injector and no-budget, so the trip cannot fail or be
-  // refused), tuples, cache fill. Equal versions imply equal contents, so
-  // staged.count is exactly the live relation's size.
-  CCPI_DCHECK(st.injector == nullptr && st.budget == nullptr);
-  if (st.costs.latency_model != LatencyModel::kFixed) {
-    // Consume the trip's latency draw here, in commit order, so the
-    // site's deterministic stream (and its EWMA/histogram) advances
-    // exactly as the serial prefetch path would. The sleep already
-    // happened at staging time, so the drawn value is discarded.
-    (void)DrawTripLatencyUs(staged.site);
-  }
-  if (ctr_cache_misses_ != nullptr) ctr_cache_misses_->Add(1);
-  obs::Span span("distsim.remote_read", "distsim");
-  if (span.active()) {
-    span.Attr("pred", staged.pred);
-    span.Attr("site", static_cast<int64_t>(staged.site));
-    span.Attr("tuples", static_cast<int64_t>(staged.count));
-  }
-  obs::Stopwatch fill_timer;
-  remote_trips_.fetch_add(1, std::memory_order_relaxed);
-  st.remote_trips.fetch_add(1, std::memory_order_relaxed);
-  if (ctr_remote_trips_ != nullptr) ctr_remote_trips_->Add(1);
-  if (st.ctr_trips != nullptr) st.ctr_trips->Add(1);
-  remote_tuples_.fetch_add(staged.count, std::memory_order_relaxed);
-  st.remote_tuples.fetch_add(staged.count, std::memory_order_relaxed);
-  if (ctr_remote_tuples_ != nullptr) ctr_remote_tuples_->Add(staged.count);
-  fill_timer.RecordTo(hist_fill_latency_);
-  st.cache.NoteFill(staged.pred, live_version);
-  return true;
+  return batches;
 }
 
 size_t SiteDatabase::RecoverSiteCache(size_t site,

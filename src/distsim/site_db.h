@@ -78,14 +78,13 @@ struct HedgeStats {
 /// kUnavailable / kDeadlineExceeded through whatever evaluation is in
 /// flight. Local reads never fail.
 ///
-/// The remote side is a Topology of N independent sites (default one, the
-/// original split): each remote predicate lives at exactly one site
-/// (placement map or hash), and each site owns its own fault injector,
-/// snapshot cache, cost model, and budget-scope hook, so one site's outage
-/// or spent budget never touches reads bound for another. The aggregate
-/// counters keep their pre-topology meaning — per-site counters are summed
-/// into them at the same program points — so a 1-site topology is
-/// byte-identical to the old behavior.
+/// The remote side is a Topology of N independent sites (default one):
+/// each remote predicate lives at exactly one site (placement map or
+/// hash), and each site owns its own fault injector, snapshot cache, cost
+/// model, and budget-scope hook, so one site's outage or spent budget
+/// never touches reads bound for another. A single site is simply the
+/// N=1 topology — there is no separate single-site path. The aggregate
+/// counters are the sums of the per-site ones.
 ///
 /// With the remote-read cache enabled (EnableRemoteCache), a read of a
 /// remote relation whose content version matches the last successful
@@ -102,7 +101,7 @@ struct HedgeStats {
 /// fan-out). Cache fills take the cache's exclusive lock and are safe
 /// concurrently, but the manager avoids racing fills by prefetching the
 /// episode's remote relations before the parallel fan-out. Configuration
-/// calls (set_fault_injector, set_metrics, EnableRemoteCache,
+/// calls (set_site_fault_injector, set_metrics, EnableRemoteCache,
 /// set_cache_db, ResetStats, db() mutation) must be externally serialized
 /// against reads.
 class SiteDatabase : public AccessObserver, public RemoteAccessor {
@@ -132,16 +131,9 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   const Database& db() const { return db_; }
 
   /// Attaches (or detaches, with nullptr) the fault source for remote
-  /// reads of site 0 — the whole remote side of a 1-site topology, which
-  /// keeps the pre-topology call sites working unchanged. Not owned; must
-  /// outlive the site.
-  void set_fault_injector(FaultInjector* injector) {
-    site_states_[0]->injector = injector;
-  }
-  FaultInjector* fault_injector() const { return site_states_[0]->injector; }
-
-  /// Per-site fault domains: each remote site may carry its own injector
-  /// (its own seed, rates, and outage windows).
+  /// reads of `site`. Per-site fault domains: each remote site may carry
+  /// its own injector (its own seed, rates, and outage windows). Not
+  /// owned; must outlive the site.
   void set_site_fault_injector(size_t site, FaultInjector* injector) {
     CCPI_CHECK(site < site_states_.size());
     site_states_[site]->injector = injector;
@@ -161,23 +153,16 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   }
 
   /// Attaches (or detaches, with nullptr) an execution-budget scope to
-  /// *every* site (configuration call: serialize against reads; not owned,
-  /// must outlive the reads it governs — the manager scopes it to one
-  /// episode). Remote reads then become deadline-aware: a read is refused
-  /// with kResourceExhausted *before* paying the round trip once the
-  /// deadline has passed, the token is cancelled, or the scope's
+  /// one site (configuration call: serialize against reads; not owned,
+  /// must outlive the reads it governs — the manager installs one slice of
+  /// the episode scope per site so one chatty site cannot starve the
+  /// others). Remote reads of the site then become deadline-aware: a read
+  /// is refused with kResourceExhausted *before* paying the round trip
+  /// once the deadline has passed, the token is cancelled, or the scope's
   /// remote-trip cap is spent. Cache hits pay no trip and are never
   /// charged against the trip cap (the cache genuinely stretches the
   /// budget; see docs/budgets.md). Local reads are always free and never
   /// refused.
-  void set_budget(const BudgetScope* scope) {
-    for (auto& st : site_states_) st->budget = scope;
-  }
-  const BudgetScope* budget() const { return site_states_[0]->budget; }
-
-  /// Per-site budget scopes: with N sites the manager splits the episode's
-  /// trip cap into per-site slices so one chatty site cannot starve the
-  /// others (see docs/budgets.md).
   void set_site_budget(size_t site, const BudgetScope* scope) {
     CCPI_CHECK(site < site_states_.size());
     site_states_[site]->budget = scope;
@@ -260,7 +245,6 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// drops every site's entries.
   void EnableRemoteCache(bool on);
   bool remote_cache_enabled() const { return cache_enabled_; }
-  RemoteReadCache& remote_cache() { return site_states_[0]->cache; }
   RemoteReadCache& site_remote_cache(size_t site) {
     CCPI_CHECK(site < site_states_.size());
     return site_states_[site]->cache;
@@ -274,61 +258,53 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// not have evaluations in flight.
   void set_cache_db(const Database* db) { cache_db_ = db; }
 
-  /// Batched prefetch: physically fetches every cold or stale relation in
-  /// `preds` (local and already-valid entries are skipped silently) so a
-  /// following fan-out reads them as cache hits. No-op when the cache is
-  /// off or any fault injector is attached — under injection each logical
-  /// read must consume its own draw of the failure schedule in evaluation
-  /// order, which a batched pass would reorder.
-  void PrefetchRemote(const std::set<std::string>& preds);
-
-  /// Coalesced multi-site prefetch: groups `preds` by owning site, pays
-  /// ONE round trip per site that has at least one cold or stale relation
-  /// (instead of one per relation), and issues the per-site batches
-  /// concurrently on `pool` (sequentially when pool is null or single
-  /// threaded). Tuples are billed per relation as usual; the saved trips
-  /// are the point of the batch. Same gates as PrefetchRemote, and the
-  /// per-site trip is charged against that site's budget scope. The
-  /// manager uses this only for multi-site topologies, so single-site
-  /// accounting is untouched.
-  void PrefetchRemoteBatched(const std::set<std::string>& preds,
-                             ThreadPool* pool);
-
-  /// One speculative remote fetch, staged by a pipelined episode's
-  /// read-only phase (see docs/concurrency.md): the simulated round-trip
-  /// latency has already been *paid* (slept) at speculation time, but none
-  /// of its observable effects — counters, cache fill, metrics — have
-  /// happened yet. CommitStagedFetch applies them at the episode's commit
-  /// turn iff the fetch is still exactly what the serial path would do.
-  struct StagedFetch {
-    std::string pred;
+  /// One site's share of a coalesced prefetch: the site's cold or stale
+  /// relations among the requested ones, each with the content version and
+  /// size it was planned at (equal version => equal contents).
+  struct SiteBatch {
+    struct Entry {
+      std::string pred;
+      uint64_t version = 0;
+      size_t count = 0;
+      /// The cache held an older version (billed as an invalidation).
+      bool stale = false;
+    };
     size_t site = 0;
-    /// The relation's content version in the episode's snapshot: the
-    /// commit-time validity condition (equal version => equal contents, so
-    /// the staged fetch observed exactly what a commit-time fetch would).
-    uint64_t version = 0;
-    /// Tuples the fetch carried (the snapshot relation's size).
-    size_t count = 0;
+    std::vector<Entry> entries;
+
+    /// Same site, same relations at the same versions: the batch fetches
+    /// exactly the same data.
+    bool SameFetch(const SiteBatch& other) const;
   };
 
-  /// Speculatively fetches remote `pred` as seen in `snapshot`: sleeps the
-  /// owning site's simulated trip latency and records what was observed.
-  /// No counter, cache, budget, or injector interaction — safe to call
-  /// from a speculation thread concurrently with commits. The caller gates
-  /// on cache_enabled && !any_fault_injector (same as prefetch).
-  StagedFetch StageRemoteFetch(const std::string& pred,
-                               const Database& snapshot) const;
+  /// Coalesced prefetch: groups `preds` by owning site and pays ONE round
+  /// trip per site that has at least one cold or stale relation (local and
+  /// already-valid entries are skipped silently), so a following fan-out
+  /// reads them as cache hits. The per-site batches run concurrently on
+  /// `pool` (sequentially when pool is null or single threaded). Tuples
+  /// are billed per relation; each batch bills one trip (plus one per
+  /// issued hedge), one cache miss per relation, one invalidation per
+  /// stale relation and one fill-latency sample, and its trip is charged
+  /// against the site's budget scope. A planned batch that SameFetch-es
+  /// one of `staged` was already slept at speculation time: it is billed
+  /// identically but does not sleep again. No-op when the cache is off or
+  /// any fault injector is attached — under injection each logical read
+  /// must consume its own draw of the failure schedule in evaluation
+  /// order, which a batched pass would reorder.
+  void PrefetchRemoteBatched(const std::set<std::string>& preds,
+                             ThreadPool* pool,
+                             const std::vector<SiteBatch>& staged = {});
 
-  /// Applies a staged fetch at commit time, iff the site's cache entry is
-  /// still cold/stale AND the relation's live version equals the staged
-  /// one — i.e. iff the serial prefetch path would perform this exact
-  /// fetch here. Then bills the trip and tuples and fills the cache
-  /// precisely as ReadRemote's miss path would (minus the already-paid
-  /// latency), so accounting is byte-identical to unpipelined execution.
-  /// Returns whether the fetch was committed; a false return means the
-  /// staged work is discarded without any observable trace (the caller's
-  /// normal prefetch covers the relation if it still needs fetching).
-  bool CommitStagedFetch(const StagedFetch& staged);
+  /// Speculative prefetch of a pipelined episode (see docs/concurrency.md):
+  /// plans the batches PrefetchRemoteBatched would fetch for `preds` as
+  /// seen in `snapshot`, sleeps one simulated trip per batch on the
+  /// calling thread, and returns the batches. Nothing observable happens —
+  /// no counter, cache, budget, injector or latency-draw interaction — so
+  /// it is safe on a speculation thread concurrently with commits. Under a
+  /// non-fixed latency model the sleep is a draw-free hint (the fast mode):
+  /// the real draw is consumed when the batch is billed, in commit order.
+  std::vector<SiteBatch> StageRemoteBatches(const std::set<std::string>& preds,
+                                            const Database& snapshot) const;
 
   /// Catch-up reconciliation for a site returning from outage: re-fetches
   /// every relation of `site` among `preds` whose cache entry went stale
@@ -340,15 +316,14 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   size_t RecoverSiteCache(size_t site, const std::set<std::string>& preds);
 
   /// Snapshot of the statistics accumulated since the last Reset
-  /// (by value: counters may be advancing on other threads).
+  /// (by value: counters may be advancing on other threads). The remote
+  /// fields are the sums of the per-site slices.
   AccessStats stats() const {
     AccessStats s;
     s.local_tuples = local_tuples_.load(std::memory_order_relaxed);
-    s.remote_tuples = remote_tuples_.load(std::memory_order_relaxed);
-    s.remote_trips = remote_trips_.load(std::memory_order_relaxed);
-    s.remote_failures = remote_failures_.load(std::memory_order_relaxed);
-    s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-    s.cached_tuples = cached_tuples_.load(std::memory_order_relaxed);
+    for (size_t site = 0; site < site_states_.size(); ++site) {
+      s += site_stats(site);
+    }
     return s;
   }
 
@@ -376,11 +351,6 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   void ResetStats() {
     CCPI_DCHECK(active_reads_.load(std::memory_order_acquire) == 0);
     local_tuples_.store(0, std::memory_order_relaxed);
-    remote_tuples_.store(0, std::memory_order_relaxed);
-    remote_trips_.store(0, std::memory_order_relaxed);
-    remote_failures_.store(0, std::memory_order_relaxed);
-    cache_hits_.store(0, std::memory_order_relaxed);
-    cached_tuples_.store(0, std::memory_order_relaxed);
     hedges_issued_.store(0, std::memory_order_relaxed);
     hedges_won_.store(0, std::memory_order_relaxed);
     hedges_wasted_.store(0, std::memory_order_relaxed);
@@ -456,18 +426,25 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// backup) instead of the full primary. Returns how many *extra*
   /// physical trips the caller must bill (0 or 1) and bumps the hedge
   /// counters. Falls back to SimulateTripLatency semantics when hedging
-  /// cannot apply (hedging off, fixed model, or no EWMA yet).
-  size_t SimulateHedgedTripLatency(size_t site) const;
+  /// cannot apply (hedging off, fixed model, or no EWMA yet). With
+  /// `sleep` false every draw and counter advances exactly the same but
+  /// nothing blocks (the trip was already slept at speculation time).
+  size_t SimulateHedgedTripLatency(size_t site, bool sleep) const;
+
+  /// The batches of `preds` against `db`'s relation versions and the
+  /// current cache contents; empty when the cache is off or any injector
+  /// is attached.
+  std::vector<SiteBatch> PlanBatches(const std::set<std::string>& preds,
+                                     const Database& db) const;
+
+  /// One coalesced trip: budget gate, the (hedged) trip latency — slept
+  /// iff `sleep` — and the trip/miss/invalidation/tuple/fill billing.
+  Status FetchBatch(const SiteBatch& batch, bool sleep);
 
   std::set<std::string> local_preds_;
   Topology topology_;
   Database db_;
   std::atomic<size_t> local_tuples_{0};
-  std::atomic<size_t> remote_tuples_{0};
-  std::atomic<size_t> remote_trips_{0};
-  std::atomic<size_t> remote_failures_{0};
-  std::atomic<size_t> cache_hits_{0};
-  std::atomic<size_t> cached_tuples_{0};
   // Debug-only occupancy count of OnRead/ReadRemote, backing the
   // ResetStats exclusivity assertion. Increments are compiled out in
   // NDEBUG builds, so the release hot path is untouched.

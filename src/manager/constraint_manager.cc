@@ -1,6 +1,7 @@
 #include "manager/constraint_manager.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/cqc_form.h"
 #include "core/icq_compiler.h"
@@ -47,13 +48,40 @@ Update InverseOf(const Update& u) {
                                          : Update::Insert(u.pred, u.tuple);
 }
 
-/// Whether the effect of `u` is still visible in `db` (nothing has undone
-/// or superseded it). Guards compensation: never "roll back" an update
-/// whose effect is already gone.
+/// Whether the effect of `u` is visible in `db`. After `u` was applied
+/// this says nothing has undone or superseded it (compensation never
+/// "rolls back" an update whose effect is already gone); before, it says
+/// `u` is a no-op (an insert of a present tuple or a delete of an absent
+/// one), which cannot change any constraint.
 bool EffectPresent(const Update& u, const Database& db) {
   bool contains = db.Contains(u.pred, u.tuple);
   return u.kind == Update::Kind::kInsert ? contains : !contains;
 }
+
+/// Installs one budget scope per remote site (`scope_of(site)`) for its
+/// lifetime and puts the previous scopes back on every exit path.
+class SiteBudgetGuard {
+ public:
+  template <typename ScopeOf>
+  SiteBudgetGuard(SiteDatabase* site, ScopeOf scope_of)
+      : site_(site), prev_(site->sites()) {
+    for (size_t s = 0; s < prev_.size(); ++s) {
+      prev_[s] = site_->site_budget(s);
+      site_->set_site_budget(s, scope_of(s));
+    }
+  }
+  ~SiteBudgetGuard() {
+    for (size_t s = 0; s < prev_.size(); ++s) {
+      site_->set_site_budget(s, prev_[s]);
+    }
+  }
+  SiteBudgetGuard(const SiteBudgetGuard&) = delete;
+  SiteBudgetGuard& operator=(const SiteBudgetGuard&) = delete;
+
+ private:
+  SiteDatabase* site_;
+  std::vector<const BudgetScope*> prev_;
+};
 
 constexpr Tier kAllTiers[] = {Tier::kSubsumed, Tier::kUnaffected,
                               Tier::kIndependence, Tier::kLocalTest,
@@ -121,17 +149,15 @@ struct ConstraintManager::Episode {
   bool speculated = false;
 
   // ---- Speculation outputs (valid once `done`).
-  bool noop = false;
-  std::vector<CheckReport> reports;
-  std::vector<Status> check_status;
+  Phase1 phase1;
   /// Local-read charges of phase 1, in charge order.
   std::vector<std::pair<std::string, size_t>> buffered_reads;
   /// Every predicate phase 1 read (always includes update.pred: the noop
   /// probe and tier 2 read it).
   std::set<std::string> read_preds;
-  /// Remote fetches staged for the tier-3 worklist (latency already
-  /// slept); committed or silently discarded at the commit turn.
-  std::vector<SiteDatabase::StagedFetch> staged;
+  /// Per-site prefetch batches staged for the tier-3 worklist (latency
+  /// already slept); billed or silently discarded at the commit turn.
+  std::vector<SiteDatabase::SiteBatch> staged;
 
   // ---- Retire handshake.
   std::mutex mu;
@@ -365,17 +391,10 @@ Result<bool> ConstraintManager::AddConstraint(const std::string& name,
   for (const std::string& pred : EdbPredicates(constraints_.back().program)) {
     if (!site_.IsLocal(pred)) constraints_.back().remote_edb.insert(pred);
   }
-  // Site footprint for breaker gating. With one site every constraint
-  // names it (even with an empty remote_edb) so gating degenerates to the
-  // single global breaker; with N sites the footprint is exactly the
-  // placement of the remote relations, and a constraint with no remote
-  // reads is never gated at all.
-  if (site_.sites() == 1) {
-    constraints_.back().remote_sites.insert(0);
-  } else {
-    for (const std::string& pred : constraints_.back().remote_edb) {
-      constraints_.back().remote_sites.insert(site_.SiteOf(pred));
-    }
+  // Site footprint for breaker gating: exactly the placement of the
+  // remote relations, so a constraint with no remote reads is never gated.
+  for (const std::string& pred : constraints_.back().remote_edb) {
+    constraints_.back().remote_sites.insert(site_.SiteOf(pred));
   }
   // Registration is a plan-cache epoch: the tier-1 memo quantifies over
   // the set of active constraints, which just changed, so every cached
@@ -705,6 +724,26 @@ void ConstraintManager::ClaimSites(const std::set<size_t>& gsites) {
   }
 }
 
+std::set<std::string> ConstraintManager::PrefetchPreds(
+    const std::vector<size_t>& worklist) const {
+  std::set<std::string> preds;
+  for (size_t idx : worklist) {
+    for (const std::string& pred : constraints_[idx].remote_edb) {
+      if (breakers_[site_.SiteOf(pred)]->state() == CircuitState::kClosed) {
+        preds.insert(pred);
+      }
+    }
+  }
+  return preds;
+}
+
+bool ConstraintManager::AnyBreakerWouldAllow() const {
+  for (const std::unique_ptr<CircuitBreaker>& b : breakers_) {
+    if (b->WouldAllow()) return true;
+  }
+  return false;
+}
+
 bool ConstraintManager::AllBreakersClosed() const {
   for (const std::unique_ptr<CircuitBreaker>& b : breakers_) {
     if (b->state() != CircuitState::kClosed) return false;
@@ -735,13 +774,10 @@ Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
   // episode. The snapshot/delta read is race-free because the retriable
   // path below only exists under fault injection, which forces tier 3
   // sequential.
-  const bool multi = site_.sites() > 1;
   std::vector<size_t> failures_before;
-  if (multi) {
-    failures_before.reserve(gsites.size());
-    for (size_t s : gsites) {
-      failures_before.push_back(site_.site_stats(s).remote_failures);
-    }
+  failures_before.reserve(gsites.size());
+  for (size_t s : gsites) {
+    failures_before.push_back(site_.site_stats(s).remote_failures);
   }
   obs::Stopwatch sw;
   bool violated = false;
@@ -794,33 +830,27 @@ Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
     *retries_out = episode.attempts > 0 ? episode.attempts - 1 : 0;
   }
   if (!episode.status.ok()) {
-    if (IsRetriable(episode.status.code())) {
-      ctr_remote_failures_->Add(1);
-      if (!multi) {
-        breakers_[0]->RecordFailure();
-      } else {
-        // Blame exactly the sites whose trips failed during this episode;
-        // a gated site that happened not to fail releases its probe claim
-        // without a verdict.
-        size_t i = 0;
-        for (size_t s : gsites) {
-          bool failed =
-              site_.site_stats(s).remote_failures > failures_before[i++];
-          if (failed) {
-            breakers_[s]->RecordFailure();
-          } else {
-            breakers_[s]->CancelProbe();
-          }
-        }
-      }
-    } else if (episode.status.code() == StatusCode::kResourceExhausted) {
-      // The budget, not the site, stopped the episode: never retried
-      // (retrying would spend the same exhausted envelope) and never
-      // blamed on the breaker (the site did nothing wrong).
+    const bool retriable = IsRetriable(episode.status.code());
+    if (retriable) ctr_remote_failures_->Add(1);
+    // A kResourceExhausted episode was stopped by the budget, not the
+    // site: never retried (retrying would spend the same exhausted
+    // envelope) and never blamed on the breaker (the site did nothing
+    // wrong).
+    if (episode.status.code() == StatusCode::kResourceExhausted) {
       ctr_budget_exhausted_->Add(1);
-      for (size_t s : gsites) breakers_[s]->CancelProbe();
-    } else {
-      for (size_t s : gsites) breakers_[s]->CancelProbe();
+    }
+    // Blame exactly the sites whose trips failed during a retriable
+    // episode; every other gated site releases its probe claim without a
+    // verdict.
+    size_t i = 0;
+    for (size_t s : gsites) {
+      if (retriable &&
+          site_.site_stats(s).remote_failures > failures_before[i]) {
+        breakers_[s]->RecordFailure();
+      } else {
+        breakers_[s]->CancelProbe();
+      }
+      ++i;
     }
     if (span.active()) span.Attr("gave_up", episode.status.message());
     return episode.status;
@@ -884,11 +914,8 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
   // answers again, earlier optimistic applies are re-verified before new
   // work builds on them. Any reachable site is reason enough to try — the
   // drain itself skips entries whose own sites are still dark.
-  bool any_would_allow = false;
-  for (const std::unique_ptr<CircuitBreaker>& b : breakers_) {
-    any_would_allow = any_would_allow || b->WouldAllow();
-  }
-  if (resilience_.auto_recheck && !deferred_.empty() && any_would_allow) {
+  if (resilience_.auto_recheck && !deferred_.empty() &&
+      AnyBreakerWouldAllow()) {
     Result<std::vector<DeferredResolution>> drained =
         RecheckDeferredImpl(episode);
     if (!drained.ok()) return drained.status();
@@ -898,13 +925,6 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
   // admission (admission order == commit order == the serial order), so
   // its conflict re-run must not draw a fresh number.
   uint64_t sequence = spec != nullptr ? spec->sequence : update_sequence_++;
-
-  // A no-op update cannot change any constraint.
-  bool noop =
-      (u.kind == Update::Kind::kInsert &&
-       site_.db().Contains(u.pred, u.tuple)) ||
-      (u.kind == Update::Kind::kDelete &&
-       !site_.db().Contains(u.pred, u.tuple));
 
   // Commit-map validation, after the prelude above: the breaker ticks and
   // the auto-recheck drain are part of THIS episode's commit turn, so a
@@ -934,12 +954,10 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
     ctr_pipe_unspeculated_->Add(1);
   }
 
-  std::vector<CheckReport> reports;
-  std::vector<Status> check_status;
+  Phase1 phase1;
   if (use_spec) {
-    CCPI_DCHECK(noop == spec->noop);
-    reports = std::move(spec->reports);
-    check_status = std::move(spec->check_status);
+    CCPI_DCHECK(EffectPresent(u, site_.db()) == spec->phase1.noop);
+    phase1 = std::move(spec->phase1);
     // Replay the buffered phase-1 charges in recorded order, so
     // AccessStats advance exactly as the serial phase 1 would have
     // advanced them here.
@@ -947,66 +965,17 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
       CCPI_RETURN_IF_ERROR(site_.OnRead(pred, count));
     }
   } else {
-  // The episode's update signature — the per-pattern plan-cache key
-  // component shared by every constraint's check below. Null when the
-  // cache is off (or the update is a no-op, which skips checking): every
-  // cached path downstream is then bypassed.
-  std::optional<UpdateSignature> plan_sig;
-  if (plan_cache_.enabled && !noop) {
-    plan_sig = MakeUpdateSignature(u, plan_constants_);
+    const CheckContext live_ctx{&site_.db(), &site_, &deferred_};
+    CCPI_ASSIGN_OR_RETURN(phase1, RunPhase1(u, live_ctx, pool_.get()));
   }
-  const UpdateSignature* sig = plan_sig.has_value() ? &*plan_sig : nullptr;
-
-  // ---- Phase 1 (read-only, parallel): settle every constraint as far as
-  // local information allows. Each lane owns exactly one Registered (its
-  // tier-2 cache included), reads the frozen database, and writes its own
-  // report slot; all shared sinks on this path (AccessStats, metrics
-  // counters, Relation index builds) are atomic or internally locked, and
-  // their final values are order-independent sums — so the fan-out is
-  // report- and stats-equivalent to the sequential loop.
-  const CheckContext live_ctx{&site_.db(), &site_, &deferred_};
-  reports.resize(constraints_.size());
-  check_status.resize(constraints_.size());
-  bool parallel_checks = pool_->thread_count() > 1 && !noop &&
-                         constraints_.size() > 1;
-  if (parallel_checks || Relation::ColumnarEnabled()) {
-    // Build every column index up front so checker threads mostly take the
-    // shared (reader) path through Relation::Probe. With the columnar path
-    // on, freezing also builds the segments the scan/join kernels dispatch
-    // on — sequential runs want that too (freezing is stats-invisible:
-    // it charges no accesses and draws no faults).
-    site_.db().FreezeIndexes();
-  }
-  CCPI_RETURN_IF_ERROR(
-      pool_->ParallelFor(constraints_.size(), [&](size_t i) -> Status {
-        Registered& r = constraints_[i];
-        if (r.subsumed) {
-          reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kSubsumed};
-          return Status::OK();
-        }
-        if (noop) {
-          reports[i] =
-              CheckReport{r.name, Outcome::kHolds, Tier::kUnaffected};
-          return Status::OK();
-        }
-        Result<CheckReport> report = CheckOne(&r, u, sig, live_ctx);
-        if (!report.ok()) {
-          // Surfaced at this constraint's position in the commit phase, so
-          // error reporting matches the sequential order.
-          check_status[i] = report.status();
-          reports[i].tier = Tier::kFullCheck;  // never read; keep defined
-          return Status::OK();
-        }
-        reports[i] = std::move(*report);
-        return Status::OK();
-      }));
-  }
+  const bool noop = phase1.noop;
+  std::vector<CheckReport>& reports = phase1.reports;
 
   // ---- Phase 2 (serialized commit): counters and the tier-3 worklist,
   // in constraint order.
   std::vector<size_t> need_full;
   for (size_t i = 0; i < constraints_.size(); ++i) {
-    CCPI_RETURN_IF_ERROR(check_status[i]);
+    CCPI_RETURN_IF_ERROR(phase1.check_status[i]);
     if (reports[i].tier == Tier::kFullCheck) {
       need_full.push_back(i);
     } else {
@@ -1038,79 +1007,31 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
 
     // Route the episode's remote trips — prefetch included — through the
     // budget for the duration of the tier-3 block, so a passed deadline
-    // refuses trips before paying them. With one site the episode scope
-    // itself is installed (exactly the pre-topology behavior); with N
-    // sites each site gets an equal child scope so one hot site cannot
-    // starve the trips of the others.
+    // refuses trips before paying them. Each site gets an equal slice of
+    // the episode scope so one hot site cannot starve the trips of the
+    // others; at one site the slice is the whole episode budget.
     std::vector<BudgetScope> site_scopes;
+    std::optional<SiteBudgetGuard> site_budgets;
     if (budget_armed_) {
-      if (site_.sites() == 1) {
-        site_.set_budget(&episode_scope);
-      } else {
-        site_scopes.resize(site_.sites());
-        for (size_t s = 0; s < site_scopes.size(); ++s) {
-          site_scopes[s] = episode_scope.Split(site_.sites(), {});
-          site_.set_site_budget(s, &site_scopes[s]);
-        }
-      }
+      site_scopes.assign(site_.sites(),
+                         episode_scope.Split(site_.sites(), {}));
+      site_budgets.emplace(&site_,
+                           [&](size_t s) { return &site_scopes[s]; });
     }
-    struct SiteBudgetRestore {
-      SiteDatabase* site;
-      bool armed;
-      ~SiteBudgetRestore() {
-        if (armed) site->set_budget(nullptr);
-      }
-    } restore_site_budget{&site_, budget_armed_};
 
-    // Batched prefetch: fetch each distinct remote relation the worklist
-    // needs at most once, before any evaluation, so the per-constraint
-    // evaluations (parallel or not) read it as cache hits instead of each
-    // paying its own trip. Runs at every thread count — the cache's hit
-    // and trip counts must not depend on the fan-out width — but never
-    // under fault injection (each logical read must consume its own draw
-    // of the failure schedule in evaluation order) and never while the
-    // breaker is non-closed (a fast-failing episode performs no reads, so
-    // prefetching for it would pay trips the uncached path never pays).
-    if (site_.remote_cache_enabled() && !site_.any_fault_injector()) {
-      if (site_.sites() == 1) {
-        if (breakers_[0]->state() == CircuitState::kClosed) {
-          std::set<std::string> episode_preds;
-          for (size_t idx : need_full) {
-            const std::set<std::string>& preds = constraints_[idx].remote_edb;
-            episode_preds.insert(preds.begin(), preds.end());
-          }
-          // A valid speculation already slept the round trips for (a
-          // subset of) these relations at speculation time; commit the
-          // staged fetches that are still exactly what the serial path
-          // would fetch here and let the normal prefetch cover whatever
-          // was not staged or was discarded (version moved, entry already
-          // filled by an intervening commit, breaker opened since).
-          if (use_spec) {
-            for (const SiteDatabase::StagedFetch& sf : spec->staged) {
-              if (site_.CommitStagedFetch(sf)) episode_preds.erase(sf.pred);
-            }
-          }
-          site_.PrefetchRemote(episode_preds);
-        }
-      } else {
-        // N sites: coalesce the worklist's remote relations into per-site
-        // batches and fetch the batches concurrently — one round trip per
-        // site — skipping any site whose breaker is not closed (its
-        // episodes fast-fail without reading, so prefetching for it would
-        // pay trips the uncached path never pays). Runs before the tier-3
-        // fan-out, so the pool is free to carry the batch fan-out here.
-        std::set<std::string> batched;
-        for (size_t idx : need_full) {
-          for (const std::string& pred : constraints_[idx].remote_edb) {
-            if (breakers_[site_.SiteOf(pred)]->state() ==
-                CircuitState::kClosed) {
-              batched.insert(pred);
-            }
-          }
-        }
-        site_.PrefetchRemoteBatched(batched, pool_.get());
-      }
-    }
+    // Batched prefetch: coalesce the worklist's remote relations into one
+    // round trip per site, before any evaluation, so the per-constraint
+    // evaluations (parallel or not) read them as cache hits instead of
+    // each paying its own trip. Runs at every thread count — the cache's
+    // hit and trip counts must not depend on the fan-out width — but
+    // never under fault injection (PrefetchRemoteBatched declines: each
+    // logical read must consume its own draw of the failure schedule in
+    // evaluation order). A valid speculation already slept the trips of
+    // its staged batches; those still exactly what is fetched here are
+    // billed without sleeping again.
+    const std::vector<SiteDatabase::SiteBatch> unstaged;
+    site_.PrefetchRemoteBatched(PrefetchPreds(need_full), pool_.get(),
+                                use_spec ? spec->staged : unstaged);
 
     // Tier 3 may fan out only when remote verdicts cannot depend on
     // arrival order: the fault injector consumes one RNG draw per remote
@@ -1143,23 +1064,42 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
     std::vector<Status> eval_status(need_full.size());
     std::vector<char> eval_bad(need_full.size(), 0);
     std::vector<size_t> eval_retries(need_full.size(), 0);
-    // Latency-aware shed — the refuse-before-pay rule extended from spent
-    // budgets to projected latency: when a member site's observed-latency
-    // EWMA already says one round trip cannot finish inside the check's
-    // remaining deadline, the check is shed to kDeferred *before* paying
-    // the trip (no draw consumed, no trip billed), instead of paying the
-    // trip and shedding at the next checkpoint anyway.
     std::vector<char> lat_shed(need_full.size(), 0);
-    auto latency_projects_over = [&](size_t k) -> bool {
-      if (!latency_aware_) return false;
+    // One tier-3 check, shared by the parallel fan-out and the sequential
+    // loop. Latency-aware shed first — the refuse-before-pay rule
+    // extended from spent budgets to projected latency: when a member
+    // site's observed-latency EWMA already says one round trip cannot
+    // finish inside the check's remaining deadline, the check is shed to
+    // kDeferred *before* paying the trip (no draw consumed, no trip
+    // billed), instead of paying the trip and shedding at the next
+    // checkpoint anyway. Otherwise the check claims its sites' breakers
+    // (no-op claims while closed, which the fan-out requires) and runs.
+    auto check_remote = [&](size_t k) -> Status {
+      const Registered& reg = constraints_[need_full[k]];
       const BudgetScope* scope = scope_for(k);
-      if (scope == nullptr || !scope->has_deadline()) return false;
-      uint64_t worst_us = 0;
-      for (size_t s : constraints_[need_full[k]].remote_sites) {
-        worst_us = std::max(worst_us, site_.site_latency_ewma_us(s));
+      if (latency_aware_ && scope != nullptr && scope->has_deadline()) {
+        uint64_t worst_us = 0;
+        for (size_t s : reg.remote_sites) {
+          worst_us = std::max(worst_us, site_.site_latency_ewma_us(s));
+        }
+        // No observation yet (worst_us == 0): try the trip.
+        if (worst_us != 0 && worst_us / 1000 >= scope->remaining_ms()) {
+          lat_shed[k] = 1;
+          eval_status[k] = Status::ResourceExhausted(
+              "projected trip latency exceeds remaining deadline");
+          return Status::OK();
+        }
       }
-      if (worst_us == 0) return false;  // no observation yet: try the trip
-      return worst_us / 1000 >= scope->remaining_ms();
+      ClaimSites(reg.remote_sites);
+      Result<bool> bad = EvaluateRemote(reg.program, site_.db(),
+                                        reg.remote_sites, &eval_retries[k],
+                                        scope, &reg.name);
+      if (!bad.ok()) {
+        eval_status[k] = bad.status();
+      } else {
+        eval_bad[k] = *bad ? 1 : 0;
+      }
+      return Status::OK();
     };
     if (parallel_t3 || Relation::ColumnarEnabled()) {
       // The tentative apply dirtied u.pred; re-freeze so tier 3 reads
@@ -1167,32 +1107,13 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
       site_.db().FreezeIndexes();
     }
     if (parallel_t3) {
-      CCPI_RETURN_IF_ERROR(
-          pool_->ParallelFor(need_full.size(), [&](size_t k) -> Status {
-            const Registered& reg = constraints_[need_full[k]];
-            if (latency_projects_over(k)) {
-              lat_shed[k] = 1;
-              eval_status[k] = Status::ResourceExhausted(
-                  "projected trip latency exceeds remaining deadline");
-              return Status::OK();
-            }
-            Result<bool> bad =
-                EvaluateRemote(reg.program, site_.db(), reg.remote_sites,
-                               &eval_retries[k], scope_for(k), &reg.name);
-            if (!bad.ok()) {
-              eval_status[k] = bad.status();
-              return Status::OK();
-            }
-            eval_bad[k] = *bad ? 1 : 0;
-            return Status::OK();
-          }));
+      CCPI_RETURN_IF_ERROR(pool_->ParallelFor(need_full.size(), check_remote));
     }
     for (size_t k = 0; k < need_full.size(); ++k) {
       size_t idx = need_full[k];
       CheckReport& report = reports[idx];
-      const Registered& reg = constraints_[idx];
       if (!parallel_t3) {
-        if (!SitesWouldAllow(reg.remote_sites)) {
+        if (!SitesWouldAllow(constraints_[idx].remote_sites)) {
           // Circuit open: a site this check needs is known-dead; fail
           // fast. Checks whose sites are all healthy still run — tier-3
           // degradation is partial, per fault domain.
@@ -1203,21 +1124,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
           any_deferred = true;
           continue;
         }
-        if (latency_projects_over(k)) {
-          lat_shed[k] = 1;
-          eval_status[k] = Status::ResourceExhausted(
-              "projected trip latency exceeds remaining deadline");
-        } else {
-          ClaimSites(reg.remote_sites);
-          Result<bool> bad =
-              EvaluateRemote(reg.program, site_.db(), reg.remote_sites,
-                             &eval_retries[k], scope_for(k), &reg.name);
-          if (!bad.ok()) {
-            eval_status[k] = bad.status();
-          } else {
-            eval_bad[k] = *bad ? 1 : 0;
-          }
-        }
+        (void)check_remote(k);
       }
       report.retries = eval_retries[k];
       if (!eval_status[k].ok()) {
@@ -1263,12 +1170,8 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
         }
         size_t cap = budget_.deferred_queue_cap;
         bool over = cap != 0 && deferred_.size() + fresh > cap;
-        bool drain_reachable = false;
-        for (const std::unique_ptr<CircuitBreaker>& b : breakers_) {
-          drain_reachable = drain_reachable || b->WouldAllow();
-        }
         if (over && budget_.overflow == OverflowPolicy::kBlockRecheck &&
-            drain_reachable) {
+            AnyBreakerWouldAllow()) {
           // Block: one synchronous drain pass to make room, then re-check
           // occupancy; falls back to refusal below if it freed nothing.
           Result<std::vector<DeferredResolution>> drained =
@@ -1423,22 +1326,16 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
   // head, so one dead site never blocks entries for other, reachable
   // sites queued behind it. Each pass visits at most the entries present
   // when it started; draining stops once a full pass resolves nothing.
-  auto any_reachable = [&]() {
-    for (const std::unique_ptr<CircuitBreaker>& b : breakers_) {
-      if (b->WouldAllow()) return true;
-    }
-    return false;
-  };
   // The drain below reorders or resolves queue entries either way, so any
   // in-flight episode's speculation (which captured the queue at its
   // admission) is invalidated wholesale.
-  if (!deferred_.empty() && any_reachable()) ++deferred_epoch_;
+  if (!deferred_.empty() && AnyBreakerWouldAllow()) ++deferred_epoch_;
   bool progress = true;
-  while (progress && !deferred_.empty() && any_reachable()) {
+  while (progress && !deferred_.empty() && AnyBreakerWouldAllow()) {
     progress = false;
     size_t pass = deferred_.size();
     for (size_t i = 0; i < pass && !deferred_.empty(); ++i) {
-      if (!any_reachable()) break;
+      if (!AnyBreakerWouldAllow()) break;
       DeferredCheck entry = deferred_.front();
       const Registered* reg = nullptr;
       for (const Registered& r : constraints_) {
@@ -1471,8 +1368,7 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
       }
       // A named site still dark: requeue without evaluating (and without
       // touching `progress`, so a queue of only-dark entries terminates
-      // the pass). With one site this is unreachable — any_reachable()
-      // above is the same predicate.
+      // the pass).
       if (!SitesWouldAllow(reg->remote_sites)) {
         deferred_.pop_front();
         deferred_.push_back(std::move(entry));
@@ -1481,22 +1377,15 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
       ClaimSites(reg->remote_sites);
       const BudgetScope* scope =
           recheck_scope.active() ? &recheck_scope : nullptr;
-      std::vector<const BudgetScope*> prev_budgets(site_.sites());
+      std::optional<SiteBudgetGuard> site_budgets;
       if (scope != nullptr) {
-        for (size_t s = 0; s < site_.sites(); ++s) {
-          prev_budgets[s] = site_.site_budget(s);
-        }
-        site_.set_budget(scope);
+        site_budgets.emplace(&site_, [&](size_t) { return scope; });
       }
       size_t recheck_retries = 0;
       Result<bool> bad = EvaluateRemote(reg->program, scratch,
                                         reg->remote_sites, &recheck_retries,
                                         scope, &reg->name);
-      if (scope != nullptr) {
-        for (size_t s = 0; s < site_.sites(); ++s) {
-          site_.set_site_budget(s, prev_budgets[s]);
-        }
-      }
+      site_budgets.reset();
       if (!bad.ok()) {
         StatusCode code = bad.status().code();
         if (IsRetriable(code) || code == StatusCode::kResourceExhausted) {
@@ -1547,10 +1436,7 @@ Result<ConstraintManager::TransactionResult> ConstraintManager::ApplyTransaction
   // Remember which updates actually change state, for exact rollback.
   std::vector<Update> applied;
   for (const Update& u : updates) {
-    bool noop = (u.kind == Update::Kind::kInsert &&
-                 site_.db().Contains(u.pred, u.tuple)) ||
-                (u.kind == Update::Kind::kDelete &&
-                 !site_.db().Contains(u.pred, u.tuple));
+    bool noop = EffectPresent(u, site_.db());
     CCPI_ASSIGN_OR_RETURN(std::vector<CheckReport> reports, ApplyUpdate(u));
     bool refused = UpdateRefused(reports);
     result.reports.push_back(std::move(reports));
@@ -1642,54 +1528,96 @@ void ConstraintManager::SpeculateEpisode(Episode* e) {
       // stray exception just downgrades the episode to a cold run.
       e->speculated = false;
     }
-    {
-      std::lock_guard<std::mutex> lock(e->mu);
-      e->done = true;
-    }
+    // Notify while holding the lock: once `done` is visible the committer
+    // may retire and free the episode, so nothing may touch `e` after the
+    // lock is released.
+    std::lock_guard<std::mutex> lock(e->mu);
+    e->done = true;
     e->cv.notify_all();
   });
+}
+
+Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
+    const Update& u, const CheckContext& ctx, ThreadPool* pool) {
+  Phase1 out;
+  out.noop = EffectPresent(u, *ctx.db);
+  // The episode's update signature — the per-pattern plan-cache key
+  // component shared by every constraint's check below. Null when the
+  // cache is off (or the update is a no-op, which skips checking): every
+  // cached path downstream is then bypassed.
+  std::optional<UpdateSignature> plan_sig;
+  if (plan_cache_.enabled && !out.noop) {
+    plan_sig = MakeUpdateSignature(u, plan_constants_);
+  }
+  const UpdateSignature* sig = plan_sig.has_value() ? &*plan_sig : nullptr;
+
+  // Each lane owns exactly one Registered (its tier-2 cache included),
+  // reads the frozen database, and writes its own report slot; all shared
+  // sinks on this path (AccessStats, metrics counters, Relation index
+  // builds) are atomic or internally locked, and their final values are
+  // order-independent sums — so the fan-out is report- and
+  // stats-equivalent to the sequential loop.
+  const size_t n = constraints_.size();
+  out.reports.resize(n);
+  out.check_status.resize(n);
+  auto check = [&](size_t i) -> Status {
+    Registered& r = constraints_[i];
+    if (r.subsumed) {
+      out.reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kSubsumed};
+      return Status::OK();
+    }
+    if (out.noop) {
+      out.reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kUnaffected};
+      return Status::OK();
+    }
+    Result<CheckReport> report = CheckOne(&r, u, sig, ctx);
+    if (!report.ok()) {
+      // Surfaced at this constraint's position in the commit phase, so
+      // error reporting matches the sequential order.
+      out.check_status[i] = report.status();
+      out.reports[i].tier = Tier::kFullCheck;  // never read; keep defined
+      return Status::OK();
+    }
+    out.reports[i] = std::move(*report);
+    return Status::OK();
+  };
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) (void)check(i);
+    return out;
+  }
+  if ((pool->thread_count() > 1 && !out.noop && n > 1) ||
+      Relation::ColumnarEnabled()) {
+    // Build every column index up front so checker threads mostly take the
+    // shared (reader) path through Relation::Probe. With the columnar path
+    // on, freezing also builds the segments the scan/join kernels dispatch
+    // on — sequential runs want that too (freezing is stats-invisible: it
+    // charges no accesses and draws no faults).
+    ctx.db->FreezeIndexes();
+  }
+  CCPI_RETURN_IF_ERROR(pool->ParallelFor(n, check));
+  return out;
 }
 
 void ConstraintManager::SpeculatePhase1(Episode* e) {
   const Update& u = e->update;
   BufferingObserver buffer;
   const CheckContext ctx{&e->snapshot, &buffer, &e->deferred_snapshot};
-  e->noop = (u.kind == Update::Kind::kInsert &&
-             e->snapshot.Contains(u.pred, u.tuple)) ||
-            (u.kind == Update::Kind::kDelete &&
-             !e->snapshot.Contains(u.pred, u.tuple));
-
-  std::optional<UpdateSignature> plan_sig;
-  if (plan_cache_.enabled && !e->noop) {
-    plan_sig = MakeUpdateSignature(u, plan_constants_);
-  }
-  const UpdateSignature* sig = plan_sig.has_value() ? &*plan_sig : nullptr;
-
   // Phase 1 against the snapshot, sequentially on this worker: the
   // parallelism of the pipeline is across episodes, not within one.
-  e->reports.resize(constraints_.size());
-  e->check_status.resize(constraints_.size());
+  Result<Phase1> phase1 = RunPhase1(u, ctx, nullptr);
+  if (!phase1.ok()) {
+    e->speculated = false;
+    return;
+  }
+  e->phase1 = std::move(*phase1);
   bool all_ok = true;
   bool violated = false;
+  std::vector<size_t> worklist;
   for (size_t i = 0; i < constraints_.size(); ++i) {
-    Registered& r = constraints_[i];
-    if (r.subsumed) {
-      e->reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kSubsumed};
-      continue;
-    }
-    if (e->noop) {
-      e->reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kUnaffected};
-      continue;
-    }
-    Result<CheckReport> report = CheckOne(&r, u, sig, ctx);
-    if (!report.ok()) {
-      e->check_status[i] = report.status();
-      e->reports[i].tier = Tier::kFullCheck;  // never read; keep defined
-      all_ok = false;
-      continue;
-    }
-    violated = violated || report->outcome == Outcome::kViolated;
-    e->reports[i] = std::move(*report);
+    all_ok = all_ok && e->phase1.check_status[i].ok();
+    violated =
+        violated || e->phase1.reports[i].outcome == Outcome::kViolated;
+    if (e->phase1.reports[i].tier == Tier::kFullCheck) worklist.push_back(i);
   }
 
   // The validation read set. Tier 1 is db-free and tier 2 reads only the
@@ -1702,28 +1630,21 @@ void ConstraintManager::SpeculatePhase1(Episode* e) {
   // Staged remote prefetch: pay the tier-3 worklist's simulated round
   // trips NOW, on this worker, where they overlap other episodes' stages —
   // the latency-hiding that makes the pipeline beat depth 1 in wall-clock.
-  // Only where the serial path would itself batch-prefetch (cache on, no
-  // injector, breaker closed; single-site — the multi-site batcher has its
-  // own coalescing) and never under budgets (staged commits bypass budget
-  // scopes; budget-armed managers do not pipeline at all). The updated
-  // relation itself is skipped: the commit-time tentative apply re-stamps
-  // its version, so a staged fetch of it could never commit.
-  if (all_ok && !violated && !e->noop && site_.sites() == 1 &&
-      site_.remote_cache_enabled() && !site_.any_fault_injector() &&
-      breakers_[0]->state() == CircuitState::kClosed) {
-    std::set<std::string> preds;
-    for (size_t i = 0; i < constraints_.size(); ++i) {
-      if (!constraints_[i].subsumed && e->check_status[i].ok() &&
-          e->reports[i].tier == Tier::kFullCheck) {
-        preds.insert(constraints_[i].remote_edb.begin(),
-                     constraints_[i].remote_edb.end());
-      }
-    }
-    for (const std::string& pred : preds) {
-      if (pred == u.pred) continue;
-      e->staged.push_back(site_.StageRemoteFetch(pred, e->snapshot));
-    }
+  // Only where the serial path would itself prefetch (cache on, no
+  // injector — StageRemoteBatches declines otherwise — and the owning
+  // site's breaker closed) and never under budgets (budget-armed managers
+  // do not pipeline at all). The commit-time tentative apply re-stamps
+  // the updated relation's version, so a batch carrying it could never
+  // match the commit-time batch: its whole site is left unstaged.
+  if (!all_ok || violated || e->phase1.noop) return;
+  std::set<std::string> preds = PrefetchPreds(worklist);
+  if (preds.count(u.pred) > 0) {
+    const size_t updated_site = site_.SiteOf(u.pred);
+    std::erase_if(preds, [&](const std::string& pred) {
+      return site_.SiteOf(pred) == updated_site;
+    });
   }
+  e->staged = site_.StageRemoteBatches(preds, e->snapshot);
 }
 
 void ConstraintManager::CommitHeadToPending() {

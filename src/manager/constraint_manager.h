@@ -406,10 +406,8 @@ class ConstraintManager {
     return deferred_;
   }
 
-  /// Site 0's breaker — the whole remote side of a 1-site topology, which
-  /// keeps the pre-topology call sites working unchanged.
-  const CircuitBreaker& breaker() const { return *breakers_[0]; }
-  /// Per-site breakers of an N-site topology.
+  /// The breaker of remote site `site` (one per site; a 1-site manager
+  /// has just site_breaker(0)).
   const CircuitBreaker& site_breaker(size_t site) const {
     return *breakers_[site];
   }
@@ -466,13 +464,11 @@ class ConstraintManager {
     /// may read, computed once at registration — the episode prefetch
     /// unions these over the tier-3 worklist.
     std::set<std::string> remote_edb;
-    /// The sites those relations live at. In a 1-site topology this is
-    /// always {0} — even for a constraint with no remote relations — so
-    /// the breaker gating below that set drives is literally the
-    /// pre-topology single-breaker behavior. With N sites it is the true
-    /// placement footprint, and a constraint touching no dark site checks
-    /// normally while the rest of the topology burns (partial
-    /// degradation).
+    /// The sites those relations live at — the placement footprint that
+    /// breaker gating, failure blame and the latency shed use at every
+    /// site count. A constraint touching no dark site checks normally
+    /// while the rest of the topology burns (partial degradation), and a
+    /// constraint with no remote relations is never gated at all.
     std::set<size_t> remote_sites;
     // Cache keyed by the updated predicate.
     std::map<std::string, std::shared_ptr<const Tier2Artifacts>> tier2;
@@ -499,6 +495,24 @@ class ConstraintManager {
   /// path, or an episode's admission snapshot + a buffering observer + the
   /// queue as-of-admission on the speculative path. Defined in the .cc.
   struct CheckContext;
+
+  /// Phase-1 output of one episode: every constraint settled as far as
+  /// local information allows (tier-3 candidates stay kFullCheck).
+  struct Phase1 {
+    /// The update leaves the database unchanged (nothing is checked).
+    bool noop = false;
+    std::vector<CheckReport> reports;
+    /// Per-constraint check errors, surfaced at the constraint's position
+    /// in the commit phase.
+    std::vector<Status> check_status;
+  };
+
+  /// Phase 1 (read-only) through `ctx`: the noop probe, the update's
+  /// plan signature, and CheckOne per constraint. `pool` fans the checks
+  /// out over the frozen database (serial path); null runs them inline
+  /// (speculation, which already runs on a pool worker).
+  Result<Phase1> RunPhase1(const Update& u, const CheckContext& ctx,
+                           ThreadPool* pool);
 
   /// CheckOne wraps CheckOneImpl with a span and the per-tier latency
   /// histogram; ApplyUpdate likewise wraps ApplyUpdateImpl. `sig` is the
@@ -591,6 +605,16 @@ class ConstraintManager {
   /// Whether every breaker in `gsites` would currently admit a request
   /// (pure gate: claims nothing, transitions nothing).
   bool SitesWouldAllow(const std::set<size_t>& gsites) const;
+  /// Whether any site's breaker would admit a request (the deferred-drain
+  /// gate).
+  bool AnyBreakerWouldAllow() const;
+  /// What the episode prefetch fetches for a tier-3 `worklist`
+  /// (constraint indexes): the remote relations they read at sites whose
+  /// breaker is closed. A non-closed site's checks fast-fail without
+  /// reading, so prefetching for them would pay trips the uncached path
+  /// never pays.
+  std::set<std::string> PrefetchPreds(
+      const std::vector<size_t>& worklist) const;
   /// Claims every breaker in `gsites` (sequential paths only: the caller
   /// has just seen SitesWouldAllow succeed).
   void ClaimSites(const std::set<size_t>& gsites);
@@ -617,8 +641,7 @@ class ConstraintManager {
   /// one branch on this flag.
   bool budget_armed_ = false;
   /// One breaker per remote site (heap-allocated: a breaker owns a mutex
-  /// and is not movable). breakers_[0] doubles as the legacy single
-  /// breaker.
+  /// and is not movable).
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
   /// Recovery bookkeeping: whether site s was observed non-closed at a
   /// detection point since it last recovered (see DetectRecoveries).

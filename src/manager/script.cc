@@ -1060,8 +1060,9 @@ Result<ScriptReport> RunScript(const Script& script,
             << stats.deferred_recovered << " recovered, "
             << stats.deferred_violations << " late violations, "
             << report.deferred_pending << " pending\n";
-    summary << "breaker: " << CircuitStateToString(mgr.breaker().state())
-            << " (opened " << mgr.breaker().times_opened() << "x)\n";
+    const CircuitBreaker& site0 = mgr.site_breaker(0);
+    summary << "breaker: " << CircuitStateToString(site0.state())
+            << " (opened " << site0.times_opened() << "x)\n";
     if (mgr.sites() > 1) {
       for (size_t s = 0; s < mgr.sites(); ++s) {
         const AccessStats& ss = mgr.site().site_stats(s);

@@ -121,7 +121,7 @@ RunResult RunWorkload(uint64_t seed, size_t threads, bool columnar,
   std::optional<FaultInjector> injector;
   if (faults.has_value()) {
     injector.emplace(*faults);
-    mgr.site().set_fault_injector(&*injector);
+    mgr.site().set_site_fault_injector(0, &*injector);
   }
 
   EXPECT_TRUE(
@@ -160,7 +160,7 @@ RunResult RunWorkload(uint64_t seed, size_t threads, bool columnar,
   result.stats = mgr.stats();
   result.deferred.assign(mgr.deferred_queue().begin(),
                          mgr.deferred_queue().end());
-  result.breaker_state = mgr.breaker().state();
+  result.breaker_state = mgr.site_breaker(0).state();
   result.db_dump = mgr.site().db().ToString();
   if (injector.has_value()) result.injector_trips = injector->stats().trips;
   result.segments_built =
@@ -346,7 +346,7 @@ RunResult RunBudgetWorkload(size_t threads, bool columnar,
   result.stats = mgr.stats();
   result.deferred.assign(mgr.deferred_queue().begin(),
                          mgr.deferred_queue().end());
-  result.breaker_state = mgr.breaker().state();
+  result.breaker_state = mgr.site_breaker(0).state();
   return result;
 }
 

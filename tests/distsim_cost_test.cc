@@ -73,7 +73,7 @@ TEST(SiteDatabaseTest, FailedRemoteReadChargesTheTrip) {
   FaultInjector injector(FaultConfig{});
   injector.ForceOutage(true);
   SiteDatabase site({"l"});
-  site.set_fault_injector(&injector);
+  site.set_site_fault_injector(0, &injector);
   // Local reads never fail, even under a hard outage.
   EXPECT_TRUE(site.OnRead("l", 3).ok());
   Status s = site.OnRead("r", 10);
@@ -133,7 +133,7 @@ TEST(SiteDatabaseTest, CachedReadSkipsTheTripUntilInvalidated) {
 TEST(SiteDatabaseTest, FailedFillLeavesEntryUnusable) {
   FaultInjector injector(FaultConfig{});
   SiteDatabase site({"l"});
-  site.set_fault_injector(&injector);
+  site.set_site_fault_injector(0, &injector);
   site.EnableRemoteCache(true);
   ASSERT_TRUE(site.db().Insert("r", {V(1)}).ok());
 
@@ -157,7 +157,7 @@ TEST(SiteDatabaseTest, FailedFillLeavesEntryUnusable) {
 TEST(SiteDatabaseTest, FaultedCacheHitPoisonsTheEntry) {
   FaultInjector injector(FaultConfig{});
   SiteDatabase site({"l"});
-  site.set_fault_injector(&injector);
+  site.set_site_fault_injector(0, &injector);
   site.EnableRemoteCache(true);
   ASSERT_TRUE(site.db().Insert("r", {V(1)}).ok());
   ASSERT_TRUE(site.ReadRemote("r", 1).ok());  // fill
@@ -182,19 +182,19 @@ TEST(SiteDatabaseTest, PrefetchFetchesEachRelationAtMostOnce) {
   ASSERT_TRUE(site.db().Insert("dept", {V("cs")}).ok());
   ASSERT_TRUE(site.db().Insert("l", {V(1), V(2)}).ok());
 
-  site.PrefetchRemote({"r", "dept", "l"});
+  site.PrefetchRemoteBatched({"r", "dept", "l"}, nullptr);
   AccessStats stats = site.stats();
-  EXPECT_EQ(stats.remote_trips, 2u);   // r and dept; local l skipped
+  EXPECT_EQ(stats.remote_trips, 1u);   // r and dept share one batch trip
   EXPECT_EQ(stats.remote_tuples, 3u);  // whole relations fetched
   EXPECT_EQ(stats.local_tuples, 0u);   // prefetch never bills local reads
 
   // Already valid: a second prefetch is free, and the fan-out's own
   // reads are hits.
-  site.PrefetchRemote({"r", "dept"});
-  EXPECT_EQ(site.stats().remote_trips, 2u);
+  site.PrefetchRemoteBatched({"r", "dept"}, nullptr);
+  EXPECT_EQ(site.stats().remote_trips, 1u);
   ASSERT_TRUE(site.OnRead("r", 2).ok());
   ASSERT_TRUE(site.OnRead("dept", 1).ok());
-  EXPECT_EQ(site.stats().remote_trips, 2u);
+  EXPECT_EQ(site.stats().remote_trips, 1u);
   EXPECT_EQ(site.stats().cache_hits, 2u);
 }
 

@@ -57,7 +57,7 @@ struct Rig {
     EXPECT_TRUE(mgr.AddConstraint(
                        "cap", MustParse("panic :- emp(E,D,S) & S > 200"))
                     .ok());
-    mgr.site().set_fault_injector(&injector);
+    mgr.site().set_site_fault_injector(0, &injector);
   }
   FaultInjector injector;
   ConstraintManager mgr;
@@ -98,7 +98,7 @@ TEST(FaultToleranceTest, HardOutageNeverBlocksEveryUpdateResolves) {
   EXPECT_TRUE(rig.mgr.site().db().Contains("l", {V(0), V(5)}));
   // The breaker tripped and saved most episodes the full retry cost.
   EXPECT_GT(rig.mgr.stats().breaker_fast_fails, 0u);
-  EXPECT_EQ(rig.mgr.breaker().state(), CircuitState::kOpen);
+  EXPECT_EQ(rig.mgr.site_breaker(0).state(), CircuitState::kOpen);
 }
 
 TEST(FaultToleranceTest, DeferredChecksRecoverWhenOutageEnds) {
@@ -186,7 +186,7 @@ TEST(FaultToleranceTest, BreakerOpensAndFailsFastWithoutRemoteTrips) {
 
   ASSERT_TRUE(rig.mgr.ApplyUpdate(Update::Insert("l", {V(1), V(2)})).ok());
   ASSERT_TRUE(rig.mgr.ApplyUpdate(Update::Insert("l", {V(4), V(5)})).ok());
-  EXPECT_EQ(rig.mgr.breaker().state(), CircuitState::kOpen);
+  EXPECT_EQ(rig.mgr.site_breaker(0).state(), CircuitState::kOpen);
 
   uint64_t trips_when_opened = rig.injector.stats().trips;
   ASSERT_TRUE(rig.mgr.ApplyUpdate(Update::Insert("l", {V(7), V(8)})).ok());
@@ -398,7 +398,7 @@ struct BudgetRig {
                        MustParse(
                            "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y"))
                     .ok());
-    mgr.site().set_fault_injector(&injector);
+    mgr.site().set_site_fault_injector(0, &injector);
     EXPECT_TRUE(mgr.site().db().Insert("r", {V(1000)}).ok());
   }
   FaultInjector injector;
@@ -524,7 +524,7 @@ TEST(FaultToleranceTest, DeadPredDoesNotBlockOtherRechecksBehindIt) {
   resilience.auto_recheck = false;  // drain explicitly, assert precisely
   FaultInjector injector{FaultConfig{}};
   ConstraintManager mgr({"l"}, CostModel{}, resilience);
-  mgr.site().set_fault_injector(&injector);
+  mgr.site().set_site_fault_injector(0, &injector);
   ASSERT_TRUE(mgr.AddConstraint(
                      "a", MustParse("panic :- l(X,Y) & r1(Z) & X <= Z & Z <= Y"))
                   .ok());
@@ -830,6 +830,64 @@ TEST(FaultToleranceTest, SimultaneousOutagesRecoverIndependently) {
   EXPECT_TRUE(rig.mgr.deferred_queue().empty());
   EXPECT_EQ(rig.mgr.stats().sites_recovered, 2u);
   EXPECT_EQ(rig.mgr.stats().deferred_recovered, 2u);
+}
+
+TEST(FaultToleranceTest, LocalOnlyTier3CheckIsNotGatedBySiteBreaker) {
+  // A single site is the 1-site topology: a constraint's breaker
+  // footprint is the placement of its remote relations. A tier-3
+  // constraint that reads no remote relation therefore decides while site
+  // 0 is dark, and its local success is no half-open probe verdict — the
+  // site never answered it.
+  ResilienceConfig resilience;
+  resilience.retry.max_attempts = 1;
+  resilience.breaker.failure_threshold = 1;
+  resilience.breaker.cooldown_ticks = 5;
+  resilience.breaker.half_open_successes = 2;
+  resilience.auto_recheck = false;
+  FaultInjector injector{FaultConfig{}};
+  ConstraintManager mgr({"l", "a", "b"}, CostModel{}, resilience);
+  // Negation keeps tiers 1-2 from settling `neg`: it reaches tier 3 and
+  // reads only local relations there.
+  ASSERT_TRUE(
+      mgr.AddConstraint("neg", MustParse("panic :- a(X) & not b(X)")).ok());
+  ASSERT_TRUE(
+      mgr.AddConstraint("join", MustParse("panic :- l(X) & r(X)")).ok());
+  mgr.site().set_site_fault_injector(0, &injector);
+  ASSERT_TRUE(mgr.site().db().Insert("r", {V(100)}).ok());
+  ASSERT_TRUE(mgr.site().db().Insert("b", {V(1)}).ok());
+  ASSERT_TRUE(mgr.site().db().Insert("b", {V(3)}).ok());
+
+  // The site goes dark: the remote check defers and opens the breaker.
+  injector.ForceOutage(true);
+  auto reports = mgr.ApplyUpdate(Update::Insert("l", {V(1)}));
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(OutcomeOf(*reports, "join"), Outcome::kDeferred);
+  ASSERT_EQ(mgr.site_breaker(0).state(), CircuitState::kOpen);
+
+  // While it is open, the local-only check still decides, both ways.
+  reports = mgr.ApplyUpdate(Update::Insert("a", {V(1)}));
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(OutcomeOf(*reports, "neg"), Outcome::kHolds);
+  reports = mgr.ApplyUpdate(Update::Insert("a", {V(2)}));
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(OutcomeOf(*reports, "neg"), Outcome::kViolated);
+  EXPECT_EQ(mgr.stats().breaker_fast_fails, 0u);
+  EXPECT_EQ(mgr.site_breaker(0).state(), CircuitState::kOpen);
+
+  // The site returns: one successful remote probe leaves the breaker
+  // half-open (closing takes two).
+  injector.ForceOutage(false);
+  mgr.TickBreaker(resilience.breaker.cooldown_ticks);
+  reports = mgr.ApplyUpdate(Update::Insert("l", {V(2)}));
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(OutcomeOf(*reports, "join"), Outcome::kHolds);
+  ASSERT_EQ(mgr.site_breaker(0).state(), CircuitState::kHalfOpen);
+
+  // A local-only success claims no probe: still half-open.
+  reports = mgr.ApplyUpdate(Update::Insert("a", {V(3)}));
+  ASSERT_TRUE(reports.ok());
+  EXPECT_EQ(OutcomeOf(*reports, "neg"), Outcome::kHolds);
+  EXPECT_EQ(mgr.site_breaker(0).state(), CircuitState::kHalfOpen);
 }
 
 }  // namespace

@@ -244,6 +244,41 @@ TEST(ManagerTest, ResetStatsDrainsAndZeroesCounters) {
   EXPECT_EQ(OutcomeOf(*results[0], "ord"), Outcome::kViolated);
 }
 
+TEST(ManagerTest, PipelinedStressRetiresEpisodesSafely) {
+  // Many short episodes through a wide pipeline on four lanes: the
+  // committer retires (and frees) each episode the moment its
+  // speculation publishes `done`, so a speculation task that touched its
+  // episode after publishing would be a use-after-free — the sanitizer
+  // jobs catch it. Mostly no-op deletes (every admission speculates and
+  // nothing conflicts), with a sprinkling of real inserts.
+  ConstraintManager mgr({"l", "k"}, CostModel{}, ResilienceConfig{},
+                        ParallelConfig{4}, RemoteCacheConfig{},
+                        BudgetConfig{}, TopologyConfig{}, PlanCacheConfig{},
+                        PipelineConfig{8});
+  ASSERT_TRUE(
+      mgr.AddConstraint("ord", MustParse("panic :- l(X,Y) & X > Y")).ok());
+  ASSERT_TRUE(
+      mgr.AddConstraint("join", MustParse("panic :- l(X,Y) & r(Y)")).ok());
+  constexpr int kEpisodes = 4000;
+  int inserts = 0;
+  for (int i = 0; i < kEpisodes; ++i) {
+    if (i % 16 == 0) {
+      mgr.ApplyUpdateAsync(Update::Insert("k", {V(i)}));
+      ++inserts;
+    } else {
+      mgr.ApplyUpdateAsync(Update::Delete("l", {V(i), V(i)}));
+    }
+  }
+  auto results = mgr.Drain();
+  ASSERT_EQ(results.size(), static_cast<size_t>(kEpisodes));
+  for (const auto& r : results) ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(mgr.in_flight(), 0u);
+  EXPECT_EQ(mgr.site().db().Get("k", 1).size(),
+            static_cast<size_t>(inserts));
+  EXPECT_GT(
+      mgr.metrics().GetCounter("manager.pipeline.committed")->value(), 0u);
+}
+
 // --- Active rules (application 2) ------------------------------------------
 
 TEST(ActiveRulesTest, FiresWhenConditionBecomesTrue) {

@@ -113,18 +113,23 @@ std::vector<Update> RandomWorkload(uint64_t seed, size_t n) {
 /// even in the access accounting. `depth` > 1 drives the stream through
 /// the episode pipeline (ApplyUpdateAsync + Drain) instead of the serial
 /// ApplyUpdate loop — which must also be invisible in every observable.
+/// `sites` > 1 pins remote r to site 0 and dept to the last site.
 RunResult RunWorkload(uint64_t seed, size_t threads,
                       const std::optional<FaultConfig>& faults,
                       bool cache = true, bool plan_cache = true,
-                      size_t depth = 1) {
+                      size_t depth = 1, size_t sites = 1) {
+  TopologyConfig topology;
+  topology.sites = sites;
+  topology.placement["r"] = 0;
+  topology.placement["dept"] = sites - 1;
   ConstraintManager mgr({"l", "emp"}, CostModel{}, ResilienceConfig{},
                         ParallelConfig{threads}, RemoteCacheConfig{cache},
-                        BudgetConfig{}, TopologyConfig{},
+                        BudgetConfig{}, topology,
                         PlanCacheConfig{plan_cache}, PipelineConfig{depth});
   std::optional<FaultInjector> injector;
   if (faults.has_value()) {
     injector.emplace(*faults);
-    mgr.site().set_fault_injector(&*injector);
+    mgr.site().set_site_fault_injector(0, &*injector);
   }
 
   // A mix that exercises every tier: pure-local order (T1/T2, can
@@ -168,7 +173,11 @@ RunResult RunWorkload(uint64_t seed, size_t threads,
   result.stats = mgr.stats();
   result.deferred.assign(mgr.deferred_queue().begin(),
                          mgr.deferred_queue().end());
-  result.breaker_state = mgr.breaker().state();
+  result.breaker_state = mgr.site_breaker(0).state();
+  for (size_t s = 0; s < sites; ++s) {
+    result.site_breaker_states.push_back(mgr.site_breaker(s).state());
+    result.site_access.push_back(mgr.site().site_stats(s));
+  }
   result.db_dump = mgr.site().db().ToString();
   if (injector.has_value()) result.injector_trips = injector->stats().trips;
   if (plan_cache) {
@@ -519,7 +528,7 @@ RunResult RunBudgetWorkload(size_t threads, BudgetConfig budget) {
   result.stats = mgr.stats();
   result.deferred.assign(mgr.deferred_queue().begin(),
                          mgr.deferred_queue().end());
-  result.breaker_state = mgr.breaker().state();
+  result.breaker_state = mgr.site_breaker(0).state();
   return result;
 }
 
@@ -638,7 +647,7 @@ RunResult RunTopologyWorkload(uint64_t seed, size_t threads, size_t sites,
   result.stats = mgr.stats();
   result.deferred.assign(mgr.deferred_queue().begin(),
                          mgr.deferred_queue().end());
-  result.breaker_state = mgr.breaker().state();
+  result.breaker_state = mgr.site_breaker(0).state();
   for (size_t s = 0; s < sites; ++s) {
     result.site_breaker_states.push_back(mgr.site_breaker(s).state());
     result.site_access.push_back(mgr.site().site_stats(s));
@@ -711,42 +720,22 @@ TEST(ParallelEquivalenceTest, MultiSiteThreadsMatchSequentialUnderFaults) {
   }
 }
 
-TEST(ParallelEquivalenceTest, SingleSiteTopologyIsExactlyLegacy) {
-  // --sites=1 must reproduce the pre-topology manager EXACTLY: the same
-  // seeded workload through an explicit 1-site topology and through the
-  // default constructor diffs clean on every observable, faults included.
-  FaultConfig faults;
-  faults.seed = FaultSeedOr(99);
-  faults.transient_rate = 0.25;
-  faults.timeout_rate = 0.1;
-  faults.outages.push_back(OutageWindow{10, 25});
-  for (uint64_t seed : {11u, 47u}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      RunResult legacy = RunWorkload(seed, threads, faults);
-      RunResult one_site = RunTopologyWorkload(seed, threads, 1, faults);
-      ExpectSameReports(legacy, one_site);
-      ExpectSameStats(legacy, one_site);
-      ExpectSameDeferred(legacy, one_site);
-      EXPECT_EQ(legacy.injector_trips, one_site.injector_trips);
-    }
-  }
-}
-
 TEST(ParallelEquivalenceTest, NeutralLatencyConfigIsExactlyBaseline) {
   // The latency/hedging layer must be pay-for-what-you-use: a topology
   // that spells out kFixed/0us overrides for every site, wraps all sites
   // in a windowless failure domain, AND arms hedge_after must diff clean
   // against the plain topology run on every observable, at every thread
-  // count — healthy and under per-site fault injection alike. (Hedging
-  // is structurally inert here: kFixed sites consume no latency draws,
-  // so the EWMA stays at the no-observation sentinel and no hedge can
-  // ever be issued.)
+  // count and site count (one site included: it is the N=1 topology, not
+  // a separate path) — healthy and under per-site fault injection alike.
+  // (Hedging is structurally inert here: kFixed sites consume no latency
+  // draws, so the EWMA stays at the no-observation sentinel and no hedge
+  // can ever be issued.)
   FaultConfig faults;
   faults.seed = FaultSeedOr(99);
   faults.transient_rate = 0.25;
   faults.timeout_rate = 0.1;
   faults.outages.push_back(OutageWindow{10, 25});
-  for (size_t sites : {size_t{2}, size_t{4}}) {
+  for (size_t sites : {size_t{1}, size_t{2}, size_t{4}}) {
     for (uint64_t seed : {11u, 47u}) {
       for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
         for (const std::optional<FaultConfig>& f :
@@ -787,14 +776,20 @@ void ExpectPipelineAccounting(const RunResult& r, size_t episodes) {
 }
 
 TEST(ParallelEquivalenceTest, PipelinedDepthsMatchSerial) {
-  for (uint64_t seed : {11u, 47u}) {
-    RunResult serial = RunWorkload(seed, 1, std::nullopt);
-    for (size_t depth : {size_t{2}, size_t{8}}) {
-      for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-        RunResult piped =
-            RunWorkload(seed, threads, std::nullopt, true, true, depth);
-        ExpectEquivalent(serial, piped);
-        ExpectPipelineAccounting(piped, serial.reports.size());
+  // At two sites r and dept live at different sites, so the staged
+  // prefetch batches are per site.
+  for (size_t sites : {size_t{1}, size_t{2}}) {
+    for (uint64_t seed : {11u, 47u}) {
+      RunResult serial =
+          RunWorkload(seed, 1, std::nullopt, true, true, 1, sites);
+      for (size_t depth : {size_t{2}, size_t{8}}) {
+        for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
+          RunResult piped = RunWorkload(seed, threads, std::nullopt, true,
+                                        true, depth, sites);
+          ExpectEquivalent(serial, piped);
+          ExpectSameSiteState(serial, piped);
+          ExpectPipelineAccounting(piped, serial.reports.size());
+        }
       }
     }
   }
@@ -890,7 +885,7 @@ RunResult RunConflictWorkload(size_t depth) {
   result.stats = mgr.stats();
   result.deferred.assign(mgr.deferred_queue().begin(),
                          mgr.deferred_queue().end());
-  result.breaker_state = mgr.breaker().state();
+  result.breaker_state = mgr.site_breaker(0).state();
   result.db_dump = mgr.site().db().ToString();
   return result;
 }

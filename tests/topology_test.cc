@@ -11,6 +11,7 @@
 #include "distsim/fault_injector.h"
 #include "distsim/site_db.h"
 #include "distsim/topology.h"
+#include "obs/metrics.h"
 #include "util/thread_pool.h"
 
 namespace ccpi {
@@ -92,17 +93,6 @@ TEST(SiteTopologyTest, PerSiteInjectorFailsOnlyItsOwnSite) {
   EXPECT_EQ(site.site_stats(1).remote_failures, 1u);
 }
 
-TEST(SiteTopologyTest, LegacySingleSiteAccessorsAliasSiteZero) {
-  SiteDatabase site({"l"});
-  FaultInjector injector{FaultConfig{}};
-  site.set_fault_injector(&injector);
-  EXPECT_EQ(site.fault_injector(), &injector);
-  EXPECT_EQ(site.site_fault_injector(0), &injector);
-  EXPECT_TRUE(site.any_fault_injector());
-  site.set_fault_injector(nullptr);
-  EXPECT_FALSE(site.any_fault_injector());
-}
-
 TEST(SiteTopologyTest, BatchedPrefetchPaysOneTripPerSite) {
   TopologyConfig config;
   config.sites = 2;
@@ -154,6 +144,46 @@ TEST(SiteTopologyTest, BatchedPrefetchSequentialAndParallelAgree) {
     EXPECT_EQ(site.stats().remote_trips, populated_sites);
     EXPECT_EQ(site.stats().remote_tuples, 9u);
   }
+}
+
+TEST(SiteTopologyTest, BatchedPrefetchBillsInvalidationsAndFillLatency) {
+  // A batch bills the same cache observability as per-relation misses:
+  // one miss per relation, one invalidation per stale relation, and one
+  // fill-latency sample per batch trip.
+  obs::SetTimingEnabled(true);
+  obs::MetricsRegistry registry;
+  TopologyConfig config;
+  config.sites = 2;
+  config.placement["a"] = 0;
+  config.placement["b"] = 0;
+  config.placement["c"] = 1;
+  SiteDatabase site({"l"}, config);
+  site.set_metrics(&registry);
+  site.EnableRemoteCache(true);
+  ASSERT_TRUE(site.db().Insert("a", {V(1)}).ok());
+  ASSERT_TRUE(site.db().Insert("b", {V(2)}).ok());
+  ASSERT_TRUE(site.db().Insert("c", {V(3)}).ok());
+  ThreadPool pool(2);
+  obs::Counter* misses = registry.GetCounter("distsim.cache_misses");
+  obs::Counter* invalidations =
+      registry.GetCounter("distsim.cache_invalidations");
+  obs::Histogram* fills =
+      registry.GetHistogram("distsim.cache_fill_latency_ns");
+
+  site.PrefetchRemoteBatched({"a", "b", "c"}, &pool);
+  EXPECT_EQ(misses->value(), 3u);  // cold fills
+  EXPECT_EQ(invalidations->value(), 0u);
+  EXPECT_EQ(fills->count(), 2u);  // two batches
+
+  // Moving a and c leaves their entries stale: the refetch invalidates.
+  ASSERT_TRUE(site.db().Insert("a", {V(4)}).ok());
+  ASSERT_TRUE(site.db().Insert("c", {V(5)}).ok());
+  site.PrefetchRemoteBatched({"a", "b", "c"}, &pool);
+  EXPECT_EQ(misses->value(), 5u);
+  EXPECT_EQ(invalidations->value(), 2u);
+  EXPECT_EQ(fills->count(), 4u);
+  EXPECT_EQ(site.stats().remote_trips, 4u);
+  obs::SetTimingEnabled(false);
 }
 
 TEST(SiteTopologyTest, RecoverSiteCacheRevalidatesOnlyPoisonedEntries) {
