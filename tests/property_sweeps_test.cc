@@ -79,7 +79,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Theorem51Agreement,
 
 // --- Sweep 2: local-test soundness + completeness across CQC shapes --------
 
-using LocalTestParam = std::tuple<const char*, uint64_t>;
+// The rule travels as a std::string so gtest prints its text, not a pointer
+// whose address changes from run to run, into the test's listed name.
+using LocalTestParam = std::tuple<std::string, uint64_t>;
 
 class LocalTestSweep : public ::testing::TestWithParam<LocalTestParam> {};
 
@@ -165,7 +167,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Sweep 3: the three Fig 6.1 implementations agree -----------------------
 
-using IcqParam = std::tuple<const char*, uint64_t>;
+using IcqParam = std::tuple<std::string, uint64_t>;
 class IcqAgreement : public ::testing::TestWithParam<IcqParam> {};
 
 TEST_P(IcqAgreement, DatalogDirectTheorem52) {
