@@ -1,6 +1,7 @@
 #include "datalog/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace ccpi {
 
@@ -58,7 +59,13 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
              std::isdigit(static_cast<unsigned char>(input[i]))) {
         ++i;
       }
-      int64_t num = std::stoll(std::string(input.substr(start, i - start)));
+      int64_t num = 0;
+      if (std::from_chars(input.data() + start, input.data() + i, num).ec !=
+          std::errc()) {
+        return Status::InvalidArgument(
+            "integer literal out of range at line " + std::to_string(line) +
+            ", column " + std::to_string(col));
+      }
       col += static_cast<int>(i - start);
       push(TokenKind::kInt, "", num);
       continue;

@@ -1,8 +1,10 @@
 #include "manager/script.h"
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "datalog/parser.h"
 #include "manager/constraint_manager.h"
@@ -26,35 +28,78 @@ bool EndsWithContinuation(const std::string& line) {
   return line.size() >= 2 && line.substr(line.size() - 2) == ":-";
 }
 
-/// Parses a latency-model spec — "fixed:U", "uniform:LO:HI" or
-/// "twopoint:LO:HI:P" — shared by the `site_latency` directive and the
-/// --site-latency flag. Microsecond parameters must be >= 1 (a zero or
-/// negative latency is a config error, not a free network) and LO <= HI;
-/// P is a probability in [0,1].
-bool ParseLatencySpec(std::string_view spec, SiteLatencyOverride* out) {
+/// Splits `s` at every `sep`; an empty `s` is one empty part.
+std::vector<std::string_view> Split(std::string_view s, char sep) {
   std::vector<std::string_view> parts;
   while (true) {
-    size_t colon = spec.find(':');
-    parts.push_back(spec.substr(0, colon));
-    if (colon == std::string_view::npos) break;
-    spec = spec.substr(colon + 1);
+    size_t at = s.find(sep);
+    parts.push_back(s.substr(0, at));
+    if (at == std::string_view::npos) return parts;
+    s = s.substr(at + 1);
   }
+}
+
+/// Stores an integer in [lo, hi]. The ceilings in the table keep a value
+/// from sizing an allocation that aborts, overflowing the deadline clock
+/// or wrapping the hedge threshold.
+template <typename T>
+bool SetUint(std::string_view v, uint64_t lo, uint64_t hi, T* out) {
+  uint64_t n = 0;
+  if (!ParseUint64(v, &n) || n < lo || n > hi) return false;
+  *out = static_cast<T>(n);
+  return true;
+}
+
+bool SetSwitch(std::string_view v, bool* out) {
+  if (v != "on" && v != "off") return false;
+  *out = v == "on";
+  return true;
+}
+
+/// "A:B", the half-open trip window [A, B). An inverted window would be a
+/// silent no-op, not an outage, so A <= B.
+bool ParseWindow(std::string_view v, OutageWindow* out) {
+  std::vector<std::string_view> ab = Split(v, ':');
+  OutageWindow w;
+  if (ab.size() != 2 || !ParseUint64(ab[0], &w.begin) ||
+      !ParseUint64(ab[1], &w.end) || w.begin > w.end) {
+    return false;
+  }
+  *out = w;
+  return true;
+}
+
+/// Splits "S:rest" into a site index and the remainder.
+bool SplitSitePrefix(std::string_view value, size_t* site,
+                     std::string_view* rest) {
+  size_t colon = value.find(':');
+  uint64_t s = 0;
+  if (colon == std::string_view::npos ||
+      !ParseUint64(value.substr(0, colon), &s)) {
+    return false;
+  }
+  *site = static_cast<size_t>(s);
+  *rest = value.substr(colon + 1);
+  return true;
+}
+
+/// "fixed:U", "uniform:LO:HI" or "twopoint:LO:HI:P". Microsecond
+/// parameters must be >= 1 (a zero latency is a config error, not a free
+/// network) and LO <= HI; P is a probability in [0,1].
+bool ParseLatencySpec(std::string_view spec, SiteLatencyOverride* out) {
+  std::vector<std::string_view> parts = Split(spec, ':');
   SiteLatencyOverride o;
   if (parts[0] == "fixed" && parts.size() == 2) {
     o.model = LatencyModel::kFixed;
     if (!ParseUint64(parts[1], &o.fixed_us) || o.fixed_us == 0) return false;
-  } else if (parts[0] == "uniform" && parts.size() == 3) {
-    o.model = LatencyModel::kUniform;
+  } else if ((parts[0] == "uniform" && parts.size() == 3) ||
+             (parts[0] == "twopoint" && parts.size() == 4)) {
+    o.model = parts.size() == 3 ? LatencyModel::kUniform
+                                : LatencyModel::kTwoPoint;
     if (!ParseUint64(parts[1], &o.lo_us) ||
         !ParseUint64(parts[2], &o.hi_us) || o.lo_us == 0 ||
-        o.lo_us > o.hi_us) {
-      return false;
-    }
-  } else if (parts[0] == "twopoint" && parts.size() == 4) {
-    o.model = LatencyModel::kTwoPoint;
-    if (!ParseUint64(parts[1], &o.lo_us) ||
-        !ParseUint64(parts[2], &o.hi_us) || o.lo_us == 0 ||
-        o.lo_us > o.hi_us || !ParseProbability(parts[3], &o.slow_share)) {
+        o.lo_us > o.hi_us ||
+        (parts.size() == 4 && !ParseProbability(parts[3], &o.slow_share))) {
       return false;
     }
   } else {
@@ -63,6 +108,323 @@ bool ParseLatencySpec(std::string_view spec, SiteLatencyOverride* out) {
   *out = o;
   return true;
 }
+
+/// A failure domain from its name and member-site tokens.
+bool ParseDomain(std::string_view name,
+                 std::span<const std::string_view> members,
+                 FailureDomain* out) {
+  if (name.empty() || members.empty()) return false;
+  FailureDomain dom;
+  dom.name = std::string(name);
+  for (std::string_view m : members) {
+    uint64_t site = 0;
+    if (!ParseUint64(m, &site)) return false;
+    dom.members.push_back(static_cast<size_t>(site));
+  }
+  *out = std::move(dom);
+  return true;
+}
+
+bool SetRate(std::string_view v, double* rate, ScriptOptions* o) {
+  if (!ParseProbability(v, rate)) return false;
+  o->enable_faults = true;
+  return true;
+}
+
+bool SetSiteRate(std::string_view v,
+                 std::optional<double> SiteFaultOverride::*rate,
+                 ScriptOptions* o) {
+  size_t site = 0;
+  std::string_view rest;
+  double p = 0;
+  if (!SplitSitePrefix(v, &site, &rest) || !ParseProbability(rest, &p)) {
+    return false;
+  }
+  o->site_faults[site].*rate = p;
+  o->enable_faults = true;
+  return true;
+}
+
+/// Every run option, declared once. A directive's arguments arrive joined
+/// by ':', in the flag's value syntax.
+const ScriptOption kOptions[] = {
+    {"stats", "", "", "", "",
+     "print retry/deferred/breaker statistics\n"
+     "(to stderr, with the rest of the summary)",
+     [](std::string_view, ScriptOptions* o) {
+       o->print_stats = true;
+       return true;
+     }},
+    {"threads", "", "N", "a non-negative integer (at most 256)", "",
+     "checker threads for the per-constraint\n"
+     "fan-out (default 1 = sequential; reports\n"
+     "are identical at any thread count)",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetUint(v, 0, 256, &o->parallel.threads);
+     }},
+    {"remote-cache", "", "on|off", "on or off", "",
+     "remote-read snapshot cache (default on;\n"
+     "semantically invisible — only the access\n"
+     "accounting changes)",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetSwitch(v, &o->remote_cache.enabled);
+     }},
+    {"plan-cache", "plan_cache", "on|off", "on or off", "",
+     "compiled local-test plan cache (default on;\n"
+     "semantically invisible — reports and stats\n"
+     "are byte-identical either way); overrides\n"
+     "the script's plan_cache directive",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetSwitch(v, &o->plan_cache.enabled);
+     }},
+    {"columnar", "", "on|off", "on or off", "",
+     "columnar read path: frozen relations carry\n"
+     "a columnar segment that the RA scan/join\n"
+     "kernels use (default on; semantically\n"
+     "invisible — reports and stats are\n"
+     "byte-identical either way)",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetSwitch(v, &o->columnar);
+     }},
+    {"pipeline-depth", "pipeline", "N", "a positive integer", "",
+     "episode pipeline depth (default 1 = serial;\n"
+     "N>1 speculates check phases ahead while\n"
+     "commits stay serialized in admission order,\n"
+     "so stdout is byte-identical at any depth);\n"
+     "overrides the script's pipeline directive",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetUint(v, 1, UINT64_MAX, &o->pipeline.depth);
+     }},
+    {"fault-rate", "", "P", "a probability in [0,1]",
+     "Fault injection (simulated remote-site failures)",
+     "per-trip transient failure probability [0,1]",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetRate(v, &o->faults.transient_rate, o);
+     }},
+    {"fault-timeout-rate", "", "P", "a probability in [0,1]", "",
+     "per-trip timeout probability [0,1]",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetRate(v, &o->faults.timeout_rate, o);
+     }},
+    {"fault-outage", "", "A:B", "A:B with integer trips, A <= B", "",
+     "hard outage for remote trips A..B-1\n"
+     "(repeatable)",
+     [](std::string_view v, ScriptOptions* o) {
+       OutageWindow w;
+       if (!ParseWindow(v, &w)) return false;
+       o->faults.outages.push_back(w);
+       o->enable_faults = true;
+       return true;
+     }},
+    {"fault-seed", "", "N", "a non-negative integer", "",
+     "RNG seed of the failure schedule (default 1)",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetUint(v, 0, UINT64_MAX, &o->faults.seed);
+     }},
+    {"fault-reject", "", "", "", "",
+     "refuse undecided updates instead of applying\n"
+     "them optimistically with a deferred re-check",
+     [](std::string_view, ScriptOptions* o) {
+       o->resilience.on_unreachable = DeferredPolicy::kReject;
+       return true;
+     }},
+    {"sites", "sites", "N", "a positive integer (at most 1024)",
+     "Topology (N remote sites, see docs/distsim.md)",
+     "number of remote fault domains (default 1);\n"
+     "each site owns its own breaker, cache, and\n"
+     "failure schedule, and checks touching only\n"
+     "healthy sites keep completing during a\n"
+     "single-site outage",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetUint(v, 1, 1024, &o->topology.sites);
+     }},
+    {"placement", "", "p:0,q:1", "pred:site pairs like p:0,q:1", "",
+     "pin remote predicates to sites; unpinned\n"
+     "predicates hash to a site deterministically",
+     [](std::string_view v, ScriptOptions* o) {
+       std::map<std::string, size_t> pins;
+       for (std::string_view pair : Split(v, ',')) {
+         size_t colon = pair.find(':');
+         uint64_t s = 0;
+         if (colon == std::string_view::npos || colon == 0 ||
+             !ParseUint64(pair.substr(colon + 1), &s)) {
+           return false;
+         }
+         pins[std::string(pair.substr(0, colon))] = static_cast<size_t>(s);
+       }
+       for (auto& [pred, s] : pins) o->topology.placement[pred] = s;
+       return true;
+     }},
+    {"", "site", "", "SITE then the predicates it holds", "", "",
+     [](std::string_view v, ScriptOptions* o) {
+       std::vector<std::string_view> parts = Split(v, ':');
+       uint64_t s = 0;
+       if (parts.size() < 2 || !ParseUint64(parts[0], &s)) return false;
+       for (size_t i = 1; i < parts.size(); ++i) {
+         o->topology.placement[std::string(parts[i])] = static_cast<size_t>(s);
+       }
+       return true;
+     }},
+    {"site-fault-rate", "", "S:P", "SITE:PROBABILITY", "",
+     "per-site override of --fault-rate",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetSiteRate(v, &SiteFaultOverride::transient_rate, o);
+     }},
+    {"site-fault-timeout-rate", "", "S:P", "SITE:PROBABILITY", "",
+     "per-site override of --fault-timeout-rate",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetSiteRate(v, &SiteFaultOverride::timeout_rate, o);
+     }},
+    {"site-fault-outage", "", "S:A:B", "SITE:A:B with trips A <= B", "",
+     "outage for site S's trips A..B-1 (repeatable)",
+     [](std::string_view v, ScriptOptions* o) {
+       size_t site = 0;
+       std::string_view rest;
+       OutageWindow w;
+       if (!SplitSitePrefix(v, &site, &rest) || !ParseWindow(rest, &w)) {
+         return false;
+       }
+       o->site_faults[site].outages.push_back(w);
+       o->enable_faults = true;
+       return true;
+     }},
+    {"site-fault-seed", "", "S:N", "SITE:SEED", "",
+     "per-site override of the derived seed",
+     [](std::string_view v, ScriptOptions* o) {
+       size_t site = 0;
+       std::string_view rest;
+       uint64_t seed = 0;
+       if (!SplitSitePrefix(v, &site, &rest) || !ParseUint64(rest, &seed)) {
+         return false;
+       }
+       o->site_faults[site].seed = seed;
+       o->enable_faults = true;
+       return true;
+     }},
+    {"site-latency", "site_latency",
+     "S:fixed:U | S:uniform:LO:HI | S:twopoint:LO:HI:P",
+     "SITE:fixed:U, SITE:uniform:LO:HI or SITE:twopoint:LO:HI:P "
+     "(microseconds >= 1, LO <= HI)",
+     "",
+     "per-site trip-latency model (microseconds,\n"
+     "all >= 1, LO <= HI; twopoint draws HI with\n"
+     "probability P, else LO; draws are\n"
+     "deterministic per seed; repeatable)",
+     [](std::string_view v, ScriptOptions* o) {
+       size_t site = 0;
+       std::string_view rest;
+       SiteLatencyOverride model;
+       if (!SplitSitePrefix(v, &site, &rest) ||
+           !ParseLatencySpec(rest, &model)) {
+         return false;
+       }
+       o->topology.site_latency[site] = model;
+       return true;
+     }},
+    {"hedge-after", "hedge_after", "N",
+     "a non-negative EWMA multiple (0 = off, at most 1000)", "",
+     "hedge a batched remote read whose drawn\n"
+     "latency exceeds N x the site's observed\n"
+     "EWMA with one deterministic backup trip\n"
+     "(0 = off, default; each issued hedge bills\n"
+     "one extra trip, tuples are counted once)",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetUint(v, 0, 1000, &o->remote_cache.hedge_after);
+     }},
+    {"domains", "", "NAME:S0+S1,...", "NAME:S0+S1,... domain specs", "",
+     "correlated failure domains; a site may\n"
+     "belong to at most one (replaces the\n"
+     "script's domain directives wholesale)",
+     [](std::string_view v, ScriptOptions* o) {
+       std::vector<FailureDomain> domains;
+       for (std::string_view spec : Split(v, ',')) {
+         size_t colon = spec.find(':');
+         FailureDomain dom;
+         if (colon == std::string_view::npos ||
+             !ParseDomain(spec.substr(0, colon),
+                          Split(spec.substr(colon + 1), '+'), &dom)) {
+           return false;
+         }
+         domains.push_back(std::move(dom));
+       }
+       o->topology.domains = std::move(domains);
+       return true;
+     }},
+    {"", "domain", "", "NAME then member site indices", "", "",
+     [](std::string_view v, ScriptOptions* o) {
+       std::vector<std::string_view> parts = Split(v, ':');
+       FailureDomain dom;
+       if (!ParseDomain(parts[0], std::span(parts).subspan(1), &dom)) {
+         return false;
+       }
+       o->topology.domains.push_back(std::move(dom));
+       return true;
+     }},
+    {"domain-outage", "domain_outage", "NAME:A:B",
+     "NAME:A:B with trips A <= B", "",
+     "outage for trips A..B of every member site\n"
+     "of NAME (repeatable; implies fault\n"
+     "injection)",
+     [](std::string_view v, ScriptOptions* o) {
+       size_t colon = v.find(':');
+       OutageWindow w;
+       if (colon == 0 || colon == std::string_view::npos ||
+           !ParseWindow(v.substr(colon + 1), &w)) {
+         return false;
+       }
+       o->domain_outages[std::string(v.substr(0, colon))].push_back(w);
+       return true;
+     }},
+    {"deadline-ms", "", "N",
+     "a non-negative integer (0 = none, at most 86400000)",
+     "Execution budgets and overload control (see docs/budgets.md)",
+     "wall-clock budget per update episode; checks\n"
+     "that would run past it are shed to the\n"
+     "deferred queue (0 = no deadline, default)",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetUint(v, 0, 86'400'000,
+                      &o->budget.per_episode.deadline_ms);
+     }},
+    {"max-fixpoint-rounds", "", "N", "a non-negative integer (0 = unlimited)",
+     "",
+     "per-check cap on fixpoint rounds\n"
+     "(0 = unlimited, default)",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetUint(v, 0, UINT64_MAX,
+                      &o->budget.per_check.max_fixpoint_rounds);
+     }},
+    {"max-derived-tuples", "", "N", "a non-negative integer (0 = unlimited)",
+     "",
+     "per-check cap on derived tuples\n"
+     "(0 = unlimited, default)",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetUint(v, 0, UINT64_MAX,
+                      &o->budget.per_check.max_derived_tuples);
+     }},
+    {"deferred-queue-cap", "", "N", "a non-negative integer (0 = unbounded)",
+     "",
+     "bound on queued deferred re-checks\n"
+     "(0 = unbounded, default)",
+     [](std::string_view v, ScriptOptions* o) {
+       return SetUint(v, 0, UINT64_MAX, &o->budget.deferred_queue_cap);
+     }},
+    {"overflow-policy", "", "P", "reject-update, shed-oldest or block-recheck",
+     "",
+     "reject-update | shed-oldest | block-recheck:\n"
+     "what to do when the queue cap is hit\n"
+     "(default reject-update)",
+     [](std::string_view v, ScriptOptions* o) {
+       for (auto [name, policy] :
+            {std::pair{"reject-update", OverflowPolicy::kRejectUpdate},
+             std::pair{"shed-oldest", OverflowPolicy::kShedOldest},
+             std::pair{"block-recheck", OverflowPolicy::kBlockRecheck}}) {
+         if (v != name) continue;
+         o->budget.overflow = policy;
+         return true;
+       }
+       return false;
+     }},
+};
 
 /// Parses "pred(c1, c2, ...)" into a ground atom.
 Result<std::pair<std::string, Tuple>> ParseGroundAtom(
@@ -84,7 +446,37 @@ Result<std::pair<std::string, Tuple>> ParseGroundAtom(
   return std::make_pair(rule.head.pred, std::move(t));
 }
 
+/// The row of a directive keyword; `keyword` is never empty.
+const ScriptOption* FindDirective(std::string_view keyword) {
+  for (const ScriptOption& row : kOptions) {
+    if (row.directive == keyword) return &row;
+  }
+  return nullptr;
+}
+
 }  // namespace
+
+std::span<const ScriptOption> ScriptOptionTable() { return kOptions; }
+
+std::string ScriptOptionHelp() {
+  constexpr size_t kColumn = 26;
+  std::string out;
+  for (const ScriptOption& row : kOptions) {
+    if (row.flag.empty()) continue;
+    if (!row.heading.empty()) out += "\n" + std::string(row.heading) + ":\n";
+    std::string lead = "  --" + std::string(row.flag);
+    if (!row.metavar.empty()) lead += "=" + std::string(row.metavar);
+    out += lead + (lead.size() < kColumn
+                       ? std::string(kColumn - lead.size(), ' ')
+                       : "\n" + std::string(kColumn, ' '));
+    std::vector<std::string_view> lines = Split(row.help, '\n');
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (i > 0) out += std::string(kColumn, ' ');
+      out += std::string(lines[i]) + "\n";
+    }
+  }
+  return out;
+}
 
 Result<Script> ParseScript(std::string_view text) {
   Script script;
@@ -129,136 +521,15 @@ Result<Script> ParseScript(std::string_view text) {
       CCPI_RETURN_IF_ERROR(flush_constraint());
       std::string pred;
       while (ls >> pred) script.local_preds.insert(pred);
-    } else if (keyword == "sites") {
+    } else if (const ScriptOption* row = FindDirective(keyword)) {
       CCPI_RETURN_IF_ERROR(flush_constraint());
-      uint64_t n = 0;
-      if (!ParseUint64(rest, &n) || n == 0) {
+      std::string value, token;
+      while (ls >> token) value += (value.empty() ? "" : ":") + token;
+      if (!row->set(value, &script.options)) {
         return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": sites wants a positive integer, got \"" + rest + "\"");
+            "line " + std::to_string(line_number) + ": " + keyword +
+            " wants " + std::string(row->wants) + ", got \"" + rest + "\"");
       }
-      script.topology.sites = static_cast<size_t>(n);
-    } else if (keyword == "site") {
-      // "site K p q ..." pins remote predicates p, q to site K.
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      std::string index_text;
-      ls >> index_text;
-      uint64_t index = 0;
-      if (!ParseUint64(index_text, &index)) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": site wants an index then predicates, got \"" + rest + "\"");
-      }
-      std::string pred;
-      size_t pinned = 0;
-      while (ls >> pred) {
-        script.topology.placement[pred] = static_cast<size_t>(index);
-        ++pinned;
-      }
-      if (pinned == 0) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": site " + index_text + " pins no predicates");
-      }
-    } else if (keyword == "site_latency") {
-      // "site_latency K SPEC" gives site K its own latency model.
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      std::string index_text, spec;
-      ls >> index_text >> spec;
-      uint64_t index = 0;
-      SiteLatencyOverride o;
-      if (!ParseUint64(index_text, &index) || spec.empty() ||
-          !ParseLatencySpec(spec, &o)) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": site_latency wants SITE then fixed:U, uniform:LO:HI or "
-            "twopoint:LO:HI:P (microseconds >= 1, LO <= HI), got \"" +
-            rest + "\"");
-      }
-      script.topology.site_latency[static_cast<size_t>(index)] = o;
-    } else if (keyword == "domain") {
-      // "domain NAME S1 S2 ..." declares a correlated failure domain.
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      std::string name;
-      ls >> name;
-      FailureDomain dom;
-      dom.name = name;
-      std::string member_text;
-      while (ls >> member_text) {
-        uint64_t m = 0;
-        if (!ParseUint64(member_text, &m)) {
-          return Status::InvalidArgument(
-              "line " + std::to_string(line_number) +
-              ": domain wants NAME then member site indices, got \"" +
-              rest + "\"");
-        }
-        dom.members.push_back(static_cast<size_t>(m));
-      }
-      if (name.empty() || dom.members.empty()) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": domain wants NAME then at least one member site, got \"" +
-            rest + "\"");
-      }
-      script.topology.domains.push_back(std::move(dom));
-    } else if (keyword == "domain_outage") {
-      // "domain_outage NAME A B" darkens every member of NAME for the
-      // half-open trip window [A, B), same convention as --fault-outage.
-      // The domain must be declared above.
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      std::string name, begin_text, end_text;
-      ls >> name >> begin_text >> end_text;
-      uint64_t begin = 0, end = 0;
-      if (name.empty() || !ParseUint64(begin_text, &begin) ||
-          !ParseUint64(end_text, &end) || begin > end) {
-        // An inverted window would be a silent no-op, not an outage.
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": domain_outage wants NAME A B with trips A <= B, got \"" +
-            rest + "\"");
-      }
-      bool found = false;
-      for (FailureDomain& dom : script.topology.domains) {
-        if (dom.name != name) continue;
-        dom.outages.push_back(OutageWindow{begin, end});
-        found = true;
-        break;
-      }
-      if (!found) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": domain_outage names undefined domain \"" + name + "\"");
-      }
-    } else if (keyword == "hedge_after") {
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      uint64_t n = 0;
-      if (!ParseUint64(rest, &n)) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": hedge_after wants a non-negative EWMA multiple (0 = off), "
-            "got \"" + rest + "\"");
-      }
-      script.hedge_after = n;
-    } else if (keyword == "plan_cache") {
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      if (rest == "on") {
-        script.plan_cache = true;
-      } else if (rest == "off") {
-        script.plan_cache = false;
-      } else {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": plan_cache wants on or off, got \"" + rest + "\"");
-      }
-    } else if (keyword == "pipeline") {
-      CCPI_RETURN_IF_ERROR(flush_constraint());
-      uint64_t n = 0;
-      if (!ParseUint64(rest, &n) || n == 0) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_number) +
-            ": pipeline wants a positive depth, got \"" + rest + "\"");
-      }
-      script.pipeline_depth = static_cast<size_t>(n);
     } else if (keyword == "constraint") {
       CCPI_RETURN_IF_ERROR(flush_constraint());
       if (rest.empty()) {
@@ -289,402 +560,44 @@ Result<Script> ParseScript(std::string_view text) {
     }
   }
   CCPI_RETURN_IF_ERROR(flush_constraint());
-  for (const auto& [pred, s] : script.topology.placement) {
-    if (s >= script.topology.sites) {
-      return Status::InvalidArgument(
-          "site " + std::to_string(s) + " pins predicate " + pred +
-          " but the script declares only " +
-          std::to_string(script.topology.sites) + " site(s)");
-    }
-  }
-  // Directive order is free (`sites` may follow `domain`), so domain and
-  // latency site indices are checked here, like placement above.
-  std::set<std::string> domain_names;
-  std::set<size_t> claimed;
-  for (const FailureDomain& dom : script.topology.domains) {
-    if (!domain_names.insert(dom.name).second) {
-      return Status::InvalidArgument("domain \"" + dom.name +
-                                     "\" is declared twice");
-    }
-    for (size_t member : dom.members) {
-      if (member >= script.topology.sites) {
-        return Status::InvalidArgument(
-            "domain \"" + dom.name + "\" claims site " +
-            std::to_string(member) + " but the script declares only " +
-            std::to_string(script.topology.sites) + " site(s)");
-      }
-      if (!claimed.insert(member).second) {
-        return Status::InvalidArgument(
-            "site " + std::to_string(member) +
-            " is a member of two failure domains");
-      }
-    }
-  }
-  for (const auto& [site, o] : script.topology.site_latency) {
-    (void)o;
-    if (site >= script.topology.sites) {
-      return Status::InvalidArgument(
-          "site_latency names site " + std::to_string(site) +
-          " but the script declares only " +
-          std::to_string(script.topology.sites) + " site(s)");
-    }
-  }
+  CCPI_RETURN_IF_ERROR(ValidateScriptOptions(script.options));
   return script;
 }
 
-namespace {
-
-/// "--name=value" accessor: if `arg` starts with "--<name>=", returns the
-/// value part; otherwise nullopt.
-std::optional<std::string_view> FlagValue(std::string_view arg,
-                                          std::string_view name) {
-  if (arg.size() < name.size() + 3 || arg.substr(0, 2) != "--") {
-    return std::nullopt;
-  }
-  if (arg.substr(2, name.size()) != name) return std::nullopt;
-  if (arg[2 + name.size()] != '=') return std::nullopt;
-  return arg.substr(name.size() + 3);
-}
-
-Status BadFlag(std::string_view name, std::string_view wants,
-               std::string_view got) {
-  return Status::InvalidArgument("--" + std::string(name) + " wants " +
-                                 std::string(wants) + ", got \"" +
-                                 std::string(got) + "\"");
-}
-
-/// Splits "S:rest" into a site index and the remainder; the --site-fault-*
-/// flags all use this prefix.
-bool SplitSitePrefix(std::string_view value, size_t* site,
-                     std::string_view* rest) {
-  size_t colon = value.find(':');
-  if (colon == std::string_view::npos) return false;
-  uint64_t s = 0;
-  if (!ParseUint64(value.substr(0, colon), &s)) return false;
-  *site = static_cast<size_t>(s);
-  *rest = value.substr(colon + 1);
-  return true;
-}
-
-}  // namespace
-
 Status ApplyScriptFlag(std::string_view arg, ScriptOptions* options,
                        bool* matched) {
-  *matched = true;
-  if (auto v = FlagValue(arg, "threads")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("threads", "a non-negative integer", *v);
-    }
-    options->parallel.threads = static_cast<size_t>(n);
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "remote-cache")) {
-    if (*v == "on") {
-      options->remote_cache.enabled = true;
-    } else if (*v == "off") {
-      options->remote_cache.enabled = false;
-    } else {
-      return BadFlag("remote-cache", "on or off", *v);
-    }
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "plan-cache")) {
-    if (*v == "on") {
-      options->plan_cache.enabled = true;
-    } else if (*v == "off") {
-      options->plan_cache.enabled = false;
-    } else {
-      return BadFlag("plan-cache", "on or off", *v);
-    }
-    options->plan_cache_from_flags = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "columnar")) {
-    if (*v == "on") {
-      options->columnar = true;
-    } else if (*v == "off") {
-      options->columnar = false;
-    } else {
-      return BadFlag("columnar", "on or off", *v);
-    }
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "pipeline-depth")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n) || n == 0) {
-      return BadFlag("pipeline-depth", "a positive integer", *v);
-    }
-    options->pipeline.depth = static_cast<size_t>(n);
-    options->pipeline_from_flags = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "fault-rate")) {
-    double rate = 0;
-    if (!ParseProbability(*v, &rate)) {
-      return BadFlag("fault-rate", "a probability in [0,1]", *v);
-    }
-    options->faults.transient_rate = rate;
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "fault-timeout-rate")) {
-    double rate = 0;
-    if (!ParseProbability(*v, &rate)) {
-      return BadFlag("fault-timeout-rate", "a probability in [0,1]", *v);
-    }
-    options->faults.timeout_rate = rate;
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "fault-seed")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("fault-seed", "a non-negative integer", *v);
-    }
-    options->faults.seed = n;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "fault-outage")) {
-    size_t colon = v->find(':');
-    uint64_t begin = 0, end = 0;
-    if (colon == std::string_view::npos ||
-        !ParseUint64(v->substr(0, colon), &begin) ||
-        !ParseUint64(v->substr(colon + 1), &end) || begin > end) {
-      // An inverted window would be a silent no-op, not an outage.
-      return BadFlag("fault-outage", "A:B with integer trips, A <= B", *v);
-    }
-    options->faults.outages.push_back(OutageWindow{begin, end});
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "deadline-ms")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("deadline-ms", "a non-negative integer (0 = none)", *v);
-    }
-    options->budget.per_episode.deadline_ms = n;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "max-fixpoint-rounds")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("max-fixpoint-rounds",
-                     "a non-negative integer (0 = unlimited)", *v);
-    }
-    options->budget.per_check.max_fixpoint_rounds = n;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "max-derived-tuples")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("max-derived-tuples",
-                     "a non-negative integer (0 = unlimited)", *v);
-    }
-    options->budget.per_check.max_derived_tuples = n;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "deferred-queue-cap")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("deferred-queue-cap",
-                     "a non-negative integer (0 = unbounded)", *v);
-    }
-    options->budget.deferred_queue_cap = static_cast<size_t>(n);
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "overflow-policy")) {
-    if (*v == "reject-update") {
-      options->budget.overflow = OverflowPolicy::kRejectUpdate;
-    } else if (*v == "shed-oldest") {
-      options->budget.overflow = OverflowPolicy::kShedOldest;
-    } else if (*v == "block-recheck") {
-      options->budget.overflow = OverflowPolicy::kBlockRecheck;
-    } else {
-      return BadFlag("overflow-policy",
-                     "reject-update, shed-oldest or block-recheck", *v);
-    }
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "sites")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n) || n == 0) {
-      return BadFlag("sites", "a positive integer", *v);
-    }
-    options->topology.sites = static_cast<size_t>(n);
-    options->topology_from_flags = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "placement")) {
-    // "p:0,q:1" — comma-separated predicate:site pairs.
-    std::string_view remaining = *v;
-    while (!remaining.empty()) {
-      size_t comma = remaining.find(',');
-      std::string_view pair = remaining.substr(0, comma);
-      remaining = comma == std::string_view::npos
-                      ? std::string_view{}
-                      : remaining.substr(comma + 1);
-      size_t colon = pair.find(':');
-      uint64_t s = 0;
-      if (colon == std::string_view::npos || colon == 0 ||
-          !ParseUint64(pair.substr(colon + 1), &s)) {
-        return BadFlag("placement", "pred:site pairs like p:0,q:1", *v);
-      }
-      options->topology.placement[std::string(pair.substr(0, colon))] =
-          static_cast<size_t>(s);
-    }
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "site-fault-rate")) {
-    size_t site = 0;
-    std::string_view rest;
-    double rate = 0;
-    if (!SplitSitePrefix(*v, &site, &rest) ||
-        !ParseProbability(rest, &rate)) {
-      return BadFlag("site-fault-rate", "SITE:PROBABILITY", *v);
-    }
-    options->site_faults[site].transient_rate = rate;
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "site-fault-timeout-rate")) {
-    size_t site = 0;
-    std::string_view rest;
-    double rate = 0;
-    if (!SplitSitePrefix(*v, &site, &rest) ||
-        !ParseProbability(rest, &rate)) {
-      return BadFlag("site-fault-timeout-rate", "SITE:PROBABILITY", *v);
-    }
-    options->site_faults[site].timeout_rate = rate;
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "site-fault-seed")) {
-    size_t site = 0;
-    std::string_view rest;
-    uint64_t n = 0;
-    if (!SplitSitePrefix(*v, &site, &rest) || !ParseUint64(rest, &n)) {
-      return BadFlag("site-fault-seed", "SITE:SEED", *v);
-    }
-    options->site_faults[site].seed = n;
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "site-fault-outage")) {
-    size_t site = 0;
-    std::string_view rest;
-    if (!SplitSitePrefix(*v, &site, &rest)) {
-      return BadFlag("site-fault-outage", "SITE:A:B with trips A <= B", *v);
-    }
-    size_t colon = rest.find(':');
-    uint64_t begin = 0, end = 0;
-    if (colon == std::string_view::npos ||
-        !ParseUint64(rest.substr(0, colon), &begin) ||
-        !ParseUint64(rest.substr(colon + 1), &end) || begin > end) {
-      return BadFlag("site-fault-outage", "SITE:A:B with trips A <= B", *v);
-    }
-    options->site_faults[site].outages.push_back(OutageWindow{begin, end});
-    options->enable_faults = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "site-latency")) {
-    size_t site = 0;
-    std::string_view rest;
-    SiteLatencyOverride o;
-    if (!SplitSitePrefix(*v, &site, &rest) || !ParseLatencySpec(rest, &o)) {
-      return BadFlag("site-latency",
-                     "SITE:fixed:U, SITE:uniform:LO:HI or "
-                     "SITE:twopoint:LO:HI:P (microseconds >= 1, LO <= HI)",
-                     *v);
-    }
-    options->topology.site_latency[site] = o;
-    options->site_latency_from_flags = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "hedge-after")) {
-    uint64_t n = 0;
-    if (!ParseUint64(*v, &n)) {
-      return BadFlag("hedge-after", "a non-negative EWMA multiple (0 = off)",
-                     *v);
-    }
-    options->remote_cache.hedge_after = n;
-    options->hedge_from_flags = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "domains")) {
-    // "NAME:S0+S1,NAME2:S2" — comma-separated domains, '+'-separated
-    // member sites. Replaces the script's `domain` directives wholesale.
-    std::vector<FailureDomain> domains;
-    std::string_view remaining = *v;
-    while (!remaining.empty()) {
-      size_t comma = remaining.find(',');
-      std::string_view spec = remaining.substr(0, comma);
-      remaining = comma == std::string_view::npos
-                      ? std::string_view{}
-                      : remaining.substr(comma + 1);
-      size_t colon = spec.find(':');
-      if (colon == std::string_view::npos || colon == 0) {
-        return BadFlag("domains", "NAME:S0+S1,... domain specs", *v);
-      }
-      FailureDomain dom;
-      dom.name = std::string(spec.substr(0, colon));
-      std::string_view members = spec.substr(colon + 1);
-      while (!members.empty()) {
-        size_t plus = members.find('+');
-        uint64_t m = 0;
-        if (!ParseUint64(members.substr(0, plus), &m)) {
-          return BadFlag("domains", "NAME:S0+S1,... domain specs", *v);
-        }
-        dom.members.push_back(static_cast<size_t>(m));
-        members = plus == std::string_view::npos ? std::string_view{}
-                                                 : members.substr(plus + 1);
-      }
-      if (dom.members.empty()) {
-        return BadFlag("domains", "NAME:S0+S1,... domain specs", *v);
-      }
-      domains.push_back(std::move(dom));
-    }
-    if (domains.empty()) {
-      return BadFlag("domains", "NAME:S0+S1,... domain specs", *v);
-    }
-    options->topology.domains = std::move(domains);
-    options->domains_from_flags = true;
-    return Status::OK();
-  }
-  if (auto v = FlagValue(arg, "domain-outage")) {
-    size_t colon = v->find(':');
-    uint64_t begin = 0, end = 0;
-    if (colon == std::string_view::npos || colon == 0) {
-      return BadFlag("domain-outage", "NAME:A:B with trips A <= B", *v);
-    }
-    std::string_view rest = v->substr(colon + 1);
-    size_t colon2 = rest.find(':');
-    if (colon2 == std::string_view::npos ||
-        !ParseUint64(rest.substr(0, colon2), &begin) ||
-        !ParseUint64(rest.substr(colon2 + 1), &end) || begin > end) {
-      // An inverted window would be a silent no-op, not an outage.
-      return BadFlag("domain-outage", "NAME:A:B with trips A <= B", *v);
-    }
-    options->domain_outages[std::string(v->substr(0, colon))].push_back(
-        OutageWindow{begin, end});
-    return Status::OK();
-  }
-  if (arg == "--fault-reject") {
-    options->resilience.on_unreachable = DeferredPolicy::kReject;
-    return Status::OK();
-  }
-  if (arg == "--stats") {
-    options->print_stats = true;
-    return Status::OK();
-  }
   *matched = false;
+  if (arg.substr(0, 2) != "--") return Status::OK();
+  arg.remove_prefix(2);
+  for (const ScriptOption& row : kOptions) {
+    if (row.flag.empty() || arg.substr(0, row.flag.size()) != row.flag) {
+      continue;
+    }
+    std::string_view value = arg.substr(row.flag.size());
+    // A bare switch is the whole argument; a valued flag is "--flag=VALUE".
+    if (row.metavar.empty() ? !value.empty()
+                            : value.empty() || value[0] != '=') {
+      continue;
+    }
+    if (!value.empty()) value.remove_prefix(1);
+    *matched = true;
+    if (row.set(value, options)) return Status::OK();
+    return Status::InvalidArgument("--" + std::string(row.flag) + " wants " +
+                                   std::string(row.wants) + ", got \"" +
+                                   std::string(value) + "\"");
+  }
   return Status::OK();
 }
 
 Status ValidateScriptOptions(const ScriptOptions& options) {
+  const size_t sites = options.topology.sites;
+  auto beyond = [sites](const std::string& claim) {
+    return Status::InvalidArgument(claim + " but the topology has " +
+                                   std::to_string(sites) + " site(s)");
+  };
   if (options.faults.transient_rate + options.faults.timeout_rate > 1.0) {
     return Status::InvalidArgument(
-        "--fault-rate and --fault-timeout-rate must sum to <= 1");
+        "the transient and timeout fault rates must sum to <= 1");
   }
   for (const auto& [site, o] : options.site_faults) {
     double transient =
@@ -695,179 +608,64 @@ Status ValidateScriptOptions(const ScriptOptions& options) {
           "site " + std::to_string(site) +
           ": effective fault rates must sum to <= 1");
     }
-  }
-  if (options.topology_from_flags) {
-    for (const auto& [pred, s] : options.topology.placement) {
-      if (s >= options.topology.sites) {
-        return Status::InvalidArgument(
-            "--placement pins " + pred + " to site " + std::to_string(s) +
-            " but --sites=" + std::to_string(options.topology.sites));
-      }
-    }
-    for (const auto& [site, o] : options.site_faults) {
-      (void)o;
-      if (site >= options.topology.sites) {
-        return Status::InvalidArgument(
-            "--site-fault-* names site " + std::to_string(site) +
-            " but --sites=" + std::to_string(options.topology.sites));
-      }
-    }
-    for (const auto& [site, o] : options.topology.site_latency) {
-      (void)o;
-      if (site >= options.topology.sites) {
-        return Status::InvalidArgument(
-            "--site-latency names site " + std::to_string(site) +
-            " but --sites=" + std::to_string(options.topology.sites));
-      }
+    if (site >= sites) {
+      return beyond("a per-site fault override names site " +
+                    std::to_string(site));
     }
   }
-  std::set<std::string> domain_names;
+  for (const auto& [pred, site] : options.topology.placement) {
+    if (site >= sites) {
+      return beyond("placement pins " + pred + " to site " +
+                    std::to_string(site));
+    }
+  }
+  for (const auto& [site, model] : options.topology.site_latency) {
+    (void)model;
+    if (site >= sites) {
+      return beyond("site_latency names site " + std::to_string(site));
+    }
+  }
+  std::set<std::string> names;
   std::set<size_t> claimed;
   for (const FailureDomain& dom : options.topology.domains) {
-    if (!domain_names.insert(dom.name).second) {
-      return Status::InvalidArgument("--domains defines domain \"" +
-                                     dom.name + "\" twice");
+    if (!names.insert(dom.name).second) {
+      return Status::InvalidArgument("failure domain \"" + dom.name +
+                                     "\" is declared twice");
     }
     for (size_t member : dom.members) {
+      if (member >= sites) {
+        return beyond("failure domain \"" + dom.name + "\" claims site " +
+                      std::to_string(member));
+      }
       if (!claimed.insert(member).second) {
         return Status::InvalidArgument(
-            "--domains puts site " + std::to_string(member) +
-            " in two failure domains");
-      }
-      if (options.topology_from_flags && member >= options.topology.sites) {
-        return Status::InvalidArgument(
-            "--domains claims site " + std::to_string(member) +
-            " but --sites=" + std::to_string(options.topology.sites));
+            "site " + std::to_string(member) +
+            " is a member of two failure domains");
       }
     }
   }
-  if (options.domains_from_flags) {
-    for (const auto& [name, windows] : options.domain_outages) {
-      (void)windows;
-      if (domain_names.find(name) == domain_names.end()) {
-        return Status::InvalidArgument(
-            "--domain-outage names domain \"" + name +
-            "\" but --domains does not define it");
-      }
+  for (const auto& [name, windows] : options.domain_outages) {
+    (void)windows;
+    if (names.count(name) == 0) {
+      return Status::InvalidArgument(
+          "domain_outage names undefined domain \"" + name + "\"");
     }
   }
   return Status::OK();
 }
 
-Result<ScriptReport> RunScript(const Script& script, const CostModel& costs) {
-  ScriptOptions options;
-  options.costs = costs;
-  return RunScript(script, options);
-}
-
-Result<ScriptReport> RunScript(const Script& script,
-                               const ScriptOptions& options) {
+Result<ScriptReport> RunScript(const Script& script) {
+  const ScriptOptions& options = script.options;
+  CCPI_RETURN_IF_ERROR(ValidateScriptOptions(options));
   const CostModel& costs = options.costs;
-  // Effective topology: the script's directives, overridden field-wise by
-  // the command line (--sites replaces the count; --placement entries win
-  // per predicate).
-  TopologyConfig topology = script.topology;
-  if (options.topology_from_flags) topology.sites = options.topology.sites;
-  for (const auto& [pred, s] : options.topology.placement) {
-    topology.placement[pred] = s;
-  }
-  for (const auto& [pred, s] : topology.placement) {
-    if (s >= topology.sites) {
-      return Status::InvalidArgument(
-          "placement pins " + pred + " to site " + std::to_string(s) +
-          " but the topology has " + std::to_string(topology.sites) +
-          " site(s)");
-    }
-  }
-  for (const auto& [site, o] : options.site_faults) {
-    (void)o;
-    if (site >= topology.sites) {
-      return Status::InvalidArgument(
-          "--site-fault-* names site " + std::to_string(site) +
-          " but the topology has " + std::to_string(topology.sites) +
-          " site(s)");
-    }
-  }
-  // Per-site latency models: flag entries override the script's
-  // site-wise. Failure domains: --domains replaces the script's
-  // wholesale, then --domain-outage windows attach to the effective
-  // domains by name.
-  for (const auto& [site, o] : options.topology.site_latency) {
-    topology.site_latency[site] = o;
-  }
-  if (options.domains_from_flags) topology.domains = options.topology.domains;
-  for (const auto& [name, windows] : options.domain_outages) {
-    FailureDomain* dom = nullptr;
-    for (FailureDomain& d : topology.domains) {
-      if (d.name == name) {
-        dom = &d;
-        break;
-      }
-    }
-    if (dom == nullptr) {
-      return Status::InvalidArgument(
-          "--domain-outage names domain \"" + name +
-          "\" but the effective topology does not define it");
-    }
-    dom->outages.insert(dom->outages.end(), windows.begin(), windows.end());
-  }
-  // Re-validate the merged topology (script domains may now pair with
-  // --sites, or vice versa) so a bad combination is a graceful error,
-  // not a Topology-constructor CHECK failure.
-  {
-    std::set<std::string> names;
-    std::set<size_t> claimed;
-    for (const FailureDomain& dom : topology.domains) {
-      if (!names.insert(dom.name).second) {
-        return Status::InvalidArgument("failure domain \"" + dom.name +
-                                       "\" is defined twice");
-      }
-      for (size_t member : dom.members) {
-        if (member >= topology.sites) {
-          return Status::InvalidArgument(
-              "failure domain \"" + dom.name + "\" claims site " +
-              std::to_string(member) + " but the topology has " +
-              std::to_string(topology.sites) + " site(s)");
-        }
-        if (!claimed.insert(member).second) {
-          return Status::InvalidArgument(
-              "site " + std::to_string(member) +
-              " is a member of two failure domains");
-        }
-      }
-    }
-  }
-  for (const auto& [site, o] : topology.site_latency) {
-    (void)o;
-    if (site >= topology.sites) {
-      return Status::InvalidArgument(
-          "site_latency names site " + std::to_string(site) +
-          " but the topology has " + std::to_string(topology.sites) +
-          " site(s)");
-    }
-  }
-
-  // Effective plan-cache switch: an explicit --plan-cache flag wins over
-  // the script's own directive, which wins over the default (on).
-  PlanCacheConfig plan_cache = options.plan_cache;
-  if (!options.plan_cache_from_flags && script.plan_cache.has_value()) {
-    plan_cache.enabled = *script.plan_cache;
-  }
-
-  // Effective pipeline depth: an explicit --pipeline-depth flag wins over
-  // the script's own `pipeline` directive, which wins over the default
-  // (1 = serial).
-  PipelineConfig pipeline = options.pipeline;
-  if (!options.pipeline_from_flags && script.pipeline_depth.has_value()) {
-    pipeline.depth = *script.pipeline_depth;
-  }
-
-  // Effective hedging threshold: an explicit --hedge-after flag wins over
-  // the script's own `hedge_after` directive, which wins over the default
-  // (0 = off).
-  RemoteCacheConfig remote_cache = options.remote_cache;
-  if (!options.hedge_from_flags && script.hedge_after.has_value()) {
-    remote_cache.hedge_after = *script.hedge_after;
+  // Domain outages attach by name to the domains (validation guarantees
+  // each name resolves).
+  TopologyConfig topology = options.topology;
+  for (FailureDomain& dom : topology.domains) {
+    auto it = options.domain_outages.find(dom.name);
+    if (it == options.domain_outages.end()) continue;
+    dom.outages.insert(dom.outages.end(), it->second.begin(),
+                       it->second.end());
   }
 
   // Columnar read path: a process-wide switch on Relation, applied before
@@ -877,8 +675,9 @@ Result<ScriptReport> RunScript(const Script& script,
   Relation::SetColumnarEnabled(options.columnar);
 
   ConstraintManager mgr(script.local_preds, costs, options.resilience,
-                        options.parallel, remote_cache,
-                        options.budget, topology, plan_cache, pipeline);
+                        options.parallel, options.remote_cache,
+                        options.budget, topology, options.plan_cache,
+                        options.pipeline);
   // Correlated failure domains ride the per-site injectors: each domain's
   // outage windows are copied to every member site, so the whole domain
   // goes dark (and recovers) together. Any expanded window arms fault
@@ -970,24 +769,15 @@ Result<ScriptReport> RunScript(const Script& script,
       ++report.updates_applied;
     }
   };
-  if (pipeline.depth > 1) {
-    // Pipelined drive: admit the whole stream, then read results back in
-    // admission order. Commits are serialized inside the manager, so the
-    // verb lines below are byte-identical to the serial loop; the first
-    // errored result aborts the run exactly where the serial
-    // ASSIGN_OR_RETURN would have.
-    for (const Update& u : script.updates) mgr.ApplyUpdateAsync(u);
-    std::vector<Result<std::vector<CheckReport>>> results = mgr.Drain();
-    for (size_t i = 0; i < results.size(); ++i) {
-      CCPI_RETURN_IF_ERROR(results[i].status());
-      log_update(script.updates[i], *results[i]);
-    }
-  } else {
-    for (const Update& u : script.updates) {
-      CCPI_ASSIGN_OR_RETURN(std::vector<CheckReport> checks,
-                            mgr.ApplyUpdate(u));
-      log_update(u, checks);
-    }
+  // Every depth drives through the pipeline: at depth 1 ApplyUpdateAsync
+  // runs the episode on admission, exactly as ApplyUpdate would. Results
+  // come back in admission order, so the verb lines are byte-identical at
+  // any depth, and the first errored result fails the run.
+  for (const Update& u : script.updates) mgr.ApplyUpdateAsync(u);
+  std::vector<Result<std::vector<CheckReport>>> results = mgr.Drain();
+  for (size_t i = 0; i < results.size(); ++i) {
+    CCPI_RETURN_IF_ERROR(results[i].status());
+    log_update(script.updates[i], *results[i]);
   }
 
   // Shutdown drain: give the deferred queue a last chance to resolve (the
@@ -1040,7 +830,7 @@ Result<ScriptReport> RunScript(const Script& script,
     summary << "cache: " << access.cache_hits << " remote reads served ("
             << access.cached_tuples << " cached tuples)\n";
   }
-  if (plan_cache.enabled && options.print_stats) {
+  if (options.plan_cache.enabled && options.print_stats) {
     // Diagnostics only: plan.* counters live outside ManagerStats, so the
     // report proper stays byte-identical cache on/off; this line exists
     // only when the cache does.
@@ -1079,7 +869,7 @@ Result<ScriptReport> RunScript(const Script& script,
     }
     // The hedge and latency lines exist only when their feature does, so
     // a default-config --stats block is byte-identical to earlier tools.
-    if (remote_cache.hedge_after > 0) {
+    if (options.remote_cache.hedge_after > 0) {
       summary << "hedge: " << stats.hedges_issued << " issued, "
               << stats.hedges_won << " won, " << stats.hedges_wasted
               << " wasted\n";

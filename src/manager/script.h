@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,6 +20,76 @@
 #include "util/status.h"
 
 namespace ccpi {
+
+/// Per-site overrides of the base FaultConfig, from the --site-fault-*
+/// flags. Unset fields inherit the base (global) fault flags; outage
+/// windows are appended to the inherited ones.
+struct SiteFaultOverride {
+  std::optional<double> transient_rate;
+  std::optional<double> timeout_rate;
+  std::optional<uint64_t> seed;
+  std::vector<OutageWindow> outages;
+};
+
+/// The whole configuration of a script run: access pricing, the remote
+/// topology, fault injection, and the manager's knobs. A script's option
+/// directives fill it in file order; `ccpi_check` then applies its flags
+/// in argv order, so whichever setting comes later wins. ScriptOptionTable
+/// lists every knob reachable from either surface.
+struct ScriptOptions {
+  CostModel costs;
+  /// Remote faults to inject; used only when enable_faults is true. With
+  /// N sites this is the base config every site inherits: site 0 keeps
+  /// the seed verbatim, site s derives seed + s * golden-ratio so the
+  /// sites draw independent schedules by default.
+  FaultConfig faults;
+  bool enable_faults = false;
+  /// Remote-site topology: site count, placement, per-site latency models
+  /// and failure domains.
+  TopologyConfig topology;
+  /// Correlated-outage windows by domain name, attached at run time to the
+  /// domain of that name in `topology.domains`. Naming a domain that does
+  /// not exist there fails validation. Any entry implies fault injection
+  /// (the expanded windows ride the per-site FaultInjectors).
+  std::map<std::string, std::vector<OutageWindow>> domain_outages;
+  /// Per-site fault overrides from --site-fault-rate=S:P and friends;
+  /// any entry implies enable_faults.
+  std::map<size_t, SiteFaultOverride> site_faults;
+  ResilienceConfig resilience;
+  /// Checker lanes for the manager's per-constraint fan-out
+  /// (ccpi_check --threads). Reports are identical at any thread count.
+  ParallelConfig parallel;
+  /// Remote-read snapshot cache (ccpi_check --remote-cache). On by
+  /// default; semantically invisible either way. Its hedge_after field
+  /// (ccpi_check --hedge-after) arms hedged batched reads.
+  RemoteCacheConfig remote_cache;
+  /// Compiled-plan cache (ccpi_check --plan-cache). On by default;
+  /// semantically invisible either way — reports and ManagerStats are
+  /// byte-identical on or off.
+  PlanCacheConfig plan_cache;
+  /// Episode pipeline (ccpi_check --pipeline-depth). Depth 1 (the
+  /// default) is the serial checker; depth N>1 overlaps speculative
+  /// check phases while commits stay serialized in admission order, so
+  /// the per-update log is byte-identical at any depth.
+  PipelineConfig pipeline;
+  /// Columnar read path (ccpi_check --columnar). On by default;
+  /// semantically invisible either way — freezing a relation additionally
+  /// builds a columnar segment that the RA evaluator's scan/join kernels
+  /// use, with byte-identical reports and stats on or off.
+  bool columnar = true;
+  /// Execution budgets and overload control (ccpi_check --deadline-ms,
+  /// --max-fixpoint-rounds, --max-derived-tuples, --deferred-queue-cap,
+  /// --overflow-policy). Off by default: an unbudgeted run is bit-identical
+  /// to one before budgets existed.
+  BudgetConfig budget;
+  /// Append the full ManagerStats block (retries, deferred/recovered
+  /// outcomes, breaker state) to the report text.
+  bool print_stats = false;
+  /// Fill ScriptReport::metrics_json with the manager's metrics-registry
+  /// dump (ccpi_check --metrics-out). Enable timing (SetTimingEnabled)
+  /// before the run if the latency histograms should be populated.
+  bool collect_metrics = false;
+};
 
 /// A declarative constraint-checking workload, the input format of the
 /// `ccpi_check` tool. Line-oriented:
@@ -43,116 +114,24 @@ namespace ccpi {
 ///     pipeline 4                    # episode pipeline depth (default 1)
 ///
 /// Rules may span lines exactly as in ParseProgram (break after `:-`, `&`
-/// or `,`).
+/// or `,`). The option directives (sites ... pipeline) are rows of
+/// ScriptOptionTable: their arguments, joined by ':', take the value
+/// syntax of the row's flag, so `site_latency 1 fixed:250` and
+/// `--site-latency=1:fixed:250` are one parse. They set `options` in file
+/// order, so a later line overrides an earlier one; `domain` and `site`
+/// accumulate, and `domain_outage` may precede its `domain`.
 struct Script {
   std::set<std::string> local_preds;
   std::vector<std::pair<std::string, Program>> constraints;
   Database initial;
   std::vector<Update> updates;
-  /// Remote-site topology from `sites` / `site` / `site_latency` /
-  /// `domain` / `domain_outage` directives; command-line flags (--sites,
-  /// --placement, --site-latency, --domains, --domain-outage) override it
-  /// field-wise.
-  TopologyConfig topology;
-  /// `plan_cache on|off` directive; unset means the default (on). The
-  /// --plan-cache flag overrides it (flags win).
-  std::optional<bool> plan_cache;
-  /// `pipeline N` directive: episode pipeline depth; unset means the
-  /// default (1 = serial). The --pipeline-depth flag overrides it
-  /// (flags win).
-  std::optional<size_t> pipeline_depth;
-  /// `hedge_after N` directive: hedged batched reads past N x the site's
-  /// latency EWMA; unset means the default (0 = off). The --hedge-after
-  /// flag overrides it (flags win).
-  std::optional<uint64_t> hedge_after;
+  /// The run configuration the script's directives set. RunScript runs
+  /// exactly this; `ccpi_check` applies its flags on top first.
+  ScriptOptions options;
 };
 
+/// Parses a script and validates its options alone (ValidateScriptOptions).
 Result<Script> ParseScript(std::string_view text);
-
-/// Execution options of a script run: access pricing, fault injection on
-/// the simulated remote site, and the manager's degradation policy.
-/// Per-site overrides of the base FaultConfig, from the --site-fault-*
-/// flags. Unset fields inherit the base (global) fault flags; outage
-/// windows are appended to the inherited ones.
-struct SiteFaultOverride {
-  std::optional<double> transient_rate;
-  std::optional<double> timeout_rate;
-  std::optional<uint64_t> seed;
-  std::vector<OutageWindow> outages;
-};
-
-struct ScriptOptions {
-  CostModel costs;
-  /// Remote faults to inject; used only when enable_faults is true. With
-  /// N sites this is the base config every site inherits: site 0 keeps
-  /// the seed verbatim, site s derives seed + s * golden-ratio so the
-  /// sites draw independent schedules by default.
-  FaultConfig faults;
-  bool enable_faults = false;
-  /// Remote-site topology from --sites / --placement / --site-latency /
-  /// --domains; overrides the script's own directives field-wise (flags
-  /// win).
-  TopologyConfig topology;
-  bool topology_from_flags = false;
-  /// Whether --domains was given: the flag's domain list replaces the
-  /// script's `domain` directives wholesale.
-  bool domains_from_flags = false;
-  /// Whether any --site-latency was given; flag entries override the
-  /// script's `site_latency` directives site-wise.
-  bool site_latency_from_flags = false;
-  /// Correlated-outage windows from --domain-outage=NAME:A:B, attached by
-  /// name to the effective (post-merge) failure domains. A window naming a
-  /// domain that does not exist after the merge fails the run. Any entry
-  /// implies fault injection (the expanded windows ride the per-site
-  /// FaultInjectors).
-  std::map<std::string, std::vector<OutageWindow>> domain_outages;
-  /// Per-site fault overrides from --site-fault-rate=S:P and friends;
-  /// any entry implies enable_faults.
-  std::map<size_t, SiteFaultOverride> site_faults;
-  ResilienceConfig resilience;
-  /// Checker lanes for the manager's per-constraint fan-out
-  /// (ccpi_check --threads). Reports are identical at any thread count.
-  ParallelConfig parallel;
-  /// Remote-read snapshot cache (ccpi_check --remote-cache). On by
-  /// default; semantically invisible either way. Its hedge_after field
-  /// (ccpi_check --hedge-after) arms hedged batched reads.
-  RemoteCacheConfig remote_cache;
-  /// Whether --hedge-after was given explicitly; when set it overrides
-  /// the script's own `hedge_after` directive (flags win).
-  bool hedge_from_flags = false;
-  /// Compiled-plan cache (ccpi_check --plan-cache). On by default;
-  /// semantically invisible either way — reports and ManagerStats are
-  /// byte-identical on or off.
-  PlanCacheConfig plan_cache;
-  /// Whether --plan-cache was given explicitly; when set it overrides the
-  /// script's own `plan_cache` directive (flags win, like topology).
-  bool plan_cache_from_flags = false;
-  /// Episode pipeline (ccpi_check --pipeline-depth). Depth 1 (the
-  /// default) is the serial checker; depth N>1 overlaps speculative
-  /// check phases while commits stay serialized in admission order, so
-  /// the per-update log is byte-identical at any depth.
-  PipelineConfig pipeline;
-  /// Whether --pipeline-depth was given explicitly; when set it overrides
-  /// the script's own `pipeline` directive (flags win, like plan_cache).
-  bool pipeline_from_flags = false;
-  /// Columnar read path (ccpi_check --columnar). On by default;
-  /// semantically invisible either way — freezing a relation additionally
-  /// builds a columnar segment that the RA evaluator's scan/join kernels
-  /// use, with byte-identical reports and stats on or off.
-  bool columnar = true;
-  /// Execution budgets and overload control (ccpi_check --deadline-ms,
-  /// --max-fixpoint-rounds, --max-derived-tuples, --deferred-queue-cap,
-  /// --overflow-policy). Off by default: an unbudgeted run is bit-identical
-  /// to one before budgets existed.
-  BudgetConfig budget;
-  /// Append the full ManagerStats block (retries, deferred/recovered
-  /// outcomes, breaker state) to the report text.
-  bool print_stats = false;
-  /// Fill ScriptReport::metrics_json with the manager's metrics-registry
-  /// dump (ccpi_check --metrics-out). Enable timing (SetTimingEnabled)
-  /// before the run if the latency histograms should be populated.
-  bool collect_metrics = false;
-};
 
 /// The outcome of running a script through the ConstraintManager.
 struct ScriptReport {
@@ -217,46 +196,57 @@ struct ScriptReport {
   size_t latency_shed = 0;
 };
 
-Result<ScriptReport> RunScript(const Script& script,
-                               const CostModel& costs = {});
+/// Runs `script` under `script.options`. A configuration that fails
+/// ValidateScriptOptions fails the run with that InvalidArgument.
+Result<ScriptReport> RunScript(const Script& script);
 
-Result<ScriptReport> RunScript(const Script& script,
-                               const ScriptOptions& options);
+/// One run option, declared once for both of its surfaces: the
+/// `--flag=VALUE` command-line flag and, where it has one, the script
+/// directive whose space-separated arguments, joined by ':', are the same
+/// VALUE. Rows with an empty `flag` are directive-only (`site`, `domain`),
+/// because their grammar and append semantics differ from the flags that
+/// reach the same fields.
+struct ScriptOption {
+  std::string_view flag;
+  std::string_view directive;
+  /// The VALUE placeholder that --help shows; empty for a bare switch
+  /// such as --stats, which takes no value.
+  std::string_view metavar;
+  /// What a rejected value should have been, for the error text.
+  std::string_view wants;
+  /// The --help section heading that opens at this row, if any.
+  std::string_view heading;
+  /// The --help description; one '\n'-separated line per output line.
+  std::string_view help;
+  /// Strict setter: false for a malformed or out-of-range value, in which
+  /// case `options` is left untouched.
+  bool (*set)(std::string_view value, ScriptOptions* options);
+};
 
-/// Applies one `ccpi_check`-style command-line flag to `options`.
+/// Every run option, in --help order.
+std::span<const ScriptOption> ScriptOptionTable();
+
+/// The --help lines of every flag row, with their section headings.
+std::string ScriptOptionHelp();
+
+/// Applies one `ccpi_check`-style `--flag=VALUE` (or bare `--switch`) from
+/// ScriptOptionTable to `options`. Values are validated strictly: a
+/// malformed or out-of-range value is an InvalidArgument naming the flag,
+/// never a silent fallback to a default. Flags the tool handles itself
+/// (--help, --export-souffle, --trace-out, ...) are not recognized here.
 ///
-/// Recognizes every flag that configures the run itself — --threads=N,
-/// --remote-cache=on|off, --plan-cache=on|off, --columnar=on|off,
-/// --pipeline-depth=N,
-/// --fault-rate=P,
-/// --fault-timeout-rate=P,
-/// --fault-seed=N, --fault-outage=A:B, --fault-reject, --stats,
-/// --sites=N, --placement=p:0,q:1, --site-fault-rate=S:P,
-/// --site-fault-timeout-rate=S:P, --site-fault-seed=S:N,
-/// --site-fault-outage=S:A:B,
-/// --site-latency=S:fixed:U | S:uniform:LO:HI | S:twopoint:LO:HI:P,
-/// --hedge-after=N, --domains=NAME:S0+S1,NAME2:S2,
-/// --domain-outage=NAME:A:B, --deadline-ms=N, --max-fixpoint-rounds=N,
-/// --max-derived-tuples=N, --deferred-queue-cap=N,
-/// --overflow-policy=POLICY — and
-/// validates values *strictly*: a malformed or out-of-range value (e.g.
-/// --threads=abc, --threads=-2, --fault-rate=1.5) is an InvalidArgument
-/// error naming the flag, never a silent fallback to a default. Flags the
-/// tool handles itself (--help, --export-souffle, --trace-out, ...) are
-/// not recognized here.
-///
-/// On return, *matched says whether `arg` was one of the recognized flags;
+/// On return, *matched says whether `arg` was one of the table's flags;
 /// the Status is non-OK only for a recognized flag with a bad value.
 Status ApplyScriptFlag(std::string_view arg, ScriptOptions* options,
                        bool* matched);
 
-/// Cross-flag validation, called once after all flags are applied:
-/// the fault probabilities (global and per-site effective) must sum to at
-/// most 1; every site index named by --placement, --site-fault-* or
-/// --site-latency must be < --sites; --domains names must be unique with
-/// no site in two domains and (when --sites was given) members < sites;
-/// and every --domain-outage must name a --domains domain when --domains
-/// was given.
+/// The one cross-field check of a configuration, whichever surfaces built
+/// it: the fault probabilities (global and per-site effective) sum to at
+/// most 1; every site index that placement, a per-site fault override or
+/// a latency model names is < topology.sites; failure-domain names are
+/// unique, no site is in two domains and every member is < sites; and
+/// every domain outage names a domain. ParseScript, `ccpi_check` and
+/// RunScript all call it.
 Status ValidateScriptOptions(const ScriptOptions& options);
 
 }  // namespace ccpi

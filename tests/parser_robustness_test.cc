@@ -93,6 +93,21 @@ TEST(ParserRobustness, DeepNestingAndLongRules) {
 TEST(ParserRobustness, HugeIntegerBoundary) {
   auto ok = ParseProgram("panic :- p(X) & X < 9223372036854775807");
   EXPECT_TRUE(ok.ok());
+  EXPECT_TRUE(ParseProgram("panic :- p(X) & X > -9223372036854775808").ok());
+}
+
+TEST(ParserRobustness, IntegerLiteralPastInt64IsAnError) {
+  // One past either end of int64 used to escape the lexer as an uncaught
+  // std::out_of_range; it is a located InvalidArgument instead.
+  for (const char* text : {"panic :- p(X) & X < 9223372036854775808",
+                           "panic :- p(X) & X > -9223372036854775809",
+                           "panic :- p(99999999999999999999999)"}) {
+    auto p = ParseProgram(text);
+    ASSERT_FALSE(p.ok()) << text;
+    EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(p.status().message().find("out of range"), std::string::npos)
+        << p.status().message();
+  }
 }
 
 TEST(ParserRobustness, ParenGroupingAroundTerms) {

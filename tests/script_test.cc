@@ -1,9 +1,31 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
+
 #include "manager/script.h"
 
 namespace ccpi {
 namespace {
+
+/// Applies one flag expecting success, returning whether it was matched.
+bool ApplyOk(std::string_view arg, ScriptOptions* options) {
+  bool matched = false;
+  Status st = ApplyScriptFlag(arg, options, &matched);
+  EXPECT_TRUE(st.ok()) << arg << ": " << st.ToString();
+  return matched;
+}
+
+/// Applies one flag expecting a usage error that names the flag.
+void ExpectBadFlag(std::string_view arg, std::string_view flag_name) {
+  ScriptOptions options;
+  bool matched = false;
+  Status st = ApplyScriptFlag(arg, &options, &matched);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << arg;
+  EXPECT_NE(st.message().find(flag_name), std::string::npos)
+      << "error for " << arg << " does not name the flag: " << st.message();
+}
 
 TEST(ScriptParseTest, FullWorkload) {
   auto script = ParseScript(
@@ -97,10 +119,10 @@ const char* kOverloadScript =
 TEST(ScriptRunTest, BudgetShedsAreReportedDistinctlyFromDeferrals) {
   auto script = ParseScript(kOverloadScript);
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  ScriptOptions options;
+  ScriptOptions& options = script->options;
   options.budget.per_check.max_fixpoint_rounds = 1;
   options.print_stats = true;
-  auto report = RunScript(*script, options);
+  auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->budget_armed);
   EXPECT_GT(report->shed_checks, 0u);
@@ -118,9 +140,8 @@ TEST(ScriptRunTest, BudgetShedsAreReportedDistinctlyFromDeferrals) {
 TEST(ScriptRunTest, UnbudgetedRunNeverMentionsBudgets) {
   auto script = ParseScript(kOverloadScript);
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  ScriptOptions options;
-  options.print_stats = true;
-  auto report = RunScript(*script, options);
+  script->options.print_stats = true;
+  auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report->budget_armed);
   EXPECT_EQ(report->shed_checks, 0u);
@@ -134,9 +155,8 @@ TEST(ScriptRunTest, QueueCapAloneArmsBudgetReporting) {
   // cap can drop or refuse work, so the run must disclose its counters).
   auto script = ParseScript(kOverloadScript);
   ASSERT_TRUE(script.ok());
-  ScriptOptions options;
-  options.budget.deferred_queue_cap = 4;
-  auto report = RunScript(*script, options);
+  script->options.budget.deferred_queue_cap = 4;
+  auto report = RunScript(*script);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->budget_armed);
   EXPECT_EQ(report->shed_checks, 0u);
@@ -162,15 +182,13 @@ TEST(ScriptRunTest, SubsumedConstraintReported) {
 TEST(ScriptParseTest, PlanCacheDirective) {
   auto off = ParseScript("plan_cache off\nlocal l\n");
   ASSERT_TRUE(off.ok());
-  ASSERT_TRUE(off->plan_cache.has_value());
-  EXPECT_FALSE(*off->plan_cache);
-  auto on = ParseScript("plan_cache on\nlocal l\n");
+  EXPECT_FALSE(off->options.plan_cache.enabled);
+  auto on = ParseScript("plan_cache off\nplan_cache on\nlocal l\n");
   ASSERT_TRUE(on.ok());
-  ASSERT_TRUE(on->plan_cache.has_value());
-  EXPECT_TRUE(*on->plan_cache);
+  EXPECT_TRUE(on->options.plan_cache.enabled);
   auto unset = ParseScript("local l\n");
   ASSERT_TRUE(unset.ok());
-  EXPECT_FALSE(unset->plan_cache.has_value());
+  EXPECT_TRUE(unset->options.plan_cache.enabled);
 }
 
 TEST(ScriptParseTest, PlanCacheDirectiveRejectsBadValue) {
@@ -186,7 +204,7 @@ TEST(ScriptParseTest, PlanCacheDirectiveRejectsBadValue) {
 TEST(ScriptRunTest, PlanCacheFlagOverridesScriptDirective) {
   // The script turns the cache off; the summary's "plans:" diagnostics
   // line exists only while the cache is on, so it observes the effective
-  // switch. An explicit --plan-cache=on flag must win over the directive.
+  // switch. A --plan-cache=on flag applied after the directive wins.
   const char* text =
       "plan_cache off\n"
       "local l\n"
@@ -196,14 +214,12 @@ TEST(ScriptRunTest, PlanCacheFlagOverridesScriptDirective) {
       "insert l(3, 4)\n";
   auto script = ParseScript(text);
   ASSERT_TRUE(script.ok());
-  ScriptOptions options;
-  options.print_stats = true;
-  auto off = RunScript(*script, options);
+  script->options.print_stats = true;
+  auto off = RunScript(*script);
   ASSERT_TRUE(off.ok());
   EXPECT_EQ(off->summary_text.find("plans:"), std::string::npos);
-  options.plan_cache.enabled = true;
-  options.plan_cache_from_flags = true;
-  auto on = RunScript(*script, options);
+  ASSERT_TRUE(ApplyOk("--plan-cache=on", &script->options));
+  auto on = RunScript(*script);
   ASSERT_TRUE(on.ok());
   EXPECT_NE(on->summary_text.find("plans:"), std::string::npos);
   // Flags win, directives change behavior, but the report proper must not
@@ -216,11 +232,10 @@ TEST(ScriptRunTest, PlanCacheFlagOverridesScriptDirective) {
 TEST(ScriptParseTest, PipelineDirective) {
   auto four = ParseScript("pipeline 4\nlocal l\n");
   ASSERT_TRUE(four.ok());
-  ASSERT_TRUE(four->pipeline_depth.has_value());
-  EXPECT_EQ(*four->pipeline_depth, 4u);
+  EXPECT_EQ(four->options.pipeline.depth, 4u);
   auto unset = ParseScript("local l\n");
   ASSERT_TRUE(unset.ok());
-  EXPECT_FALSE(unset->pipeline_depth.has_value());
+  EXPECT_EQ(unset->options.pipeline.depth, 1u);
 }
 
 TEST(ScriptParseTest, PipelineDirectiveRejectsBadValue) {
@@ -252,13 +267,11 @@ TEST(ScriptRunTest, PipelinedRunMatchesSerialByteForByte) {
       "insert l(2, 9)\n";
   auto script = ParseScript(text);
   ASSERT_TRUE(script.ok());
-  ScriptOptions options;
-  options.print_stats = true;
-  auto serial = RunScript(*script, options);
+  script->options.print_stats = true;
+  auto serial = RunScript(*script);
   ASSERT_TRUE(serial.ok());
-  options.pipeline.depth = 8;
-  options.pipeline_from_flags = true;
-  auto piped = RunScript(*script, options);
+  script->options.pipeline.depth = 8;
+  auto piped = RunScript(*script);
   ASSERT_TRUE(piped.ok());
   EXPECT_EQ(serial->text, piped->text);
 }
@@ -274,16 +287,14 @@ TEST(ScriptRunTest, PipelineFlagOverridesScriptDirective) {
       "insert l(1, 2)\n";
   auto script = ParseScript(text);
   ASSERT_TRUE(script.ok());
-  ScriptOptions options;
-  options.collect_metrics = true;
-  auto from_directive = RunScript(*script, options);
+  script->options.collect_metrics = true;
+  auto from_directive = RunScript(*script);
   ASSERT_TRUE(from_directive.ok());
   EXPECT_NE(from_directive->metrics_json.find("manager.pipeline.admitted"),
             std::string::npos);
-  // An explicit --pipeline-depth=1 must win over the directive.
-  options.pipeline.depth = 1;
-  options.pipeline_from_flags = true;
-  auto from_flag = RunScript(*script, options);
+  // A --pipeline-depth=1 flag applied after the directive wins.
+  ASSERT_TRUE(ApplyOk("--pipeline-depth=1", &script->options));
+  auto from_flag = RunScript(*script);
   ASSERT_TRUE(from_flag.ok());
   EXPECT_EQ(from_flag->metrics_json.find("manager.pipeline.admitted"),
             std::string::npos);
@@ -291,24 +302,6 @@ TEST(ScriptRunTest, PipelineFlagOverridesScriptDirective) {
 }
 
 // ---- ApplyScriptFlag: the strict ccpi_check flag parser -----------------
-
-/// Applies one flag expecting success, returning whether it was matched.
-bool ApplyOk(std::string_view arg, ScriptOptions* options) {
-  bool matched = false;
-  Status st = ApplyScriptFlag(arg, options, &matched);
-  EXPECT_TRUE(st.ok()) << arg << ": " << st.ToString();
-  return matched;
-}
-
-/// Applies one flag expecting a usage error that names the flag.
-void ExpectBadFlag(std::string_view arg, std::string_view flag_name) {
-  ScriptOptions options;
-  bool matched = false;
-  Status st = ApplyScriptFlag(arg, &options, &matched);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << arg;
-  EXPECT_NE(st.message().find(flag_name), std::string::npos)
-      << "error for " << arg << " does not name the flag: " << st.message();
-}
 
 TEST(ScriptFlagTest, ValidFlagsApply) {
   ScriptOptions options;
@@ -318,16 +311,12 @@ TEST(ScriptFlagTest, ValidFlagsApply) {
   EXPECT_FALSE(options.remote_cache.enabled);
   EXPECT_TRUE(ApplyOk("--remote-cache=on", &options));
   EXPECT_TRUE(options.remote_cache.enabled);
-  EXPECT_FALSE(options.plan_cache_from_flags);
   EXPECT_TRUE(ApplyOk("--plan-cache=off", &options));
   EXPECT_FALSE(options.plan_cache.enabled);
-  EXPECT_TRUE(options.plan_cache_from_flags);
   EXPECT_TRUE(ApplyOk("--plan-cache=on", &options));
   EXPECT_TRUE(options.plan_cache.enabled);
-  EXPECT_FALSE(options.pipeline_from_flags);
   EXPECT_TRUE(ApplyOk("--pipeline-depth=8", &options));
   EXPECT_EQ(options.pipeline.depth, 8u);
-  EXPECT_TRUE(options.pipeline_from_flags);
   EXPECT_TRUE(ApplyOk("--fault-rate=0.25", &options));
   EXPECT_DOUBLE_EQ(options.faults.transient_rate, 0.25);
   EXPECT_TRUE(options.enable_faults);
@@ -451,7 +440,7 @@ TEST(ScriptParseTest, LatencyAndDomainDirectives) {
       "domain_outage rack0 4 10\n"
       "hedge_after 3\n");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  const TopologyConfig& t = script->topology;
+  const TopologyConfig& t = script->options.topology;
   ASSERT_EQ(t.site_latency.size(), 3u);
   EXPECT_EQ(t.site_latency.at(0).model, LatencyModel::kFixed);
   EXPECT_EQ(t.site_latency.at(0).fixed_us, 250u);
@@ -465,12 +454,13 @@ TEST(ScriptParseTest, LatencyAndDomainDirectives) {
   EXPECT_EQ(t.domains[0].members, (std::vector<size_t>{0, 1}));
   // "domain_outage rack0 4 10" darkens the half-open window [4, 10) on
   // each member's trip counter — the same convention as --fault-outage.
-  ASSERT_EQ(t.domains[0].outages.size(), 1u);
-  EXPECT_EQ(t.domains[0].outages[0].begin, 4u);
-  EXPECT_EQ(t.domains[0].outages[0].end, 10u);
-  EXPECT_TRUE(t.domains[1].outages.empty());
-  ASSERT_TRUE(script->hedge_after.has_value());
-  EXPECT_EQ(*script->hedge_after, 3u);
+  // Windows collect by name and attach to the domain at run time.
+  const auto& outages = script->options.domain_outages;
+  ASSERT_EQ(outages.size(), 1u);
+  ASSERT_EQ(outages.at("rack0").size(), 1u);
+  EXPECT_EQ(outages.at("rack0")[0].begin, 4u);
+  EXPECT_EQ(outages.at("rack0")[0].end, 10u);
+  EXPECT_EQ(script->options.remote_cache.hedge_after, 3u);
 }
 
 /// Expects ParseScript to fail with a message containing `needle`.
@@ -506,20 +496,14 @@ TEST(ScriptParseTest, LatencyAndDomainDirectivesRejectBadValues) {
 
 TEST(ScriptFlagTest, LatencyAndDomainFlagsApply) {
   ScriptOptions options;
-  EXPECT_FALSE(options.site_latency_from_flags);
   EXPECT_TRUE(ApplyOk("--site-latency=1:twopoint:100:5000:0.1", &options));
-  EXPECT_TRUE(options.site_latency_from_flags);
   ASSERT_EQ(options.topology.site_latency.count(1), 1u);
   EXPECT_EQ(options.topology.site_latency.at(1).model, LatencyModel::kTwoPoint);
   EXPECT_EQ(options.topology.site_latency.at(1).lo_us, 100u);
   EXPECT_EQ(options.topology.site_latency.at(1).hi_us, 5000u);
-  EXPECT_FALSE(options.hedge_from_flags);
   EXPECT_TRUE(ApplyOk("--hedge-after=3", &options));
   EXPECT_EQ(options.remote_cache.hedge_after, 3u);
-  EXPECT_TRUE(options.hedge_from_flags);
-  EXPECT_FALSE(options.domains_from_flags);
   EXPECT_TRUE(ApplyOk("--domains=rack0:0+1,rack1:2", &options));
-  EXPECT_TRUE(options.domains_from_flags);
   ASSERT_EQ(options.topology.domains.size(), 2u);
   EXPECT_EQ(options.topology.domains[0].name, "rack0");
   EXPECT_EQ(options.topology.domains[0].members, (std::vector<size_t>{0, 1}));
@@ -575,7 +559,7 @@ TEST(ScriptFlagTest, ValidateRejectsInconsistentDomainAndLatencyFlags) {
               StatusCode::kInvalidArgument);
   }
   {
-    // Domain members must be < --sites when --sites was given.
+    // Domain members must be < the site count.
     ScriptOptions options;
     ASSERT_TRUE(ApplyOk("--sites=2", &options));
     ASSERT_TRUE(ApplyOk("--domains=rack0:0+7", &options));
@@ -583,9 +567,7 @@ TEST(ScriptFlagTest, ValidateRejectsInconsistentDomainAndLatencyFlags) {
               StatusCode::kInvalidArgument);
   }
   {
-    // --domain-outage must name a --domains domain when --domains was
-    // given (otherwise it resolves against the script's domains at run
-    // time).
+    // --domain-outage must name a domain of the configuration.
     ScriptOptions options;
     ASSERT_TRUE(ApplyOk("--domains=rack0:0", &options));
     ASSERT_TRUE(ApplyOk("--domain-outage=ghost:4:10", &options));
@@ -605,39 +587,40 @@ TEST(ScriptFlagTest, ValidateRejectsInconsistentDomainAndLatencyFlags) {
 }
 
 TEST(ScriptRunTest, HedgeFlagOverridesScriptDirective) {
-  // The script pins hedge_after 7; the flag says 0 (off). Flags win: the
-  // run must report zero hedging and print no hedge stats line.
-  auto script = ParseScript(
+  // The script pins hedge_after 7; the flag says 0 (off). The flag comes
+  // later, so it wins: the run must report zero hedging and print no hedge
+  // stats line.
+  const char* text =
       "local l\n"
       "constraint fi\n"
       "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y\n"
       "hedge_after 7\n"
       "fact r(7)\n"
-      "insert l(10, 20)\n");
+      "insert l(10, 20)\n";
+  auto script = ParseScript(text);
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  ASSERT_TRUE(script->hedge_after.has_value());
-  ScriptOptions options;
-  options.print_stats = true;
-  options.remote_cache.hedge_after = 0;
-  options.hedge_from_flags = true;
-  auto report = RunScript(*script, options);
+  EXPECT_EQ(script->options.remote_cache.hedge_after, 7u);
+  script->options.print_stats = true;
+  ASSERT_TRUE(ApplyOk("--hedge-after=0", &script->options));
+  auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->hedges_issued, 0u);
   EXPECT_EQ(report->summary_text.find("hedge:"), std::string::npos);
   // Without the flag the directive takes effect: the stats block now
   // carries the hedge accounting line (all zeros on this tiny workload —
   // arming alone must not fabricate hedges).
-  ScriptOptions directive_only;
-  directive_only.print_stats = true;
-  auto armed = RunScript(*script, directive_only);
+  auto directive_only = ParseScript(text);
+  ASSERT_TRUE(directive_only.ok());
+  directive_only->options.print_stats = true;
+  auto armed = RunScript(*directive_only);
   ASSERT_TRUE(armed.ok()) << armed.status().ToString();
   EXPECT_NE(armed->summary_text.find("hedge: 0 issued"), std::string::npos);
 }
 
 TEST(ScriptRunTest, DomainOutageFlagAttachesToScriptDomains) {
   // --domain-outage without --domains resolves against the script's own
-  // `domain` directives; naming a domain the script does not define is a
-  // run-time InvalidArgument, not a crash.
+  // `domain` directives; naming a domain the script does not define is an
+  // InvalidArgument from RunScript's validation, not a crash.
   auto script = ParseScript(
       "local l\n"
       "constraint fi\n"
@@ -648,19 +631,193 @@ TEST(ScriptRunTest, DomainOutageFlagAttachesToScriptDomains) {
       "fact r(7)\n"
       "insert l(10, 20)\n");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  ScriptOptions options;
-  options.domain_outages["ghost"].push_back(OutageWindow{0, 4});
-  auto report = RunScript(*script, options);
+  script->options.domain_outages["ghost"].push_back(OutageWindow{0, 4});
+  auto report = RunScript(*script);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(report.status().message().find("ghost"), std::string::npos);
   // Named correctly it applies: the whole run happens inside the window,
   // so the remote check defers instead of resolving.
-  ScriptOptions dark;
-  dark.domain_outages["rackA"].push_back(OutageWindow{0, 100});
-  auto deferred = RunScript(*script, dark);
+  script->options.domain_outages.erase("ghost");
+  script->options.domain_outages["rackA"].push_back(OutageWindow{0, 100});
+  auto deferred = RunScript(*script);
   ASSERT_TRUE(deferred.ok()) << deferred.status().ToString();
   EXPECT_EQ(deferred->updates_deferred, 1u);
+}
+
+
+// ---- One option table: directives first, flags second -------------------
+
+/// A directive row's override case: `prefix` sets up what validation needs,
+/// `directive` is the script line, `flag` the later flag value, and `view`
+/// renders the knob both write.
+struct OverrideCase {
+  std::string prefix;
+  std::string directive;
+  std::string flag;
+  std::function<std::string(const ScriptOptions&)> view;
+};
+
+std::map<std::string, OverrideCase> OverrideCases() {
+  std::map<std::string, OverrideCase> cases;
+  cases["plan_cache"] = {
+      "", "plan_cache off", "on", [](const ScriptOptions& o) {
+        return std::string(o.plan_cache.enabled ? "on" : "off");
+      }};
+  cases["pipeline"] = {
+      "", "pipeline 4", "2", [](const ScriptOptions& o) {
+        return std::to_string(o.pipeline.depth);
+      }};
+  cases["sites"] = {
+      "", "sites 3", "2", [](const ScriptOptions& o) {
+        return std::to_string(o.topology.sites);
+      }};
+  cases["site_latency"] = {
+      "sites 2\n", "site_latency 1 fixed:250", "1:uniform:10:50",
+      [](const ScriptOptions& o) {
+        const SiteLatencyOverride& m = o.topology.site_latency.at(1);
+        return std::to_string(static_cast<int>(m.model)) + ":" +
+               std::to_string(m.fixed_us) + ":" + std::to_string(m.lo_us) +
+               ":" + std::to_string(m.hi_us);
+      }};
+  cases["hedge_after"] = {
+      "", "hedge_after 7", "0", [](const ScriptOptions& o) {
+        return std::to_string(o.remote_cache.hedge_after);
+      }};
+  // domain_outage appends, so the flag's window is the last one.
+  cases["domain_outage"] = {
+      "sites 2\ndomain r 0 1\n", "domain_outage r 4 10", "r:1:2",
+      [](const ScriptOptions& o) {
+        const OutageWindow& w = o.domain_outages.at("r").back();
+        return std::to_string(w.begin) + ":" + std::to_string(w.end);
+      }};
+  return cases;
+}
+
+TEST(ScriptOptionTableTest, DirectiveThenFlagGivesTheFlagValue) {
+  const std::map<std::string, OverrideCase> cases = OverrideCases();
+  size_t covered = 0;
+  for (const ScriptOption& row : ScriptOptionTable()) {
+    if (row.directive.empty() || row.flag.empty()) continue;
+    std::string directive(row.directive);
+    auto it = cases.find(directive);
+    ASSERT_NE(it, cases.end()) << "no override case for " << directive;
+    const OverrideCase& c = it->second;
+    ++covered;
+    std::string flag = "--" + std::string(row.flag) + "=" + c.flag;
+    // The flag alone, on top of the prefix: the value the flag means.
+    auto flag_only = ParseScript(c.prefix);
+    ASSERT_TRUE(flag_only.ok()) << flag_only.status().ToString();
+    ASSERT_TRUE(ApplyOk(flag, &flag_only->options));
+    // The directive, then the same flag: the flag comes later and wins.
+    auto both = ParseScript(c.prefix + c.directive + "\n");
+    ASSERT_TRUE(both.ok()) << directive << ": " << both.status().ToString();
+    const std::string from_directive = c.view(both->options);
+    ASSERT_TRUE(ApplyOk(flag, &both->options));
+    EXPECT_TRUE(ValidateScriptOptions(both->options).ok()) << directive;
+    EXPECT_EQ(c.view(both->options), c.view(flag_only->options)) << directive;
+    EXPECT_NE(c.view(both->options), from_directive)
+        << directive << ": the case must use two different values";
+  }
+  EXPECT_EQ(covered, cases.size()) << "a case names no table row";
+}
+
+TEST(ScriptOptionTableTest, DirectiveAndFlagAreOneParse) {
+  // `site_latency 1 fixed:250` and `--site-latency=1:fixed:250` reach the
+  // same setter: the directive's arguments are joined by ':'.
+  auto script = ParseScript("sites 2\nsite_latency 1 fixed:250\n");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  ScriptOptions flagged;
+  ASSERT_TRUE(ApplyOk("--sites=2", &flagged));
+  ASSERT_TRUE(ApplyOk("--site-latency=1:fixed:250", &flagged));
+  const SiteLatencyOverride& a = script->options.topology.site_latency.at(1);
+  const SiteLatencyOverride& b = flagged.topology.site_latency.at(1);
+  EXPECT_EQ(a.model, b.model);
+  EXPECT_EQ(a.fixed_us, b.fixed_us);
+}
+
+TEST(ScriptOptionTableTest, HelpListsEveryFlagOnce) {
+  const std::string help = ScriptOptionHelp();
+  for (const ScriptOption& row : ScriptOptionTable()) {
+    if (row.flag.empty()) continue;
+    std::string lead = "  --" + std::string(row.flag) +
+                       (row.metavar.empty() ? " " : "=");
+    size_t at = help.find(lead);
+    ASSERT_NE(at, std::string::npos) << row.flag;
+    EXPECT_EQ(help.find(lead, at + 1), std::string::npos) << row.flag;
+  }
+}
+
+TEST(ScriptFlagTest, NumericCeilingsRejectValuesThatCrashOrWrap) {
+  // Each of these aborted, overflowed or wrapped before the table carried
+  // a ceiling: a site count or thread count that no allocation can hold,
+  // a deadline past the range of the steady clock (or wrapping to one
+  // already passed), and a hedge multiple that wraps the threshold.
+  ExpectBadFlag("--sites=100000000000", "--sites");
+  ExpectBadFlag("--threads=1000000000000", "--threads");
+  ExpectBadFlag("--deadline-ms=4611686018427387904", "--deadline-ms");
+  ExpectBadFlag("--deadline-ms=18446744073709551615", "--deadline-ms");
+  ExpectBadFlag("--hedge-after=9223372036854775808", "--hedge-after");
+  // The directive form shares the row, so it inherits the ceiling.
+  ExpectParseError("sites 100000000000\n", "line 1: sites");
+  ExpectParseError("hedge_after 9223372036854775808\n", "line 1: hedge_after");
+  // The ceilings themselves are accepted.
+  ScriptOptions options;
+  EXPECT_TRUE(ApplyOk("--sites=1024", &options));
+  EXPECT_TRUE(ApplyOk("--threads=256", &options));
+  EXPECT_TRUE(ApplyOk("--deadline-ms=86400000", &options));
+  EXPECT_TRUE(ApplyOk("--hedge-after=1000", &options));
+}
+
+TEST(ScriptParseTest, DomainOutageMayPrecedeItsDomain) {
+  auto script = ParseScript(
+      "domain_outage rack0 4 10\n"
+      "sites 2\n"
+      "domain rack0 0 1\n");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  EXPECT_EQ(script->options.domain_outages.at("rack0").size(), 1u);
+}
+
+TEST(ScriptFlagTest, ValidateChecksTheMergedConfiguration) {
+  {
+    // Consistent alone, inconsistent once --sites=2 lands on top.
+    auto script = ParseScript("sites 3\ndomain d 0 1 2\n");
+    ASSERT_TRUE(script.ok()) << script.status().ToString();
+    ASSERT_TRUE(ApplyOk("--sites=2", &script->options));
+    Status st = ValidateScriptOptions(script->options);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("claims site 2"), std::string::npos)
+        << st.message();
+  }
+  {
+    // --domains replaces the script's domains; an outage the script
+    // attached to a removed domain is an error naming it, not dropped.
+    auto script = ParseScript(
+        "sites 2\ndomain rackA 0\ndomain_outage rackA 0 4\n");
+    ASSERT_TRUE(script.ok()) << script.status().ToString();
+    ASSERT_TRUE(ApplyOk("--domains=rackB:1", &script->options));
+    Status st = ValidateScriptOptions(script->options);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("rackA"), std::string::npos) << st.message();
+  }
+}
+
+TEST(ScriptRunTest, ProgrammaticSiteCountIsHonored) {
+  // A caller that sets the topology directly gets that topology: the
+  // --stats block lists one line per site only with more than one site.
+  auto script = ParseScript(
+      "local l\n"
+      "constraint fi\n"
+      "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y\n"
+      "fact r(7)\n"
+      "insert l(10, 20)\n");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  script->options.print_stats = true;
+  script->options.topology.sites = 3;
+  auto report = RunScript(*script);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->summary_text.find("site2: breaker"), std::string::npos)
+      << report->summary_text;
 }
 
 }  // namespace
