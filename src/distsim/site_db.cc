@@ -46,57 +46,43 @@ class ActiveReadGuard {
 
 }  // namespace
 
-void SiteDatabase::set_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    ctr_local_tuples_ = nullptr;
-    ctr_remote_tuples_ = nullptr;
-    ctr_remote_trips_ = nullptr;
-    ctr_remote_failures_ = nullptr;
-    ctr_cache_hits_ = nullptr;
-    ctr_cache_misses_ = nullptr;
-    ctr_cache_invalidations_ = nullptr;
-    hist_fill_latency_ = nullptr;
-    for (auto& st : site_states_) {
-      st->ctr_trips = nullptr;
-      st->ctr_failures = nullptr;
-      st->ctr_cache_hits = nullptr;
-      st->hist_latency = nullptr;
-    }
-    return;
+SiteDatabase::SiteDatabase(std::set<std::string> local_preds,
+                           TopologyConfig topology)
+    : local_preds_(std::move(local_preds)), topology_(std::move(topology)) {
+  site_states_.reserve(topology_.sites());
+  for (size_t s = 0; s < topology_.sites(); ++s) {
+    const std::string prefix = "distsim.site" + std::to_string(s) + ".";
+    auto counter = [&](const std::string& what) {
+      return SiteCounter{metrics_.GetCounter("distsim." + what),
+                         metrics_.GetCounter(prefix + what)};
+    };
+    auto st = std::make_unique<SiteState>();
+    st->remote_tuples = counter("remote_tuples");
+    st->remote_trips = counter("remote_trips");
+    st->remote_failures = counter("remote_failures");
+    st->cache_hits = counter("cache_hits");
+    st->cached_tuples = counter("cached_tuples");
+    st->latency_us =
+        metrics_.GetHistogram(prefix + "latency_us", LatencyBoundsUs());
+    site_states_.push_back(std::move(st));
   }
-  ctr_local_tuples_ = registry->GetCounter("distsim.local_tuples");
-  ctr_remote_tuples_ = registry->GetCounter("distsim.remote_tuples");
-  ctr_remote_trips_ = registry->GetCounter("distsim.remote_trips");
-  ctr_remote_failures_ = registry->GetCounter("distsim.remote_failures");
-  ctr_cache_hits_ = registry->GetCounter("distsim.cache_hits");
-  ctr_cache_misses_ = registry->GetCounter("distsim.cache_misses");
-  ctr_cache_invalidations_ =
-      registry->GetCounter("distsim.cache_invalidations");
-  hist_fill_latency_ =
-      registry->GetHistogram("distsim.cache_fill_latency_ns");
-  // Per-site counters only when there is more than one site: a 1-site
-  // registry dump stays byte-identical to the pre-topology catalog.
-  if (site_states_.size() > 1) {
-    for (size_t s = 0; s < site_states_.size(); ++s) {
-      std::string prefix = "distsim.site" + std::to_string(s);
-      site_states_[s]->ctr_trips =
-          registry->GetCounter(prefix + ".remote_trips");
-      site_states_[s]->ctr_failures =
-          registry->GetCounter(prefix + ".remote_failures");
-      site_states_[s]->ctr_cache_hits =
-          registry->GetCounter(prefix + ".cache_hits");
-    }
+}
+
+void SiteDatabase::ResetStats() {
+  CCPI_DCHECK(active_reads_.load(std::memory_order_acquire) == 0);
+  for (obs::Counter* c : {local_tuples_, cache_misses_, cache_invalidations_,
+                          hedges_issued_, hedges_won_, hedges_wasted_}) {
+    c->Reset();
   }
-  // Latency histograms only for sites running a non-fixed model: the
-  // default (fixed) configuration must leave the metric catalog — and so
-  // the --metrics-out dump — byte-identical to the pre-latency-model one.
-  for (size_t s = 0; s < site_states_.size(); ++s) {
-    if (site_states_[s]->costs.latency_model == LatencyModel::kFixed) {
-      continue;
+  // Latency draw counters and EWMAs survive a stats reset on purpose:
+  // they are simulation state (the position in the deterministic latency
+  // schedule), not observability.
+  for (auto& st : site_states_) {
+    for (const SiteCounter* c : {&st->remote_tuples, &st->remote_trips,
+                                 &st->remote_failures, &st->cache_hits,
+                                 &st->cached_tuples}) {
+      c->Reset();
     }
-    site_states_[s]->hist_latency = registry->GetHistogram(
-        "distsim.site" + std::to_string(s) + ".latency_us",
-        LatencyBoundsUs());
   }
 }
 
@@ -110,8 +96,7 @@ void SiteDatabase::EnableRemoteCache(bool on) {
 Status SiteDatabase::OnRead(const std::string& pred, size_t count) {
   if (IsLocal(pred)) {
     ActiveReadGuard guard(&active_reads_);
-    local_tuples_.fetch_add(count, std::memory_order_relaxed);
-    if (ctr_local_tuples_ != nullptr) ctr_local_tuples_->Add(count);
+    local_tuples_->Add(count);
     return Status::OK();
   }
   return ReadRemote(pred, count);
@@ -142,29 +127,21 @@ Status SiteDatabase::ReadRemote(const std::string& pred, size_t count) {
         // failed fill.
         Status fault = st.injector->InjectOnRead(pred);
         if (!fault.ok()) {
-          st.remote_trips.fetch_add(1, std::memory_order_relaxed);
-          if (ctr_remote_trips_ != nullptr) ctr_remote_trips_->Add(1);
-          if (st.ctr_trips != nullptr) st.ctr_trips->Add(1);
-          st.remote_failures.fetch_add(1, std::memory_order_relaxed);
-          if (ctr_remote_failures_ != nullptr) ctr_remote_failures_->Add(1);
-          if (st.ctr_failures != nullptr) st.ctr_failures->Add(1);
+          st.remote_trips.Add(1);
+          st.remote_failures.Add(1);
           st.cache.NoteFailure(pred);
           return fault;
         }
       }
-      st.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      st.cached_tuples.fetch_add(count, std::memory_order_relaxed);
-      if (ctr_cache_hits_ != nullptr) ctr_cache_hits_->Add(1);
-      if (st.ctr_cache_hits != nullptr) st.ctr_cache_hits->Add(1);
+      st.cache_hits.Add(1);
+      st.cached_tuples.Add(count);
       return Status::OK();
     }
     case RemoteReadCache::Lookup::kMissStale:
-      if (ctr_cache_invalidations_ != nullptr) {
-        ctr_cache_invalidations_->Add(1);
-      }
+      cache_invalidations_->Add(1);
       [[fallthrough]];
     case RemoteReadCache::Lookup::kMissCold: {
-      if (ctr_cache_misses_ != nullptr) ctr_cache_misses_->Add(1);
+      cache_misses_->Add(1);
       Status fetched = FetchRemote(site, pred, count);
       if (fetched.ok()) {
         st.cache.NoteFill(pred, version);
@@ -228,7 +205,7 @@ uint64_t SiteDatabase::DrawTripLatencyUs(size_t site) const {
     next = cur == 0 ? sample_q8 : cur - (cur >> 2) + (sample_q8 >> 2);
   } while (!st.latency_ewma_q8.compare_exchange_weak(
       cur, next, std::memory_order_relaxed));
-  if (st.hist_latency != nullptr) st.hist_latency->Observe(us);
+  st.latency_us->Observe(us);
   return us;
 }
 
@@ -259,15 +236,12 @@ size_t SiteDatabase::SimulateHedgedTripLatency(size_t site,
   const uint64_t threshold = hedge_after_ * ewma;
   const uint64_t backup = DrawTripLatencyUs(site);
   const uint64_t hedged = threshold + backup;
-  hedges_issued_.fetch_add(1, std::memory_order_relaxed);
-  if (ctr_hedge_issued_ != nullptr) ctr_hedge_issued_->Add(1);
+  hedges_issued_->Add(1);
   if (hedged < primary) {
-    hedges_won_.fetch_add(1, std::memory_order_relaxed);
-    if (ctr_hedge_won_ != nullptr) ctr_hedge_won_->Add(1);
+    hedges_won_->Add(1);
     pause(hedged);
   } else {
-    hedges_wasted_.fetch_add(1, std::memory_order_relaxed);
-    if (ctr_hedge_wasted_ != nullptr) ctr_hedge_wasted_->Add(1);
+    hedges_wasted_->Add(1);
     pause(primary);
   }
   return 1;
@@ -290,22 +264,17 @@ Status SiteDatabase::FetchRemote(size_t site, const std::string& pred,
   }
   SimulateTripLatency(site);
   // The round trip is paid whether or not it succeeds.
-  st.remote_trips.fetch_add(1, std::memory_order_relaxed);
-  if (ctr_remote_trips_ != nullptr) ctr_remote_trips_->Add(1);
-  if (st.ctr_trips != nullptr) st.ctr_trips->Add(1);
+  st.remote_trips.Add(1);
   if (st.injector != nullptr) {
     Status fault = st.injector->InjectOnRead(pred);
     if (!fault.ok()) {
-      st.remote_failures.fetch_add(1, std::memory_order_relaxed);
-      if (ctr_remote_failures_ != nullptr) ctr_remote_failures_->Add(1);
-      if (st.ctr_failures != nullptr) st.ctr_failures->Add(1);
+      st.remote_failures.Add(1);
       if (span.active()) span.Attr("fault", fault.message());
       return fault;
     }
   }
-  st.remote_tuples.fetch_add(count, std::memory_order_relaxed);
-  if (ctr_remote_tuples_ != nullptr) ctr_remote_tuples_->Add(count);
-  fill_timer.RecordTo(hist_fill_latency_);
+  st.remote_tuples.Add(count);
+  fill_timer.RecordTo(fill_latency_);
   return Status::OK();
 }
 
@@ -371,19 +340,14 @@ Status SiteDatabase::FetchBatch(const SiteBatch& batch, bool sleep) {
   // rule — the backup is the simulator's own recovery of an
   // already-approved trip, not a second logical fetch.
   const size_t trips = 1 + SimulateHedgedTripLatency(batch.site, sleep);
-  st.remote_trips.fetch_add(trips, std::memory_order_relaxed);
-  if (ctr_remote_trips_ != nullptr) ctr_remote_trips_->Add(trips);
-  if (st.ctr_trips != nullptr) st.ctr_trips->Add(trips);
+  st.remote_trips.Add(trips);
   for (const SiteBatch::Entry& e : batch.entries) {
-    if (e.stale && ctr_cache_invalidations_ != nullptr) {
-      ctr_cache_invalidations_->Add(1);
-    }
-    if (ctr_cache_misses_ != nullptr) ctr_cache_misses_->Add(1);
-    st.remote_tuples.fetch_add(e.count, std::memory_order_relaxed);
-    if (ctr_remote_tuples_ != nullptr) ctr_remote_tuples_->Add(e.count);
+    if (e.stale) cache_invalidations_->Add(1);
+    cache_misses_->Add(1);
+    st.remote_tuples.Add(e.count);
     st.cache.NoteFill(e.pred, e.version);
   }
-  fill_timer.RecordTo(hist_fill_latency_);
+  fill_timer.RecordTo(fill_latency_);
   return Status::OK();
 }
 

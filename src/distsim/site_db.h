@@ -13,16 +13,11 @@
 #include "distsim/remote_cache.h"
 #include "distsim/topology.h"
 #include "eval/engine.h"
+#include "obs/metrics.h"
 #include "relational/database.h"
 #include "util/check.h"
 
 namespace ccpi {
-
-namespace obs {
-class Counter;
-class Histogram;
-class MetricsRegistry;
-}  // namespace obs
 
 class ThreadPool;
 
@@ -59,16 +54,6 @@ struct AccessStats {
   }
 };
 
-/// Hedged-read accounting (see docs/distsim.md "Hedged reads"). The
-/// identity `issued == won + wasted` always holds, and every issued hedge
-/// billed exactly one extra remote trip to its site — which is how the
-/// trip-accounting identities keep balancing with hedging on.
-struct HedgeStats {
-  uint64_t issued = 0;
-  uint64_t won = 0;
-  uint64_t wasted = 0;
-};
-
 /// A database split into "local" and "remote" predicates, in the sense of
 /// Section 5: the site applying updates holds the local relations; every
 /// read of a remote relation is charged. The class is an AccessObserver —
@@ -86,6 +71,11 @@ struct HedgeStats {
 /// N=1 topology — there is no separate single-site path. The aggregate
 /// counters are the sums of the per-site ones.
 ///
+/// Every count lives in the site's own metrics registry (metrics()), whose
+/// whole `distsim.*` catalog is registered at construction: stats() and
+/// site_stats() are snapshot views over those counters, as ManagerStats is
+/// over the manager's series in the same registry.
+///
 /// With the remote-read cache enabled (EnableRemoteCache), a read of a
 /// remote relation whose content version matches the last successful
 /// physical fetch is served as a cache hit — no round trip, tuples billed
@@ -94,26 +84,21 @@ struct HedgeStats {
 /// invalidation, and fault-interaction rules, and docs/distsim.md for the
 /// topology semantics.
 ///
-/// Thread-safety: the read path (OnRead / ReadRemote) only bumps atomic
-/// counters and takes shared-mode cache lookups, and may run from many
-/// checker threads at once, provided the underlying Database is not
-/// mutated concurrently (the manager freezes it for the duration of a
-/// fan-out). Cache fills take the cache's exclusive lock and are safe
+/// Thread-safety: the read path (OnRead / ReadRemote) only bumps registry
+/// counters (relaxed atomics) and takes shared-mode cache lookups, and may
+/// run from many checker threads at once, provided the underlying Database
+/// is not mutated concurrently (the manager freezes it for the duration of
+/// a fan-out). Cache fills take the cache's exclusive lock and are safe
 /// concurrently, but the manager avoids racing fills by prefetching the
 /// episode's remote relations before the parallel fan-out. Configuration
-/// calls (set_site_fault_injector, set_metrics, EnableRemoteCache,
-/// set_cache_db, ResetStats, db() mutation) must be externally serialized
-/// against reads.
+/// calls (set_site_fault_injector, EnableRemoteCache, set_cache_db,
+/// ResetStats, db() mutation) must be externally serialized against reads.
 class SiteDatabase : public AccessObserver, public RemoteAccessor {
  public:
+  /// Registers the full `distsim.*` catalog (aggregate and per-site, at
+  /// any site count) and the `manager.hedge.*` counters in metrics().
   explicit SiteDatabase(std::set<std::string> local_preds,
-                        TopologyConfig topology = {})
-      : local_preds_(std::move(local_preds)), topology_(std::move(topology)) {
-    site_states_.reserve(topology_.sites());
-    for (size_t s = 0; s < topology_.sites(); ++s) {
-      site_states_.push_back(std::make_unique<SiteState>());
-    }
-  }
+                        TopologyConfig topology = {});
 
   bool IsLocal(const std::string& pred) const {
     return local_preds_.count(pred) > 0;
@@ -186,27 +171,13 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// latency exceeds `after` times that site's observed EWMA, one backup
   /// attempt is issued (billing one extra trip) and the faster of the two
   /// wins the wall clock. 0 (the default) disables hedging entirely —
-  /// no extra trips, no counters, byte-identical accounting. The counter
-  /// handles (may be null) receive the manager's conditionally registered
-  /// `manager.hedge.*` series. Configuration call: serialize against
-  /// reads.
-  void set_hedge(uint64_t after, obs::Counter* issued, obs::Counter* won,
-                 obs::Counter* wasted) {
-    hedge_after_ = after;
-    ctr_hedge_issued_ = issued;
-    ctr_hedge_won_ = won;
-    ctr_hedge_wasted_ = wasted;
-  }
+  /// no extra trips, byte-identical accounting. Issued hedges are counted
+  /// in `manager.hedge.{issued,won,wasted}` (see docs/distsim.md "Hedged
+  /// reads"): issued == won + wasted always holds, and every issued hedge
+  /// billed exactly one extra remote trip to its site. Configuration
+  /// call: serialize against reads.
+  void set_hedge(uint64_t after) { hedge_after_ = after; }
   uint64_t hedge_after() const { return hedge_after_; }
-
-  /// Snapshot of the hedged-read counters since the last ResetStats.
-  HedgeStats hedge_stats() const {
-    HedgeStats h;
-    h.issued = hedges_issued_.load(std::memory_order_relaxed);
-    h.won = hedges_won_.load(std::memory_order_relaxed);
-    h.wasted = hedges_wasted_.load(std::memory_order_relaxed);
-    return h;
-  }
 
   /// Exponentially weighted moving average (alpha 1/4) of the site's
   /// observed per-trip latency, in microseconds. 0 until the site's first
@@ -220,12 +191,11 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
            8;
   }
 
-  /// Attaches (or detaches, with nullptr) a metrics registry. Every read
-  /// then also bumps the `distsim.*` counters (see docs/observability.md)
-  /// in addition to the per-site AccessStats; topologies with more than
-  /// one site additionally get `distsim.site<k>.*` counters. Not owned;
-  /// must outlive the site.
-  void set_metrics(obs::MetricsRegistry* registry);
+  /// The registry holding every counter of this site (see
+  /// docs/observability.md for the catalog). A ConstraintManager registers
+  /// its own series here too and hands it out as its metrics().
+  obs::MetricsRegistry& metrics() { return metrics_; }
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// AccessObserver: attributes `count` enumerated tuples of `pred`.
   /// Each remote read event also counts one round trip; a remote read may
@@ -320,7 +290,7 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// fields are the sums of the per-site slices.
   AccessStats stats() const {
     AccessStats s;
-    s.local_tuples = local_tuples_.load(std::memory_order_relaxed);
+    s.local_tuples = local_tuples_->value();
     for (size_t site = 0; site < site_states_.size(); ++site) {
       s += site_stats(site);
     }
@@ -333,49 +303,50 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
     CCPI_CHECK(site < site_states_.size());
     const SiteState& st = *site_states_[site];
     AccessStats s;
-    s.remote_tuples = st.remote_tuples.load(std::memory_order_relaxed);
-    s.remote_trips = st.remote_trips.load(std::memory_order_relaxed);
-    s.remote_failures = st.remote_failures.load(std::memory_order_relaxed);
-    s.cache_hits = st.cache_hits.load(std::memory_order_relaxed);
-    s.cached_tuples = st.cached_tuples.load(std::memory_order_relaxed);
+    s.remote_tuples = st.remote_tuples.site->value();
+    s.remote_trips = st.remote_trips.site->value();
+    s.remote_failures = st.remote_failures.site->value();
+    s.cache_hits = st.cache_hits.site->value();
+    s.cached_tuples = st.cached_tuples.site->value();
     return s;
   }
 
-  /// Zeroes the access counters. Exclusivity contract: the caller must
+  /// Zeroes every `distsim.*` counter and the hedge counters (histograms
+  /// keep their samples). Exclusivity contract: the caller must
   /// guarantee no read (OnRead / ReadRemote) is in flight — the fields are
   /// zeroed one by one, so a reset concurrent with a draining fan-out
   /// would yield a torn snapshot (some of the episode's reads surviving
   /// the reset, others not). The manager only resets between episodes;
   /// debug builds enforce the contract by tracking in-flight reads and
   /// aborting if a reset races one.
-  void ResetStats() {
-    CCPI_DCHECK(active_reads_.load(std::memory_order_acquire) == 0);
-    local_tuples_.store(0, std::memory_order_relaxed);
-    hedges_issued_.store(0, std::memory_order_relaxed);
-    hedges_won_.store(0, std::memory_order_relaxed);
-    hedges_wasted_.store(0, std::memory_order_relaxed);
-    // Latency draw counters and EWMAs survive a stats reset on purpose:
-    // they are simulation state (the position in the deterministic
-    // latency schedule), not observability.
-    for (auto& st : site_states_) {
-      st->remote_tuples.store(0, std::memory_order_relaxed);
-      st->remote_trips.store(0, std::memory_order_relaxed);
-      st->remote_failures.store(0, std::memory_order_relaxed);
-      st->cache_hits.store(0, std::memory_order_relaxed);
-      st->cached_tuples.store(0, std::memory_order_relaxed);
-    }
-  }
+  void ResetStats();
 
  private:
+  /// One remote-access counter as one site bills it: every Add bumps the
+  /// aggregate `distsim.<what>` and the site's `distsim.site<k>.<what>`
+  /// together, so the per-site counters always sum to the aggregate.
+  struct SiteCounter {
+    obs::Counter* total = nullptr;
+    obs::Counter* site = nullptr;
+    void Add(uint64_t n) const {
+      total->Add(n);
+      site->Add(n);
+    }
+    void Reset() const {
+      total->Reset();
+      site->Reset();
+    }
+  };
+
   /// Everything one remote site owns. Heap-allocated (the atomics and the
   /// cache's mutex are not movable) and stable for the SiteDatabase's
   /// lifetime.
   struct SiteState {
-    std::atomic<size_t> remote_tuples{0};
-    std::atomic<size_t> remote_trips{0};
-    std::atomic<size_t> remote_failures{0};
-    std::atomic<size_t> cache_hits{0};
-    std::atomic<size_t> cached_tuples{0};
+    SiteCounter remote_tuples;
+    SiteCounter remote_trips;
+    SiteCounter remote_failures;
+    SiteCounter cache_hits;
+    SiteCounter cached_tuples;
     FaultInjector* injector = nullptr;
     const BudgetScope* budget = nullptr;
     RemoteReadCache cache;
@@ -389,12 +360,8 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
     // 0 = no observation yet (real latencies are >= 1us, so 0 is free
     // as the sentinel).
     std::atomic<uint64_t> latency_ewma_q8{0};
-    // Per-site obs handles; resolved only for multi-site topologies.
-    obs::Counter* ctr_trips = nullptr;
-    obs::Counter* ctr_failures = nullptr;
-    obs::Counter* ctr_cache_hits = nullptr;
-    // Registered iff this site's latency model is non-fixed.
-    obs::Histogram* hist_latency = nullptr;
+    // `distsim.site<k>.latency_us`; observed only by non-fixed models.
+    obs::Histogram* latency_us = nullptr;
   };
 
   /// The database whose relation versions (and sizes, for prefetch) drive
@@ -444,7 +411,6 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   std::set<std::string> local_preds_;
   Topology topology_;
   Database db_;
-  std::atomic<size_t> local_tuples_{0};
   // Debug-only occupancy count of OnRead/ReadRemote, backing the
   // ResetStats exclusivity assertion. Increments are compiled out in
   // NDEBUG builds, so the release hot path is untouched.
@@ -452,25 +418,21 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   std::vector<std::unique_ptr<SiteState>> site_states_;
   bool cache_enabled_ = false;
   const Database* cache_db_ = nullptr;
-  // Hedged-read knob and accounting (set_hedge / hedge_stats). 0 = off.
+  // Hedged-read threshold (set_hedge). 0 = off.
   uint64_t hedge_after_ = 0;
-  mutable std::atomic<uint64_t> hedges_issued_{0};
-  mutable std::atomic<uint64_t> hedges_won_{0};
-  mutable std::atomic<uint64_t> hedges_wasted_{0};
-  obs::Counter* ctr_hedge_issued_ = nullptr;
-  obs::Counter* ctr_hedge_won_ = nullptr;
-  obs::Counter* ctr_hedge_wasted_ = nullptr;
-  // Counter handles resolved once in set_metrics (registry handles are
-  // stable for the registry's lifetime), so the read path never does a
-  // name lookup.
-  obs::Counter* ctr_local_tuples_ = nullptr;
-  obs::Counter* ctr_remote_tuples_ = nullptr;
-  obs::Counter* ctr_remote_trips_ = nullptr;
-  obs::Counter* ctr_remote_failures_ = nullptr;
-  obs::Counter* ctr_cache_hits_ = nullptr;
-  obs::Counter* ctr_cache_misses_ = nullptr;
-  obs::Counter* ctr_cache_invalidations_ = nullptr;
-  obs::Histogram* hist_fill_latency_ = nullptr;
+  // The handles below are resolved once here (registry handles are stable
+  // for the registry's lifetime), so the read path never does a name
+  // lookup; the per-site ones live in SiteState.
+  obs::MetricsRegistry metrics_;
+  obs::Counter* local_tuples_ = metrics_.GetCounter("distsim.local_tuples");
+  obs::Counter* cache_misses_ = metrics_.GetCounter("distsim.cache_misses");
+  obs::Counter* cache_invalidations_ =
+      metrics_.GetCounter("distsim.cache_invalidations");
+  obs::Histogram* fill_latency_ =
+      metrics_.GetHistogram("distsim.cache_fill_latency_ns");
+  obs::Counter* hedges_issued_ = metrics_.GetCounter("manager.hedge.issued");
+  obs::Counter* hedges_won_ = metrics_.GetCounter("manager.hedge.won");
+  obs::Counter* hedges_wasted_ = metrics_.GetCounter("manager.hedge.wasted");
 };
 
 }  // namespace ccpi

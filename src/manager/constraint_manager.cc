@@ -166,85 +166,67 @@ struct ConstraintManager::Episode {
 };
 
 void ConstraintManager::InitObservability() {
-  site_.set_metrics(&metrics_);
+  obs::MetricsRegistry& m = metrics();
+  // The counters behind stats(); ResetStats zeroes exactly these.
+  auto stat = [&](const std::string& name) {
+    stat_counters_.push_back(m.GetCounter(name));
+    return stat_counters_.back();
+  };
   for (Tier tier : kAllTiers) {
     std::string suffix = TierToString(tier);
-    ctr_resolved_[TierIndex(tier)] =
-        metrics_.GetCounter("manager.resolved." + suffix);
+    ctr_resolved_[TierIndex(tier)] = stat("manager.resolved." + suffix);
     hist_check_[TierIndex(tier)] =
-        metrics_.GetHistogram("manager.check_latency_ns." + suffix);
+        m.GetHistogram("manager.check_latency_ns." + suffix);
   }
-  ctr_violations_ = metrics_.GetCounter("manager.violations");
-  ctr_remote_attempts_ = metrics_.GetCounter("manager.remote.attempts");
-  ctr_remote_retries_ = metrics_.GetCounter("manager.remote.retries");
-  ctr_remote_failures_ = metrics_.GetCounter("manager.remote.failed_episodes");
-  ctr_deferred_ = metrics_.GetCounter("manager.deferred.total");
-  ctr_fast_fails_ = metrics_.GetCounter("manager.deferred.fast_fail");
-  ctr_deferred_recovered_ = metrics_.GetCounter("manager.deferred.recovered");
-  ctr_deferred_violations_ =
-      metrics_.GetCounter("manager.deferred.violations");
-  ctr_t3_admitted_ = metrics_.GetCounter("manager.t3_admitted");
-  ctr_shed_ = metrics_.GetCounter("manager.shed_checks");
-  // Plan-cache instrumentation exists only while the cache is on, so a
-  // --plan-cache=off metrics dump stays byte-identical to the pre-cache
-  // catalog. Every increment site sits on a cache-only path, so the null
-  // handles are never dereferenced while disabled.
-  if (plan_cache_.enabled) {
-    ctr_plan_compiles_ = metrics_.GetCounter("plan.compiles");
-    ctr_plan_hits_ = metrics_.GetCounter("plan.hits");
-    ctr_plan_delta_ = metrics_.GetCounter("plan.delta_tuples");
-    hist_plan_compile_ = metrics_.GetHistogram("plan.compile_latency_ns");
+  ctr_violations_ = stat("manager.violations");
+  ctr_remote_attempts_ = stat("manager.remote.attempts");
+  ctr_remote_retries_ = stat("manager.remote.retries");
+  ctr_remote_failures_ = stat("manager.remote.failed_episodes");
+  ctr_deferred_ = stat("manager.deferred.total");
+  ctr_fast_fails_ = stat("manager.deferred.fast_fail");
+  ctr_deferred_recovered_ = stat("manager.deferred.recovered");
+  ctr_deferred_violations_ = stat("manager.deferred.violations");
+  ctr_t3_admitted_ = stat("manager.t3_admitted");
+  ctr_shed_ = stat("manager.shed_checks");
+  ctr_budget_exhausted_ = stat("manager.budget_exhausted");
+  ctr_deferred_dropped_ = stat("manager.deferred.dropped");
+  ctr_hedge_issued_ = stat("manager.hedge.issued");
+  ctr_hedge_won_ = stat("manager.hedge.won");
+  ctr_hedge_wasted_ = stat("manager.hedge.wasted");
+  ctr_latency_shed_ = stat("manager.latency_shed");
+  ctr_sites_recovered_ = stat("manager.recovery.sites");
+  ctr_cache_revalidated_ = stat("manager.recovery.revalidated");
+  for (size_t s = 0; s < site_.sites(); ++s) {
+    ctr_site_recovered_.push_back(
+        stat("manager.recovery.site" + std::to_string(s)));
   }
-  ctr_budget_exhausted_ = metrics_.GetCounter("manager.budget_exhausted");
-  ctr_deferred_dropped_ = metrics_.GetCounter("manager.deferred.dropped");
-  // Hedge counters exist only with hedging armed, and the latency-shed
-  // counter only when some site actually draws latency, so the default
-  // metrics dump stays byte-identical to the pre-hedging catalog.
-  if (remote_cache_.hedge_after > 0) {
-    ctr_hedge_issued_ = metrics_.GetCounter("manager.hedge.issued");
-    ctr_hedge_won_ = metrics_.GetCounter("manager.hedge.won");
-    ctr_hedge_wasted_ = metrics_.GetCounter("manager.hedge.wasted");
-  }
-  if (latency_aware_) {
-    ctr_latency_shed_ = metrics_.GetCounter("manager.latency_shed");
-  }
-  // Recovery counters exist only for multi-site topologies, so a 1-site
-  // manager's metrics dump stays byte-identical to the pre-topology
-  // catalog.
-  if (site_.sites() > 1) {
-    ctr_sites_recovered_ = metrics_.GetCounter("manager.recovery.sites");
-    ctr_cache_revalidated_ =
-        metrics_.GetCounter("manager.recovery.revalidated");
-    ctr_site_recovered_.resize(site_.sites());
-    for (size_t s = 0; s < site_.sites(); ++s) {
-      ctr_site_recovered_[s] =
-          metrics_.GetCounter("manager.recovery.site" + std::to_string(s));
-    }
-  }
+  ctr_plan_compiles_ = m.GetCounter("plan.compiles");
+  ctr_plan_hits_ = m.GetCounter("plan.hits");
+  ctr_plan_delta_ = m.GetCounter("plan.delta_tuples");
+  hist_plan_compile_ = m.GetHistogram("plan.compile_latency_ns");
   // Millisecond-scale bounds: the registry's default ladder is tuned for
   // nanosecond latencies, while this histogram records wall-clock budget
   // left when a deadlined episode completes.
-  hist_budget_remaining_ = metrics_.GetHistogram(
+  hist_budget_remaining_ = m.GetHistogram(
       "manager.budget_remaining_ms",
       {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000});
-  hist_apply_ = metrics_.GetHistogram("manager.apply_latency_ns");
-  hist_remote_eval_ = metrics_.GetHistogram("manager.remote_eval_latency_ns");
-  gauge_deferred_len_ = metrics_.GetGauge("manager.deferred_queue_len");
-  // Pipeline instrumentation exists only at an effective depth > 1, so a
-  // depth-1 (or budget-armed, which forces depth 1) manager's metrics
-  // dump stays byte-identical to the pre-pipeline catalog. Every
-  // increment site sits on a pipelined path, so the null handles are
-  // never dereferenced otherwise.
-  if (pipeline_.depth > 1 && !budget_armed_) {
-    ctr_pipe_admitted_ = metrics_.GetCounter("manager.pipeline.admitted");
-    ctr_pipe_committed_ = metrics_.GetCounter("manager.pipeline.committed");
-    ctr_pipe_conflicts_ = metrics_.GetCounter("manager.pipeline.conflicts");
-    ctr_pipe_retries_ = metrics_.GetCounter("manager.pipeline.retries");
-    ctr_pipe_unspeculated_ =
-        metrics_.GetCounter("manager.pipeline.unspeculated");
-    gauge_pipe_in_flight_ = metrics_.GetGauge("manager.pipeline.in_flight");
-    hist_pipe_commit_wait_ =
-        metrics_.GetHistogram("manager.pipeline.commit_wait_ns");
+  hist_apply_ = m.GetHistogram("manager.apply_latency_ns");
+  hist_remote_eval_ = m.GetHistogram("manager.remote_eval_latency_ns");
+  gauge_deferred_len_ = m.GetGauge("manager.deferred_queue_len");
+  ctr_pipe_admitted_ = m.GetCounter("manager.pipeline.admitted");
+  ctr_pipe_committed_ = m.GetCounter("manager.pipeline.committed");
+  ctr_pipe_conflicts_ = m.GetCounter("manager.pipeline.conflicts");
+  ctr_pipe_retries_ = m.GetCounter("manager.pipeline.retries");
+  ctr_pipe_unspeculated_ = m.GetCounter("manager.pipeline.unspeculated");
+  gauge_pipe_in_flight_ = m.GetGauge("manager.pipeline.in_flight");
+  hist_pipe_commit_wait_ = m.GetHistogram("manager.pipeline.commit_wait_ns");
+  // The components this manager drives count into the same registry on
+  // first use; naming them here keeps the catalog fixed from the start.
+  for (const char* name :
+       {"eval.evaluations", "eval.rule_evals", "eval.fixpoint_rounds",
+        "eval.tuples_derived", "eval.budget_checks", "ra.evaluations",
+        "ra.nodes_evaluated"}) {
+    m.GetCounter(name);
   }
 }
 
@@ -278,9 +260,7 @@ ConstraintManager::ConstraintManager(
   // uniform; only the latency distribution is per-site). Without this the
   // sites keep the default CostModel{}, which silently zeroes
   // trip_latency_us — the simulated round trips would be billed but never
-  // block, and latency-hiding machinery could not be measured. Pricing
-  // must precede InitObservability: the per-site latency histograms are
-  // registered off the priced models.
+  // block, and latency-hiding machinery could not be measured.
   const auto& latency_overrides = site_.topology().config().site_latency;
   for (size_t s = 0; s < site_.sites(); ++s) {
     CostModel priced = cost_model_;
@@ -297,8 +277,7 @@ ConstraintManager::ConstraintManager(
     site_.set_site_cost_model(s, priced);
   }
   InitObservability();
-  site_.set_hedge(remote_cache_.hedge_after, ctr_hedge_issued_,
-                  ctr_hedge_won_, ctr_hedge_wasted_);
+  site_.set_hedge(remote_cache_.hedge_after);
 }
 
 ConstraintManager::~ConstraintManager() { AbandonInflight(); }
@@ -308,28 +287,7 @@ void ConstraintManager::ResetStats() {
   // boundary; retire everything first.
   DrainInflightInternal();
   CCPI_DCHECK(inflight_.empty());
-  for (obs::Counter* c : ctr_resolved_) c->Reset();
-  ctr_violations_->Reset();
-  ctr_remote_attempts_->Reset();
-  ctr_remote_retries_->Reset();
-  ctr_remote_failures_->Reset();
-  ctr_deferred_->Reset();
-  ctr_fast_fails_->Reset();
-  ctr_deferred_recovered_->Reset();
-  ctr_deferred_violations_->Reset();
-  ctr_t3_admitted_->Reset();
-  ctr_shed_->Reset();
-  ctr_budget_exhausted_->Reset();
-  ctr_deferred_dropped_->Reset();
-  if (ctr_sites_recovered_ != nullptr) ctr_sites_recovered_->Reset();
-  if (ctr_cache_revalidated_ != nullptr) ctr_cache_revalidated_->Reset();
-  for (obs::Counter* c : ctr_site_recovered_) {
-    if (c != nullptr) c->Reset();
-  }
-  if (ctr_hedge_issued_ != nullptr) ctr_hedge_issued_->Reset();
-  if (ctr_hedge_won_ != nullptr) ctr_hedge_won_->Reset();
-  if (ctr_hedge_wasted_ != nullptr) ctr_hedge_wasted_->Reset();
-  if (ctr_latency_shed_ != nullptr) ctr_latency_shed_->Reset();
+  for (obs::Counter* c : stat_counters_) c->Reset();
 }
 
 ManagerStats ConstraintManager::stats() const {
@@ -350,17 +308,12 @@ ManagerStats ConstraintManager::stats() const {
   s.shed_checks = ctr_shed_->value();
   s.budget_exhausted = ctr_budget_exhausted_->value();
   s.deferred_dropped = ctr_deferred_dropped_->value();
-  s.sites_recovered =
-      ctr_sites_recovered_ != nullptr ? ctr_sites_recovered_->value() : 0;
-  s.cache_revalidated =
-      ctr_cache_revalidated_ != nullptr ? ctr_cache_revalidated_->value() : 0;
-  s.hedges_issued =
-      ctr_hedge_issued_ != nullptr ? ctr_hedge_issued_->value() : 0;
-  s.hedges_won = ctr_hedge_won_ != nullptr ? ctr_hedge_won_->value() : 0;
-  s.hedges_wasted =
-      ctr_hedge_wasted_ != nullptr ? ctr_hedge_wasted_->value() : 0;
-  s.latency_shed =
-      ctr_latency_shed_ != nullptr ? ctr_latency_shed_->value() : 0;
+  s.sites_recovered = ctr_sites_recovered_->value();
+  s.cache_revalidated = ctr_cache_revalidated_->value();
+  s.hedges_issued = ctr_hedge_issued_->value();
+  s.hedges_won = ctr_hedge_won_->value();
+  s.hedges_wasted = ctr_hedge_wasted_->value();
+  s.latency_shed = ctr_latency_shed_->value();
   s.access = site_.stats();
   return s;
 }
@@ -626,7 +579,7 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
           }
         } else if (sig == nullptr) {
           Result<Outcome> o = RaLocalTestOnInsert(
-              t2->rule, u.pred, u.tuple, *ctx.db, ctx.observer, &metrics_);
+              t2->rule, u.pred, u.tuple, *ctx.db, ctx.observer, &metrics());
           if (o.ok()) {
             outcome = *o;
             decided = true;
@@ -699,7 +652,7 @@ Result<Outcome> ConstraintManager::EvalPlannedRa(const RaPlanTemplate& tpl,
   }
   RecordingObserver recorder(ctx.observer);
   CCPI_ASSIGN_OR_RETURN(bool nonempty,
-                        RaNonempty(*bound, *ctx.db, &recorder, &metrics_));
+                        RaNonempty(*bound, *ctx.db, &recorder, &metrics()));
   Outcome outcome = nonempty ? Outcome::kHolds : Outcome::kUnknown;
   plans_.StoreResult(result_key,
                      PlanCache::BoundResult{outcome, std::move(recorder.reads)});
@@ -785,7 +738,7 @@ Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
       RunWithRetry(resilience_.retry, &retry_rng_, [&]() -> Status {
         EvalOptions options;
         options.observer = &site_;
-        options.metrics = &metrics_;
+        options.metrics = &metrics();
         options.budget = scope;
         // With the plan cache on, the program's evaluation-independent
         // analysis (safety, stratification, predicate partition) runs once
@@ -1136,9 +1089,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
           report.outcome = Outcome::kDeferred;
           report.reason = StatusCode::kResourceExhausted;
           ctr_shed_->Add(1);
-          if (lat_shed[k] != 0 && ctr_latency_shed_ != nullptr) {
-            ctr_latency_shed_->Add(1);
-          }
+          if (lat_shed[k] != 0) ctr_latency_shed_->Add(1);
           any_deferred = true;
           continue;
         }
@@ -1262,7 +1213,7 @@ void ConstraintManager::DetectRecoveries() {
     obs::Span span("manager.site_recovery", "manager");
     if (span.active()) span.Attr("site", static_cast<int64_t>(s));
     ctr_sites_recovered_->Add(1);
-    if (ctr_site_recovered_[s] != nullptr) ctr_site_recovered_[s]->Add(1);
+    ctr_site_recovered_[s]->Add(1);
     std::set<std::string> preds;
     for (const Registered& r : constraints_) {
       for (const std::string& pred : r.remote_edb) {

@@ -93,9 +93,9 @@ struct RemoteCacheConfig {
   /// site's observed latency EWMA, the simulator issues one deterministic
   /// backup attempt and takes the faster of the two, billing exactly one
   /// extra remote trip per issued hedge (see docs/distsim.md "Hedged
-  /// reads"). 0 (the default) disables hedging: no extra trips, no
-  /// `manager.hedge.*` counters, byte-identical behavior. Hedging only
-  /// ever engages on sites with a non-fixed latency model.
+  /// reads"). 0 (the default) disables hedging: no extra trips,
+  /// byte-identical behavior. Hedging only ever engages on sites with a
+  /// non-fixed latency model.
   uint64_t hedge_after = 0;
 };
 
@@ -191,9 +191,9 @@ struct BudgetConfig {
 };
 
 /// Aggregate statistics across updates. This is a *snapshot view*: the
-/// manager's source of truth is its obs::MetricsRegistry (see metrics()),
-/// and stats() materializes one of these from the registry's counters on
-/// each call.
+/// source of truth is the obs::MetricsRegistry the manager's site owns
+/// (see metrics()), and stats() materializes one of these from the
+/// registry's counters on each call.
 struct ManagerStats {
   std::map<Tier, size_t> resolved_by;
   size_t violations = 0;
@@ -434,12 +434,14 @@ class ConstraintManager {
   /// tiers that resolved at least one check.
   ManagerStats stats() const;
 
-  /// The manager's own metrics registry — every counter behind stats(),
-  /// plus the latency histograms and the distsim/eval/ra counters of the
-  /// components this manager drives. See docs/observability.md for the
-  /// catalog.
-  obs::MetricsRegistry& metrics() { return metrics_; }
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
+  /// The manager's metrics registry, owned by its site — every counter
+  /// behind stats(), plus the latency histograms and the
+  /// distsim/eval/ra/plan counters of the components this manager drives,
+  /// all registered at construction whatever the configuration. Per
+  /// manager, so concurrent managers (tests, benchmarks) never share
+  /// counts. See docs/observability.md for the catalog.
+  obs::MetricsRegistry& metrics() { return site_.metrics(); }
+  const obs::MetricsRegistry& metrics() const { return site_.metrics(); }
 
   /// Advances the failure-detector clocks (every site's) without applying
   /// an update (they normally tick once per ApplyUpdate). Lets an idle
@@ -480,8 +482,9 @@ class ConstraintManager {
   std::shared_ptr<const Tier2Artifacts> PrepareTier2(
       Registered* r, const std::string& local_pred);
 
-  /// Resolves the metric handles (and plugs the registry into site_).
-  /// Called once from the constructor; handles are stable thereafter.
+  /// Registers the manager's whole metric catalog in metrics() and
+  /// resolves the handles. Called once from the constructor; handles are
+  /// stable thereafter.
   void InitObservability();
 
   static size_t TierIndex(Tier tier) { return static_cast<size_t>(tier); }
@@ -692,13 +695,8 @@ class ConstraintManager {
 
   std::unique_ptr<ThreadPool> pool_;
 
-  /// Source of truth for all aggregate statistics. Per-manager, so
-  /// concurrent managers (tests, benchmarks) never share counts. site_
-  /// holds handles into this registry but only dereferences them on reads,
-  /// never in its destructor, so destruction order is harmless.
-  obs::MetricsRegistry metrics_;
-  // Handles resolved once in InitObservability; hot paths pay only the
-  // atomic increment. Indexed by TierIndex where per-tier.
+  // Handles into metrics(), resolved once in InitObservability; hot paths
+  // pay only the atomic increment. Indexed by TierIndex where per-tier.
   std::array<obs::Counter*, 5> ctr_resolved_{};
   std::array<obs::Histogram*, 5> hist_check_{};
   obs::Counter* ctr_violations_ = nullptr;
@@ -715,24 +713,20 @@ class ConstraintManager {
   obs::Counter* ctr_deferred_dropped_ = nullptr;
   obs::Counter* ctr_sites_recovered_ = nullptr;
   obs::Counter* ctr_cache_revalidated_ = nullptr;
-  /// Per-site recovery counters ("manager.recovery.site<k>"), resolved
-  /// only for multi-site topologies.
+  /// Per-site recovery counters ("manager.recovery.site<k>").
   std::vector<obs::Counter*> ctr_site_recovered_;
-  /// Hedged-read counters ("manager.hedge.*"), resolved only when
-  /// RemoteCacheConfig::hedge_after > 0 so the default metric catalog is
-  /// untouched; handed to the SiteDatabase which does the counting.
+  /// Hedged-read counters ("manager.hedge.*"), counted by the site.
   obs::Counter* ctr_hedge_issued_ = nullptr;
   obs::Counter* ctr_hedge_won_ = nullptr;
   obs::Counter* ctr_hedge_wasted_ = nullptr;
-  /// Latency-aware shed counter ("manager.latency_shed"), resolved only
-  /// when some site runs a non-fixed latency model (latency_aware_).
   obs::Counter* ctr_latency_shed_ = nullptr;
+  /// Every counter behind stats() except the site's access counters: what
+  /// ResetStats zeroes.
+  std::vector<obs::Counter*> stat_counters_;
   /// True iff any site's effective cost model draws latency (non-fixed):
-  /// the gate on the EWMA-projection shed and its counter.
+  /// the gate on the EWMA-projection shed.
   bool latency_aware_ = false;
-  /// Plan-cache instrumentation, resolved only when the cache is enabled
-  /// (every increment site is gated on a cache path, so the handles are
-  /// never dereferenced while disabled). Deliberately NOT part of stats():
+  /// Plan-cache instrumentation. Deliberately NOT part of stats():
   /// ManagerStats must stay byte-identical cache on/off.
   obs::Counter* ctr_plan_compiles_ = nullptr;
   obs::Counter* ctr_plan_hits_ = nullptr;
@@ -742,10 +736,8 @@ class ConstraintManager {
   obs::Histogram* hist_apply_ = nullptr;
   obs::Histogram* hist_remote_eval_ = nullptr;
   obs::Gauge* gauge_deferred_len_ = nullptr;
-  /// Pipeline instrumentation, resolved only when depth > 1 (every
-  /// increment site is gated on a pipelined path, so the handles are
-  /// never dereferenced at depth 1 — the depth-1 metrics catalog is
-  /// byte-identical to the pre-pipeline manager). NOT part of stats().
+  /// Pipeline instrumentation; every increment site is on a pipelined
+  /// path, so at depth 1 these read zero. NOT part of stats().
   obs::Counter* ctr_pipe_admitted_ = nullptr;
   obs::Counter* ctr_pipe_committed_ = nullptr;
   obs::Counter* ctr_pipe_conflicts_ = nullptr;

@@ -799,22 +799,11 @@ Result<ScriptReport> RunScript(const Script& script) {
     out << "PENDING " << d.update.ToString() << " " << d.constraint
         << " (remote site never answered)\n";
   }
-  const ManagerStats stats = mgr.stats();
-  report.deferred_recovered = stats.deferred_recovered;
-  report.deferred_violations = stats.deferred_violations;
+  report.stats = mgr.stats();
+  const ManagerStats& stats = report.stats;
   report.deferred_pending = mgr.deferred_queue().size();
-  report.violations = stats.violations;
   report.budget_armed =
       options.budget.armed() || options.budget.deferred_queue_cap != 0;
-  report.shed_checks = stats.shed_checks;
-  report.budget_exhausted = stats.budget_exhausted;
-  report.deferred_dropped = stats.deferred_dropped;
-  report.sites_recovered = stats.sites_recovered;
-  report.cache_revalidated = stats.cache_revalidated;
-  report.hedges_issued = stats.hedges_issued;
-  report.hedges_won = stats.hedges_won;
-  report.hedges_wasted = stats.hedges_wasted;
-  report.latency_shed = stats.latency_shed;
 
   std::ostringstream summary;
   summary << "---\n";

@@ -153,47 +153,22 @@ struct ScriptReport {
   /// Updates refused: violations plus, under DeferredPolicy::kReject,
   /// updates that could not be verified during an outage.
   size_t updates_rejected = 0;
-  /// Constraint violations detected (immediate or late via recheck).
-  size_t violations = 0;
   /// Updates with at least one check deferred because the remote site was
   /// unreachable (they were applied optimistically or refused, per the
   /// DeferredPolicy).
   size_t updates_deferred = 0;
-  /// Deferred checks re-verified as holding by end of run (including the
-  /// shutdown drain).
-  size_t deferred_recovered = 0;
-  /// Deferred checks found violated late and compensated by rollback.
-  size_t deferred_violations = 0;
   /// Deferred checks still unresolved at shutdown (remote never answered).
   size_t deferred_pending = 0;
-  /// Outage→closed recovery events observed across all sites
-  /// (ManagerStats::sites_recovered); always 0 with one site.
-  size_t sites_recovered = 0;
-  /// Poisoned cache entries revalidated during recoveries
-  /// (ManagerStats::cache_revalidated).
-  size_t cache_revalidated = 0;
   /// Whether any budget or queue bound was configured for this run; the
-  /// three counters below can only be nonzero when it is, and `ccpi_check`
+  /// budget counters of `stats` (shed_checks, budget_exhausted,
+  /// deferred_dropped) can only be nonzero when it is, and `ccpi_check`
   /// prints its "budget:" stdout line (and uses the budget exit code) only
   /// then.
   bool budget_armed = false;
-  /// Tier-3 checks shed with kResourceExhausted (ManagerStats::shed_checks).
-  size_t shed_checks = 0;
-  /// Budget-exhaustion events anywhere in the pipeline
-  /// (ManagerStats::budget_exhausted).
-  size_t budget_exhausted = 0;
-  /// Queue entries dropped by OverflowPolicy::kShedOldest
-  /// (ManagerStats::deferred_dropped).
-  size_t deferred_dropped = 0;
-  /// Hedged-read accounting (ManagerStats::hedges_*); all zero unless the
-  /// effective hedge_after threshold is nonzero. issued == won + wasted.
-  size_t hedges_issued = 0;
-  size_t hedges_won = 0;
-  size_t hedges_wasted = 0;
-  /// Tier-3 checks shed because the worst member site's latency EWMA
-  /// projected past the remaining episode deadline — a labeled subset of
-  /// shed_checks (ManagerStats::latency_shed).
-  size_t latency_shed = 0;
+  /// The manager's statistics at the end of the run, shutdown drain
+  /// included (violations immediate or late, deferred recoveries, budget,
+  /// recovery and hedge accounting).
+  ManagerStats stats;
 };
 
 /// Runs `script` under `script.options`. A configuration that fails

@@ -585,8 +585,8 @@ TEST(FaultToleranceTest, ScriptRunReportsDeferredAndRecovers) {
   // The shutdown drain re-verified everything: the hidden violation was
   // caught late and compensated.
   EXPECT_EQ(report->deferred_pending, 0u);
-  EXPECT_EQ(report->deferred_violations, 1u);
-  EXPECT_GE(report->deferred_recovered, 1u);
+  EXPECT_EQ(report->stats.deferred_violations, 1u);
+  EXPECT_GE(report->stats.deferred_recovered, 1u);
   EXPECT_NE(report->text.find("deferred:fi"), std::string::npos);
   EXPECT_NE(report->text.find("rolled back"), std::string::npos);
 }

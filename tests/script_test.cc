@@ -125,9 +125,9 @@ TEST(ScriptRunTest, BudgetShedsAreReportedDistinctlyFromDeferrals) {
   auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->budget_armed);
-  EXPECT_GT(report->shed_checks, 0u);
-  EXPECT_GT(report->budget_exhausted, 0u);
-  EXPECT_EQ(report->deferred_dropped, 0u);
+  EXPECT_GT(report->stats.shed_checks, 0u);
+  EXPECT_GT(report->stats.budget_exhausted, 0u);
+  EXPECT_EQ(report->stats.deferred_dropped, 0u);
   // A shed check reads "shed:", never "deferred:" (no site was down), and
   // stays pending: the shutdown drain re-attempts it under the same budget.
   EXPECT_NE(report->text.find(" shed:no-path-to-blocked"), std::string::npos)
@@ -144,7 +144,7 @@ TEST(ScriptRunTest, UnbudgetedRunNeverMentionsBudgets) {
   auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report->budget_armed);
-  EXPECT_EQ(report->shed_checks, 0u);
+  EXPECT_EQ(report->stats.shed_checks, 0u);
   EXPECT_EQ(report->updates_applied, 2u);
   EXPECT_EQ(report->text.find(" shed:"), std::string::npos);
   EXPECT_EQ(report->summary_text.find("budget: "), std::string::npos);
@@ -159,7 +159,7 @@ TEST(ScriptRunTest, QueueCapAloneArmsBudgetReporting) {
   auto report = RunScript(*script);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->budget_armed);
-  EXPECT_EQ(report->shed_checks, 0u);
+  EXPECT_EQ(report->stats.shed_checks, 0u);
   EXPECT_EQ(report->updates_applied, 2u);
 }
 
@@ -276,9 +276,18 @@ TEST(ScriptRunTest, PipelinedRunMatchesSerialByteForByte) {
   EXPECT_EQ(serial->text, piped->text);
 }
 
+/// The value of counter `name` in a MetricsRegistry::ToJson() dump.
+uint64_t CounterInDump(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const size_t at = json.find(key);
+  EXPECT_NE(at, std::string::npos) << name;
+  return at == std::string::npos ? 0
+                                 : std::stoull(json.substr(at + key.size()));
+}
+
 TEST(ScriptRunTest, PipelineFlagOverridesScriptDirective) {
-  // The manager.pipeline.* metric family exists exactly when the
-  // *effective* depth is > 1, so the metrics dump observes which knob won.
+  // Only an *effective* depth > 1 admits episodes into the pipeline, so
+  // manager.pipeline.admitted observes which knob won.
   const char* text =
       "pipeline 4\n"
       "local l\n"
@@ -290,14 +299,16 @@ TEST(ScriptRunTest, PipelineFlagOverridesScriptDirective) {
   script->options.collect_metrics = true;
   auto from_directive = RunScript(*script);
   ASSERT_TRUE(from_directive.ok());
-  EXPECT_NE(from_directive->metrics_json.find("manager.pipeline.admitted"),
-            std::string::npos);
+  EXPECT_GT(CounterInDump(from_directive->metrics_json,
+                          "manager.pipeline.admitted"),
+            0u);
   // A --pipeline-depth=1 flag applied after the directive wins.
   ASSERT_TRUE(ApplyOk("--pipeline-depth=1", &script->options));
   auto from_flag = RunScript(*script);
   ASSERT_TRUE(from_flag.ok());
-  EXPECT_EQ(from_flag->metrics_json.find("manager.pipeline.admitted"),
-            std::string::npos);
+  EXPECT_EQ(
+      CounterInDump(from_flag->metrics_json, "manager.pipeline.admitted"),
+      0u);
   EXPECT_EQ(from_directive->log_text, from_flag->log_text);
 }
 
@@ -604,7 +615,7 @@ TEST(ScriptRunTest, HedgeFlagOverridesScriptDirective) {
   ASSERT_TRUE(ApplyOk("--hedge-after=0", &script->options));
   auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->hedges_issued, 0u);
+  EXPECT_EQ(report->stats.hedges_issued, 0u);
   EXPECT_EQ(report->summary_text.find("hedge:"), std::string::npos);
   // Without the flag the directive takes effect: the stats block now
   // carries the hedge accounting line (all zeros on this tiny workload —

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "distsim/fault_injector.h"
 #include "distsim/site_db.h"
@@ -151,14 +152,13 @@ TEST(SiteTopologyTest, BatchedPrefetchBillsInvalidationsAndFillLatency) {
   // one miss per relation, one invalidation per stale relation, and one
   // fill-latency sample per batch trip.
   obs::SetTimingEnabled(true);
-  obs::MetricsRegistry registry;
   TopologyConfig config;
   config.sites = 2;
   config.placement["a"] = 0;
   config.placement["b"] = 0;
   config.placement["c"] = 1;
   SiteDatabase site({"l"}, config);
-  site.set_metrics(&registry);
+  obs::MetricsRegistry& registry = site.metrics();
   site.EnableRemoteCache(true);
   ASSERT_TRUE(site.db().Insert("a", {V(1)}).ok());
   ASSERT_TRUE(site.db().Insert("b", {V(2)}).ok());
@@ -226,6 +226,73 @@ TEST(SiteTopologyTest, ResetStatsClearsPerSiteCounters) {
   site.ResetStats();
   EXPECT_EQ(site.site_stats(1).remote_trips, 0u);
   EXPECT_EQ(site.stats().remote_trips, 0u);
+}
+
+// The registry is the only copy of the access counts: the `distsim.*`
+// counters read exactly what stats() reports, field by field, the
+// per-site series sum to the aggregates, and ResetStats zeroes both
+// views together — at one site as at three.
+TEST(SiteTopologyTest, RegistryCountersAreStatsAcrossResetAtAnySiteCount) {
+  for (size_t sites : {1u, 3u}) {
+    SCOPED_TRACE("sites=" + std::to_string(sites));
+    TopologyConfig config;
+    config.sites = sites;
+    config.placement["a"] = 0;
+    config.placement["b"] = sites - 1;
+    SiteDatabase site({"l"}, config);
+    site.EnableRemoteCache(true);
+    ASSERT_TRUE(site.db().Insert("a", {V(1)}).ok());
+    ASSERT_TRUE(site.db().Insert("b", {V(2)}).ok());
+    FaultInjector dark{FaultConfig{}};
+    auto read_round = [&]() {
+      EXPECT_TRUE(site.OnRead("l", 2).ok());
+      EXPECT_TRUE(site.ReadRemote("a", 1).ok());  // cold fill
+      EXPECT_TRUE(site.ReadRemote("a", 1).ok());  // cache hit
+      dark.ForceOutage(true);
+      site.set_site_fault_injector(sites - 1, &dark);
+      EXPECT_FALSE(site.ReadRemote("b", 1).ok());  // failed trip
+      site.set_site_fault_injector(sites - 1, nullptr);
+      dark.ForceOutage(false);
+      site.EnableRemoteCache(false);  // the next round fills cold again
+      site.EnableRemoteCache(true);
+    };
+    auto expect_registry_is_stats = [&]() {
+      obs::MetricsRegistry& m = site.metrics();
+      auto counter = [&](const std::string& name) {
+        return m.GetCounter(name)->value();
+      };
+      const AccessStats total = site.stats();
+      EXPECT_EQ(counter("distsim.local_tuples"), total.local_tuples);
+      const std::pair<const char*, size_t AccessStats::*> fields[] = {
+          {"remote_tuples", &AccessStats::remote_tuples},
+          {"remote_trips", &AccessStats::remote_trips},
+          {"remote_failures", &AccessStats::remote_failures},
+          {"cache_hits", &AccessStats::cache_hits},
+          {"cached_tuples", &AccessStats::cached_tuples}};
+      for (const auto& [name, field] : fields) {
+        SCOPED_TRACE(name);
+        EXPECT_EQ(counter(std::string("distsim.") + name), total.*field);
+        uint64_t per_site_sum = 0;
+        for (size_t k = 0; k < sites; ++k) {
+          const uint64_t v = counter("distsim.site" + std::to_string(k) +
+                                     "." + name);
+          EXPECT_EQ(v, site.site_stats(k).*field);
+          per_site_sum += v;
+        }
+        EXPECT_EQ(per_site_sum, total.*field);
+      }
+    };
+    read_round();
+    EXPECT_EQ(site.stats().remote_trips, 2u);
+    EXPECT_EQ(site.stats().cache_hits, 1u);
+    expect_registry_is_stats();
+    site.ResetStats();
+    EXPECT_EQ(site.stats().remote_trips, 0u);
+    expect_registry_is_stats();
+    read_round();
+    EXPECT_EQ(site.stats().remote_failures, 1u);
+    expect_registry_is_stats();
+  }
 }
 
 }  // namespace

@@ -204,8 +204,8 @@ int main(int argc, char** argv) {
     // Machine-parseable budget accounting, printed only for budgeted runs
     // so unbudgeted stdout stays byte-identical to earlier releases.
     std::printf("budget: %zu shed, %zu exhausted, %zu dropped\n",
-                report->shed_checks, report->budget_exhausted,
-                report->deferred_dropped);
+                report->stats.shed_checks, report->stats.budget_exhausted,
+                report->stats.deferred_dropped);
   }
 
   if (!trace_out.empty()) {
@@ -226,9 +226,9 @@ int main(int argc, char** argv) {
   // exhaustion (the run was cut short, so "no violation" is qualified);
   // then checks still pending on the remote site — or updates refused
   // because it was unreachable — as their own signal.
-  if (report->violations > 0) return 3;
-  if (report->shed_checks > 0 || report->budget_exhausted > 0 ||
-      report->deferred_dropped > 0) {
+  if (report->stats.violations > 0) return 3;
+  if (report->stats.shed_checks > 0 || report->stats.budget_exhausted > 0 ||
+      report->stats.deferred_dropped > 0) {
     return 5;
   }
   if (report->deferred_pending > 0 || report->updates_rejected > 0) return 4;
