@@ -5,6 +5,7 @@
 // implementations as |L| grows:
 //   * the compiled Fig 6.1 datalog program, evaluated semi-naively,
 //   * the direct IntervalSet computation (what a hand-written checker does),
+//     keyed and key-free: a keyed test reads only the inserted key's group,
 //   * the general Theorem 5.2 reduction-containment test.
 // All three decide the same relation (asserted during the run).
 
@@ -116,6 +117,34 @@ void BM_DirectIntervalSet(benchmark::State& state) {
   state.counters["|L|"] = static_cast<double>(n);
 }
 BENCHMARK(BM_DirectIntervalSet)->RangeMultiplier(2)->Range(4, 4096);
+
+void BM_DirectIntervalSetKeyed(benchmark::State& state) {
+  // n rows in fixed 50-row key groups: the test probes the inserted key's
+  // group, so rows_read stays 50 however large L grows.
+  constexpr size_t kGroup = 50;
+  size_t n = static_cast<size_t>(state.range(0));
+  auto rule = ParseRule("panic :- l(K,X,Y) & r(K,Z) & X <= Z & Z <= Y");
+  CCPI_CHECK(rule.ok());
+  auto comp = CompileIcq(*rule, "l");
+  CCPI_CHECK(comp.ok());
+  Relation local(3);
+  for (size_t i = 0; i < n; ++i) {
+    int64_t lo = static_cast<int64_t>(2 * (i % kGroup));
+    local.Insert({V(static_cast<int64_t>(i / kGroup)), V(lo), V(lo + 3)});
+  }
+  local.FreezeIndexes();
+  Tuple t = {V(static_cast<int64_t>(n / kGroup / 2)), V(1),
+             V(static_cast<int64_t>(2 * kGroup))};
+  size_t rows_read = 0;
+  for (auto _ : state) {
+    auto outcome = IcqDirectTestOnInsert(*comp, local, t, &rows_read);
+    CCPI_CHECK(outcome.ok() && *outcome == Outcome::kHolds);
+    benchmark::DoNotOptimize(*outcome);
+  }
+  state.counters["|L|"] = static_cast<double>(n);
+  state.counters["rows_read"] = static_cast<double>(rows_read);
+}
+BENCHMARK(BM_DirectIntervalSetKeyed)->RangeMultiplier(10)->Range(100, 100000);
 
 void BM_Theorem52Reduction(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

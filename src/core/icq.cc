@@ -71,6 +71,40 @@ bool InvolvesVar(const Comparison& c, const std::string& var) {
          (c.rhs.is_var() && c.rhs.var() == var);
 }
 
+/// Compiles the branch's local atom, and every term it reads through that
+/// atom, to column slots. After simplification each such term is a
+/// constant or a local variable: the only non-local variable is Z.
+void CompileSlots(IcqBranch* branch) {
+  LocalPattern& p = branch->slots;
+  std::map<std::string, size_t> first;  // variable -> first column
+  for (size_t col = 0; col < branch->local.args.size(); ++col) {
+    const Term& arg = branch->local.args[col];
+    if (arg.is_const()) {
+      p.constants.emplace_back(col, arg.constant());
+      continue;
+    }
+    auto [it, inserted] = first.emplace(arg.var(), col);
+    if (!inserted) p.repeats.emplace_back(it->second, col);
+  }
+  auto slot = [&first](const Term& t) {
+    LocalSlot s;
+    if (t.is_const()) {
+      s.constant = t.constant();
+    } else {
+      s.col = first.at(t.var());
+    }
+    return s;
+  };
+  for (const Comparison& f : branch->local_filters) {
+    p.filters.push_back(LocalPattern::Filter{slot(f.lhs), f.op, slot(f.rhs)});
+  }
+  for (const BoundSpec& b : branch->lowers) p.lowers.push_back(slot(b.term));
+  for (const BoundSpec& b : branch->uppers) p.uppers.push_back(slot(b.term));
+  for (const std::string& v : branch->key_vars) {
+    p.key_cols.push_back(first.at(v));
+  }
+}
+
 }  // namespace
 
 Result<bool> IsIndependentlyConstrained(const Rule& rule,
@@ -185,75 +219,66 @@ Result<std::vector<IcqBranch>> AnalyzeForbiddenIntervals(
           return Status::Internal("unexpected =/<> after normalization");
       }
     }
-    if (!dead) branches.push_back(std::move(branch));
+    if (dead) continue;
+    CompileSlots(&branch);
+    branches.push_back(std::move(branch));
   }
   return branches;
 }
 
 namespace {
 
-/// Unifies s with the branch's local pattern; returns the variable binding
-/// or nullopt on mismatch.
-std::optional<std::map<std::string, Value>> MatchLocal(const Atom& local,
-                                                       const Tuple& s) {
-  if (local.args.size() != s.size()) return std::nullopt;
-  std::map<std::string, Value> binding;
-  for (size_t i = 0; i < s.size(); ++i) {
-    const Term& arg = local.args[i];
-    if (arg.is_const()) {
-      if (!(arg.constant() == s[i])) return std::nullopt;
-    } else {
-      auto [it, inserted] = binding.emplace(arg.var(), s[i]);
-      if (!inserted && !(it->second == s[i])) return std::nullopt;
-    }
+bool MatchesPattern(const IcqBranch& branch, const Tuple& s) {
+  if (s.size() != branch.local.args.size()) return false;
+  for (const auto& [col, value] : branch.slots.constants) {
+    if (!(s[col] == value)) return false;
   }
-  return binding;
-}
-
-Value EvalTerm(const Term& t, const std::map<std::string, Value>& binding) {
-  if (t.is_const()) return t.constant();
-  return binding.at(t.var());
+  for (const auto& [a, b] : branch.slots.repeats) {
+    if (!(s[a] == s[b])) return false;
+  }
+  return true;
 }
 
 }  // namespace
 
 std::optional<Interval> ForbiddenInterval(const IcqBranch& branch,
                                           const Tuple& s) {
-  std::optional<std::map<std::string, Value>> binding =
-      MatchLocal(branch.local, s);
-  if (!binding.has_value()) return std::nullopt;
-  for (const Comparison& f : branch.local_filters) {
-    if (!EvalCmp(EvalTerm(f.lhs, *binding), f.op,
-                 EvalTerm(f.rhs, *binding))) {
-      return std::nullopt;
-    }
+  if (!MatchesPattern(branch, s)) return std::nullopt;
+  const LocalPattern& p = branch.slots;
+  for (const LocalPattern::Filter& f : p.filters) {
+    if (!EvalCmp(f.lhs.Of(s), f.op, f.rhs.Of(s))) return std::nullopt;
   }
   Interval interval = Interval::All();
-  for (const BoundSpec& b : branch.lowers) {
-    Bound candidate = b.closed ? Bound::Closed(EvalTerm(b.term, *binding))
-                               : Bound::Open(EvalTerm(b.term, *binding));
+  for (size_t i = 0; i < p.lowers.size(); ++i) {
+    const Value& v = p.lowers[i].Of(s);
+    Bound candidate =
+        branch.lowers[i].closed ? Bound::Closed(v) : Bound::Open(v);
     // The forbidden region's lower end is the MAX of the lower bounds; on
     // ties the open (strict) bound is the more restrictive one and wins.
     if (LowerBoundLess(interval.lo, candidate)) interval.lo = candidate;
   }
-  for (const BoundSpec& b : branch.uppers) {
-    Bound candidate = b.closed ? Bound::Closed(EvalTerm(b.term, *binding))
-                               : Bound::Open(EvalTerm(b.term, *binding));
+  for (size_t i = 0; i < p.uppers.size(); ++i) {
+    const Value& v = p.uppers[i].Of(s);
+    Bound candidate =
+        branch.uppers[i].closed ? Bound::Closed(v) : Bound::Open(v);
     if (UpperBoundLess(candidate, interval.hi)) interval.hi = candidate;
   }
   return interval;
 }
 
 Tuple KeyOf(const IcqBranch& branch, const Tuple& s) {
-  std::optional<std::map<std::string, Value>> binding =
-      MatchLocal(branch.local, s);
-  CCPI_CHECK(binding.has_value());
+  CCPI_CHECK(MatchesPattern(branch, s));
   Tuple key;
-  key.reserve(branch.key_vars.size());
-  for (const std::string& v : branch.key_vars) {
-    key.push_back(binding->at(v));
-  }
+  key.reserve(branch.slots.key_cols.size());
+  for (size_t col : branch.slots.key_cols) key.push_back(s[col]);
   return key;
+}
+
+bool SameKey(const IcqBranch& branch, const Tuple& a, const Tuple& b) {
+  for (size_t col : branch.slots.key_cols) {
+    if (!(a[col] == b[col])) return false;
+  }
+  return true;
 }
 
 }  // namespace ccpi

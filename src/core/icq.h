@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arith/solver.h"
@@ -27,6 +28,35 @@ struct BoundSpec {
   bool closed = false;
 };
 
+/// A term of a branch read against a local tuple s: s[col] for a local
+/// variable (the column of its first occurrence in the local atom), or a
+/// constant.
+struct LocalSlot {
+  static constexpr size_t kConstant = static_cast<size_t>(-1);
+  size_t col = kConstant;
+  Value constant;
+
+  const Value& Of(const Tuple& s) const {
+    return col == kConstant ? constant : s[col];
+  }
+};
+
+/// A branch's local atom and the terms read through it, compiled to column
+/// slots, so matching a local tuple allocates no variable binding.
+struct LocalPattern {
+  std::vector<std::pair<size_t, Value>> constants;  // s[col] == value
+  std::vector<std::pair<size_t, size_t>> repeats;   // s[a] == s[b]
+  struct Filter {
+    LocalSlot lhs;
+    CmpOp op;
+    LocalSlot rhs;
+  };
+  std::vector<Filter> filters;     // IcqBranch::local_filters
+  std::vector<LocalSlot> lowers;   // parallel to IcqBranch::lowers
+  std::vector<LocalSlot> uppers;   // parallel to IcqBranch::uppers
+  std::vector<size_t> key_cols;    // parallel to IcqBranch::key_vars
+};
+
 /// One branch of the forbidden-interval analysis (the = and <> elimination
 /// of Theorem 6.1's proof may split the ICQ into several branches whose
 /// tests must ALL pass).
@@ -44,6 +74,9 @@ struct IcqBranch {
   /// "key" on which intervals from different local tuples may be combined
   /// (coverage only transfers between tuples that agree on these joins).
   std::vector<std::string> key_vars;
+  /// Everything above that reads the local tuple, as column slots of
+  /// `local` (filled by AnalyzeForbiddenIntervals).
+  LocalPattern slots;
 };
 
 /// Decomposes a forbidden-interval ICQ (an ICQ with at most one remote
@@ -65,6 +98,9 @@ std::optional<Interval> ForbiddenInterval(const IcqBranch& branch,
 /// The key values of `s` under the branch (valid when ForbiddenInterval
 /// returned a value).
 Tuple KeyOf(const IcqBranch& branch, const Tuple& s);
+
+/// True iff `a` and `b` agree on the branch's key columns.
+bool SameKey(const IcqBranch& branch, const Tuple& a, const Tuple& b);
 
 }  // namespace ccpi
 

@@ -1,7 +1,5 @@
 #include "core/icq_compiler.h"
 
-#include <map>
-
 #include "eval/engine.h"
 #include "util/check.h"
 
@@ -278,6 +276,7 @@ Result<IcqCompilation> CompileIcq(const Rule& rule,
       EmitBasisRules(b, &comp.interval_program);
     }
     EmitMergeRules(key_arity, &comp.interval_program);
+    if (key_arity > 0) comp.key_col = comp.branches[0].slots.key_cols[0];
   }
   return comp;
 }
@@ -324,35 +323,68 @@ Result<Outcome> IcqLocalTestOnInsert(const IcqCompilation& comp,
 
 Result<Outcome> IcqDirectTestOnInsert(const IcqCompilation& comp,
                                       const Relation& local_relation,
-                                      const Tuple& t) {
+                                      const Tuple& t, size_t* rows_read) {
+  return IcqDirectTestOnInsert(comp, local_relation, VerifiedOverlay(), t,
+                               rows_read);
+}
+
+Result<Outcome> IcqDirectTestOnInsert(const IcqCompilation& comp,
+                                      const Relation& local_relation,
+                                      const VerifiedOverlay& pending,
+                                      const Tuple& t, size_t* rows_read) {
+  size_t unused = 0;
+  size_t& read = rows_read != nullptr ? *rows_read : unused;
+  read = 0;
   if (comp.branches.empty()) return Outcome::kHolds;
   if (t.size() != comp.local_arity) {
     return Status::InvalidArgument("inserted tuple arity mismatch");
   }
-  if (comp.branches[0].remotes.empty()) {
-    for (const IcqBranch& b : comp.branches) {
-      std::optional<Interval> target = ForbiddenInterval(b, t);
-      if (target.has_value() && !target->Empty()) return Outcome::kViolated;
-    }
-    return Outcome::kHolds;
-  }
-
-  // Forbidden intervals of every local tuple across all branches, keyed by
-  // the join values.
-  std::map<Tuple, IntervalSet> by_key;
-  for (const Tuple& s : local_relation.rows()) {
-    for (const IcqBranch& b : comp.branches) {
-      std::optional<Interval> interval = ForbiddenInterval(b, s);
-      if (interval.has_value()) {
-        by_key[KeyOf(b, s)].Add(*interval);
-      }
-    }
-  }
+  std::vector<std::optional<Interval>> targets;
+  targets.reserve(comp.branches.size());
+  bool any_target = false;
   for (const IcqBranch& b : comp.branches) {
     std::optional<Interval> target = ForbiddenInterval(b, t);
-    if (!target.has_value() || target->Empty()) continue;
-    auto it = by_key.find(KeyOf(b, t));
-    if (it == by_key.end() || !it->second.Covers(*target)) {
+    if (target.has_value() && target->Empty()) target.reset();
+    any_target = any_target || target.has_value();
+    targets.push_back(std::move(target));
+  }
+  if (!any_target) return Outcome::kHolds;
+  if (comp.branches[0].remotes.empty()) return Outcome::kViolated;
+  // No tuple of another arity matches the local atom.
+  if (local_relation.arity() != t.size()) return Outcome::kUnknown;
+
+  // The union, over every branch, of the forbidden intervals of the local
+  // tuples in t's key group. Every branch shares the local atom and key, so
+  // t matched the pattern and one key check serves all branches.
+  const IcqBranch& shape = comp.branches[0];
+  IntervalSet covered;
+  auto add = [&](const Tuple& s) {
+    if (!SameKey(shape, s, t)) return;
+    for (const IcqBranch& b : comp.branches) {
+      std::optional<Interval> interval = ForbiddenInterval(b, s);
+      if (interval.has_value()) covered.Add(std::move(*interval));
+    }
+  };
+  const std::vector<Tuple>& rows = local_relation.rows();
+  auto visit = [&](const Tuple& s) {
+    ++read;
+    if (pending.empty() || pending.count(s) == 0) add(s);
+  };
+  if (comp.key_col.has_value()) {
+    for (size_t i : local_relation.Probe(*comp.key_col, t[*comp.key_col])) {
+      visit(rows[i]);
+    }
+  } else {
+    for (const Tuple& s : rows) visit(s);
+  }
+  for (const auto& [s, verified] : pending) {
+    if (!verified || !SameKey(shape, s, t)) continue;
+    ++read;
+    add(s);
+  }
+
+  for (const std::optional<Interval>& target : targets) {
+    if (target.has_value() && !covered.Covers(*target)) {
       return Outcome::kUnknown;
     }
   }

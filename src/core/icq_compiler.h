@@ -1,7 +1,9 @@
 #ifndef CCPI_CORE_ICQ_COMPILER_H_
 #define CCPI_CORE_ICQ_COMPILER_H_
 
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/icq.h"
@@ -29,7 +31,18 @@ struct IcqCompilation {
   /// branch, as in the proof of Theorem 6.1) plus the recursive merge
   /// rules (rule (2) of Fig 6.1 across all end-kind combinations).
   Program interval_program;
+  /// The column of the first key variable in the shared local atom: only
+  /// local tuples with the inserted tuple's value there can cover it.
+  /// nullopt for a constraint with no key variable, whose group is all of
+  /// the local relation.
+  std::optional<size_t> key_col;
 };
+
+/// The verified view of a local relation while some of its updates are
+/// still unverified (applied optimistically, their checks deferred). Each
+/// such tuple maps to its membership in the verified state: false for a
+/// pending insert, true for a pending delete.
+using VerifiedOverlay = std::unordered_map<Tuple, bool, TupleHash>;
 
 /// Compiles a forbidden-interval ICQ. Fails with Unsupported when the
 /// constraint has two or more remote variables.
@@ -44,12 +57,24 @@ Result<IcqCompilation> CompileIcq(const Rule& rule,
 Result<Outcome> IcqLocalTestOnInsert(const IcqCompilation& comp,
                                      const Database& db, const Tuple& t);
 
-/// The same test computed directly with IntervalSet (no datalog) — the
-/// fast path, and the oracle the compiled program is property-tested
-/// against.
+/// The same test computed directly with IntervalSet (no datalog), the
+/// fast path. Only t's key group can cover t, so it reads the rows that
+/// Relation::Probe(key_col, t[key_col]) returns (all rows when the
+/// constraint has no key): O(|group| * branches). `rows_read`, when given,
+/// receives the number of local tuples read.
 Result<Outcome> IcqDirectTestOnInsert(const IcqCompilation& comp,
                                       const Relation& local_relation,
-                                      const Tuple& t);
+                                      const Tuple& t,
+                                      size_t* rows_read = nullptr);
+
+/// The same test over the verified view of `local_relation`: tuples that
+/// `pending` marks unverified never serve as coverage, and pending
+/// deletes with t's key still do.
+Result<Outcome> IcqDirectTestOnInsert(const IcqCompilation& comp,
+                                      const Relation& local_relation,
+                                      const VerifiedOverlay& pending,
+                                      const Tuple& t,
+                                      size_t* rows_read = nullptr);
 
 }  // namespace ccpi
 

@@ -505,37 +505,30 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
       // serve as evidence (e.g. interval coverage) for accepting further
       // updates: one unverified insert could otherwise launder
       // arbitrarily many dependents past the local test, and its late
-      // rollback would leave them standing unchecked.
-      const Relation* local = &ctx.db->Get(u.pred, u.tuple.size());
-      bool has_pending = false;
+      // rollback would leave them standing unchecked. The overlay names
+      // the pending tuples; later queue entries win.
+      const Relation& live = ctx.db->Get(u.pred, u.tuple.size());
+      VerifiedOverlay pending;
       for (const DeferredCheck& d : *ctx.deferred) {
-        has_pending = has_pending || d.update.pred == u.pred;
-      }
-      Relation verified(u.tuple.size());
-      if (has_pending) {
-        verified = *local;
-        for (const DeferredCheck& d : *ctx.deferred) {
-          if (d.update.pred != u.pred) continue;
-          if (d.update.kind == Update::Kind::kInsert) {
-            verified.Erase(d.update.tuple);
-          } else {
-            verified.Insert(d.update.tuple);
-          }
+        if (d.update.pred == u.pred) {
+          pending[d.update.tuple] = d.update.kind != Update::Kind::kInsert;
         }
-        local = &verified;
       }
+      const bool has_pending = !pending.empty();
       Outcome outcome = Outcome::kUnknown;
       bool decided = false;
 
       // Fastest applicable method first: the Fig 6.1 interval machinery,
       // then the Theorem 5.3 RA test, then the general Theorem 5.2 test.
       if (t2->icq.has_value()) {
-        Result<Outcome> o = IcqDirectTestOnInsert(*t2->icq, *local, u.tuple);
+        size_t rows_read = 0;
+        Result<Outcome> o = IcqDirectTestOnInsert(*t2->icq, live, pending,
+                                                  u.tuple, &rows_read);
         if (o.ok()) {
           outcome = *o;
           decided = true;
-          // One pass over L, always a local read.
-          CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, local->size()));
+          // t's key group only, always a local read.
+          CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, rows_read));
         }
       }
       if (!decided && t2->arithmetic_free && !has_pending) {
@@ -587,6 +580,21 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
         }
       }
       if (!decided && t2->cqc.has_value()) {
+        // The Theorem 5.2 test reads all of L, so only it pays for a
+        // verified copy.
+        Relation verified(u.tuple.size());
+        const Relation* local = &live;
+        if (has_pending) {
+          verified = live;
+          for (const auto& [tuple, present] : pending) {
+            if (present) {
+              verified.Insert(tuple);
+            } else {
+              verified.Erase(tuple);
+            }
+          }
+          local = &verified;
+        }
         Result<LocalTestResult> o =
             CompleteLocalTestOnInsert(*t2->cqc, u.tuple, *local);
         if (o.ok()) {

@@ -161,6 +161,47 @@ TEST(FaultToleranceTest, DeletingAnUnverifiedTupleDropsItsRecheck) {
   EXPECT_FALSE(rig.mgr.site().db().Contains("l", {V(1), V(5)}));
 }
 
+TEST(FaultToleranceTest, UnverifiedTupleNeverServesAsCoverage) {
+  FaultInjector injector{FaultConfig{}};
+  ConstraintManager mgr({"reserved"}, CostModel{});
+  ASSERT_TRUE(mgr.AddConstraint(
+                     "fi", MustParse("panic :- reserved(P,Lo,Hi) & "
+                                     "order(P,Q) & Lo <= Q & Q <= Hi"))
+                  .ok());
+  mgr.site().set_site_fault_injector(0, &injector);
+  ASSERT_TRUE(mgr.site().db().Insert("order", {V("p"), V(1000)}).ok());
+  const Update wide = Update::Insert("reserved", {V("p"), V(0), V(100)});
+  const Update inner = Update::Insert("reserved", {V("p"), V(10), V(20)});
+
+  injector.ForceOutage(true);
+  auto first = mgr.ApplyUpdate(wide);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(OutcomeOf(*first, "fi"), Outcome::kDeferred);
+  ASSERT_TRUE(mgr.site().db().Contains("reserved", wide.tuple));
+  // The optimistically applied [0,100] covers [10,20] in key p, but it is
+  // unverified: the insert must wait for the remote check, not settle
+  // at tier 2 on its evidence.
+  auto second = mgr.ApplyUpdate(inner);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(second->size(), 1u);
+  EXPECT_NE((*second)[0].tier, Tier::kLocalTest);
+  EXPECT_EQ((*second)[0].outcome, Outcome::kDeferred);
+  ASSERT_TRUE(mgr.ApplyUpdate(Update::Delete("reserved", inner.tuple)).ok());
+
+  injector.ForceOutage(false);
+  for (int i = 0; i < 20 && !mgr.deferred_queue().empty(); ++i) {
+    ASSERT_TRUE(mgr.ApplyUpdate(Update::Insert("audit", {V(i)})).ok());
+  }
+  ASSERT_TRUE(mgr.deferred_queue().empty());
+  ASSERT_EQ(mgr.stats().deferred_recovered, 1u);
+  // Re-verified, the same row now proves the same insert safe locally.
+  auto third = mgr.ApplyUpdate(inner);
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  ASSERT_EQ(third->size(), 1u);
+  EXPECT_EQ((*third)[0].tier, Tier::kLocalTest);
+  EXPECT_EQ((*third)[0].outcome, Outcome::kHolds);
+}
+
 TEST(FaultToleranceTest, RejectPolicyRefusesUnverifiableUpdates) {
   ResilienceConfig resilience;
   resilience.on_unreachable = DeferredPolicy::kReject;

@@ -154,6 +154,28 @@ TEST(ManagerTest, AccessAccountingSeparatesSites) {
   EXPECT_GT(mgr.stats().access.local_tuples, after_seed.local_tuples);
 }
 
+TEST(ManagerTest, Fig61TestBillsOnlyTheInsertedKeyGroup) {
+  ConstraintManager mgr({"l"}, CostModel{});
+  ASSERT_TRUE(mgr.AddConstraint(
+                     "fi", MustParse("panic :- l(K,X,Y) & r(K,Z) & "
+                                     "X <= Z & Z <= Y"))
+                  .ok());
+  // Three keys with four intervals each: [0,5], [10,15], [20,25], [30,35].
+  for (int k = 0; k < 3; ++k) {
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(
+          mgr.site().db().Insert("l", {V(k), V(10 * i), V(10 * i + 5)}).ok());
+    }
+  }
+  AccessStats before = mgr.stats().access;
+  auto reports = mgr.ApplyUpdate(Update::Insert("l", {V(1), V(11), V(14)}));
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  EXPECT_EQ(TierOf(*reports, "fi"), Tier::kLocalTest);
+  EXPECT_EQ(OutcomeOf(*reports, "fi"), Outcome::kHolds);
+  // Only key 1's four rows can cover the insert, and only they are read.
+  EXPECT_EQ(mgr.stats().access.local_tuples - before.local_tuples, 4u);
+}
+
 // --- Episode pipeline scheduler --------------------------------------------
 
 /// A depth-4 pipelined manager over one local and one remote predicate.

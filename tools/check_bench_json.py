@@ -498,6 +498,34 @@ def check_ra_kernels(path, doc, problems):
                  f"path regressed end-to-end evaluation)", problems)
 
 
+# fig61_intervals: the keyed direct Fig 6.1 test reads only the inserted
+# tuple's key group, so every |L| row must read exactly its 50-row group.
+# A count, not a timing, so the check is exact in quick mode too.
+FIG61_KEYED_SIZES = (100, 1000, 10000, 100000)
+FIG61_KEYED_GROUP = 50
+
+
+def check_fig61_intervals(path, doc, problems):
+    rows = {p["name"]: p for p in doc.get("points", [])
+            if isinstance(p, dict) and p.get("kind") == "benchmark"
+            and isinstance(p.get("name"), str)}
+    for size in FIG61_KEYED_SIZES:
+        name = f"BM_DirectIntervalSetKeyed/{size}"
+        point = rows.get(name)
+        if point is None:
+            fail(path, f"fig61_intervals: missing benchmark row {name!r}",
+                 problems)
+            continue
+        metrics = point.get("metrics")
+        if not isinstance(metrics, dict):
+            continue  # already reported by check_point
+        read = metrics.get("rows_read")
+        if read != FIG61_KEYED_GROUP:
+            fail(path, f"fig61_intervals: {name!r} rows_read is {read!r}, "
+                 f"want {FIG61_KEYED_GROUP} (the key group, not all of L)",
+                 problems)
+
+
 def check_file(path, problems):
     try:
         with open(path, encoding="utf-8") as f:
@@ -539,6 +567,8 @@ def check_file(path, problems):
         check_episode_pipeline(path, doc, problems)
     if doc.get("name") == "ra_kernels":
         check_ra_kernels(path, doc, problems)
+    if doc.get("name") == "fig61_intervals":
+        check_fig61_intervals(path, doc, problems)
 
 
 def main(argv):
