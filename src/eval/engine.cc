@@ -224,6 +224,8 @@ class RuleEval {
         }
       }
     }
+    // `t` lives in the row store, which the recursion below may grow and
+    // reallocate: it is read only before recursing.
     auto try_tuple = [&](const Tuple& t) {
       Env extended = *env;
       for (size_t i = 0; i < atom.args.size(); ++i) {
@@ -242,60 +244,29 @@ class RuleEval {
       Step(&extended, remaining);
     };
     // A recursive rule may insert into `rel` while we scan it (the head
-    // predicate can occur in its own body), which invalidates index
-    // postings and may reallocate the row store. Copy postings and access
-    // rows by index so growth during the scan is harmless.
-    //
-    // A columnar segment is the exception that skips all of that: only
-    // frozen relations carry one (FreezeIndexes builds it, any mutation
-    // drops it), and only EDB relations are frozen — the IDB relations a
-    // recursive rule grows never have a segment. Holding the segment
-    // pins an immutable snapshot, so postings bind by reference and rows
-    // enumerate without a single per-row Tuple copy.
-    std::shared_ptr<const ColumnarSegment> seg = rel->columnar_segment();
+    // predicate can occur in its own body). Inserts only append — to the
+    // row store and to index postings — so the scan fixes its length up
+    // front and reads by position: rows appended during the scan are not
+    // visited, and a reallocation behind a posting or the row store never
+    // invalidates a position. No posting or row is copied.
+    const std::vector<Tuple>& rows = rel->rows();
     if (probe_col < atom.args.size()) {
-      if (seg != nullptr) {
-        const std::vector<size_t>& posting =
-            rel->Probe(probe_col, probe_val);
-        if (!Observe(atom.pred, posting.size())) {
-          *env = saved;
-          return;
-        }
-        for (size_t row : posting) {
-          if (!status_.ok()) break;
-          try_tuple(rel->rows()[row]);
-        }
-      } else {
-        std::vector<size_t> posting = rel->Probe(probe_col, probe_val);
-        if (!Observe(atom.pred, posting.size())) {
-          *env = saved;
-          return;
-        }
-        for (size_t row : posting) {
-          if (!status_.ok()) break;
-          Tuple t = rel->rows()[row];
-          try_tuple(t);
-        }
-      }
-    } else {
-      size_t limit = rel->size();
-      if (!Observe(atom.pred, limit)) {
+      const std::vector<size_t>& posting = rel->Probe(probe_col, probe_val);
+      const size_t n = posting.size();
+      if (!Observe(atom.pred, n)) {
         *env = saved;
         return;
       }
-      if (seg != nullptr) {
-        const std::vector<Tuple>& rows = rel->rows();
-        for (size_t i = 0; i < limit; ++i) {
-          if (!status_.ok()) break;
-          try_tuple(rows[i]);
-        }
-      } else {
-        for (size_t i = 0; i < limit; ++i) {
-          if (!status_.ok()) break;
-          Tuple t = rel->rows()[i];
-          try_tuple(t);
-        }
+      for (size_t i = 0; i < n && status_.ok(); ++i) {
+        try_tuple(rows[posting[i]]);
       }
+    } else {
+      const size_t n = rel->size();
+      if (!Observe(atom.pred, n)) {
+        *env = saved;
+        return;
+      }
+      for (size_t i = 0; i < n && status_.ok(); ++i) try_tuple(rows[i]);
     }
     *env = saved;
   }

@@ -1062,11 +1062,6 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
       }
       return Status::OK();
     };
-    if (parallel_t3 || Relation::ColumnarEnabled()) {
-      // The tentative apply dirtied u.pred; re-freeze so tier 3 reads
-      // built indexes (and, columnar on, fresh segments).
-      site_.db().FreezeIndexes();
-    }
     if (parallel_t3) {
       CCPI_RETURN_IF_ERROR(pool_->ParallelFor(need_full.size(), check_remote));
     }
@@ -1548,9 +1543,12 @@ Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
       Relation::ColumnarEnabled()) {
     // Build every column index up front so checker threads mostly take the
     // shared (reader) path through Relation::Probe. With the columnar path
-    // on, freezing also builds the segments the scan/join kernels dispatch
-    // on — sequential runs want that too (freezing is stats-invisible: it
-    // charges no accesses and draws no faults).
+    // on, freezing also gives the scan/join kernels their segments (the
+    // first freeze builds them, the first reader after a write rebuilds
+    // them) — sequential runs want that too. Writes keep frozen relations'
+    // indexes current, so after the first episode this builds nothing
+    // (freezing is stats-invisible: it charges no accesses and draws no
+    // faults).
     ctx.db->FreezeIndexes();
   }
   CCPI_RETURN_IF_ERROR(pool->ParallelFor(n, check));

@@ -22,9 +22,9 @@ using PositionList = std::vector<uint32_t>;
 /// cannot include it; ra_eval maps between the two with a trivial switch).
 enum class ScanOp { kLt, kLe, kGt, kGe, kEq, kNe };
 
-/// An immutable columnar image of one relation, built when the relation is
-/// frozen for a read phase (Relation::FreezeIndexes) and dropped by the
-/// next mutation.
+/// An immutable columnar image of one frozen relation: built by its first
+/// Relation::FreezeIndexes, dropped by the next mutation, and rebuilt by
+/// the first Relation::columnar_segment() call after it.
 ///
 /// Layout (hyrise-style typed segments): each column is either
 ///   - kInt64:  the raw int64 payload, one contiguous array — scans are

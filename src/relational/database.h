@@ -72,9 +72,10 @@ class Database {
   /// Total number of tuples across all relations.
   size_t TotalTuples() const;
 
-  /// Eagerly builds every column index of every relation (see
-  /// Relation::FreezeIndexes), so a parallel read phase that follows never
-  /// contends on lazy index builds.
+  /// Freezes every relation (see Relation::FreezeIndexes): builds the
+  /// column indexes that are missing, so a parallel read phase that follows
+  /// never contends on lazy index builds. Writes keep frozen relations'
+  /// indexes current, so re-freezing after them builds nothing.
   void FreezeIndexes() const;
 
   std::string ToString() const;

@@ -31,7 +31,7 @@ Relation::Relation(const Relation& other)
     : arity_(other.arity_),
       version_(other.version_),
       rows_(other.rows_),
-      set_(other.set_) {
+      positions_(other.positions_) {
   g_copy_count.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -40,8 +40,13 @@ Relation& Relation::operator=(const Relation& other) {
   arity_ = other.arity_;
   version_ = other.version_;
   rows_ = other.rows_;
-  set_ = other.set_;
-  InvalidateIndexes();
+  positions_ = other.positions_;
+  {
+    std::unique_lock<std::shared_mutex> lock(index_mu_);
+    indexes_.clear();
+    read_optimized_ = false;
+    segment_.reset();
+  }
   g_copy_count.fetch_add(1, std::memory_order_relaxed);
   return *this;
 }
@@ -50,8 +55,9 @@ Relation::Relation(Relation&& other) noexcept
     : arity_(other.arity_),
       version_(other.version_),
       rows_(std::move(other.rows_)),
-      set_(std::move(other.set_)),
+      positions_(std::move(other.positions_)),
       indexes_(std::move(other.indexes_)),
+      read_optimized_(other.read_optimized_),
       segment_(std::move(other.segment_)) {}
 
 Relation& Relation::operator=(Relation&& other) noexcept {
@@ -59,34 +65,69 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   arity_ = other.arity_;
   version_ = other.version_;
   rows_ = std::move(other.rows_);
-  set_ = std::move(other.set_);
+  positions_ = std::move(other.positions_);
   indexes_ = std::move(other.indexes_);
+  read_optimized_ = other.read_optimized_;
   segment_ = std::move(other.segment_);
   return *this;
 }
 
+Relation Relation::CloneForWrite() const {
+  Relation clone(*this);
+  std::shared_lock<std::shared_mutex> lock(index_mu_);
+  clone.indexes_ = indexes_;
+  clone.read_optimized_ = read_optimized_;
+  return clone;
+}
+
 bool Relation::Insert(Tuple t) {
   CCPI_CHECK(t.size() == arity_);
-  auto [it, inserted] = set_.insert(t);
-  (void)it;
-  if (!inserted) return false;
+  const size_t pos = rows_.size();
+  if (!positions_.try_emplace(t, pos).second) return false;
   rows_.push_back(std::move(t));
   version_ = NextVersion();
-  InvalidateIndexes();
+  // The new position is the largest, so appending keeps postings sorted.
+  std::unique_lock<std::shared_mutex> lock(index_mu_);
+  for (auto& [col, index] : indexes_) index[rows_[pos][col]].push_back(pos);
+  segment_.reset();
   return true;
 }
 
 bool Relation::Erase(const Tuple& t) {
-  if (set_.erase(t) == 0) return false;
-  auto pos = std::find(rows_.begin(), rows_.end(), t);
-  CCPI_CHECK(pos != rows_.end());
-  rows_.erase(pos);
+  auto it = positions_.find(t);
+  if (it == positions_.end()) return false;
+  const size_t pos = it->second;
+  const size_t last = rows_.size() - 1;
+  positions_.erase(it);
+  {
+    // The last row moves into the hole: drop `pos` from the erased row's
+    // postings, then renumber the moved row from `last` (the back of each
+    // of its postings) to `pos`, keeping every posting ascending.
+    std::unique_lock<std::shared_mutex> lock(index_mu_);
+    for (auto& [col, index] : indexes_) {
+      auto erased = index.find(rows_[pos][col]);
+      std::vector<size_t>& posting = erased->second;
+      posting.erase(std::lower_bound(posting.begin(), posting.end(), pos));
+      if (posting.empty()) index.erase(erased);
+      if (pos == last) continue;
+      std::vector<size_t>& moved = index.find(rows_[last][col])->second;
+      moved.pop_back();
+      moved.insert(std::lower_bound(moved.begin(), moved.end(), pos), pos);
+    }
+    segment_.reset();
+  }
+  if (pos != last) {
+    rows_[pos] = std::move(rows_[last]);
+    positions_.find(rows_[pos])->second = pos;
+  }
+  rows_.pop_back();
   version_ = NextVersion();
-  InvalidateIndexes();
   return true;
 }
 
-bool Relation::Contains(const Tuple& t) const { return set_.count(t) > 0; }
+bool Relation::Contains(const Tuple& t) const {
+  return positions_.count(t) > 0;
+}
 
 const Relation::ColumnIndex& Relation::BuildIndexLocked(size_t col) const {
   auto [it, built] = indexes_.try_emplace(col);
@@ -101,8 +142,8 @@ const Relation::ColumnIndex& Relation::BuildIndexLocked(size_t col) const {
 
 const std::vector<size_t>& Relation::Probe(size_t col, const Value& v) const {
   CCPI_CHECK(col < arity_);
-  // Fast path: the index already exists; a shared lock suffices because a
-  // built index is immutable until the next mutation.
+  // Fast path: the index already exists; a shared lock suffices because
+  // only a write (serialized against readers) edits a built index.
   {
     std::shared_lock<std::shared_mutex> lock(index_mu_);
     auto it = indexes_.find(col);
@@ -122,15 +163,28 @@ const std::vector<size_t>& Relation::Probe(size_t col, const Value& v) const {
 void Relation::FreezeIndexes() const {
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   for (size_t col = 0; col < arity_; ++col) BuildIndexLocked(col);
-  if (segment_ == nullptr && ColumnarEnabled()) {
-    segment_ = ColumnarSegment::Build(rows_, arity_);
-    g_segment_build_count.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (read_optimized_) return;
+  read_optimized_ = true;
+  if (ColumnarEnabled()) BuildSegmentLocked();
 }
 
 std::shared_ptr<const ColumnarSegment> Relation::columnar_segment() const {
-  std::shared_lock<std::shared_mutex> lock(index_mu_);
+  {
+    std::shared_lock<std::shared_mutex> lock(index_mu_);
+    if (segment_ != nullptr || !read_optimized_ || !ColumnarEnabled()) {
+      return segment_;
+    }
+  }
+  // First read since the freeze or the last write: build under the
+  // exclusive lock (another reader may have won the race).
+  std::unique_lock<std::shared_mutex> lock(index_mu_);
+  if (segment_ == nullptr) BuildSegmentLocked();
   return segment_;
+}
+
+void Relation::BuildSegmentLocked() const {
+  segment_ = ColumnarSegment::Build(rows_, arity_);
+  g_segment_build_count.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Relation::SetColumnarEnabled(bool enabled) {
@@ -160,13 +214,9 @@ uint64_t Relation::DebugSegmentBuildCount() {
 void Relation::Clear() {
   if (!rows_.empty()) version_ = NextVersion();
   rows_.clear();
-  set_.clear();
-  InvalidateIndexes();
-}
-
-void Relation::InvalidateIndexes() {
+  positions_.clear();
   std::unique_lock<std::shared_mutex> lock(index_mu_);
-  indexes_.clear();
+  for (auto& [col, index] : indexes_) index.clear();
   segment_.reset();
 }
 

@@ -7,7 +7,6 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "relational/columnar.h"
@@ -18,28 +17,43 @@ namespace ccpi {
 
 /// A set of tuples of a fixed arity, with optional per-column hash indexes.
 ///
-/// The store keeps insertion order (benchmarks iterate deterministically) and
-/// a hash set for O(1) duplicate elimination and membership. Column indexes
-/// are built lazily on first probe and invalidated by mutation; the
-/// evaluation engine uses them for index-nested-loop joins.
+/// The store keeps rows in a vector (benchmarks iterate deterministically)
+/// and a hash map from tuple to row position for O(1) duplicate
+/// elimination, membership and erasure. Column indexes are built lazily on
+/// first probe (or all at once by FreezeIndexes) and maintained by
+/// Insert/Erase: a write edits the postings it touches instead of dropping
+/// the index, so the evaluation engine's index-nested-loop joins and the
+/// semi-naive fixpoint keep their access paths from one write to the next.
+///
+/// Row order: Insert appends. Erase moves the last row into the erased
+/// row's position, so erasing the most recently inserted row (the rollback
+/// of a tentative insert) restores the previous order exactly, and any
+/// other erase reorders one row.
 ///
 /// Thread safety: a relation that is not being mutated may be read —
-/// rows(), Contains(), Probe(), FreezeIndexes() — from any number of
-/// threads concurrently; the lazy index build behind Probe is guarded by an
-/// internal shared mutex, so `const` genuinely means "safe to share".
-/// Mutation (Insert/Erase/Clear) must still be externally serialized
-/// against every reader, which is the natural discipline of the checking
-/// pipeline: the database is frozen during a check phase and updated only
-/// between phases.
+/// rows(), Contains(), Probe(), FreezeIndexes(), columnar_segment() — from
+/// any number of threads concurrently; the lazy index and segment builds
+/// are guarded by an internal shared mutex, so `const` genuinely means
+/// "safe to share". Mutation (Insert/Erase/Clear) must still be externally
+/// serialized against every reader, which is the natural discipline of the
+/// checking pipeline: the database is frozen during a check phase and
+/// updated only between phases.
 class Relation {
  public:
   explicit Relation(size_t arity) : arity_(arity) {}
 
-  // Copying is a row-store copy; the column indexes are a cache and are
-  // deliberately not copied (they rebuild lazily on the copy), which also
-  // lets a reader copy a relation another thread is concurrently probing.
+  // Copying is a row-store copy; the column indexes, the columnar segment
+  // and the read-optimised mark are a cache and are deliberately not copied
+  // (indexes rebuild lazily on the copy), which also lets a reader copy a
+  // relation another thread is concurrently probing. Copy-assignment makes
+  // the target such a fresh copy.
   Relation(const Relation& other);
   Relation& operator=(const Relation& other);
+  /// A copy that keeps the built column indexes and the read-optimised
+  /// mark: the copy-on-write clone a Database takes before writing to a
+  /// relation a snapshot still shares, so the write that follows costs
+  /// O(delta) instead of an index rebuild. Counts as a copy.
+  Relation CloneForWrite() const;
   Relation(Relation&& other) noexcept;
   Relation& operator=(Relation&& other) noexcept;
 
@@ -64,36 +78,42 @@ class Relation {
 
   bool Contains(const Tuple& t) const;
 
-  /// Stable snapshot of the rows in insertion order (erased rows removed).
+  /// The rows, in insertion order except where an Erase moved the last
+  /// row into the erased one's position (see the class comment).
   const std::vector<Tuple>& rows() const { return rows_; }
 
-  /// Row indexes whose column `col` equals `v`. Builds the column index on
-  /// first use (thread-safe). `col` must be < arity(). The returned
-  /// reference stays valid until the next mutation.
+  /// Row positions whose column `col` equals `v`, in ascending order.
+  /// Builds the column index on first use (thread-safe). `col` must be <
+  /// arity(). The returned reference stays valid until the next
+  /// Erase/Clear; an Insert may append to it (positions already read stay
+  /// put, so a scan that fixes the length first is unaffected).
   const std::vector<size_t>& Probe(size_t col, const Value& v) const;
 
-  /// Eagerly builds the index of every column, so a subsequent parallel
-  /// read phase probes without ever taking the exclusive build path. When
-  /// the columnar path is enabled this also builds the columnar segment,
-  /// so freezing is the single "now read-optimized" transition.
+  /// Builds the index of every column that is still missing, so a
+  /// subsequent parallel read phase probes without ever taking the
+  /// exclusive build path. The first freeze also marks the relation
+  /// read-optimised and, with the columnar path on, builds its columnar
+  /// segment. Writes keep the indexes current and the mark set, so after
+  /// the first freeze this builds nothing.
   void FreezeIndexes() const;
 
-  /// The columnar image built by the last FreezeIndexes(), or null if the
-  /// relation has not been frozen (or was mutated since, or the columnar
-  /// path is disabled). The segment is immutable; holders may keep
-  /// scanning it after the relation mutates (snapshot semantics, same as
-  /// a copied Probe posting).
+  /// The columnar image of a frozen relation: built by the first freeze,
+  /// dropped by every write, and rebuilt on the first call after that
+  /// write. Null if the relation was never frozen or the columnar path is
+  /// disabled, so relations that are never frozen (derived, per-round
+  /// delta and RA intermediate relations) never get a segment. The segment
+  /// is immutable; holders may keep scanning it after the relation mutates
+  /// (snapshot semantics).
   std::shared_ptr<const ColumnarSegment> columnar_segment() const;
 
-  /// Process-wide switch for the columnar read path (default on). Off, a
-  /// freeze builds only the hash indexes and columnar_segment() returns
-  /// null everywhere, forcing every consumer down the row-at-a-time path —
-  /// the lever the row-vs-columnar equivalence tests and the --columnar
-  /// flag pull.
+  /// Process-wide switch for the columnar read path (default on). Off,
+  /// neither freezing nor columnar_segment() builds a segment, forcing
+  /// every consumer down the row-at-a-time path — the lever the
+  /// row-vs-columnar equivalence tests and the --columnar flag pull.
   static void SetColumnarEnabled(bool enabled);
   static bool ColumnarEnabled();
 
-  /// Removes all tuples.
+  /// Removes all tuples. Built indexes stay built (and empty).
   void Clear();
 
   std::string ToString(const std::string& name) const;
@@ -114,23 +134,27 @@ class Relation {
   using ColumnIndex =
       std::unordered_map<Value, std::vector<size_t>, ValueHash>;
 
-  void InvalidateIndexes();
   /// Builds (if absent) and returns the index of `col`. Caller must hold
   /// index_mu_ exclusively.
   const ColumnIndex& BuildIndexLocked(size_t col) const;
+  /// Builds segment_ from rows_. Caller must hold index_mu_ exclusively.
+  void BuildSegmentLocked() const;
 
   size_t arity_;
   uint64_t version_ = 0;
   std::vector<Tuple> rows_;
-  std::unordered_set<Tuple, TupleHash> set_;
-  // indexes_[col] maps value -> row positions in rows_. Guarded by
-  // index_mu_ (the posting vectors themselves are immutable once built
-  // until the next mutation invalidates the whole map).
+  // tuple -> its position in rows_.
+  std::unordered_map<Tuple, size_t, TupleHash> positions_;
+  // indexes_[col] maps value -> ascending row positions in rows_; values
+  // with no row have no entry. Guarded by index_mu_: readers share it,
+  // lazy builds and writes take it exclusively.
   mutable std::shared_mutex index_mu_;
   mutable std::unordered_map<size_t, ColumnIndex> indexes_;
-  // Built by FreezeIndexes when the columnar path is on; dropped by the
-  // same mutations that drop the hash indexes. Guarded by index_mu_ (the
-  // pointee is immutable).
+  // Set by FreezeIndexes; survives writes. Guarded by index_mu_.
+  mutable bool read_optimized_ = false;
+  // Built by the first freeze and by the first columnar_segment() call
+  // after a write dropped it. Guarded by index_mu_ (the pointee is
+  // immutable).
   mutable std::shared_ptr<const ColumnarSegment> segment_;
   static const std::vector<size_t> kEmptyPosting;
 };

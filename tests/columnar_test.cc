@@ -316,22 +316,31 @@ TEST(ColumnarTest, FreezeBuildsSegmentAndMutationDropsIt) {
   EXPECT_EQ(seg->size(), 1u);
 
   // A holder's snapshot survives the mutation; the relation's does not.
+  // The write builds nothing: the next read rebuilds over the new
+  // contents, once, and a re-freeze of a frozen relation builds nothing.
+  const uint64_t builds = Relation::DebugSegmentBuildCount();
   rel.Insert({V(3), V(4)});
-  EXPECT_EQ(rel.columnar_segment(), nullptr);
-  EXPECT_EQ(seg->size(), 1u);
-
-  // Re-freezing rebuilds over the new contents.
   rel.FreezeIndexes();
+  EXPECT_EQ(Relation::DebugSegmentBuildCount(), builds);
+  EXPECT_EQ(seg->size(), 1u);
   auto seg2 = rel.columnar_segment();
   ASSERT_NE(seg2, nullptr);
+  EXPECT_NE(seg2, seg);
   EXPECT_EQ(seg2->size(), 2u);
+  EXPECT_EQ(rel.columnar_segment(), seg2);
+  EXPECT_EQ(Relation::DebugSegmentBuildCount(), builds + 1);
 
   rel.Erase({V(1), V(2)});
-  EXPECT_EQ(rel.columnar_segment(), nullptr);
-  rel.FreezeIndexes();
-  ASSERT_NE(rel.columnar_segment(), nullptr);
+  auto seg3 = rel.columnar_segment();
+  ASSERT_NE(seg3, nullptr);
+  EXPECT_NE(seg3, seg2);
+  EXPECT_EQ(seg3->size(), 1u);
+  EXPECT_EQ(seg3->GatherRow(0), (Tuple{V(3), V(4)}));
   rel.Clear();
-  EXPECT_EQ(rel.columnar_segment(), nullptr);
+  auto seg4 = rel.columnar_segment();
+  ASSERT_NE(seg4, nullptr);
+  EXPECT_EQ(seg4->size(), 0u);
+  EXPECT_EQ(Relation::DebugSegmentBuildCount(), builds + 3);
 }
 
 TEST(ColumnarTest, MoveCarriesSegmentCopyDropsIt) {

@@ -109,6 +109,45 @@ TEST(EvalTest, TransitiveClosure) {
   EXPECT_TRUE(rel->Contains({V(0), V(10)}));
 }
 
+TEST(EvalTest, PostingGrowingDuringItsOwnScan) {
+  // The recursive rule probes path on column 0 = the root, and every row
+  // it derives lands in that same posting while the probe scans it: the
+  // engine reads postings and rows by position without copying them, so
+  // growth (and the reallocations behind it) must neither skip nor repeat
+  // a row. A 2000-edge chain from the root plus a cycle back into it.
+  Program p = MustParse(
+      "path(X,Y) :- root(X) & edge(X,Y)\n"
+      "path(X,Y) :- root(X) & path(X,Z) & edge(Z,Y)\n");
+  p.goal = "path";
+  constexpr int64_t kChain = 2000;
+  Database db;
+  ASSERT_TRUE(db.Insert("root", {V(0)}).ok());
+  for (int64_t i = 0; i < kChain; ++i) {
+    ASSERT_TRUE(db.Insert("edge", {V(i), V(i + 1)}).ok());
+  }
+  ASSERT_TRUE(db.Insert("edge", {V(kChain), V(kChain / 2)}).ok());
+  ASSERT_TRUE(db.Insert("edge", {V(kChain / 2), V(0)}).ok());
+
+  auto indexed = EvaluateGoal(p, db);
+  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+  // The root reaches every node of the chain, itself included.
+  EXPECT_EQ(indexed->size(), static_cast<size_t>(kChain + 1));
+  for (int64_t y = 0; y <= kChain; ++y) {
+    EXPECT_TRUE(indexed->Contains({V(0), V(y)})) << y;
+  }
+
+  EvalOptions scan;
+  scan.use_index = false;
+  EvalOptions naive;
+  naive.use_seminaive = false;
+  for (const EvalOptions& options : {scan, naive}) {
+    auto other = EvaluateGoal(p, db, options);
+    ASSERT_TRUE(other.ok()) << other.status().ToString();
+    ASSERT_EQ(other->size(), indexed->size());
+    for (const Tuple& t : indexed->rows()) EXPECT_TRUE(other->Contains(t));
+  }
+}
+
 TEST(EvalTest, EqualityBindsVariable) {
   Program c = MustParse("panic :- p(X) & Y = 5 & q(X,Y)");
   Database db;

@@ -526,6 +526,36 @@ def check_fig61_intervals(path, doc, problems):
                  problems)
 
 
+# relation_writes: a write to a frozen relation keeps its indexes current
+# and a re-freeze builds nothing, so BM_WriteThenFreeze must report zero
+# index and segment builds per update at every |R|. Counts, not timings, so
+# the check is exact in quick mode too.
+RELATION_WRITES_SIZES = (100, 1000, 10000, 100000)
+RELATION_WRITES_ZERO_COUNTERS = ("index_builds", "segment_builds")
+
+
+def check_relation_writes(path, doc, problems):
+    rows = {p["name"]: p for p in doc.get("points", [])
+            if isinstance(p, dict) and p.get("kind") == "benchmark"
+            and isinstance(p.get("name"), str)}
+    for size in RELATION_WRITES_SIZES:
+        name = f"BM_WriteThenFreeze/{size}"
+        point = rows.get(name)
+        if point is None:
+            fail(path, f"relation_writes: missing benchmark row {name!r}",
+                 problems)
+            continue
+        metrics = point.get("metrics")
+        if not isinstance(metrics, dict):
+            continue  # already reported by check_point
+        for key in RELATION_WRITES_ZERO_COUNTERS:
+            value = metrics.get(key)
+            if value != 0:
+                fail(path, f"relation_writes: {name!r} {key} is {value!r} "
+                     f"per update, want 0 (writes must keep the frozen "
+                     f"state current)", problems)
+
+
 def check_file(path, problems):
     try:
         with open(path, encoding="utf-8") as f:
@@ -569,6 +599,8 @@ def check_file(path, problems):
         check_ra_kernels(path, doc, problems)
     if doc.get("name") == "fig61_intervals":
         check_fig61_intervals(path, doc, problems)
+    if doc.get("name") == "relation_writes":
+        check_relation_writes(path, doc, problems)
 
 
 def main(argv):
