@@ -1,11 +1,10 @@
 // Writes cost O(delta): the relational half of one update episode — apply a
 // write to a frozen relation, then re-freeze it for the read phase — over
 // |R| from 10^2 to 10^5. Insert and Erase keep the built column indexes
-// current and FreezeIndexes on an already frozen relation builds nothing;
-// the columnar segment a write drops is rebuilt by its next reader, not by
-// the freeze. So the per-update time should stay flat in |R|, and the
-// index_builds and segment_builds counters must be 0 at every size
-// (tools/check_bench_json.py enforces the counts).
+// current and FreezeIndexes on an already frozen relation builds nothing.
+// So the per-update time should stay flat in |R|, and the index_builds
+// counter must be 0 at every size (tools/check_bench_json.py enforces the
+// count).
 
 #include <benchmark/benchmark.h>
 
@@ -42,20 +41,17 @@ void WriteThenFreeze(Relation* rel, int64_t n, int64_t* next) {
 
 void PrintBuildsPerUpdate() {
   std::printf("=== Write then freeze on a frozen 3-column relation ===\n");
-  std::printf("%8s  %14s  %16s\n", "|R|", "index builds", "segment builds");
+  std::printf("%8s  %14s\n", "|R|", "index builds");
   constexpr int64_t kUpdates = 100;
   for (int64_t n : {100, 1000, 10000, 100000}) {
     Relation rel = MakeFrozen(n);
     int64_t next = n;
     const uint64_t index0 = Relation::DebugIndexBuildCount();
-    const uint64_t segment0 = Relation::DebugSegmentBuildCount();
     for (int64_t i = 0; i < kUpdates; ++i) WriteThenFreeze(&rel, n, &next);
-    std::printf("%8lld  %14llu  %16llu   (over %lld updates)\n",
+    std::printf("%8lld  %14llu   (over %lld updates)\n",
                 static_cast<long long>(n),
                 static_cast<unsigned long long>(
                     Relation::DebugIndexBuildCount() - index0),
-                static_cast<unsigned long long>(
-                    Relation::DebugSegmentBuildCount() - segment0),
                 static_cast<long long>(kUpdates));
   }
   std::printf("\n");
@@ -66,15 +62,11 @@ void BM_WriteThenFreeze(benchmark::State& state) {
   Relation rel = MakeFrozen(n);
   int64_t next = n;
   const uint64_t index0 = Relation::DebugIndexBuildCount();
-  const uint64_t segment0 = Relation::DebugSegmentBuildCount();
   for (auto _ : state) WriteThenFreeze(&rel, n, &next);
   const double updates = static_cast<double>(state.iterations());
   state.counters["|R|"] = static_cast<double>(n);
   state.counters["index_builds"] =
       static_cast<double>(Relation::DebugIndexBuildCount() - index0) /
-      updates;
-  state.counters["segment_builds"] =
-      static_cast<double>(Relation::DebugSegmentBuildCount() - segment0) /
       updates;
 }
 BENCHMARK(BM_WriteThenFreeze)->RangeMultiplier(10)->Range(100, 100000);

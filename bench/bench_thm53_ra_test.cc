@@ -94,7 +94,7 @@ void BM_EvaluateRaTest(benchmark::State& state) {
         db.Insert("l", {V(rng.Range(0, 50)), V(rng.Range(0, 50))}).ok());
   }
   Tuple t = {V(7), V(9)};
-  db.FreezeIndexes();  // read phase: indexes + columnar segments built once
+  db.FreezeIndexes();  // read phase: every column index built once
   for (auto _ : state) {
     auto outcome = RaLocalTestOnInsert(rule, "l", t, db);
     CCPI_CHECK(outcome.ok());
@@ -145,7 +145,7 @@ void BM_SelectProductEquiJoin(benchmark::State& state) {
   // so the evaluator takes the hash-join path — O(|L| + |R| + matches).
   size_t n = static_cast<size_t>(state.range(0));
   Database db = JoinInstance(n);
-  db.FreezeIndexes();  // read phase: the columnar join kernel engages
+  db.FreezeIndexes();  // read phase: every column index built once
   RaExprPtr expr = RaExpr::Select(
       RaExpr::Product(RaExpr::Scan("jl", 2), RaExpr::Scan("jr", 2)),
       {RaCondition{RaOperand::Col(0), CmpOp::kEq, RaOperand::Col(2)}});

@@ -44,27 +44,12 @@ Result<LocalTestResult> CompleteLocalTestOnInsert(
 
   UCQ covering;
   covering.reserve(local_relation.size() * (1 + assumed.size()));
-  // On a frozen relation the containment walk runs over the columnar
-  // snapshot: holding the segment pins an immutable image of the rows (in
-  // insertion order, so the covering UCQ is disjunct-for-disjunct the same
-  // as the row walk), decoupling the walk from any later mutation of the
-  // live relation.
-  std::shared_ptr<const ColumnarSegment> seg =
-      local_relation.columnar_segment();
-  if (seg != nullptr) {
-    for (size_t i = 0; i < seg->size(); ++i) {
-      Tuple s = seg->GatherRow(i);
-      covering.push_back(Reduce(c, s));
-      for (const Cqc& other : assumed) {
-        covering.push_back(Reduce(other, s));
-      }
-    }
-  } else {
-    for (const Tuple& s : local_relation.rows()) {
-      covering.push_back(Reduce(c, s));
-      for (const Cqc& other : assumed) {
-        covering.push_back(Reduce(other, s));
-      }
+  // The walk reads the rows in place. In the pipeline the relation is a
+  // copy-on-write snapshot, so no live write can reach the rows walked.
+  for (const Tuple& s : local_relation.rows()) {
+    covering.push_back(Reduce(c, s));
+    for (const Cqc& other : assumed) {
+      covering.push_back(Reduce(other, s));
     }
   }
   result.reductions = covering.size();

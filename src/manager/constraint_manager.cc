@@ -1539,16 +1539,12 @@ Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
     for (size_t i = 0; i < n; ++i) (void)check(i);
     return out;
   }
-  if ((pool->thread_count() > 1 && !out.noop && n > 1) ||
-      Relation::ColumnarEnabled()) {
+  if (pool->thread_count() > 1 && !out.noop && n > 1) {
     // Build every column index up front so checker threads mostly take the
-    // shared (reader) path through Relation::Probe. With the columnar path
-    // on, freezing also gives the scan/join kernels their segments (the
-    // first freeze builds them, the first reader after a write rebuilds
-    // them) — sequential runs want that too. Writes keep frozen relations'
-    // indexes current, so after the first episode this builds nothing
-    // (freezing is stats-invisible: it charges no accesses and draws no
-    // faults).
+    // shared (reader) path through Relation::Probe. Writes keep frozen
+    // relations' indexes current, so after the first episode this builds
+    // nothing (freezing is stats-invisible: it charges no accesses and
+    // draws no faults).
     ctx.db->FreezeIndexes();
   }
   CCPI_RETURN_IF_ERROR(pool->ParallelFor(n, check));

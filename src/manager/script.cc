@@ -177,15 +177,6 @@ const ScriptOption kOptions[] = {
      [](std::string_view v, ScriptOptions* o) {
        return SetSwitch(v, &o->plan_cache.enabled);
      }},
-    {"columnar", "", "on|off", "on or off", "",
-     "columnar read path: frozen relations carry\n"
-     "a columnar segment that the RA scan/join\n"
-     "kernels use (default on; semantically\n"
-     "invisible — reports and stats are\n"
-     "byte-identical either way)",
-     [](std::string_view v, ScriptOptions* o) {
-       return SetSwitch(v, &o->columnar);
-     }},
     {"pipeline-depth", "pipeline", "N", "a positive integer", "",
      "episode pipeline depth (default 1 = serial;\n"
      "N>1 speculates check phases ahead while\n"
@@ -667,12 +658,6 @@ Result<ScriptReport> RunScript(const Script& script) {
     dom.outages.insert(dom.outages.end(), it->second.begin(),
                        it->second.end());
   }
-
-  // Columnar read path: a process-wide switch on Relation, applied before
-  // the manager freezes anything. Semantically invisible (byte-identical
-  // reports either way); off forces every evaluator down the
-  // row-at-a-time path.
-  Relation::SetColumnarEnabled(options.columnar);
 
   ConstraintManager mgr(script.local_preds, costs, options.resilience,
                         options.parallel, options.remote_cache,

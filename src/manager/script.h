@@ -72,11 +72,6 @@ struct ScriptOptions {
   /// check phases while commits stay serialized in admission order, so
   /// the per-update log is byte-identical at any depth.
   PipelineConfig pipeline;
-  /// Columnar read path (ccpi_check --columnar). On by default;
-  /// semantically invisible either way — freezing a relation additionally
-  /// builds a columnar segment that the RA evaluator's scan/join kernels
-  /// use, with byte-identical reports and stats on or off.
-  bool columnar = true;
   /// Execution budgets and overload control (ccpi_check --deadline-ms,
   /// --max-fixpoint-rounds, --max-derived-tuples, --deferred-queue-cap,
   /// --overflow-policy). Off by default: an unbudgeted run is bit-identical

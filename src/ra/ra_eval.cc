@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "relational/columnar.h"
 #include "util/check.h"
 
 namespace ccpi {
@@ -24,26 +23,6 @@ bool Holds(const std::vector<RaCondition>& conds, const Tuple& t) {
   return true;
 }
 
-/// CmpOp (datalog layer) -> ScanOp (relational layer). The enums mirror
-/// each other; the relational layer cannot see the datalog AST.
-ScanOp ToScanOp(CmpOp op) {
-  switch (op) {
-    case CmpOp::kLt:
-      return ScanOp::kLt;
-    case CmpOp::kLe:
-      return ScanOp::kLe;
-    case CmpOp::kGt:
-      return ScanOp::kGt;
-    case CmpOp::kGe:
-      return ScanOp::kGe;
-    case CmpOp::kEq:
-      return ScanOp::kEq;
-    case CmpOp::kNe:
-      return ScanOp::kNe;
-  }
-  return ScanOp::kEq;
-}
-
 /// Finds a condition of `conds` usable as a hash-join key for
 /// sigma(L x R): a column-to-column equality with one side in L (column
 /// < split) and one in R. Returns the index into `conds`, or npos.
@@ -59,32 +38,13 @@ size_t FindJoinCondition(const std::vector<RaCondition>& conds,
   return static_cast<size_t>(-1);
 }
 
-/// `const op col` rewritten as `col op' const`.
-ScanOp FlipScanOp(ScanOp op) {
-  switch (op) {
-    case ScanOp::kLt:
-      return ScanOp::kGt;
-    case ScanOp::kLe:
-      return ScanOp::kGe;
-    case ScanOp::kGt:
-      return ScanOp::kLt;
-    case ScanOp::kGe:
-      return ScanOp::kLe;
-    case ScanOp::kEq:
-    case ScanOp::kNe:
-      return op;
-  }
-  return op;
-}
-
 /// An evaluation result that is either owned by the evaluator or borrowed
 /// from the database. kScan borrows — returning the stored relation by
 /// value would be a full O(|R|) row+hashset copy per scan node that also
-/// drops the lazy indexes and the columnar segment. Read-only parents
-/// (select, project, product, difference, nonemptiness) evaluate against
-/// the borrow in place; the single copy, when a caller genuinely needs an
-/// owned Relation of a bare scan, happens once at the public EvalRa
-/// boundary via IntoRelation().
+/// drops the lazy indexes. Read-only parents (select, project, product,
+/// difference, nonemptiness) evaluate against the borrow in place; the
+/// single copy, when a caller genuinely needs an owned Relation of a bare
+/// scan, happens once at the public EvalRa boundary via IntoRelation().
 class RelView {
  public:
   RelView(RelView&&) noexcept = default;
@@ -127,9 +87,7 @@ Result<RelView> EvalRaNode(const RaExpr& expr, const Database& db,
 /// exactly the order, of the nested-loop product-then-filter it replaces
 /// (left-major; matching right rows in insertion order; every condition
 /// re-checked on the combined row), so only the cost changes:
-/// O(|L| + |R| + matches) instead of O(|L| * |R|). When both inputs carry
-/// columnar segments (frozen base relations) the build and probe run
-/// column-at-a-time over integer key ids instead of hashing Values.
+/// O(|L| + |R| + matches) instead of O(|L| * |R|).
 Result<RelView> EvalHashJoin(const RaExpr& select, const RaCondition& key,
                              const Database& db, AccessObserver* observer,
                              obs::Counter* nodes, const BudgetScope* budget) {
@@ -147,31 +105,6 @@ Result<RelView> EvalHashJoin(const RaExpr& select, const RaCondition& key,
   size_t left_col = key.lhs.col < split ? key.lhs.col : key.rhs.col;
   size_t right_col = (key.lhs.col < split ? key.rhs.col : key.lhs.col) - split;
 
-  Relation out(select.arity());
-  std::shared_ptr<const ColumnarSegment> lseg = l.get().columnar_segment();
-  std::shared_ptr<const ColumnarSegment> rseg = r.get().columnar_segment();
-  if (lseg != nullptr && rseg != nullptr) {
-    ColumnarJoinTable table(*rseg, right_col);
-    std::vector<int32_t> ids;
-    table.TranslateProbeColumn(*lseg, left_col, &ids);
-    // With the key as the only condition, a probe hit already proves the
-    // combined row passes; residual conditions re-check the whole row.
-    const bool residual = select.conditions().size() > 1;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] < 0) continue;
-      Tuple a = lseg->GatherRow(i);
-      for (uint32_t j : table.Posting(ids[i])) {
-        Tuple combined = a;
-        Tuple b = rseg->GatherRow(j);
-        combined.insert(combined.end(), b.begin(), b.end());
-        if (!residual || Holds(select.conditions(), combined)) {
-          out.Insert(std::move(combined));
-        }
-      }
-    }
-    return RelView::Own(std::move(out));
-  }
-
   std::unordered_map<Value, std::vector<size_t>, ValueHash> table;
   table.reserve(r.get().size());
   const std::vector<Tuple>& right_rows = r.get().rows();
@@ -179,6 +112,7 @@ Result<RelView> EvalHashJoin(const RaExpr& select, const RaCondition& key,
     table[right_rows[i][right_col]].push_back(i);
   }
 
+  Relation out(select.arity());
   for (const Tuple& a : l.get().rows()) {
     auto hit = table.find(a[left_col]);
     if (hit == table.end()) continue;
@@ -235,54 +169,6 @@ Result<RelView> EvalRaNode(const RaExpr& expr, const Database& db,
       CCPI_ASSIGN_OR_RETURN(
           RelView child, EvalRaNode(*expr.left(), db, observer, nodes, budget));
       Relation out(expr.arity());
-      std::shared_ptr<const ColumnarSegment> seg =
-          child.get().columnar_segment();
-      if (seg != nullptr) {
-        // Vectorized path: compile each condition onto a scan kernel. The
-        // first column condition scans the segment into a position list;
-        // the rest refine it in place. Positions are ascending (insertion
-        // order), so the gathered output is row-for-row identical to the
-        // tuple loop below.
-        PositionList pos;
-        bool have = false;
-        bool never = false;
-        for (const RaCondition& c : expr.conditions()) {
-          if (!c.lhs.is_col && !c.rhs.is_col) {
-            if (!EvalCmp(c.lhs.constant, c.op, c.rhs.constant)) {
-              never = true;
-              break;
-            }
-            continue;
-          }
-          if (c.lhs.is_col && c.rhs.is_col) {
-            if (!have) {
-              seg->ScanColCmp(c.lhs.col, ToScanOp(c.op), c.rhs.col, &pos);
-              have = true;
-            } else {
-              seg->FilterColCmp(c.lhs.col, ToScanOp(c.op), c.rhs.col, &pos);
-            }
-            continue;
-          }
-          size_t col = c.lhs.is_col ? c.lhs.col : c.rhs.col;
-          const Value& v = c.lhs.is_col ? c.rhs.constant : c.lhs.constant;
-          ScanOp op = c.lhs.is_col ? ToScanOp(c.op)
-                                   : FlipScanOp(ToScanOp(c.op));
-          if (!have) {
-            seg->ScanCmp(col, op, v, &pos);
-            have = true;
-          } else {
-            seg->FilterCmp(col, op, v, &pos);
-          }
-        }
-        if (!never) {
-          if (!have) {
-            for (const Tuple& t : child.get().rows()) out.Insert(t);
-          } else {
-            for (uint32_t p : pos) out.Insert(seg->GatherRow(p));
-          }
-        }
-        return RelView::Own(std::move(out));
-      }
       for (const Tuple& t : child.get().rows()) {
         if (Holds(expr.conditions(), t)) out.Insert(t);
       }
@@ -292,21 +178,6 @@ Result<RelView> EvalRaNode(const RaExpr& expr, const Database& db,
       CCPI_ASSIGN_OR_RETURN(
           RelView child, EvalRaNode(*expr.left(), db, observer, nodes, budget));
       Relation out(expr.arity());
-      std::shared_ptr<const ColumnarSegment> seg =
-          child.get().columnar_segment();
-      if (seg != nullptr) {
-        // Gather only the projected columns; untouched columns are never
-        // decoded.
-        for (size_t row = 0; row < seg->size(); ++row) {
-          Tuple projected;
-          projected.reserve(expr.columns().size());
-          for (size_t c : expr.columns()) {
-            projected.push_back(seg->ValueAt(row, c));
-          }
-          out.Insert(std::move(projected));
-        }
-        return RelView::Own(std::move(out));
-      }
       for (const Tuple& t : child.get().rows()) {
         Tuple projected;
         projected.reserve(expr.columns().size());

@@ -29,8 +29,8 @@ Relation* Database::Own(std::shared_ptr<Relation>* slot) {
   // copies of this handle are taken on the mutating thread: a count of 1
   // here proves no snapshot can appear concurrently, and a stale count > 1
   // (another handle released just now) merely clones once more. The clone
-  // keeps the built indexes and the read-optimised mark, so the write
-  // maintains them like a write to an unshared relation.
+  // keeps the built indexes, so the write maintains them like a write to
+  // an unshared relation.
   if (slot->use_count() > 1) {
     *slot = std::make_shared<Relation>((*slot)->CloneForWrite());
   }

@@ -19,10 +19,8 @@ uint64_t NextVersion() {
   return g_next_version.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::atomic<bool> g_columnar_enabled{true};
 std::atomic<uint64_t> g_copy_count{0};
 std::atomic<uint64_t> g_index_build_count{0};
-std::atomic<uint64_t> g_segment_build_count{0};
 }  // namespace
 
 const std::vector<size_t> Relation::kEmptyPosting;
@@ -44,8 +42,6 @@ Relation& Relation::operator=(const Relation& other) {
   {
     std::unique_lock<std::shared_mutex> lock(index_mu_);
     indexes_.clear();
-    read_optimized_ = false;
-    segment_.reset();
   }
   g_copy_count.fetch_add(1, std::memory_order_relaxed);
   return *this;
@@ -56,9 +52,7 @@ Relation::Relation(Relation&& other) noexcept
       version_(other.version_),
       rows_(std::move(other.rows_)),
       positions_(std::move(other.positions_)),
-      indexes_(std::move(other.indexes_)),
-      read_optimized_(other.read_optimized_),
-      segment_(std::move(other.segment_)) {}
+      indexes_(std::move(other.indexes_)) {}
 
 Relation& Relation::operator=(Relation&& other) noexcept {
   if (this == &other) return *this;
@@ -67,8 +61,6 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   rows_ = std::move(other.rows_);
   positions_ = std::move(other.positions_);
   indexes_ = std::move(other.indexes_);
-  read_optimized_ = other.read_optimized_;
-  segment_ = std::move(other.segment_);
   return *this;
 }
 
@@ -76,7 +68,6 @@ Relation Relation::CloneForWrite() const {
   Relation clone(*this);
   std::shared_lock<std::shared_mutex> lock(index_mu_);
   clone.indexes_ = indexes_;
-  clone.read_optimized_ = read_optimized_;
   return clone;
 }
 
@@ -89,7 +80,6 @@ bool Relation::Insert(Tuple t) {
   // The new position is the largest, so appending keeps postings sorted.
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   for (auto& [col, index] : indexes_) index[rows_[pos][col]].push_back(pos);
-  segment_.reset();
   return true;
 }
 
@@ -114,7 +104,6 @@ bool Relation::Erase(const Tuple& t) {
       moved.pop_back();
       moved.insert(std::lower_bound(moved.begin(), moved.end(), pos), pos);
     }
-    segment_.reset();
   }
   if (pos != last) {
     rows_[pos] = std::move(rows_[last]);
@@ -163,36 +152,6 @@ const std::vector<size_t>& Relation::Probe(size_t col, const Value& v) const {
 void Relation::FreezeIndexes() const {
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   for (size_t col = 0; col < arity_; ++col) BuildIndexLocked(col);
-  if (read_optimized_) return;
-  read_optimized_ = true;
-  if (ColumnarEnabled()) BuildSegmentLocked();
-}
-
-std::shared_ptr<const ColumnarSegment> Relation::columnar_segment() const {
-  {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    if (segment_ != nullptr || !read_optimized_ || !ColumnarEnabled()) {
-      return segment_;
-    }
-  }
-  // First read since the freeze or the last write: build under the
-  // exclusive lock (another reader may have won the race).
-  std::unique_lock<std::shared_mutex> lock(index_mu_);
-  if (segment_ == nullptr) BuildSegmentLocked();
-  return segment_;
-}
-
-void Relation::BuildSegmentLocked() const {
-  segment_ = ColumnarSegment::Build(rows_, arity_);
-  g_segment_build_count.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Relation::SetColumnarEnabled(bool enabled) {
-  g_columnar_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool Relation::ColumnarEnabled() {
-  return g_columnar_enabled.load(std::memory_order_relaxed);
 }
 
 uint64_t Relation::DebugCopyCount() {
@@ -207,9 +166,7 @@ uint64_t Relation::DebugVersionCounter() {
   return g_next_version.load(std::memory_order_relaxed);
 }
 
-uint64_t Relation::DebugSegmentBuildCount() {
-  return g_segment_build_count.load(std::memory_order_relaxed);
-}
+uint64_t Relation::DebugSegmentBuildCount() { return 0; }
 
 void Relation::Clear() {
   if (!rows_.empty()) version_ = NextVersion();
@@ -217,7 +174,6 @@ void Relation::Clear() {
   positions_.clear();
   std::unique_lock<std::shared_mutex> lock(index_mu_);
   for (auto& [col, index] : indexes_) index.clear();
-  segment_.reset();
 }
 
 std::string Relation::ToString(const std::string& name) const {

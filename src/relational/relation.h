@@ -3,13 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "relational/columnar.h"
 #include "relational/tuple.h"
 #include "util/status.h"
 
@@ -31,28 +29,26 @@ namespace ccpi {
 /// other erase reorders one row.
 ///
 /// Thread safety: a relation that is not being mutated may be read —
-/// rows(), Contains(), Probe(), FreezeIndexes(), columnar_segment() — from
-/// any number of threads concurrently; the lazy index and segment builds
-/// are guarded by an internal shared mutex, so `const` genuinely means
-/// "safe to share". Mutation (Insert/Erase/Clear) must still be externally
-/// serialized against every reader, which is the natural discipline of the
-/// checking pipeline: the database is frozen during a check phase and
-/// updated only between phases.
+/// rows(), Contains(), Probe(), FreezeIndexes() — from any number of
+/// threads concurrently; the lazy index builds are guarded by an internal
+/// shared mutex, so `const` genuinely means "safe to share". Mutation
+/// (Insert/Erase/Clear) must still be externally serialized against every
+/// reader, which is the natural discipline of the checking pipeline: the
+/// database is frozen during a check phase and updated only between phases.
 class Relation {
  public:
   explicit Relation(size_t arity) : arity_(arity) {}
 
-  // Copying is a row-store copy; the column indexes, the columnar segment
-  // and the read-optimised mark are a cache and are deliberately not copied
-  // (indexes rebuild lazily on the copy), which also lets a reader copy a
-  // relation another thread is concurrently probing. Copy-assignment makes
-  // the target such a fresh copy.
+  // Copying is a row-store copy; the column indexes are a cache and are
+  // deliberately not copied (they rebuild lazily on the copy), which also
+  // lets a reader copy a relation another thread is concurrently probing.
+  // Copy-assignment makes the target such a fresh copy.
   Relation(const Relation& other);
   Relation& operator=(const Relation& other);
-  /// A copy that keeps the built column indexes and the read-optimised
-  /// mark: the copy-on-write clone a Database takes before writing to a
-  /// relation a snapshot still shares, so the write that follows costs
-  /// O(delta) instead of an index rebuild. Counts as a copy.
+  /// A copy that keeps the built column indexes: the copy-on-write clone a
+  /// Database takes before writing to a relation a snapshot still shares,
+  /// so the write that follows costs O(delta) instead of an index rebuild.
+  /// Counts as a copy.
   Relation CloneForWrite() const;
   Relation(Relation&& other) noexcept;
   Relation& operator=(Relation&& other) noexcept;
@@ -91,27 +87,9 @@ class Relation {
 
   /// Builds the index of every column that is still missing, so a
   /// subsequent parallel read phase probes without ever taking the
-  /// exclusive build path. The first freeze also marks the relation
-  /// read-optimised and, with the columnar path on, builds its columnar
-  /// segment. Writes keep the indexes current and the mark set, so after
-  /// the first freeze this builds nothing.
+  /// exclusive build path. Writes keep built indexes current, so after the
+  /// first freeze this builds nothing.
   void FreezeIndexes() const;
-
-  /// The columnar image of a frozen relation: built by the first freeze,
-  /// dropped by every write, and rebuilt on the first call after that
-  /// write. Null if the relation was never frozen or the columnar path is
-  /// disabled, so relations that are never frozen (derived, per-round
-  /// delta and RA intermediate relations) never get a segment. The segment
-  /// is immutable; holders may keep scanning it after the relation mutates
-  /// (snapshot semantics).
-  std::shared_ptr<const ColumnarSegment> columnar_segment() const;
-
-  /// Process-wide switch for the columnar read path (default on). Off,
-  /// neither freezing nor columnar_segment() builds a segment, forcing
-  /// every consumer down the row-at-a-time path — the lever the
-  /// row-vs-columnar equivalence tests and the --columnar flag pull.
-  static void SetColumnarEnabled(bool enabled);
-  static bool ColumnarEnabled();
 
   /// Removes all tuples. Built indexes stay built (and empty).
   void Clear();
@@ -122,9 +100,9 @@ class Relation {
   /// tolerant). DebugCopyCount counts Relation copy-constructions and
   /// copy-assignments; DebugIndexBuildCount counts per-column hash-index
   /// builds; DebugVersionCounter exposes the content-version counter so a
-  /// test can assert an operation produced zero version churn;
-  /// DebugSegmentBuildCount counts columnar-segment builds, the non-vacuity
-  /// witness that a columnar-on run really exercised the columnar kernels.
+  /// test can assert an operation produced zero version churn.
+  /// DebugSegmentBuildCount is always 0: relations keep no columnar
+  /// segment, and the counter stays only for callers that still read it.
   static uint64_t DebugCopyCount();
   static uint64_t DebugIndexBuildCount();
   static uint64_t DebugVersionCounter();
@@ -137,8 +115,6 @@ class Relation {
   /// Builds (if absent) and returns the index of `col`. Caller must hold
   /// index_mu_ exclusively.
   const ColumnIndex& BuildIndexLocked(size_t col) const;
-  /// Builds segment_ from rows_. Caller must hold index_mu_ exclusively.
-  void BuildSegmentLocked() const;
 
   size_t arity_;
   uint64_t version_ = 0;
@@ -150,12 +126,6 @@ class Relation {
   // lazy builds and writes take it exclusively.
   mutable std::shared_mutex index_mu_;
   mutable std::unordered_map<size_t, ColumnIndex> indexes_;
-  // Set by FreezeIndexes; survives writes. Guarded by index_mu_.
-  mutable bool read_optimized_ = false;
-  // Built by the first freeze and by the first columnar_segment() call
-  // after a write dropped it. Guarded by index_mu_ (the pointee is
-  // immutable).
-  mutable std::shared_ptr<const ColumnarSegment> segment_;
   static const std::vector<size_t> kEmptyPosting;
 };
 

@@ -178,12 +178,12 @@ TEST(RaEvalHotpathTest, CancelledBudgetShedsBothPlanShapesIdentically) {
   EXPECT_EQ(hash_scope.checkpoints(), loop_scope.checkpoints());
 }
 
-// ---- Columnar and row paths agree in the evaluator ------------------------
+// ---- Frozen and unfrozen inputs agree in the evaluator --------------------
 
 TEST(RaEvalHotpathTest, FrozenAndUnfrozenEvaluationsAgree) {
-  // The same expressions over the same contents, frozen (columnar
-  // kernels) and unfrozen (row loops): identical rows in identical
-  // insertion order.
+  // The same expressions over the same contents, frozen (every column
+  // index built) and unfrozen: identical rows in identical insertion
+  // order.
   Database frozen = FrozenDb();
   Database plain;
   for (int i = 0; i < 16; ++i) {

@@ -388,6 +388,13 @@ TEST(ScriptFlagTest, UnrecognizedFlagsAreNotMatched) {
   EXPECT_FALSE(ApplyOk("--trace-out=x.json", &options));
 }
 
+TEST(ScriptFlagTest, ColumnarFlagIsNoLongerMatched) {
+  // Relations have one storage layout, so the old layout switch is an
+  // unknown flag like any other (ccpi_check exits 2 on it).
+  ScriptOptions options;
+  EXPECT_FALSE(ApplyOk("--columnar=off", &options));
+}
+
 TEST(ScriptFlagTest, BudgetFlagsApply) {
   ScriptOptions options;
   EXPECT_FALSE(options.budget.armed());

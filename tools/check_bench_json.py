@@ -431,73 +431,6 @@ def check_episode_pipeline(path, doc, problems):
                  f"speedup_vs_depth1 is {speedup}, want >= {floor}", problems)
 
 
-# The ra_kernels sweep is the acceptance evidence of the columnar read
-# path: every kernel row must exist with its row-vs-columnar timing pair,
-# the micro-kernels must beat the row oracle by a clear margin (the floor
-# is deliberately below the ~10x seen on release builds, to absorb CI
-# noise and quick-mode shrinkage), and the end-to-end evaluator rows must
-# at least break even — the segment may never make evaluation slower.
-RA_KERNELS_KERNEL_ROWS = (
-    "kernel_scan_eq_dict",
-    "kernel_scan_cmp_int",
-    "kernel_scan_cmp_dict",
-    "kernel_join_build_probe",
-)
-RA_KERNELS_EVAL_ROWS = (
-    "eval_select",
-    "eval_equi_join",
-)
-# The int-keyed join still pays a hash lookup per probe row (the win is the
-# cheaper hash/compare, not a different asymptotic), so it gets the
-# break-even floor rather than the kernel floor.
-RA_KERNELS_AUX_ROWS = (
-    "kernel_join_int_key",
-)
-RA_KERNELS_METRICS = (
-    "rows",
-    "row_ns",
-    "columnar_ns",
-    "speedup_vs_row",
-    "checksum",
-)
-RA_KERNELS_KERNEL_FLOOR = 3.0
-RA_KERNELS_EVAL_FLOOR = 0.9
-
-
-def check_ra_kernels(path, doc, problems):
-    sweeps = [p for p in doc.get("points", [])
-              if isinstance(p, dict) and p.get("kind") == "sweep"
-              and isinstance(p.get("name"), str)]
-    names = {p["name"] for p in sweeps}
-    for row in (RA_KERNELS_KERNEL_ROWS + RA_KERNELS_EVAL_ROWS
-                + RA_KERNELS_AUX_ROWS):
-        if row not in names:
-            fail(path, f"ra_kernels: missing sweep row {row!r}", problems)
-    for point in sweeps:
-        metrics = point.get("metrics")
-        if not isinstance(metrics, dict):
-            continue  # already reported by check_point
-        for key in RA_KERNELS_METRICS:
-            if key not in metrics:
-                fail(path,
-                     f"ra_kernels: sweep {point['name']!r} missing "
-                     f"metric {key!r}", problems)
-        speedup = metrics.get("speedup_vs_row")
-        if not isinstance(speedup, numbers.Real) or isinstance(speedup, bool):
-            continue
-        if point["name"] in RA_KERNELS_KERNEL_ROWS \
-                and speedup < RA_KERNELS_KERNEL_FLOOR:
-            fail(path,
-                 f"ra_kernels: sweep {point['name']!r} speedup_vs_row is "
-                 f"{speedup}, want >= {RA_KERNELS_KERNEL_FLOOR}", problems)
-        if point["name"] in RA_KERNELS_EVAL_ROWS + RA_KERNELS_AUX_ROWS \
-                and speedup < RA_KERNELS_EVAL_FLOOR:
-            fail(path,
-                 f"ra_kernels: sweep {point['name']!r} speedup_vs_row is "
-                 f"{speedup}, want >= {RA_KERNELS_EVAL_FLOOR} (the columnar "
-                 f"path regressed end-to-end evaluation)", problems)
-
-
 # fig61_intervals: the keyed direct Fig 6.1 test reads only the inserted
 # tuple's key group, so every |L| row must read exactly its 50-row group.
 # A count, not a timing, so the check is exact in quick mode too.
@@ -528,10 +461,9 @@ def check_fig61_intervals(path, doc, problems):
 
 # relation_writes: a write to a frozen relation keeps its indexes current
 # and a re-freeze builds nothing, so BM_WriteThenFreeze must report zero
-# index and segment builds per update at every |R|. Counts, not timings, so
-# the check is exact in quick mode too.
+# index builds per update at every |R|. A count, not a timing, so the check
+# is exact in quick mode too.
 RELATION_WRITES_SIZES = (100, 1000, 10000, 100000)
-RELATION_WRITES_ZERO_COUNTERS = ("index_builds", "segment_builds")
 
 
 def check_relation_writes(path, doc, problems):
@@ -548,12 +480,11 @@ def check_relation_writes(path, doc, problems):
         metrics = point.get("metrics")
         if not isinstance(metrics, dict):
             continue  # already reported by check_point
-        for key in RELATION_WRITES_ZERO_COUNTERS:
-            value = metrics.get(key)
-            if value != 0:
-                fail(path, f"relation_writes: {name!r} {key} is {value!r} "
-                     f"per update, want 0 (writes must keep the frozen "
-                     f"state current)", problems)
+        value = metrics.get("index_builds")
+        if value != 0:
+            fail(path, f"relation_writes: {name!r} index_builds is "
+                 f"{value!r} per update, want 0 (writes must keep the "
+                 f"frozen indexes current)", problems)
 
 
 def check_file(path, problems):
@@ -595,8 +526,6 @@ def check_file(path, problems):
         check_plan_cache(path, doc, problems)
     if doc.get("name") == "episode_pipeline":
         check_episode_pipeline(path, doc, problems)
-    if doc.get("name") == "ra_kernels":
-        check_ra_kernels(path, doc, problems)
     if doc.get("name") == "fig61_intervals":
         check_fig61_intervals(path, doc, problems)
     if doc.get("name") == "relation_writes":
