@@ -500,21 +500,27 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
   if (u.kind == Update::Kind::kInsert && site_.IsLocal(u.pred)) {
     std::shared_ptr<const Tier2Artifacts> t2 = PrepareTier2(r, u.pred);
     if (t2 != nullptr) {
-      // Tier 2 may only trust *verified* local data. A tuple applied
+      // Tier 2 may only trust *verified* local data. A tuple inserted
       // optimistically while its own check is still deferred must not
       // serve as evidence (e.g. interval coverage) for accepting further
       // updates: one unverified insert could otherwise launder
       // arbitrarily many dependents past the local test, and its late
-      // rollback would leave them standing unchecked. The overlay names
-      // the pending tuples; later queue entries win.
+      // rollback would leave them standing unchecked. A row deleted under
+      // a deferred check is simply absent: it proves nothing about the
+      // remote data, which may have changed since the delete. The overlay
+      // hides the pending inserts; later queue entries win.
       const Relation& live = ctx.db->Get(u.pred, u.tuple.size());
       VerifiedOverlay pending;
+      bool has_pending = false;
       for (const DeferredCheck& d : *ctx.deferred) {
-        if (d.update.pred == u.pred) {
-          pending[d.update.tuple] = d.update.kind != Update::Kind::kInsert;
+        if (d.update.pred != u.pred) continue;
+        has_pending = true;
+        if (d.update.kind == Update::Kind::kInsert) {
+          pending[d.update.tuple] = false;
+        } else {
+          pending.erase(d.update.tuple);
         }
       }
-      const bool has_pending = !pending.empty();
       Outcome outcome = Outcome::kUnknown;
       bool decided = false;
 
@@ -579,28 +585,17 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
           }
         }
       }
-      if (!decided && t2->cqc.has_value()) {
-        // The Theorem 5.2 test reads all of L, so only it pays for a
-        // verified copy.
-        Relation verified(u.tuple.size());
-        const Relation* local = &live;
-        if (has_pending) {
-          verified = live;
-          for (const auto& [tuple, present] : pending) {
-            if (present) {
-              verified.Insert(tuple);
-            } else {
-              verified.Erase(tuple);
-            }
-          }
-          local = &verified;
-        }
+      if (!decided && t2->cqc.has_value() && !has_pending) {
+        // The Theorem 5.2 test steps aside while any update of L is
+        // pending, like the RA test: with several local subgoals the new
+        // tuple can join a hidden insert, or a deleted row whose delete is
+        // later rolled back, so the verified rows alone do not decide.
         Result<LocalTestResult> o =
-            CompleteLocalTestOnInsert(*t2->cqc, u.tuple, *local);
+            CompleteLocalTestOnInsert(*t2->cqc, u.tuple, live);
         if (o.ok()) {
           outcome = o->outcome;
           decided = true;
-          CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, local->size()));
+          CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, live.size()));
         }
       }
       if (decided) {

@@ -83,22 +83,31 @@ bool SplitSitePrefix(std::string_view value, size_t* site,
   return true;
 }
 
+/// Ceiling on one simulated trip: a minute. Every trip is slept for real,
+/// so a larger value is a hang, not a slow network.
+constexpr uint64_t kMaxTripLatencyUs = 60'000'000;
+
+/// One microsecond parameter of a latency spec, in [1, kMaxTripLatencyUs].
+bool ParseTripLatency(std::string_view v, uint64_t* out) {
+  return ParseUint64(v, out) && *out >= 1 && *out <= kMaxTripLatencyUs;
+}
+
 /// "fixed:U", "uniform:LO:HI" or "twopoint:LO:HI:P". Microsecond
-/// parameters must be >= 1 (a zero latency is a config error, not a free
-/// network) and LO <= HI; P is a probability in [0,1].
+/// parameters must be in [1, kMaxTripLatencyUs] (a zero latency is a
+/// config error, not a free network) and LO <= HI; P is a probability in
+/// [0,1].
 bool ParseLatencySpec(std::string_view spec, SiteLatencyOverride* out) {
   std::vector<std::string_view> parts = Split(spec, ':');
   SiteLatencyOverride o;
   if (parts[0] == "fixed" && parts.size() == 2) {
     o.model = LatencyModel::kFixed;
-    if (!ParseUint64(parts[1], &o.fixed_us) || o.fixed_us == 0) return false;
+    if (!ParseTripLatency(parts[1], &o.fixed_us)) return false;
   } else if ((parts[0] == "uniform" && parts.size() == 3) ||
              (parts[0] == "twopoint" && parts.size() == 4)) {
     o.model = parts.size() == 3 ? LatencyModel::kUniform
                                 : LatencyModel::kTwoPoint;
-    if (!ParseUint64(parts[1], &o.lo_us) ||
-        !ParseUint64(parts[2], &o.hi_us) || o.lo_us == 0 ||
-        o.lo_us > o.hi_us ||
+    if (!ParseTripLatency(parts[1], &o.lo_us) ||
+        !ParseTripLatency(parts[2], &o.hi_us) || o.lo_us > o.hi_us ||
         (parts.size() == 4 && !ParseProbability(parts[3], &o.slow_share))) {
       return false;
     }
@@ -295,12 +304,13 @@ const ScriptOption kOptions[] = {
     {"site-latency", "site_latency",
      "S:fixed:U | S:uniform:LO:HI | S:twopoint:LO:HI:P",
      "SITE:fixed:U, SITE:uniform:LO:HI or SITE:twopoint:LO:HI:P "
-     "(microseconds >= 1, LO <= HI)",
+     "(microseconds 1..60000000, LO <= HI)",
      "",
      "per-site trip-latency model (microseconds,\n"
-     "all >= 1, LO <= HI; twopoint draws HI with\n"
-     "probability P, else LO; draws are\n"
-     "deterministic per seed; repeatable)",
+     "1..60000000 = one minute, LO <= HI;\n"
+     "twopoint draws HI with probability P,\n"
+     "else LO; draws are deterministic per\n"
+     "seed; repeatable)",
      [](std::string_view v, ScriptOptions* o) {
        size_t site = 0;
        std::string_view rest;

@@ -202,6 +202,41 @@ TEST(FaultToleranceTest, UnverifiedTupleNeverServesAsCoverage) {
   EXPECT_EQ((*third)[0].outcome, Outcome::kHolds);
 }
 
+TEST(FaultToleranceTest, PendingDeleteNeverServesAsCoverage) {
+  // A row deleted under a deferred check is gone from the database. While
+  // it existed it proved r(1) absent; once deleted, the remote side may
+  // change (here r(1) arrives), so it proves nothing. It used to stay in
+  // tier 2's view and answer kHolds for an insert that violates "join".
+  FaultInjector injector{FaultConfig{}};
+  ConstraintManager mgr({"l"}, CostModel{});
+  ASSERT_TRUE(
+      mgr.AddConstraint("join", MustParse("panic :- l(X,Y) & r(Y)")).ok());
+  // Recursion keeps tier 1 from settling the delete, so it is deferred.
+  ASSERT_TRUE(mgr.AddConstraint("reach",
+                                MustParse("panic :- l(X,Y) & path(Y,X)\n"
+                                          "path(X,Y) :- edge(X,Y)\n"
+                                          "path(X,Y) :- edge(X,Z) & path(Z,Y)"))
+                  .ok());
+  mgr.site().set_site_fault_injector(0, &injector);
+  ASSERT_TRUE(mgr.site().db().Insert("l", {V(5), V(1)}).ok());
+  ASSERT_TRUE(mgr.site().db().Insert("edge", {V(7), V(7)}).ok());
+
+  injector.ForceOutage(true);
+  auto removed = mgr.ApplyUpdate(Update::Delete("l", {V(5), V(1)}));
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  ASSERT_EQ(OutcomeOf(*removed, "reach"), Outcome::kDeferred);
+  ASSERT_FALSE(mgr.site().db().Contains("l", {V(5), V(1)}));
+  ASSERT_TRUE(mgr.site().db().Insert("r", {V(1)}).ok());
+
+  auto reports = mgr.ApplyUpdate(Update::Insert("l", {V(0), V(1)}));
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  for (const CheckReport& r : *reports) {
+    if (r.constraint != "join") continue;
+    EXPECT_NE(r.tier, Tier::kLocalTest);
+    EXPECT_NE(r.outcome, Outcome::kHolds);
+  }
+}
+
 TEST(FaultToleranceTest, RejectPolicyRefusesUnverifiableUpdates) {
   ResilienceConfig resilience;
   resilience.on_unreachable = DeferredPolicy::kReject;

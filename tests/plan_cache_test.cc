@@ -275,98 +275,7 @@ TEST(CompiledProgramTest, CompileFailsExactlyWhereEvaluateWould) {
   EXPECT_EQ(plan.status().code(), eval.status().code());
 }
 
-// ---- Manager-level: on/off equality with hits ----------------------------
-
-struct ManagerRun {
-  std::vector<std::vector<CheckReport>> reports;
-  ManagerStats stats;
-  uint64_t plan_hits = 0;
-  uint64_t plan_compiles = 0;
-};
-
-void ExpectIdenticalRuns(const ManagerRun& off, const ManagerRun& on) {
-  ASSERT_EQ(off.reports.size(), on.reports.size());
-  for (size_t u = 0; u < off.reports.size(); ++u) {
-    ASSERT_EQ(off.reports[u].size(), on.reports[u].size());
-    for (size_t i = 0; i < off.reports[u].size(); ++i) {
-      EXPECT_EQ(off.reports[u][i].constraint, on.reports[u][i].constraint);
-      EXPECT_EQ(off.reports[u][i].outcome, on.reports[u][i].outcome)
-          << "update " << u << " " << off.reports[u][i].constraint;
-      EXPECT_EQ(off.reports[u][i].tier, on.reports[u][i].tier)
-          << "update " << u << " " << off.reports[u][i].constraint;
-    }
-  }
-  EXPECT_EQ(off.stats.resolved_by, on.stats.resolved_by);
-  EXPECT_EQ(off.stats.violations, on.stats.violations);
-  EXPECT_EQ(off.stats.remote_attempts, on.stats.remote_attempts);
-  EXPECT_EQ(off.stats.t3_admitted, on.stats.t3_admitted);
-  EXPECT_EQ(off.stats.deferred, on.stats.deferred);
-  EXPECT_EQ(off.stats.shed_checks, on.stats.shed_checks);
-  // The strong clause: access accounting is byte-identical too — a plan
-  // cache hit never changes which reads the evaluation charged.
-  EXPECT_EQ(off.stats.access.local_tuples, on.stats.access.local_tuples);
-  EXPECT_EQ(off.stats.access.remote_tuples, on.stats.access.remote_tuples);
-  EXPECT_EQ(off.stats.access.remote_trips, on.stats.access.remote_trips);
-  EXPECT_EQ(off.stats.access.cache_hits, on.stats.access.cache_hits);
-  EXPECT_EQ(off.stats.access.cached_tuples, on.stats.access.cached_tuples);
-}
-
-/// A comparison-free workload (so the tier-1 memo's soundness gate is
-/// open) with heavy pattern repetition across every tier.
-ManagerRun RunPatternWorkload(bool plan_cache) {
-  ConstraintManager mgr({"l", "emp"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{}, RemoteCacheConfig{}, BudgetConfig{},
-                        TopologyConfig{}, PlanCacheConfig{plan_cache});
-  // Two remote-only variables (A, B) put "join" past the Fig 6.1 interval
-  // machinery and onto the Theorem 5.3 RA test — the path the template
-  // cache compiles.
-  EXPECT_TRUE(
-      mgr.AddConstraint("join", MustParse("panic :- l(X,Y) & r(Y,A,B)"))
-          .ok());
-  EXPECT_TRUE(mgr.AddConstraint(
-                     "ref", MustParse("panic :- emp(E,D) & not dept(D)"))
-                  .ok());
-  EXPECT_TRUE(
-      mgr.AddConstraint("noloop", MustParse("panic :- l(X,X)")).ok());
-  EXPECT_TRUE(mgr.site().db().Insert("dept", {V("cs")}).ok());
-  EXPECT_TRUE(mgr.site().db().Insert("r", {V(100), V(1), V(2)}).ok());
-
-  std::vector<Update> stream;
-  for (int i = 0; i < 8; ++i) {
-    stream.push_back(Update::Insert("l", {V(i), V(i + 50)}));   // same pattern
-    stream.push_back(Update::Insert("emp", {V(i), V("cs")}));   // T3, repeats
-    stream.push_back(Update::Delete("l", {V(i), V(i + 50)}));   // T1, repeats
-  }
-  stream.push_back(Update::Insert("l", {V(3), V(3)}));  // violates noloop
-  stream.push_back(Update::Insert("l", {V(3), V(3)}));  // again: same version
-  ManagerRun run;
-  for (const Update& u : stream) {
-    auto reports = mgr.ApplyUpdate(u);
-    EXPECT_TRUE(reports.ok()) << reports.status().ToString();
-    if (reports.ok()) run.reports.push_back(*reports);
-  }
-  run.stats = mgr.stats();
-  if (plan_cache) {
-    run.plan_hits = mgr.metrics().GetCounter("plan.hits")->value();
-    run.plan_compiles = mgr.metrics().GetCounter("plan.compiles")->value();
-  }
-  return run;
-}
-
-TEST(PlanCacheManagerTest, CacheOnMatchesOffWithHits) {
-  ManagerRun off = RunPatternWorkload(false);
-  ManagerRun on = RunPatternWorkload(true);
-  ExpectIdenticalRuns(off, on);
-  // Non-vacuous: repeated patterns really served cached plans, and
-  // compiles stayed well below one per check.
-  EXPECT_GT(on.plan_hits, 0u);
-  EXPECT_GT(on.plan_compiles, 0u);
-  EXPECT_GT(on.plan_hits, on.plan_compiles);
-  EXPECT_EQ(off.plan_hits, 0u);
-  // The workload exercised something at every tier.
-  EXPECT_GT(on.stats.violations, 0u);
-  EXPECT_GT(on.stats.resolved_by[Tier::kFullCheck], 0u);
-}
+// ---- Manager-level: the memo layers under real episodes -----------------
 
 TEST(PlanCacheManagerTest, RepeatedRejectedUpdateHitsBoundResultMemo) {
   // A rejected update leaves the database — and so every relation
@@ -374,7 +283,8 @@ TEST(PlanCacheManagerTest, RepeatedRejectedUpdateHitsBoundResultMemo) {
   // replay a tier-2 evaluation. Re-submitting the same violating insert
   // must serve the join constraint's RA evaluation from the memo (hits
   // grow) while charging identical reads (access equality is covered by
-  // CacheOnMatchesOffWithHits; here we pin the hit itself).
+  // the config-lattice harness, which diffs plan-cache-on points against
+  // plan-cache-off references; here we pin the hit itself).
   ConstraintManager mgr({"l"}, CostModel{}, ResilienceConfig{},
                         ParallelConfig{}, RemoteCacheConfig{}, BudgetConfig{},
                         TopologyConfig{}, PlanCacheConfig{true});
@@ -436,6 +346,42 @@ TEST(PlanCacheManagerTest, AddConstraintInvalidatesThePatternMemo) {
             compiles_before);
 }
 
+// ---- Manager-level: budgets under cache hits ---------------------------
+
+struct ManagerRun {
+  std::vector<std::vector<CheckReport>> reports;
+  ManagerStats stats;
+  uint64_t plan_hits = 0;
+  uint64_t plan_compiles = 0;
+};
+
+void ExpectIdenticalRuns(const ManagerRun& off, const ManagerRun& on) {
+  ASSERT_EQ(off.reports.size(), on.reports.size());
+  for (size_t u = 0; u < off.reports.size(); ++u) {
+    ASSERT_EQ(off.reports[u].size(), on.reports[u].size());
+    for (size_t i = 0; i < off.reports[u].size(); ++i) {
+      EXPECT_EQ(off.reports[u][i].constraint, on.reports[u][i].constraint);
+      EXPECT_EQ(off.reports[u][i].outcome, on.reports[u][i].outcome)
+          << "update " << u << " " << off.reports[u][i].constraint;
+      EXPECT_EQ(off.reports[u][i].tier, on.reports[u][i].tier)
+          << "update " << u << " " << off.reports[u][i].constraint;
+    }
+  }
+  EXPECT_EQ(off.stats.resolved_by, on.stats.resolved_by);
+  EXPECT_EQ(off.stats.violations, on.stats.violations);
+  EXPECT_EQ(off.stats.remote_attempts, on.stats.remote_attempts);
+  EXPECT_EQ(off.stats.t3_admitted, on.stats.t3_admitted);
+  EXPECT_EQ(off.stats.deferred, on.stats.deferred);
+  EXPECT_EQ(off.stats.shed_checks, on.stats.shed_checks);
+  // The strong clause: access accounting is byte-identical too — a plan
+  // cache hit never changes which reads the evaluation charged.
+  EXPECT_EQ(off.stats.access.local_tuples, on.stats.access.local_tuples);
+  EXPECT_EQ(off.stats.access.remote_tuples, on.stats.access.remote_tuples);
+  EXPECT_EQ(off.stats.access.remote_trips, on.stats.access.remote_trips);
+  EXPECT_EQ(off.stats.access.cache_hits, on.stats.access.cache_hits);
+  EXPECT_EQ(off.stats.access.cached_tuples, on.stats.access.cached_tuples);
+}
+
 /// A mixed budgeted workload: "deep" walks a 64-edge transitive closure a
 /// 4-round fixpoint cap can never finish (deterministic sheds, no wall
 /// clock), "ref" completes at tier 3, "join" resolves locally — all
@@ -483,7 +429,7 @@ ManagerRun RunBudgetedWorkload(bool plan_cache) {
 }
 
 TEST(PlanCacheManagerTest, BudgetInvariantHoldsUnderCacheHits) {
-  // PR 5's shed/accounting invariant must balance exactly when tier-3
+  // The budget shed/accounting invariant must balance exactly when tier-3
   // evaluations run behind cache-served compilations: a cached plan
   // changes nothing about what tier 3 admits, splits, or sheds.
   ManagerRun off = RunBudgetedWorkload(false);

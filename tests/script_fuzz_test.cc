@@ -1,9 +1,11 @@
-// Deterministic mutational fuzzing of the two configuration surfaces. A
-// fixed-seed corpus, drawn from examples/workloads/*.ccpi and one sample
-// value per ScriptOptionTable row, is mutated and fed to ParseScript,
-// ApplyScriptFlag and ValidateScriptOptions. The contract: no crash (the
-// sanitizer builds run this binary too), and every failure is an
-// InvalidArgument with a message.
+// Deterministic mutational fuzzing of the two configuration surfaces and
+// of the runner behind them. A fixed-seed corpus, drawn from
+// examples/workloads/*.ccpi and one sample value per ScriptOptionTable
+// row, is mutated and fed to ParseScript, ApplyScriptFlag and
+// ValidateScriptOptions; every mutated script that parses is then run
+// through RunScript. The contract: no crash (the sanitizer builds run
+// this binary too), every parse or flag failure is an InvalidArgument
+// with a message, and every failed run carries a message.
 
 #include <gtest/gtest.h>
 
@@ -166,21 +168,48 @@ TEST(ScriptFuzzTest, EveryRowSampleIsWellFormed) {
   EXPECT_TRUE(script.ok()) << script.status().ToString();
 }
 
-TEST(ScriptFuzzTest, MutatedScriptsFailCleanly) {
+/// Calls `fn(text, parsed)` for each fixed-seed mutation of the corpus.
+template <typename Fn>
+void ForEachMutatedScript(Fn fn) {
   const std::vector<std::string> corpus = ScriptCorpus();
   const std::vector<std::string> dict = Dictionary();
   ASSERT_GT(corpus.size(), 1u);
   Rng rng(kSeed);
   for (int i = 0; i < kScriptIterations; ++i) {
     std::string text = Mutate(corpus[rng.Below(corpus.size())], rng, dict);
-    Result<Script> script = ParseScript(text);
+    fn(text, ParseScript(text));
+  }
+}
+
+TEST(ScriptFuzzTest, MutatedScriptsFailCleanly) {
+  ForEachMutatedScript([](const std::string& text, Result<Script> script) {
     if (script.ok()) {
       // ParseScript validated the options, so they validate again.
       EXPECT_TRUE(ValidateScriptOptions(script->options).ok()) << text;
     } else {
       ExpectInvalidArgument(script.status(), text);
     }
-  }
+  });
+}
+
+TEST(ScriptFuzzTest, MutatedScriptsRunCleanly) {
+  size_t runs = 0;
+  ForEachMutatedScript([&](const std::string& text, Result<Script> script) {
+    if (!script.ok()) return;
+    // Every simulated trip is slept for real, so each latency override is
+    // reset to the default fixed 0us and the pass never sleeps. The
+    // latency values themselves are covered by the parse pass above and
+    // by the script test's ceiling case.
+    for (auto& [site, model] : script->options.topology.site_latency) {
+      model = SiteLatencyOverride{};
+    }
+    Result<ScriptReport> report = RunScript(*script);
+    if (!report.ok()) {
+      EXPECT_FALSE(report.status().message().empty()) << text;
+    }
+    ++runs;
+  });
+  EXPECT_GT(runs, 0u);  // the pass ran scripts, not just parses
 }
 
 TEST(ScriptFuzzTest, MutatedFlagsFailCleanly) {

@@ -776,15 +776,25 @@ TEST(ScriptFlagTest, NumericCeilingsRejectValuesThatCrashOrWrap) {
   ExpectBadFlag("--deadline-ms=4611686018427387904", "--deadline-ms");
   ExpectBadFlag("--deadline-ms=18446744073709551615", "--deadline-ms");
   ExpectBadFlag("--hedge-after=9223372036854775808", "--hedge-after");
+  // A trip latency is slept for real: past one minute it is a hang.
+  ExpectBadFlag("--site-latency=0:fixed:9223372036854775807",
+                "--site-latency");
+  ExpectBadFlag("--site-latency=0:fixed:60000001", "--site-latency");
+  ExpectBadFlag("--site-latency=0:uniform:1:18446744073709551615",
+                "--site-latency");
+  ExpectBadFlag("--site-latency=0:twopoint:1:60000001:0.5",
+                "--site-latency");
   // The directive form shares the row, so it inherits the ceiling.
   ExpectParseError("sites 100000000000\n", "line 1: sites");
   ExpectParseError("hedge_after 9223372036854775808\n", "line 1: hedge_after");
+  ExpectParseError("site_latency 0 fixed:60000001\n", "line 1: site_latency");
   // The ceilings themselves are accepted.
   ScriptOptions options;
   EXPECT_TRUE(ApplyOk("--sites=1024", &options));
   EXPECT_TRUE(ApplyOk("--threads=256", &options));
   EXPECT_TRUE(ApplyOk("--deadline-ms=86400000", &options));
   EXPECT_TRUE(ApplyOk("--hedge-after=1000", &options));
+  EXPECT_TRUE(ApplyOk("--site-latency=0:uniform:1:60000000", &options));
 }
 
 TEST(ScriptParseTest, DomainOutageMayPrecedeItsDomain) {
