@@ -69,7 +69,7 @@ std::unique_ptr<ConstraintManager> MakeManager(size_t constraints,
   auto mgr = std::make_unique<ConstraintManager>(
       locals, costs, ResilienceConfig{}, ParallelConfig{threads},
       RemoteCacheConfig{}, BudgetConfig{}, TopologyConfig{},
-      PlanCacheConfig{}, PipelineConfig{depth});
+      PipelineConfig{depth});
   for (size_t k = 0; k < constraints; ++k) {
     std::string ks = std::to_string(k);
     auto p = ParseProgram("panic :- l" + ks + "(X) & r" + ks + "(X)");

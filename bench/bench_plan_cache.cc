@@ -3,24 +3,20 @@
 // `panic :- l(X,Y,Z) & r<k>(Y,A,B)` — two remote-only variables defeat the
 // ICQ interval analysis, so every episode runs the tier-1 independence
 // analysis (K checks, each copying the K-1 other programs into the assumed
-// set) and, for inserts, the tier-2 RA local test. With the cache on, the
-// first episode of a tuple shape compiles those decisions once; every
-// later episode with the same shape replays them from the pattern memo.
+// set) and, for inserts, the tier-2 RA local test. The first episode of a
+// tuple shape compiles those decisions once; every later episode with the
+// same shape replays them from the pattern memo.
 //
 // Two sweeps:
 //   recheck/K<k>   a uniform delete stream (one shape); reports the cold
 //                  compile episode vs. the mean cached re-check episode
 //                  inside the same run — the ratio is the headline
-//                  speedup — plus whole-run ns/update for cache off vs on.
+//                  speedup — plus whole-run ns/update.
 //   locality/f<f>/K<k>
 //                  an insert stream where a fraction f of updates carry
 //                  the dominant tuple shape and the rest are spread over
 //                  three minority shapes; shows hit rate and per-update
 //                  cost tracking pattern locality.
-//
-// Both sweeps re-run every stream with the cache off and assert the tier
-// resolution counts, violations, and applied-update counts are identical —
-// the cache is semantically invisible, only the time changes.
 
 #include <benchmark/benchmark.h>
 
@@ -52,12 +48,9 @@ double NowNs() {
 /// The seeded r<k> rows never match a generated l tuple's join column, so
 /// every streamed update is applied and the run stays in the steady-state
 /// re-check regime the cache targets.
-std::unique_ptr<ConstraintManager> MakeManager(size_t constraints,
-                                               bool plan) {
+std::unique_ptr<ConstraintManager> MakeManager(size_t constraints) {
   auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"l"}, CostModel{}, ResilienceConfig{},
-      ParallelConfig{}, RemoteCacheConfig{}, BudgetConfig{}, TopologyConfig{},
-      PlanCacheConfig{plan});
+      std::set<std::string>{"l"}, CostModel{});
   for (size_t k = 0; k < constraints; ++k) {
     std::string rel = "r" + std::to_string(k);
     auto p = ParseProgram("panic :- l(X,Y,Z) & " + rel + "(Y,A,B)");
@@ -84,26 +77,19 @@ std::vector<Update> DominantShapeRows(size_t n, const char* tag) {
   return out;
 }
 
-void CheckSameResolution(const ManagerStats& off, const ManagerStats& on) {
-  CCPI_CHECK(off.resolved_by == on.resolved_by);
-  CCPI_CHECK(off.violations == on.violations);
-  CCPI_CHECK(off.t3_admitted == on.t3_admitted);
-}
-
 struct RecheckPoint {
   double ns_total = 0;         // whole stream
-  double ns_first = 0;         // episode 0 (the compile episode when on)
+  double ns_first = 0;         // episode 0, the compile episode
   double ns_rest = 0;          // mean of episodes 1..n-1
   double plan_hits = 0;
   double plan_compiles = 0;
-  ManagerStats stats;
 };
 
 /// Seeds `episodes` same-shape rows and times the episode that deletes
-/// each one. Tier 1 proves every delete safe; with the cache on, that
-/// proof is compiled once and replayed from the pattern memo after.
-RecheckPoint RunRecheck(size_t constraints, size_t episodes, bool plan) {
-  std::unique_ptr<ConstraintManager> mgr = MakeManager(constraints, plan);
+/// each one. Tier 1 proves every delete safe; that proof is compiled once
+/// and replayed from the pattern memo after.
+RecheckPoint RunRecheck(size_t constraints, size_t episodes) {
+  std::unique_ptr<ConstraintManager> mgr = MakeManager(constraints);
   std::vector<Update> rows = DominantShapeRows(episodes, "x");
   for (const Update& u : rows) {
     CCPI_CHECK(mgr->site().db().Insert(u.pred, u.tuple).ok());
@@ -130,7 +116,6 @@ RecheckPoint RunRecheck(size_t constraints, size_t episodes, bool plan) {
       static_cast<double>(mgr->metrics().GetCounter("plan.hits")->value());
   point.plan_compiles = static_cast<double>(
       mgr->metrics().GetCounter("plan.compiles")->value());
-  point.stats = mgr->stats();
   return point;
 }
 
@@ -138,7 +123,6 @@ struct LocalityPoint {
   double ns_per_update = 0;
   double plan_hits = 0;
   double plan_compiles = 0;
-  ManagerStats stats;
 };
 
 /// An insert stream with the dominant N0.N1.N2 shape at fraction f and
@@ -173,9 +157,8 @@ std::vector<Update> LocalityStream(size_t n, double f, uint64_t seed) {
   return out;
 }
 
-LocalityPoint RunLocality(size_t constraints, double f, size_t updates,
-                          bool plan) {
-  std::unique_ptr<ConstraintManager> mgr = MakeManager(constraints, plan);
+LocalityPoint RunLocality(size_t constraints, double f, size_t updates) {
+  std::unique_ptr<ConstraintManager> mgr = MakeManager(constraints);
   std::vector<Update> stream = LocalityStream(updates, f, 97);
   double t0 = NowNs();
   for (const Update& u : stream) {
@@ -188,7 +171,6 @@ LocalityPoint RunLocality(size_t constraints, double f, size_t updates,
       static_cast<double>(mgr->metrics().GetCounter("plan.hits")->value());
   point.plan_compiles = static_cast<double>(
       mgr->metrics().GetCounter("plan.compiles")->value());
-  point.stats = mgr->stats();
   return point;
 }
 
@@ -198,22 +180,18 @@ void RunSweep(ccpi::bench::Harness* harness, bool quick) {
   size_t episodes = quick ? 40 : 120;
 
   std::printf("=== PLAN-1: compiled-plan cache vs. repeated patterns ===\n");
-  std::printf("%-14s %12s %12s %10s %12s %10s\n", "recheck", "ns_off",
-              "ns_on", "speedup", "first_ns", "episode_x");
+  std::printf("%-14s %12s %12s %12s %10s\n", "recheck", "ns/update",
+              "first_ns", "recheck_ns", "episode_x");
   for (size_t k : constraint_counts) {
-    RecheckPoint off = RunRecheck(k, episodes, false);
-    RecheckPoint on = RunRecheck(k, episodes, true);
-    CheckSameResolution(off.stats, on.stats);
-    double ns_off = off.ns_total / static_cast<double>(episodes);
-    double ns_on = on.ns_total / static_cast<double>(episodes);
-    double speedup = ns_on > 0 ? ns_off / ns_on : 0;
+    RecheckPoint point = RunRecheck(k, episodes);
+    double ns = point.ns_total / static_cast<double>(episodes);
     // The headline number: the compile episode vs. the mean cached
     // re-check episode of the same warm run (noise-tolerant — one
     // process, one manager, adjacent measurements).
     double episode_speedup =
-        on.ns_rest > 0 ? on.ns_first / on.ns_rest : 0;
-    std::printf("K=%-12zu %12.0f %12.0f %9.1fx %12.0f %9.1fx\n", k, ns_off,
-                ns_on, speedup, on.ns_first, episode_speedup);
+        point.ns_rest > 0 ? point.ns_first / point.ns_rest : 0;
+    std::printf("K=%-12zu %12.0f %12.0f %12.0f %9.1fx\n", k, ns,
+                point.ns_first, point.ns_rest, episode_speedup);
 
     char point_name[64];
     std::snprintf(point_name, sizeof(point_name), "recheck/K%zu", k);
@@ -221,30 +199,25 @@ void RunSweep(ccpi::bench::Harness* harness, bool quick) {
         point_name,
         {{"constraints", static_cast<double>(k)},
          {"episodes", static_cast<double>(episodes)},
-         {"ns_per_update_off", ns_off},
-         {"ns_per_update_on", ns_on},
-         {"run_speedup", speedup},
-         {"ns_first_episode_on", on.ns_first},
-         {"ns_recheck_episode_on", on.ns_rest},
+         {"ns_per_update", ns},
+         {"ns_first_episode", point.ns_first},
+         {"ns_recheck_episode", point.ns_rest},
          {"episode_speedup", episode_speedup},
-         {"plan_hits", on.plan_hits},
-         {"plan_compiles", on.plan_compiles}});
+         {"plan_hits", point.plan_hits},
+         {"plan_compiles", point.plan_compiles}});
   }
 
   std::vector<double> fractions = {0.0, 0.5, 0.9, 1.0};
   size_t updates = quick ? 40 : 120;
-  std::printf("\n%-16s %-6s %14s %14s %10s %10s\n", "locality", "K",
-              "ns_off", "ns_on", "hits", "compiles");
+  std::printf("\n%-16s %-6s %14s %10s %10s\n", "locality", "K",
+              "ns/update", "hits", "compiles");
   for (size_t k : constraint_counts) {
     for (double f : fractions) {
-      LocalityPoint off = RunLocality(k, f, updates, false);
-      LocalityPoint on = RunLocality(k, f, updates, true);
-      CheckSameResolution(off.stats, on.stats);
-      double denom = on.plan_hits + on.plan_compiles;
-      double hit_rate = denom > 0 ? on.plan_hits / denom : 0;
-      std::printf("f=%-14.2f %-6zu %14.0f %14.0f %10.0f %10.0f\n", f, k,
-                  off.ns_per_update, on.ns_per_update, on.plan_hits,
-                  on.plan_compiles);
+      LocalityPoint point = RunLocality(k, f, updates);
+      double denom = point.plan_hits + point.plan_compiles;
+      double hit_rate = denom > 0 ? point.plan_hits / denom : 0;
+      std::printf("f=%-14.2f %-6zu %14.0f %10.0f %10.0f\n", f, k,
+                  point.ns_per_update, point.plan_hits, point.plan_compiles);
 
       char point_name[64];
       std::snprintf(point_name, sizeof(point_name), "locality/f%.2f/K%zu",
@@ -254,10 +227,9 @@ void RunSweep(ccpi::bench::Harness* harness, bool quick) {
           {{"locality", f},
            {"constraints", static_cast<double>(k)},
            {"updates", static_cast<double>(updates)},
-           {"ns_per_update_off", off.ns_per_update},
-           {"ns_per_update_on", on.ns_per_update},
-           {"plan_hits", on.plan_hits},
-           {"plan_compiles", on.plan_compiles},
+           {"ns_per_update", point.ns_per_update},
+           {"plan_hits", point.plan_hits},
+           {"plan_compiles", point.plan_compiles},
            {"hit_rate", hit_rate}});
     }
   }
@@ -265,9 +237,7 @@ void RunSweep(ccpi::bench::Harness* harness, bool quick) {
 }
 
 void BM_ApplyUpdatePlanCache(benchmark::State& state) {
-  size_t constraints = 8;
-  bool plan = state.range(0) != 0;
-  std::unique_ptr<ConstraintManager> mgr = MakeManager(constraints, plan);
+  std::unique_ptr<ConstraintManager> mgr = MakeManager(8);
   // Insert/delete the same fresh row in alternation: both directions are
   // real episodes (never no-ops) and the database stays bounded.
   size_t i = 0;
@@ -281,13 +251,12 @@ void BM_ApplyUpdatePlanCache(benchmark::State& state) {
     benchmark::DoNotOptimize(reports->size());
     ++i;
   }
-  state.counters["plan"] = plan ? 1 : 0;
   state.counters["plan_hits"] = static_cast<double>(
       mgr->metrics().GetCounter("plan.hits")->value());
   state.counters["plan_compiles"] = static_cast<double>(
       mgr->metrics().GetCounter("plan.compiles")->value());
 }
-BENCHMARK(BM_ApplyUpdatePlanCache)->Arg(0)->Arg(1);
+BENCHMARK(BM_ApplyUpdatePlanCache);
 
 }  // namespace
 }  // namespace ccpi

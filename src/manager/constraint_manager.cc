@@ -6,7 +6,6 @@
 #include "core/cqc_form.h"
 #include "core/icq_compiler.h"
 #include "core/local_test.h"
-#include "core/ra_local_test.h"
 #include "datalog/unfold.h"
 #include "eval/engine.h"
 #include "obs/trace.h"
@@ -86,21 +85,6 @@ class SiteBudgetGuard {
 constexpr Tier kAllTiers[] = {Tier::kSubsumed, Tier::kUnaffected,
                               Tier::kIndependence, Tier::kLocalTest,
                               Tier::kFullCheck};
-
-/// Forwards every read to the real observer unchanged (so access
-/// accounting is identical to an unrecorded evaluation) while keeping the
-/// (pred, count) sequence for the bound-result memo: a later same-version
-/// hit replays exactly these charges instead of re-evaluating.
-struct RecordingObserver : AccessObserver {
-  AccessObserver* inner;
-  std::vector<std::pair<std::string, size_t>> reads;
-  explicit RecordingObserver(AccessObserver* observer) : inner(observer) {}
-  Status OnRead(const std::string& pred, size_t count) override {
-    CCPI_RETURN_IF_ERROR(inner->OnRead(pred, count));
-    reads.emplace_back(pred, count);
-    return Status::OK();
-  }
-};
 
 /// Observer of a speculative phase 1: charges nothing, records everything.
 /// A committed episode replays the buffer through the site observer in
@@ -234,14 +218,12 @@ ConstraintManager::ConstraintManager(
     std::set<std::string> local_preds, CostModel cost_model,
     ResilienceConfig resilience, ParallelConfig parallel,
     RemoteCacheConfig remote_cache, BudgetConfig budget,
-    TopologyConfig topology, PlanCacheConfig plan_cache,
-    PipelineConfig pipeline)
+    TopologyConfig topology, PipelineConfig pipeline)
     : site_(std::move(local_preds), std::move(topology)),
       cost_model_(cost_model),
       resilience_(resilience),
       parallel_(parallel),
       remote_cache_(remote_cache),
-      plan_cache_(plan_cache),
       budget_(budget),
       budget_armed_(budget.armed()),
       retry_rng_(resilience.retry_seed),
@@ -279,6 +261,15 @@ ConstraintManager::ConstraintManager(
   InitObservability();
   site_.set_hedge(remote_cache_.hedge_after);
 }
+
+ConstraintManager::ConstraintManager(
+    std::set<std::string> local_preds, CostModel cost_model,
+    ResilienceConfig resilience, ParallelConfig parallel,
+    RemoteCacheConfig remote_cache, BudgetConfig budget,
+    TopologyConfig topology, PlanCacheConfig, PipelineConfig pipeline)
+    : ConstraintManager(std::move(local_preds), cost_model, resilience,
+                        parallel, remote_cache, budget, std::move(topology),
+                        pipeline) {}
 
 ConstraintManager::~ConstraintManager() { AbandonInflight(); }
 
@@ -320,6 +311,12 @@ ManagerStats ConstraintManager::stats() const {
 
 Result<bool> ConstraintManager::AddConstraint(const std::string& name,
                                               Program constraint) {
+  for (const Registered& r : constraints_) {
+    if (r.name == name) {
+      return Status::InvalidArgument("constraint " + name +
+                                     " is already registered");
+    }
+  }
   // Registration changes the active set every speculation quantifies over
   // (tier-1 assumptions, the signature constant pool): retire in-flight
   // episodes before touching it.
@@ -409,7 +406,7 @@ ConstraintManager::PrepareTier2(Registered* r,
 }
 
 Result<CheckReport> ConstraintManager::CheckOne(Registered* r, const Update& u,
-                                                const UpdateSignature* sig,
+                                                const UpdateSignature& sig,
                                                 const CheckContext& ctx) {
   obs::Span span("manager.check", "manager");
   obs::Stopwatch sw;
@@ -426,7 +423,7 @@ Result<CheckReport> ConstraintManager::CheckOne(Registered* r, const Update& u,
 }
 
 Result<CheckReport> ConstraintManager::CheckOneImpl(
-    Registered* r, const Update& u, const UpdateSignature* sig,
+    Registered* r, const Update& u, const UpdateSignature& sig,
     const CheckContext& ctx) {
   CheckReport report;
   report.constraint = r->name;
@@ -441,8 +438,7 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
   // The plan-cache key for this (constraint, update pattern). Keys embed
   // the constraint id, so under the phase-1 fan-out each lane touches a
   // disjoint key family and cache contents stay thread-count independent.
-  const std::string plan_key =
-      sig != nullptr ? r->name + '\x1f' + sig->Key() : std::string();
+  const std::string plan_key = r->name + '\x1f' + sig.Key();
 
   // Tier 1: constraints + update only (Section 4). The decision is a pure
   // function of (constraint, update pattern, active constraint set): it
@@ -451,10 +447,9 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
   // verdict — memoizable per pattern, as long as no active program carries
   // an order comparison (those can distinguish same-shape tuples; see
   // docs/plan_cache.md). AddConstraint invalidates the memo wholesale.
-  const bool tier1_memo = sig != nullptr && plan_sig_safe_;
   bool tier1_known = false;
   bool tier1_holds = false;
-  if (tier1_memo) {
+  if (plan_sig_safe_) {
     if (std::optional<PlanCache::Tier1Decision> memo =
             plans_.FindTier1(plan_key)) {
       ctr_plan_hits_->Add(1);
@@ -479,9 +474,9 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
     tier1_holds =
         independent.ok() && independent->outcome == Outcome::kHolds;
     // Memoize both verdicts — holds and falls-through — but never an
-    // error path (kUnsupported falls through cold every time, exactly
-    // like the uncached code).
-    if (tier1_memo) {
+    // error path (kUnsupported falls through and is recomputed on every
+    // update of the pattern).
+    if (plan_sig_safe_) {
       plans_.StoreTier1(plan_key, PlanCache::Tier1Decision{tier1_holds});
       ctr_plan_compiles_->Add(1);
       compile_sw.RecordTo(hist_plan_compile_);
@@ -542,43 +537,30 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
         // It reads L from the database directly, so it is skipped when
         // unverified tuples would be visible there.
         //
-        // With the plan cache on, the Theorem 5.3 compilation happens once
-        // per update pattern: the compiled template is cached and later
-        // same-shape tuples are *bound* into it (delta evaluation) instead
-        // of recompiling. The evaluation itself is never skipped — except
-        // by the bound-result memo, which replays an identical recorded
-        // read sequence — so reports and access accounting match the cold
-        // path byte for byte.
-        std::shared_ptr<const RaPlanTemplate> tpl;
-        if (sig != nullptr) {
-          tpl = plans_.FindTemplate(plan_key);
-          if (tpl != nullptr) {
-            ctr_plan_hits_->Add(1);
-          } else {
-            obs::Stopwatch compile_sw;
-            Result<RaPlanTemplate> built =
-                CompileRaPlan(t2->rule, u.pred, u.tuple);
-            if (built.ok()) {
-              tpl = plans_.StoreTemplate(
-                  plan_key,
-                  std::make_shared<const RaPlanTemplate>(std::move(*built)));
-              ctr_plan_compiles_->Add(1);
-              compile_sw.RecordTo(hist_plan_compile_);
-            }
-            // A failed compile falls through undecided, exactly like a
-            // failed RaLocalTestOnInsert below — and is not cached, so
-            // error behavior stays per-update.
+        // The Theorem 5.3 compilation happens once per update pattern: the
+        // compiled template is cached and later same-shape tuples are
+        // *bound* into it (delta evaluation) instead of recompiling. The
+        // bound test is evaluated on every update.
+        std::shared_ptr<const RaPlanTemplate> tpl =
+            plans_.FindTemplate(plan_key);
+        if (tpl != nullptr) {
+          ctr_plan_hits_->Add(1);
+        } else {
+          obs::Stopwatch compile_sw;
+          Result<RaPlanTemplate> built =
+              CompileRaPlan(t2->rule, u.pred, u.tuple);
+          if (built.ok()) {
+            tpl = plans_.StoreTemplate(
+                plan_key,
+                std::make_shared<const RaPlanTemplate>(std::move(*built)));
+            ctr_plan_compiles_->Add(1);
+            compile_sw.RecordTo(hist_plan_compile_);
           }
+          // A failed compile falls through undecided and is not cached,
+          // so error behavior stays per-update.
         }
         if (tpl != nullptr) {
-          Result<Outcome> o = EvalPlannedRa(*tpl, u, plan_key, ctx);
-          if (o.ok()) {
-            outcome = *o;
-            decided = true;
-          }
-        } else if (sig == nullptr) {
-          Result<Outcome> o = RaLocalTestOnInsert(
-              t2->rule, u.pred, u.tuple, *ctx.db, ctx.observer, &metrics());
+          Result<Outcome> o = EvalPlannedRa(*tpl, u, ctx);
           if (o.ok()) {
             outcome = *o;
             decided = true;
@@ -615,51 +597,25 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
 
 Result<Outcome> ConstraintManager::EvalPlannedRa(const RaPlanTemplate& tpl,
                                                  const Update& u,
-                                                 const std::string& plan_key,
                                                  const CheckContext& ctx) {
-  // Mirror of RaLocalTestOnInsert over a prebuilt template: trivial
-  // outcomes are shape-stable, so they transfer to every bound tuple.
+  // RaLocalTestOnInsert over a prebuilt template: trivial outcomes are
+  // shape-stable, so they transfer to every bound tuple.
   if (tpl.trivially_holds) return Outcome::kHolds;
   if (tpl.trivially_violated) return Outcome::kViolated;
   RaExprPtr bound = tpl.Bind(u.tuple);
   ctr_plan_delta_->Add(1);
 #ifndef NDEBUG
-  // Same locality guarantee the cold path enforces: a bound Theorem 5.3
-  // test reads only the updated local relation.
+  // The locality guarantee RaLocalTestOnInsert enforces: a bound Theorem
+  // 5.3 test reads only the updated local relation.
   {
     std::set<std::string> scans;
     bound->CollectScanPreds(&scans);
     for (const std::string& pred : scans) CCPI_CHECK(pred == u.pred);
   }
 #endif
-  // Bound-result memo, valid while the relation's content-version stamp
-  // matches (equal version => equal contents, so the skipped evaluation
-  // would have produced this outcome and charged exactly these reads).
-  // Version stamps name *content*, not a database handle, so the memo is
-  // shared across episodes: a speculative check over a snapshot whose
-  // relation carries the same version as an earlier episode's hits — and
-  // a hit recorded from a snapshot replays identically on the live path.
-  const Relation& local = ctx.db->Get(u.pred, u.tuple.size());
-  std::string result_key = plan_key;
-  result_key += '\x1f';
-  result_key += TupleToString(u.tuple);
-  result_key += '\x1f';
-  result_key += std::to_string(local.version());
-  if (std::optional<PlanCache::BoundResult> memo =
-          plans_.FindResult(result_key)) {
-    ctr_plan_hits_->Add(1);
-    for (const auto& [pred, count] : memo->reads) {
-      CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(pred, count));
-    }
-    return memo->outcome;
-  }
-  RecordingObserver recorder(ctx.observer);
   CCPI_ASSIGN_OR_RETURN(bool nonempty,
-                        RaNonempty(*bound, *ctx.db, &recorder, &metrics()));
-  Outcome outcome = nonempty ? Outcome::kHolds : Outcome::kUnknown;
-  plans_.StoreResult(result_key,
-                     PlanCache::BoundResult{outcome, std::move(recorder.reads)});
-  return outcome;
+                        RaNonempty(*bound, *ctx.db, ctx.observer, &metrics()));
+  return nonempty ? Outcome::kHolds : Outcome::kUnknown;
 }
 
 bool ConstraintManager::SitesWouldAllow(
@@ -708,11 +664,11 @@ bool ConstraintManager::AllBreakersClosed() const {
 }
 
 Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
+                                               const std::string& plan_key,
                                                const Database& db,
                                                const std::set<size_t>& gsites,
                                                size_t* retries_out,
-                                               const BudgetScope* scope,
-                                               const std::string* plan_key) {
+                                               const BudgetScope* scope) {
   obs::Span span("manager.evaluate_remote", "manager");
   if (scope != nullptr) {
     // Admission: a check whose envelope is already spent performs no
@@ -743,35 +699,26 @@ Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
         options.observer = &site_;
         options.metrics = &metrics();
         options.budget = scope;
-        // With the plan cache on, the program's evaluation-independent
-        // analysis (safety, stratification, predicate partition) runs once
-        // per constraint instead of once per attempt. Only successful
-        // compiles are cached: a failing program surfaces the identical
-        // status on every attempt, cold or cached. Evaluation of a
-        // compiled plan issues the same reads, metrics, and budget
-        // checkpoints as the uncompiled overload.
-        Result<bool> r = [&]() -> Result<bool> {
-          if (plan_cache_.enabled && plan_key != nullptr) {
-            std::shared_ptr<const CompiledProgram> plan =
-                plans_.FindProgram(*plan_key);
-            if (plan == nullptr) {
-              obs::Stopwatch compile_sw;
-              Result<CompiledProgram> built = CompileProgram(program);
-              if (!built.ok()) return built.status();
-              plan = plans_.StoreProgram(
-                  *plan_key,
-                  std::make_shared<const CompiledProgram>(std::move(*built)));
-              ctr_plan_compiles_->Add(1);
-              compile_sw.RecordTo(hist_plan_compile_);
-            } else {
-              ctr_plan_hits_->Add(1);
-            }
-            return IsViolated(*plan, db, options);
-          }
-          return IsViolated(program, db, options);
-        }();
-        if (!r.ok()) return r.status();
-        violated = *r;
+        // The program's evaluation-independent analysis (safety,
+        // stratification, predicate partition) runs once per constraint
+        // instead of once per attempt. Only successful compiles are
+        // cached: a failing program surfaces the identical status on every
+        // attempt.
+        std::shared_ptr<const CompiledProgram> plan =
+            plans_.FindProgram(plan_key);
+        if (plan == nullptr) {
+          obs::Stopwatch compile_sw;
+          CCPI_ASSIGN_OR_RETURN(CompiledProgram built,
+                                CompileProgram(program));
+          plan = plans_.StoreProgram(
+              plan_key, std::make_shared<const CompiledProgram>(
+                            std::move(built)));
+          ctr_plan_compiles_->Add(1);
+          compile_sw.RecordTo(hist_plan_compile_);
+        } else {
+          ctr_plan_hits_->Add(1);
+        }
+        CCPI_ASSIGN_OR_RETURN(violated, IsViolated(*plan, db, options));
         return Status::OK();
       });
   sw.RecordTo(hist_remote_eval_);
@@ -953,12 +900,9 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
     // instead of blocking or failing the whole update.
     CCPI_RETURN_IF_ERROR(u.ApplyTo(&site_.db()));
     LogCommitWrite(u.pred);
-    // Admission accounting is cache-invariant by construction: a plan-
-    // cache hit changes how a tier's verdict was computed, never the
-    // verdict, so `need_full` — and with it every Split below, the
-    // prefetch union, and the t3_admitted == resolved_by[kFullCheck] +
-    // deferred + shed_checks invariant — is identical cache on or off
-    // (regression-tested in plan_cache_test).
+    // Every admitted check is completed, deferred or shed:
+    // t3_admitted == resolved_by[kFullCheck] + deferred + shed_checks,
+    // plan-cache hits or not (regression-tested in plan_cache_test).
     ctr_t3_admitted_->Add(need_full.size());
 
     // Route the episode's remote trips — prefetch included — through the
@@ -1047,9 +991,9 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
         }
       }
       ClaimSites(reg.remote_sites);
-      Result<bool> bad = EvaluateRemote(reg.program, site_.db(),
+      Result<bool> bad = EvaluateRemote(reg.program, reg.name, site_.db(),
                                         reg.remote_sites, &eval_retries[k],
-                                        scope, &reg.name);
+                                        scope);
       if (!bad.ok()) {
         eval_status[k] = bad.status();
       } else {
@@ -1331,9 +1275,9 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
         site_budgets.emplace(&site_, [&](size_t) { return scope; });
       }
       size_t recheck_retries = 0;
-      Result<bool> bad = EvaluateRemote(reg->program, scratch,
+      Result<bool> bad = EvaluateRemote(reg->program, reg->name, scratch,
                                         reg->remote_sites, &recheck_retries,
-                                        scope, &reg->name);
+                                        scope);
       site_budgets.reset();
       if (!bad.ok()) {
         StatusCode code = bad.status().code();
@@ -1491,14 +1435,10 @@ Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
   Phase1 out;
   out.noop = EffectPresent(u, *ctx.db);
   // The episode's update signature — the per-pattern plan-cache key
-  // component shared by every constraint's check below. Null when the
-  // cache is off (or the update is a no-op, which skips checking): every
-  // cached path downstream is then bypassed.
-  std::optional<UpdateSignature> plan_sig;
-  if (plan_cache_.enabled && !out.noop) {
-    plan_sig = MakeUpdateSignature(u, plan_constants_);
-  }
-  const UpdateSignature* sig = plan_sig.has_value() ? &*plan_sig : nullptr;
+  // component shared by every constraint's check below. A no-op update
+  // checks nothing and needs none.
+  std::optional<UpdateSignature> sig;
+  if (!out.noop) sig = MakeUpdateSignature(u, plan_constants_);
 
   // Each lane owns exactly one Registered (its tier-2 cache included),
   // reads the frozen database, and writes its own report slot; all shared
@@ -1519,7 +1459,7 @@ Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
       out.reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kUnaffected};
       return Status::OK();
     }
-    Result<CheckReport> report = CheckOne(&r, u, sig, ctx);
+    Result<CheckReport> report = CheckOne(&r, u, *sig, ctx);
     if (!report.ok()) {
       // Surfaced at this constraint's position in the commit phase, so
       // error reporting matches the sequential order.

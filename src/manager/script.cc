@@ -178,14 +178,6 @@ const ScriptOption kOptions[] = {
      [](std::string_view v, ScriptOptions* o) {
        return SetSwitch(v, &o->remote_cache.enabled);
      }},
-    {"plan-cache", "plan_cache", "on|off", "on or off", "",
-     "compiled local-test plan cache (default on;\n"
-     "semantically invisible — reports and stats\n"
-     "are byte-identical either way); overrides\n"
-     "the script's plan_cache directive",
-     [](std::string_view v, ScriptOptions* o) {
-       return SetSwitch(v, &o->plan_cache.enabled);
-     }},
     {"pipeline-depth", "pipeline", "N", "a positive integer", "",
      "episode pipeline depth (default 1 = serial;\n"
      "N>1 speculates check phases ahead while\n"
@@ -537,6 +529,13 @@ Result<Script> ParseScript(std::string_view text) {
         return Status::InvalidArgument("line " + std::to_string(line_number) +
                                        ": constraint needs a name");
       }
+      for (const auto& [name, program] : script.constraints) {
+        if (name == rest) {
+          return Status::InvalidArgument(
+              "line " + std::to_string(line_number) + ": constraint " + rest +
+              " is already defined");
+        }
+      }
       current_name = rest;
     } else if (keyword == "fact") {
       CCPI_RETURN_IF_ERROR(flush_constraint());
@@ -671,8 +670,7 @@ Result<ScriptReport> RunScript(const Script& script) {
 
   ConstraintManager mgr(script.local_preds, costs, options.resilience,
                         options.parallel, options.remote_cache,
-                        options.budget, topology, options.plan_cache,
-                        options.pipeline);
+                        options.budget, topology, options.pipeline);
   // Correlated failure domains ride the per-site injectors: each domain's
   // outage windows are copied to every member site, so the whole domain
   // goes dark (and recovers) together. Any expanded window arms fault
@@ -814,10 +812,8 @@ Result<ScriptReport> RunScript(const Script& script) {
     summary << "cache: " << access.cache_hits << " remote reads served ("
             << access.cached_tuples << " cached tuples)\n";
   }
-  if (options.plan_cache.enabled && options.print_stats) {
-    // Diagnostics only: plan.* counters live outside ManagerStats, so the
-    // report proper stays byte-identical cache on/off; this line exists
-    // only when the cache does.
+  if (options.print_stats) {
+    // Diagnostics only: plan.* counters live outside ManagerStats.
     summary << "plans: " << mgr.metrics().GetCounter("plan.compiles")->value()
             << " compiles, " << mgr.metrics().GetCounter("plan.hits")->value()
             << " hits, "

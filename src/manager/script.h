@@ -63,10 +63,6 @@ struct ScriptOptions {
   /// default; semantically invisible either way. Its hedge_after field
   /// (ccpi_check --hedge-after) arms hedged batched reads.
   RemoteCacheConfig remote_cache;
-  /// Compiled-plan cache (ccpi_check --plan-cache). On by default;
-  /// semantically invisible either way — reports and ManagerStats are
-  /// byte-identical on or off.
-  PlanCacheConfig plan_cache;
   /// Episode pipeline (ccpi_check --pipeline-depth). Depth 1 (the
   /// default) is the serial checker; depth N>1 overlaps speculative
   /// check phases while commits stay serialized in admission order, so
@@ -105,16 +101,17 @@ struct ScriptOptions {
 ///     domain rack0 0 1              # correlated failure domain
 ///     domain_outage rack0 4 10      # whole domain dark for trips 4..9
 ///     hedge_after 3                 # hedge batched reads past 3x EWMA
-///     plan_cache off                # compiled-plan cache (default on)
 ///     pipeline 4                    # episode pipeline depth (default 1)
 ///
-/// Rules may span lines exactly as in ParseProgram (break after `:-`, `&`
-/// or `,`). The option directives (sites ... pipeline) are rows of
-/// ScriptOptionTable: their arguments, joined by ':', take the value
-/// syntax of the row's flag, so `site_latency 1 fixed:250` and
-/// `--site-latency=1:fixed:250` are one parse. They set `options` in file
-/// order, so a later line overrides an earlier one; `domain` and `site`
-/// accumulate, and `domain_outage` may precede its `domain`.
+/// Constraint names are unique: a repeated `constraint NAME` is a parse
+/// error naming its line. Rules may span lines exactly as in ParseProgram
+/// (break after `:-`, `&` or `,`). The option directives (sites ...
+/// pipeline) are rows of ScriptOptionTable: their arguments, joined by
+/// ':', take the value syntax of the row's flag, so `site_latency 1
+/// fixed:250` and `--site-latency=1:fixed:250` are one parse. They set
+/// `options` in file order, so a later line overrides an earlier one;
+/// `domain` and `site` accumulate, and `domain_outage` may precede its
+/// `domain`.
 struct Script {
   std::set<std::string> local_preds;
   std::vector<std::pair<std::string, Program>> constraints;

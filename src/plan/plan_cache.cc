@@ -31,19 +31,6 @@ std::shared_ptr<const RaPlanTemplate> PlanCache::StoreTemplate(
   return it->second;
 }
 
-std::optional<PlanCache::BoundResult> PlanCache::FindResult(
-    const std::string& key) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = results_.find(key);
-  if (it == results_.end()) return std::nullopt;
-  return it->second;
-}
-
-void PlanCache::StoreResult(const std::string& key, BoundResult result) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  results_.emplace(key, std::move(result));
-}
-
 std::shared_ptr<const CompiledProgram> PlanCache::FindProgram(
     const std::string& key) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
@@ -62,14 +49,12 @@ void PlanCache::Invalidate() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   tier1_.clear();
   templates_.clear();
-  results_.clear();
   programs_.clear();
 }
 
 size_t PlanCache::size() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return tier1_.size() + templates_.size() + results_.size() +
-         programs_.size();
+  return tier1_.size() + templates_.size() + programs_.size();
 }
 
 }  // namespace ccpi

@@ -6,25 +6,18 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "eval/engine.h"
 #include "plan/ra_plan.h"
-#include "util/outcome.h"
 
 namespace ccpi {
 
 /// Thread-safe store of compiled checking plans, keyed by strings the
 /// manager derives from (constraint id, update pattern) — see
-/// docs/plan_cache.md for the keying discipline. Four entry families:
+/// docs/plan_cache.md for the keying discipline. Three entry families:
 ///
 ///   tier-1 memo      (constraint, pattern) -> the independence decision
 ///   RA templates     (constraint, pattern) -> RaPlanTemplate (Theorem 5.3)
-///   bound results    (constraint, pattern, tuple, relation version) ->
-///                    a tier-2 evaluation's outcome plus its exact observed
-///                    reads, replayable while the version stamp still
-///                    matches (PR 4 stamps: equal version => equal contents)
 ///   compiled programs (constraint) -> the tier-3 CompiledProgram
 ///
 /// Lookups take the shared lock, stores the exclusive lock; compilation
@@ -42,14 +35,6 @@ class PlanCache {
     bool holds = false;
   };
 
-  /// A memoized tier-2 evaluation: the outcome plus the exact (pred, count)
-  /// read sequence the evaluation charged, replayed verbatim on a hit so
-  /// access accounting is byte-identical to re-evaluating.
-  struct BoundResult {
-    Outcome outcome = Outcome::kUnknown;
-    std::vector<std::pair<std::string, size_t>> reads;
-  };
-
   std::optional<Tier1Decision> FindTier1(const std::string& key) const;
   void StoreTier1(const std::string& key, Tier1Decision decision);
 
@@ -59,9 +44,6 @@ class PlanCache {
   /// inserter's).
   std::shared_ptr<const RaPlanTemplate> StoreTemplate(
       const std::string& key, std::shared_ptr<const RaPlanTemplate> tpl);
-
-  std::optional<BoundResult> FindResult(const std::string& key) const;
-  void StoreResult(const std::string& key, BoundResult result);
 
   std::shared_ptr<const CompiledProgram> FindProgram(
       const std::string& key) const;
@@ -81,7 +63,6 @@ class PlanCache {
   std::unordered_map<std::string, Tier1Decision> tier1_;
   std::unordered_map<std::string, std::shared_ptr<const RaPlanTemplate>>
       templates_;
-  std::unordered_map<std::string, BoundResult> results_;
   std::unordered_map<std::string, std::shared_ptr<const CompiledProgram>>
       programs_;
 };

@@ -47,6 +47,33 @@ TEST(ManagerTest, SubsumedConstraintDropped) {
   EXPECT_EQ(TierOf(*reports, "weak"), Tier::kSubsumed);
 }
 
+TEST(ManagerTest, AddConstraintRejectsARegisteredName) {
+  // Reports, deferred entries and plan-cache keys name a constraint by its
+  // name. A second "c" used to be registered beside the first, and tier 3
+  // then evaluated the first one's compiled program for both, so the
+  // insert below was applied although the second "c" forbids it.
+  ConstraintManager mgr({"l"}, CostModel{});
+  ASSERT_TRUE(
+      mgr.AddConstraint("c", MustParse("panic :- l(X) & r(X) & s(X)")).ok());
+  auto again = mgr.AddConstraint("c", MustParse("panic :- l(X) & r(X)"));
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kInvalidArgument);
+  // A subsumed registration keeps its name too.
+  auto weak = mgr.AddConstraint("weak", MustParse("panic :- l(X) & r(X) & "
+                                                  "s(X) & t(X)"));
+  ASSERT_TRUE(weak.ok());
+  EXPECT_TRUE(*weak);
+  EXPECT_FALSE(mgr.AddConstraint("weak", MustParse("panic :- l(X)")).ok());
+
+  ASSERT_TRUE(mgr.site().db().Insert("r", {V(1)}).ok());
+  auto reports = mgr.ApplyUpdate(Update::Insert("l", {V(1)}));
+  ASSERT_TRUE(reports.ok());
+  // Only the first "c" was registered: s is empty, so it holds.
+  ASSERT_EQ(reports->size(), 2u);  // "c" and "weak", once each
+  EXPECT_EQ(OutcomeOf(*reports, "c"), Outcome::kHolds);
+  EXPECT_TRUE(mgr.site().db().Contains("l", {V(1)}));
+}
+
 TEST(ManagerTest, UnaffectedTier) {
   ConstraintManager mgr({"l"}, CostModel{});
   ASSERT_TRUE(mgr.AddConstraint("c", MustParse("panic :- p(X) & q(X)")).ok());
@@ -183,7 +210,7 @@ ConstraintManager MakePipelinedManager(size_t depth) {
   return ConstraintManager({"l"}, CostModel{}, ResilienceConfig{},
                            ParallelConfig{2}, RemoteCacheConfig{},
                            BudgetConfig{}, TopologyConfig{},
-                           PlanCacheConfig{}, PipelineConfig{depth});
+                           PipelineConfig{depth});
 }
 
 TEST(ManagerTest, AsyncDrainMatchesApplyUpdate) {
@@ -275,7 +302,7 @@ TEST(ManagerTest, PipelinedStressRetiresEpisodesSafely) {
   // nothing conflicts), with a sprinkling of real inserts.
   ConstraintManager mgr({"l", "k"}, CostModel{}, ResilienceConfig{},
                         ParallelConfig{4}, RemoteCacheConfig{},
-                        BudgetConfig{}, TopologyConfig{}, PlanCacheConfig{},
+                        BudgetConfig{}, TopologyConfig{},
                         PipelineConfig{8});
   ASSERT_TRUE(
       mgr.AddConstraint("ord", MustParse("panic :- l(X,Y) & X > Y")).ok());

@@ -1,9 +1,9 @@
 // The compiled-plan cache (src/plan/) end to end: shape signatures as
 // sound pattern keys, the Bind-equals-fresh-compile property of RA plan
 // templates, the PlanCache store itself, CompiledProgram-vs-Program
-// evaluation equality, and the manager-level guarantee the whole subsystem
-// is built around — byte-identical reports and ManagerStats with the cache
-// on and off, while the cache demonstrably serves hits.
+// evaluation equality, and the manager serving hits under real episodes.
+// Whether a cached verdict is right is the config-lattice oracle's job:
+// every reference there runs through the cache.
 
 #include <gtest/gtest.h>
 
@@ -204,18 +204,16 @@ TEST(PlanCacheTest, InvalidateDropsEveryFamily) {
   PlanCache cache;
   cache.StoreTier1("t1", PlanCache::Tier1Decision{true});
   cache.StoreTemplate("tpl", std::make_shared<const RaPlanTemplate>());
-  cache.StoreResult("res", PlanCache::BoundResult{Outcome::kHolds, {}});
   auto program = CompileProgram(MustParse("panic :- r(X)"));
   ASSERT_TRUE(program.ok());
   cache.StoreProgram("prog",
                      std::make_shared<const CompiledProgram>(
                          std::move(*program)));
-  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.size(), 3u);
   cache.Invalidate();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.FindTier1("t1").has_value());
   EXPECT_EQ(cache.FindTemplate("tpl"), nullptr);
-  EXPECT_FALSE(cache.FindResult("res").has_value());
   EXPECT_EQ(cache.FindProgram("prog"), nullptr);
 }
 
@@ -277,17 +275,13 @@ TEST(CompiledProgramTest, CompileFailsExactlyWhereEvaluateWould) {
 
 // ---- Manager-level: the memo layers under real episodes -----------------
 
-TEST(PlanCacheManagerTest, RepeatedRejectedUpdateHitsBoundResultMemo) {
-  // A rejected update leaves the database — and so every relation
-  // version — untouched, which is exactly when the bound-result memo may
-  // replay a tier-2 evaluation. Re-submitting the same violating insert
-  // must serve the join constraint's RA evaluation from the memo (hits
-  // grow) while charging identical reads (access equality is covered by
-  // the config-lattice harness, which diffs plan-cache-on points against
-  // plan-cache-off references; here we pin the hit itself).
-  ConstraintManager mgr({"l"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{}, RemoteCacheConfig{}, BudgetConfig{},
-                        TopologyConfig{}, PlanCacheConfig{true});
+TEST(PlanCacheManagerTest, RepeatedRejectedUpdateHitsTheTemplate) {
+  // A rejected update leaves the database untouched, so re-submitting the
+  // same violating insert replays the first episode exactly. The join
+  // constraint's Theorem 5.3 test must come from the cached template:
+  // the resubmission binds one more delta tuple into it (and evaluates
+  // it again), and the cache serves at least that template hit.
+  ConstraintManager mgr({"l"}, CostModel{});
   // ICQ-inapplicable (two remote-only variables), so the tier-2 check is
   // the RA test the template cache serves.
   ASSERT_TRUE(
@@ -303,29 +297,29 @@ TEST(PlanCacheManagerTest, RepeatedRejectedUpdateHitsBoundResultMemo) {
   uint64_t delta_after_first =
       mgr.metrics().GetCounter("plan.delta_tuples")->value();
   uint64_t hits_after_first = mgr.metrics().GetCounter("plan.hits")->value();
+  uint64_t compiles_after_first =
+      mgr.metrics().GetCounter("plan.compiles")->value();
   EXPECT_EQ(delta_after_first, 1u);  // one bound tuple for the join test
   auto second = mgr.ApplyUpdate(bad);
   ASSERT_TRUE(second.ok());
   // Both submissions were rejected by noloop; reports identical.
   ASSERT_EQ(first->size(), second->size());
   for (size_t i = 0; i < first->size(); ++i) {
+    EXPECT_EQ((*first)[i].constraint, (*second)[i].constraint);
     EXPECT_EQ((*first)[i].outcome, (*second)[i].outcome);
     EXPECT_EQ((*first)[i].tier, (*second)[i].tier);
   }
-  // The second episode bound the same delta tuple into the cached
-  // template (delta grows by exactly one) and served both the template
-  // and the bound-result memo — at least two hits beyond the first
-  // episode's count.
   EXPECT_EQ(mgr.metrics().GetCounter("plan.delta_tuples")->value(),
             delta_after_first + 1);
   EXPECT_GE(mgr.metrics().GetCounter("plan.hits")->value(),
-            hits_after_first + 2);
+            hits_after_first + 1);
+  // Nothing was compiled twice.
+  EXPECT_EQ(mgr.metrics().GetCounter("plan.compiles")->value(),
+            compiles_after_first);
 }
 
 TEST(PlanCacheManagerTest, AddConstraintInvalidatesThePatternMemo) {
-  ConstraintManager mgr({"l"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{}, RemoteCacheConfig{}, BudgetConfig{},
-                        TopologyConfig{}, PlanCacheConfig{true});
+  ConstraintManager mgr({"l"}, CostModel{});
   ASSERT_TRUE(
       mgr.AddConstraint("join", MustParse("panic :- l(X,Y) & r(Y)")).ok());
   // Seed the rows first: deleting an absent tuple is a no-op episode and
@@ -348,67 +342,34 @@ TEST(PlanCacheManagerTest, AddConstraintInvalidatesThePatternMemo) {
 
 // ---- Manager-level: budgets under cache hits ---------------------------
 
-struct ManagerRun {
-  std::vector<std::vector<CheckReport>> reports;
-  ManagerStats stats;
-  uint64_t plan_hits = 0;
-  uint64_t plan_compiles = 0;
-};
-
-void ExpectIdenticalRuns(const ManagerRun& off, const ManagerRun& on) {
-  ASSERT_EQ(off.reports.size(), on.reports.size());
-  for (size_t u = 0; u < off.reports.size(); ++u) {
-    ASSERT_EQ(off.reports[u].size(), on.reports[u].size());
-    for (size_t i = 0; i < off.reports[u].size(); ++i) {
-      EXPECT_EQ(off.reports[u][i].constraint, on.reports[u][i].constraint);
-      EXPECT_EQ(off.reports[u][i].outcome, on.reports[u][i].outcome)
-          << "update " << u << " " << off.reports[u][i].constraint;
-      EXPECT_EQ(off.reports[u][i].tier, on.reports[u][i].tier)
-          << "update " << u << " " << off.reports[u][i].constraint;
-    }
-  }
-  EXPECT_EQ(off.stats.resolved_by, on.stats.resolved_by);
-  EXPECT_EQ(off.stats.violations, on.stats.violations);
-  EXPECT_EQ(off.stats.remote_attempts, on.stats.remote_attempts);
-  EXPECT_EQ(off.stats.t3_admitted, on.stats.t3_admitted);
-  EXPECT_EQ(off.stats.deferred, on.stats.deferred);
-  EXPECT_EQ(off.stats.shed_checks, on.stats.shed_checks);
-  // The strong clause: access accounting is byte-identical too — a plan
-  // cache hit never changes which reads the evaluation charged.
-  EXPECT_EQ(off.stats.access.local_tuples, on.stats.access.local_tuples);
-  EXPECT_EQ(off.stats.access.remote_tuples, on.stats.access.remote_tuples);
-  EXPECT_EQ(off.stats.access.remote_trips, on.stats.access.remote_trips);
-  EXPECT_EQ(off.stats.access.cache_hits, on.stats.access.cache_hits);
-  EXPECT_EQ(off.stats.access.cached_tuples, on.stats.access.cached_tuples);
-}
-
 /// A mixed budgeted workload: "deep" walks a 64-edge transitive closure a
 /// 4-round fixpoint cap can never finish (deterministic sheds, no wall
 /// clock), "ref" completes at tier 3, "join" resolves locally — all
-/// comparison-free so every plan-cache layer participates.
-ManagerRun RunBudgetedWorkload(bool plan_cache) {
+/// comparison-free so every plan-cache family participates.
+TEST(PlanCacheManagerTest, BudgetInvariantHoldsUnderCacheHits) {
+  // The budget shed/accounting invariant must balance exactly when tier-3
+  // evaluations run behind cache-served compilations: a cached plan
+  // changes nothing about what tier 3 admits, splits, or sheds.
   BudgetConfig budget;
   budget.per_check.max_fixpoint_rounds = 4;
   ConstraintManager mgr({"l", "lq", "emp"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{}, RemoteCacheConfig{}, budget,
-                        TopologyConfig{}, PlanCacheConfig{plan_cache});
-  EXPECT_TRUE(
+                        ParallelConfig{}, RemoteCacheConfig{}, budget);
+  ASSERT_TRUE(
       mgr.AddConstraint("join", MustParse("panic :- l(X,Y) & r(Y)")).ok());
-  EXPECT_TRUE(mgr.AddConstraint(
+  ASSERT_TRUE(mgr.AddConstraint(
                      "deep",
                      MustParse("panic :- lq(X) & path(X,Y) & bad(Y)\n"
                                "path(X,Y) :- edge(X,Y)\n"
                                "path(X,Y) :- edge(X,Z) & path(Z,Y)"))
                   .ok());
-  EXPECT_TRUE(mgr.AddConstraint(
+  ASSERT_TRUE(mgr.AddConstraint(
                      "ref", MustParse("panic :- emp(E,D) & not dept(D)"))
                   .ok());
-  EXPECT_TRUE(mgr.site().db().Insert("dept", {V("cs")}).ok());
-  EXPECT_TRUE(mgr.site().db().Insert("r", {V(100)}).ok());
+  ASSERT_TRUE(mgr.site().db().Insert("dept", {V("cs")}).ok());
+  ASSERT_TRUE(mgr.site().db().Insert("r", {V(100)}).ok());
   for (int i = 0; i < 64; ++i) {
-    EXPECT_TRUE(mgr.site().db().Insert("edge", {V(i), V(i + 1)}).ok());
+    ASSERT_TRUE(mgr.site().db().Insert("edge", {V(i), V(i + 1)}).ok());
   }
-  ManagerRun run;
   for (int i = 0; i < 6; ++i) {
     for (const Update& u :
          {Update::Insert("lq", {V(i)}),                // deep: shed at T3
@@ -417,32 +378,16 @@ ManagerRun RunBudgetedWorkload(bool plan_cache) {
           Update::Delete("l", {V(i), V(i + 50)})}) {   // T1 independence
       auto reports = mgr.ApplyUpdate(u);
       EXPECT_TRUE(reports.ok()) << reports.status().ToString();
-      if (reports.ok()) run.reports.push_back(*reports);
     }
   }
-  run.stats = mgr.stats();
-  if (plan_cache) {
-    run.plan_hits = mgr.metrics().GetCounter("plan.hits")->value();
-    run.plan_compiles = mgr.metrics().GetCounter("plan.compiles")->value();
-  }
-  return run;
-}
-
-TEST(PlanCacheManagerTest, BudgetInvariantHoldsUnderCacheHits) {
-  // The budget shed/accounting invariant must balance exactly when tier-3
-  // evaluations run behind cache-served compilations: a cached plan
-  // changes nothing about what tier 3 admits, splits, or sheds.
-  ManagerRun off = RunBudgetedWorkload(false);
-  ManagerRun on = RunBudgetedWorkload(true);
-  ExpectIdenticalRuns(off, on);
-  EXPECT_GT(on.plan_hits, 0u);
-  auto full = on.stats.resolved_by.find(Tier::kFullCheck);
-  size_t resolved_full =
-      full != on.stats.resolved_by.end() ? full->second : 0;
-  EXPECT_EQ(on.stats.t3_admitted,
-            resolved_full + on.stats.deferred + on.stats.shed_checks);
-  EXPECT_GT(on.stats.shed_checks, 0u);   // the cap really fired
-  EXPECT_GT(resolved_full, 0u);          // and didn't fire on everything
+  const ManagerStats stats = mgr.stats();
+  EXPECT_GT(mgr.metrics().GetCounter("plan.hits")->value(), 0u);
+  auto full = stats.resolved_by.find(Tier::kFullCheck);
+  size_t resolved_full = full != stats.resolved_by.end() ? full->second : 0;
+  EXPECT_EQ(stats.t3_admitted,
+            resolved_full + stats.deferred + stats.shed_checks);
+  EXPECT_GT(stats.shed_checks, 0u);   // the cap really fired
+  EXPECT_GT(resolved_full, 0u);       // and didn't fire on everything
 }
 
 // ---- Regression: tier-1 oracle on ground rewritten disjuncts -------------

@@ -38,7 +38,6 @@ const std::map<std::string, std::string>& Samples() {
       {"stats", ""},
       {"threads", "4"},
       {"remote-cache", "off"},
-      {"plan-cache", "off"},
       {"pipeline-depth", "4"},
       {"fault-rate", "0.25"},
       {"fault-timeout-rate", "0.25"},
@@ -107,7 +106,9 @@ std::vector<std::string> Dictionary() {
       "", ":", ",", "+", " ", "\n", "#", "(", ")", "-1", "0", "1", "1.5",
       "nan", "on", "off", "fixed", "uniform", "twopoint", "rack0",
       "18446744073709551615", "18446744073709551616", "4611686018427387904",
-      "constraint c\n", "panic :- ", "insert p(1)\n", "fact q(a, 2)\n"};
+      "constraint c\n", "panic :- ", "insert p(1)\n", "fact q(a, 2)\n",
+      // Retired options, unknown to the table: they must fail cleanly too.
+      "--plan-cache=off", "--columnar=off", "plan_cache off\n"};
   for (const ScriptOption& row : ScriptOptionTable()) {
     if (!row.flag.empty()) words.push_back(std::string(row.flag));
     if (!row.directive.empty()) words.push_back(std::string(row.directive));

@@ -177,54 +177,112 @@ TEST(ScriptRunTest, SubsumedConstraintReported) {
   EXPECT_NE(report->text.find("cap-500 (redundant"), std::string::npos);
 }
 
-// ---- plan_cache directive and --plan-cache flag --------------------------
+// ---- the retired plan_cache directive and --plan-cache flag --------------
+//
+// The compiled-plan cache is the checker's only plan path, so neither
+// spelling names an option any more.
 
 TEST(ScriptParseTest, PlanCacheDirective) {
-  auto off = ParseScript("plan_cache off\nlocal l\n");
-  ASSERT_TRUE(off.ok());
-  EXPECT_FALSE(off->options.plan_cache.enabled);
-  auto on = ParseScript("plan_cache off\nplan_cache on\nlocal l\n");
-  ASSERT_TRUE(on.ok());
-  EXPECT_TRUE(on->options.plan_cache.enabled);
-  auto unset = ParseScript("local l\n");
-  ASSERT_TRUE(unset.ok());
-  EXPECT_TRUE(unset->options.plan_cache.enabled);
+  // An unknown directive outside a constraint block is a stray rule line.
+  for (const char* text : {"plan_cache off\nlocal l\n",
+                           "plan_cache on\nlocal l\n"}) {
+    auto script = ParseScript(text);
+    ASSERT_FALSE(script.ok()) << text;
+    EXPECT_EQ(script.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(script.status().message().find("line 1"), std::string::npos)
+        << script.status().message();
+  }
+  // Inside a constraint block it is read as a rule, and does not parse.
+  EXPECT_FALSE(
+      ParseScript("constraint c\npanic :- l(X)\nplan_cache off\n").ok());
 }
 
 TEST(ScriptParseTest, PlanCacheDirectiveRejectsBadValue) {
   auto bad = ParseScript("local l\nplan_cache maybe\n");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  // The error names the offending line, like the other directives.
+  // The error names the offending line, like every other parse error.
   EXPECT_NE(bad.status().message().find("line 2"), std::string::npos)
       << bad.status().message();
   EXPECT_NE(bad.status().message().find("plan_cache"), std::string::npos);
 }
 
-TEST(ScriptRunTest, PlanCacheFlagOverridesScriptDirective) {
-  // The script turns the cache off; the summary's "plans:" diagnostics
-  // line exists only while the cache is on, so it observes the effective
-  // switch. A --plan-cache=on flag applied after the directive wins.
-  const char* text =
-      "plan_cache off\n"
+TEST(ScriptFlagTest, PlanCacheFlagIsNoLongerMatched) {
+  // An unknown flag like any other (ccpi_check exits 2 on it), whatever
+  // its value.
+  ScriptOptions options;
+  for (const char* flag : {"--plan-cache=off", "--plan-cache=on",
+                           "--plan-cache=bogus", "--plan-cache"}) {
+    EXPECT_FALSE(ApplyOk(flag, &options)) << flag;
+  }
+  EXPECT_EQ(ScriptOptionHelp().find("plan"), std::string::npos);
+}
+
+TEST(ScriptRunTest, StatsAlwaysReportPlanCounters) {
+  // With no switch left, --stats always carries the plan diagnostics
+  // line, and a repeated pattern is served from the cache.
+  auto script = ParseScript(
       "local l\n"
       "constraint join\n"
       "panic :- l(X,Y) & r(Y)\n"
       "insert l(1, 2)\n"
-      "insert l(3, 4)\n";
-  auto script = ParseScript(text);
+      "insert l(3, 4)\n");
   ASSERT_TRUE(script.ok());
   script->options.print_stats = true;
-  auto off = RunScript(*script);
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(off->summary_text.find("plans:"), std::string::npos);
-  ASSERT_TRUE(ApplyOk("--plan-cache=on", &script->options));
-  auto on = RunScript(*script);
-  ASSERT_TRUE(on.ok());
-  EXPECT_NE(on->summary_text.find("plans:"), std::string::npos);
-  // Flags win, directives change behavior, but the report proper must not
-  // move: the per-update log is byte-identical either way.
-  EXPECT_EQ(off->log_text, on->log_text);
+  auto report = RunScript(*script);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->summary_text.find("plans: "), std::string::npos);
+  EXPECT_EQ(report->summary_text.find(" 0 hits"), std::string::npos)
+      << report->summary_text;
+}
+
+// ---- constraint names ------------------------------------------------------
+
+TEST(ScriptParseTest, RepeatedConstraintNameIsAParseError) {
+  // Plan-cache keys, compiled programs and deferred entries all name a
+  // constraint by its name. A second `constraint c` used to register a
+  // second constraint under the same key, and tier 3 then evaluated the
+  // first one's compiled program for both: this script was applied
+  // although `panic :- l(X) & r(X)` rejects it.
+  const char* text =
+      "local l\n"
+      "constraint c\n"
+      "panic :- l(X) & r(X) & s(X)\n"
+      "constraint c\n"
+      "panic :- l(X) & r(X)\n"
+      "fact r(1)\n"
+      "insert l(1)\n";
+  auto script = ParseScript(text);
+  ASSERT_FALSE(script.ok());
+  EXPECT_EQ(script.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(script.status().message().find("line 4"), std::string::npos)
+      << script.status().message();
+  EXPECT_NE(script.status().message().find("constraint c"),
+            std::string::npos)
+      << script.status().message();
+  // A name that only prefixes another is a different name.
+  EXPECT_TRUE(ParseScript("constraint c\npanic :- l(X)\n"
+                          "constraint c2\npanic :- r(X)\n")
+                  .ok());
+}
+
+TEST(ScriptRunTest, RunScriptRefusesARepeatedConstraintName) {
+  // A Script assembled in code bypasses the parser; the manager refuses
+  // the second registration, so the run fails instead of checking the
+  // stream against the wrong constraint.
+  auto script = ParseScript(
+      "local l\n"
+      "constraint c\n"
+      "panic :- l(X) & r(X) & s(X)\n"
+      "constraint d\n"
+      "panic :- l(X) & r(X)\n"
+      "fact r(1)\n"
+      "insert l(1)\n");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  script->constraints[1].first = "c";
+  auto report = RunScript(*script);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---- pipeline directive and --pipeline-depth flag -------------------------
@@ -322,10 +380,6 @@ TEST(ScriptFlagTest, ValidFlagsApply) {
   EXPECT_FALSE(options.remote_cache.enabled);
   EXPECT_TRUE(ApplyOk("--remote-cache=on", &options));
   EXPECT_TRUE(options.remote_cache.enabled);
-  EXPECT_TRUE(ApplyOk("--plan-cache=off", &options));
-  EXPECT_FALSE(options.plan_cache.enabled);
-  EXPECT_TRUE(ApplyOk("--plan-cache=on", &options));
-  EXPECT_TRUE(options.plan_cache.enabled);
   EXPECT_TRUE(ApplyOk("--pipeline-depth=8", &options));
   EXPECT_EQ(options.pipeline.depth, 8u);
   EXPECT_TRUE(ApplyOk("--fault-rate=0.25", &options));
@@ -361,9 +415,6 @@ TEST(ScriptFlagTest, MalformedNumericValuesAreHardErrors) {
   ExpectBadFlag("--fault-outage=a:b", "--fault-outage");
   ExpectBadFlag("--fault-outage=25:10", "--fault-outage");
   ExpectBadFlag("--remote-cache=bogus", "--remote-cache");
-  ExpectBadFlag("--plan-cache=bogus", "--plan-cache");
-  ExpectBadFlag("--plan-cache=", "--plan-cache");
-  ExpectBadFlag("--plan-cache=ON", "--plan-cache");
   ExpectBadFlag("--pipeline-depth=bogus", "--pipeline-depth");
   ExpectBadFlag("--pipeline-depth=0", "--pipeline-depth");
   ExpectBadFlag("--pipeline-depth=-2", "--pipeline-depth");
@@ -678,10 +729,6 @@ struct OverrideCase {
 
 std::map<std::string, OverrideCase> OverrideCases() {
   std::map<std::string, OverrideCase> cases;
-  cases["plan_cache"] = {
-      "", "plan_cache off", "on", [](const ScriptOptions& o) {
-        return std::string(o.plan_cache.enabled ? "on" : "off");
-      }};
   cases["pipeline"] = {
       "", "pipeline 4", "2", [](const ScriptOptions& o) {
         return std::to_string(o.pipeline.depth);

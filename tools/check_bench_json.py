@@ -289,19 +289,16 @@ def check_topology(path, doc, problems):
 
 
 # The plan_cache sweep is the acceptance evidence of the compiled-plan
-# cache: the recheck rows must show the cached re-check episodes beating
-# the cold-compile path (both within the warm run and against the
-# cache-off run), and the locality rows must carry hit/compile counts so
-# a cache that silently stops serving hits fails CI.
+# cache: the recheck rows must show the cached re-check episodes of a warm
+# run beating its cold-compile episode, and the locality rows must carry
+# hit/compile counts so a cache that silently stops serving hits fails CI.
 PLAN_CACHE_LOCALITIES = ("f0.00", "f0.50", "f0.90", "f1.00")
 PLAN_CACHE_RECHECK_METRICS = (
     "constraints",
     "episodes",
-    "ns_per_update_off",
-    "ns_per_update_on",
-    "run_speedup",
-    "ns_first_episode_on",
-    "ns_recheck_episode_on",
+    "ns_per_update",
+    "ns_first_episode",
+    "ns_recheck_episode",
     "episode_speedup",
     "plan_hits",
     "plan_compiles",
@@ -310,8 +307,7 @@ PLAN_CACHE_LOCALITY_METRICS = (
     "locality",
     "constraints",
     "updates",
-    "ns_per_update_off",
-    "ns_per_update_on",
+    "ns_per_update",
     "plan_hits",
     "plan_compiles",
     "hit_rate",
@@ -348,11 +344,6 @@ def check_plan_cache(path, doc, problems):
             fail(path,
                  f"plan_cache: sweep {point['name']!r} served no cache "
                  f"hits", problems)
-        run_speedup = metrics.get("run_speedup")
-        if isinstance(run_speedup, numbers.Real) and run_speedup <= 1.0:
-            fail(path,
-                 f"plan_cache: sweep {point['name']!r} cached run did not "
-                 f"beat the cache-off run (speedup {run_speedup})", problems)
         episode_speedup = metrics.get("episode_speedup")
         if isinstance(episode_speedup, numbers.Real) and episode_speedup < 5.0:
             fail(path,
