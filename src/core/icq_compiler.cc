@@ -262,7 +262,7 @@ void EmitOkRules(size_t branch_index, const Tuple& key,
 
 }  // namespace
 
-Result<IcqCompilation> CompileIcq(const Rule& rule,
+Result<IcqCompilation> AnalyzeIcq(const Rule& rule,
                                   const std::string& local_pred) {
   IcqCompilation comp;
   comp.local_pred = local_pred;
@@ -270,13 +270,24 @@ Result<IcqCompilation> CompileIcq(const Rule& rule,
                         AnalyzeForbiddenIntervals(rule, local_pred));
   if (!comp.branches.empty()) {
     comp.local_arity = comp.branches[0].local.args.size();
-    size_t key_arity = comp.branches[0].key_vars.size();
     for (const IcqBranch& b : comp.branches) {
       CCPI_CHECK(b.key_vars == comp.branches[0].key_vars);
+    }
+    if (!comp.branches[0].key_vars.empty()) {
+      comp.key_col = comp.branches[0].slots.key_cols[0];
+    }
+  }
+  return comp;
+}
+
+Result<IcqCompilation> CompileIcq(const Rule& rule,
+                                  const std::string& local_pred) {
+  CCPI_ASSIGN_OR_RETURN(IcqCompilation comp, AnalyzeIcq(rule, local_pred));
+  if (!comp.branches.empty()) {
+    for (const IcqBranch& b : comp.branches) {
       EmitBasisRules(b, &comp.interval_program);
     }
-    EmitMergeRules(key_arity, &comp.interval_program);
-    if (key_arity > 0) comp.key_col = comp.branches[0].slots.key_cols[0];
+    EmitMergeRules(comp.branches[0].key_vars.size(), &comp.interval_program);
   }
   return comp;
 }

@@ -49,6 +49,12 @@ using VerifiedOverlay = std::unordered_map<Tuple, bool, TupleHash>;
 Result<IcqCompilation> CompileIcq(const Rule& rule,
                                   const std::string& local_pred);
 
+/// CompileIcq without `interval_program`, which only IcqLocalTestOnInsert
+/// reads: everything IcqDirectTestOnInsert needs, at a fraction of the
+/// cost. Fails exactly where CompileIcq does.
+Result<IcqCompilation> AnalyzeIcq(const Rule& rule,
+                                  const std::string& local_pred);
+
 /// The complete local test, run the paper's way: extends the compiled
 /// program with the `ok` rules for the inserted tuple t (rule (3) of
 /// Fig 6.1), evaluates the recursive program over `db` (which holds the

@@ -177,7 +177,6 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// billed exactly one extra remote trip to its site. Configuration
   /// call: serialize against reads.
   void set_hedge(uint64_t after) { hedge_after_ = after; }
-  uint64_t hedge_after() const { return hedge_after_; }
 
   /// Exponentially weighted moving average (alpha 1/4) of the site's
   /// observed per-trip latency, in microseconds. 0 until the site's first

@@ -73,9 +73,10 @@ std::set<std::string> EdbPredicates(const Program& program);
 /// across any number of evaluations: the safety check has passed, the
 /// stratification is fixed, and the IDB/EDB predicate partition and goal
 /// arity are precomputed. Everything in here is a pure function of the
-/// program text — never of the data — so a CompiledProgram cached at
+/// program text — never of the data — so a CompiledProgram built at
 /// constraint-registration time stays valid for the constraint's lifetime
-/// (the plan cache holds these for tier-3 checks; see docs/plan_cache.md).
+/// (the manager keeps one per constraint for its tier-3 checks; see
+/// docs/plan_cache.md).
 struct CompiledProgram {
   Program program;
   Stratification strat;

@@ -1,6 +1,9 @@
 #include "manager/constraint_manager.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
 
 #include "core/cqc_form.h"
@@ -82,6 +85,14 @@ class SiteBudgetGuard {
   std::vector<const BudgetScope*> prev_;
 };
 
+/// Seed of the retry policy's jitter stream.
+constexpr uint64_t kRetrySeed = 0x5eed;
+
+/// Consecutive conflicted commits that trip the pipeline's serial fallback
+/// (admission stops speculating for `depth` episodes, then probes
+/// speculation again).
+constexpr size_t kMaxConflictStreak = 4;
+
 constexpr Tier kAllTiers[] = {Tier::kSubsumed, Tier::kUnaffected,
                               Tier::kIndependence, Tier::kLocalTest,
                               Tier::kFullCheck};
@@ -98,16 +109,28 @@ struct BufferingObserver : AccessObserver {
   }
 };
 
+/// Plan-cache work of one phase 1, billed to the plan.* counters when its
+/// reports commit, like its local reads: a speculation that a conflict
+/// discards counts nothing, and its inline re-run counts what it does.
+/// Atomic: the phase-1 fan-out's lanes share one tally.
+struct PlanTally {
+  std::atomic<uint64_t> compiles{0};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> delta_tuples{0};
+};
+
 }  // namespace
 
 /// Read routing of one constraint check. The serial path reads the live
 /// database, charges the site observer directly, and consults the live
 /// deferred queue; a speculative phase 1 reads its episode's admission
 /// snapshot, buffers its charges, and consults the queue as of admission.
+/// Either way its plan-cache work goes to `plans`.
 struct ConstraintManager::CheckContext {
   const Database* db;
   AccessObserver* observer;
   const std::deque<DeferredCheck>* deferred;
+  PlanTally* plans;
 };
 
 /// One pipelined update episode. Admission state is written by the
@@ -139,6 +162,7 @@ struct ConstraintManager::Episode {
   /// Every predicate phase 1 read (always includes update.pred: the noop
   /// probe and tier 2 read it).
   std::set<std::string> read_preds;
+  PlanTally plans;
   /// Per-site prefetch batches staged for the tier-3 worklist (latency
   /// already slept); billed or silently discarded at the commit turn.
   std::vector<SiteDatabase::SiteBatch> staged;
@@ -220,13 +244,10 @@ ConstraintManager::ConstraintManager(
     RemoteCacheConfig remote_cache, BudgetConfig budget,
     TopologyConfig topology, PipelineConfig pipeline)
     : site_(std::move(local_preds), std::move(topology)),
-      cost_model_(cost_model),
       resilience_(resilience),
-      parallel_(parallel),
-      remote_cache_(remote_cache),
       budget_(budget),
       budget_armed_(budget.armed()),
-      retry_rng_(resilience.retry_seed),
+      retry_rng_(kRetrySeed),
       pipeline_(pipeline),
       pool_(std::make_unique<ThreadPool>(parallel.threads)) {
   // One independent fault domain per site: each gets its own breaker
@@ -245,7 +266,7 @@ ConstraintManager::ConstraintManager(
   // block, and latency-hiding machinery could not be measured.
   const auto& latency_overrides = site_.topology().config().site_latency;
   for (size_t s = 0; s < site_.sites(); ++s) {
-    CostModel priced = cost_model_;
+    CostModel priced = cost_model;
     auto it = latency_overrides.find(s);
     if (it != latency_overrides.end()) {
       const SiteLatencyOverride& o = it->second;
@@ -259,7 +280,7 @@ ConstraintManager::ConstraintManager(
     site_.set_site_cost_model(s, priced);
   }
   InitObservability();
-  site_.set_hedge(remote_cache_.hedge_after);
+  site_.set_hedge(remote_cache.hedge_after);
 }
 
 ConstraintManager::ConstraintManager(
@@ -309,6 +330,13 @@ ManagerStats ConstraintManager::stats() const {
   return s;
 }
 
+struct ConstraintManager::Tier2Artifacts {
+  Rule rule;                            // the unfolded single-CQ form
+  bool arithmetic_free = false;         // Theorem 5.3 applies
+  std::optional<IcqCompilation> icq;    // Fig 6.1 machinery, if applicable
+  std::optional<Cqc> cqc;               // general Theorem 5.2 form
+};
+
 Result<bool> ConstraintManager::AddConstraint(const std::string& name,
                                               Program constraint) {
   for (const Registered& r : constraints_) {
@@ -317,6 +345,13 @@ Result<bool> ConstraintManager::AddConstraint(const std::string& name,
                                      " is already registered");
     }
   }
+  // Tier 3's analysis (safety, stratification, predicate partition)
+  // depends on the program alone: run it once, here, so a program the
+  // evaluator refuses is rejected before anything is registered rather
+  // than failing whichever episode first reaches tier 3.
+  Registered reg;
+  reg.name = name;
+  CCPI_ASSIGN_OR_RETURN(reg.compiled, CompileProgram(std::move(constraint)));
   // Registration changes the active set every speculation quantifies over
   // (tier-1 assumptions, the signature constant pool): retire in-flight
   // episodes before touching it.
@@ -324,88 +359,78 @@ Result<bool> ConstraintManager::AddConstraint(const std::string& name,
   CCPI_DCHECK(inflight_.empty());
   std::vector<Program> active;
   for (const Registered& r : constraints_) {
-    if (!r.subsumed) active.push_back(r.program);
+    if (!r.subsumed) active.push_back(r.compiled.program);
   }
-  bool subsumed = false;
   if (!active.empty()) {
-    Result<ContainmentDecision> decision = Subsumes(constraint, active);
+    Result<ContainmentDecision> decision =
+        Subsumes(reg.compiled.program, active);
     if (decision.ok()) {
-      subsumed = decision->outcome == Outcome::kHolds;
+      reg.subsumed = decision->outcome == Outcome::kHolds;
     } else if (decision.status().code() != StatusCode::kUnsupported) {
       return decision.status();
     }
   }
-  constraints_.push_back(Registered{name, std::move(constraint), subsumed});
   // Registration-time footprint: which remote relations a tier-3
-  // evaluation of this constraint may touch (prefetch unions them).
-  for (const std::string& pred : EdbPredicates(constraints_.back().program)) {
-    if (!site_.IsLocal(pred)) constraints_.back().remote_edb.insert(pred);
+  // evaluation of this constraint may touch (prefetch unions them), and
+  // the sites they live at, for breaker gating — so a constraint with no
+  // remote reads is never gated.
+  for (const std::string& pred : reg.compiled.edb_preds) {
+    if (site_.IsLocal(pred)) continue;
+    reg.remote_edb.insert(pred);
+    reg.remote_sites.insert(site_.SiteOf(pred));
   }
-  // Site footprint for breaker gating: exactly the placement of the
-  // remote relations, so a constraint with no remote reads is never gated.
-  for (const std::string& pred : constraints_.back().remote_edb) {
-    constraints_.back().remote_sites.insert(site_.SiteOf(pred));
+  // Tier 2 is asked only about inserts into a local relation the
+  // constraint mentions, and only for active constraints: compile those
+  // artifacts now, one entry per predicate some test applies to.
+  Result<UCQ> unfolded = UnfoldToUCQ(reg.compiled.program);
+  if (!reg.subsumed && unfolded.ok() && unfolded->size() == 1 &&
+      !(*unfolded)[0].HasNegation()) {
+    const Rule rule = (*unfolded)[0].ToRule();
+    const bool arithmetic_free = !(*unfolded)[0].HasArithmetic();
+    for (const Rule& r : reg.compiled.program.rules) {
+      for (const Literal& l : r.body) {
+        const std::string& pred = l.atom.pred;
+        if (l.is_comparison() || !site_.IsLocal(pred) ||
+            reg.tier2.count(pred) > 0) {
+          continue;
+        }
+        auto built = std::make_shared<Tier2Artifacts>();
+        built->rule = rule;
+        built->arithmetic_free = arithmetic_free;
+        Result<IcqCompilation> icq = AnalyzeIcq(rule, pred);
+        if (icq.ok()) built->icq = std::move(*icq);
+        Result<Cqc> cqc = MakeCqc(rule, pred);
+        if (cqc.ok()) built->cqc = std::move(*cqc);
+        if (built->icq.has_value() || built->cqc.has_value() ||
+            arithmetic_free) {
+          reg.tier2.emplace(pred, std::move(built));
+        }
+      }
+    }
   }
+  const bool subsumed = reg.subsumed;
+  constraints_.push_back(std::move(reg));
   // Registration is a plan-cache epoch: the tier-1 memo quantifies over
   // the set of active constraints, which just changed, so every cached
-  // decision (and, wholesale for simplicity, every plan) is dropped. The
-  // signature inputs are refreshed too — the distinguished-constant pool
-  // and whether every active program is comparison-free, the soundness
-  // gate of shape-keyed decision memoization (see docs/plan_cache.md).
+  // decision (and, wholesale for simplicity, every RA template) is
+  // dropped. The signature inputs are refreshed too — the
+  // distinguished-constant pool and whether every active program is
+  // comparison-free, the soundness gate of shape-keyed decision
+  // memoization (see docs/plan_cache.md).
   plans_.Invalidate();
   std::vector<const Program*> active_programs;
   plan_sig_safe_ = true;
   for (const Registered& r : constraints_) {
     if (r.subsumed) continue;
-    active_programs.push_back(&r.program);
-    plan_sig_safe_ = plan_sig_safe_ && SignatureSafe(r.program);
+    active_programs.push_back(&r.compiled.program);
+    plan_sig_safe_ = plan_sig_safe_ && SignatureSafe(r.compiled.program);
   }
   plan_constants_ = CollectProgramConstants(active_programs);
   return subsumed;
 }
 
-struct ConstraintManager::Tier2Artifacts {
-  Rule rule;                            // the unfolded single-CQ form
-  bool arithmetic_free = false;         // Theorem 5.3 applies
-  std::optional<IcqCompilation> icq;    // Fig 6.1 machinery, if applicable
-  std::optional<Cqc> cqc;               // general Theorem 5.2 form
-};
-
-std::shared_ptr<const ConstraintManager::Tier2Artifacts>
-ConstraintManager::PrepareTier2(Registered* r,
-                                const std::string& local_pred) {
-  // tier2_mu_ makes the lazy per-(constraint, predicate) cache safe under
-  // concurrent episode speculation: within one episode each lane owns its
-  // Registered, but two in-flight episodes may touch the same one. Two
-  // racing builders compile identical artifacts (pure function of the
-  // program and predicate); the first insert wins.
-  {
-    std::lock_guard<std::mutex> lock(tier2_mu_);
-    auto it = r->tier2.find(local_pred);
-    if (it != r->tier2.end()) return it->second;
-  }
-
-  std::shared_ptr<const Tier2Artifacts> artifacts;  // null = inapplicable
-  Result<UCQ> unfolded = UnfoldToUCQ(r->program);
-  if (unfolded.ok() && unfolded->size() == 1 &&
-      !(*unfolded)[0].HasNegation()) {
-    auto built = std::make_shared<Tier2Artifacts>();
-    built->rule = (*unfolded)[0].ToRule();
-    built->arithmetic_free = !(*unfolded)[0].HasArithmetic();
-    Result<IcqCompilation> icq = CompileIcq(built->rule, local_pred);
-    if (icq.ok()) built->icq = std::move(*icq);
-    Result<Cqc> cqc = MakeCqc(built->rule, local_pred);
-    if (cqc.ok()) built->cqc = std::move(*cqc);
-    if (built->icq.has_value() || built->cqc.has_value() ||
-        built->arithmetic_free) {
-      artifacts = std::move(built);
-    }
-  }
-  std::lock_guard<std::mutex> lock(tier2_mu_);
-  return r->tier2.emplace(local_pred, artifacts).first->second;
-}
-
-Result<CheckReport> ConstraintManager::CheckOne(Registered* r, const Update& u,
+Result<CheckReport> ConstraintManager::CheckOne(const Registered& r,
+                                                const Update& u,
                                                 const UpdateSignature& sig,
                                                 const CheckContext& ctx) {
   obs::Span span("manager.check", "manager");
@@ -413,7 +438,7 @@ Result<CheckReport> ConstraintManager::CheckOne(Registered* r, const Update& u,
   Result<CheckReport> report = CheckOneImpl(r, u, sig, ctx);
   if (report.ok()) {
     if (span.active()) {
-      span.Attr("constraint", r->name);
+      span.Attr("constraint", r.name);
       span.Attr("tier", TierToString(report->tier));
       span.Attr("outcome", OutcomeToString(report->outcome));
     }
@@ -423,13 +448,13 @@ Result<CheckReport> ConstraintManager::CheckOne(Registered* r, const Update& u,
 }
 
 Result<CheckReport> ConstraintManager::CheckOneImpl(
-    Registered* r, const Update& u, const UpdateSignature& sig,
+    const Registered& r, const Update& u, const UpdateSignature& sig,
     const CheckContext& ctx) {
   CheckReport report;
-  report.constraint = r->name;
+  report.constraint = r.name;
 
   // Tier 1 prefilter: the constraint cannot see the updated relation.
-  if (!Mentions(r->program, u.pred)) {
+  if (!Mentions(r.compiled.program, u.pred)) {
     report.outcome = Outcome::kHolds;
     report.tier = Tier::kUnaffected;
     return report;
@@ -438,7 +463,7 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
   // The plan-cache key for this (constraint, update pattern). Keys embed
   // the constraint id, so under the phase-1 fan-out each lane touches a
   // disjoint key family and cache contents stay thread-count independent.
-  const std::string plan_key = r->name + '\x1f' + sig.Key();
+  const std::string pattern_key = r.name + '\x1f' + sig.Key();
 
   // Tier 1: constraints + update only (Section 4). The decision is a pure
   // function of (constraint, update pattern, active constraint set): it
@@ -451,8 +476,8 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
   bool tier1_holds = false;
   if (plan_sig_safe_) {
     if (std::optional<PlanCache::Tier1Decision> memo =
-            plans_.FindTier1(plan_key)) {
-      ctr_plan_hits_->Add(1);
+            plans_.FindTier1(pattern_key)) {
+      ++ctx.plans->hits;
       tier1_known = true;
       tier1_holds = memo->holds;
     }
@@ -461,26 +486,27 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
     obs::Stopwatch compile_sw;
     std::vector<Program> assumed;
     for (const Registered& other : constraints_) {
-      if (!other.subsumed && other.name != r->name) {
-        assumed.push_back(other.program);
+      if (!other.subsumed && other.name != r.name) {
+        assumed.push_back(other.compiled.program);
       }
     }
     Result<ContainmentDecision> independent =
-        HoldsAfterUpdate(r->program, u, assumed);
+        HoldsAfterUpdate(r.compiled.program, u, assumed);
     if (!independent.ok() &&
         independent.status().code() != StatusCode::kUnsupported) {
       return independent.status();
     }
     tier1_holds =
         independent.ok() && independent->outcome == Outcome::kHolds;
-    // Memoize both verdicts — holds and falls-through — but never an
-    // error path (kUnsupported falls through and is recomputed on every
-    // update of the pattern).
+    // Memoize both verdicts — holds and falls-through (kUnsupported
+    // included) — but never a hard error, which returned above. A decision
+    // derived while the memo is off is a compile all the same: it is the
+    // work a hit would have saved.
     if (plan_sig_safe_) {
-      plans_.StoreTier1(plan_key, PlanCache::Tier1Decision{tier1_holds});
-      ctr_plan_compiles_->Add(1);
-      compile_sw.RecordTo(hist_plan_compile_);
+      plans_.StoreTier1(pattern_key, PlanCache::Tier1Decision{tier1_holds});
     }
+    ++ctx.plans->compiles;
+    compile_sw.RecordTo(hist_plan_compile_);
   }
   if (tier1_holds) {
     report.outcome = Outcome::kHolds;
@@ -489,104 +515,101 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
   }
 
   // Tier 2: complete local test with local data — insertions into a local
-  // relation, single-CQ constraints (Sections 5 and 6). The compiled
-  // artifacts are cached per (constraint, predicate). Local reads never
-  // fail: tiers 0-2 keep answering through any remote outage.
-  if (u.kind == Update::Kind::kInsert && site_.IsLocal(u.pred)) {
-    std::shared_ptr<const Tier2Artifacts> t2 = PrepareTier2(r, u.pred);
-    if (t2 != nullptr) {
-      // Tier 2 may only trust *verified* local data. A tuple inserted
-      // optimistically while its own check is still deferred must not
-      // serve as evidence (e.g. interval coverage) for accepting further
-      // updates: one unverified insert could otherwise launder
-      // arbitrarily many dependents past the local test, and its late
-      // rollback would leave them standing unchecked. A row deleted under
-      // a deferred check is simply absent: it proves nothing about the
-      // remote data, which may have changed since the delete. The overlay
-      // hides the pending inserts; later queue entries win.
-      const Relation& live = ctx.db->Get(u.pred, u.tuple.size());
-      VerifiedOverlay pending;
-      bool has_pending = false;
-      for (const DeferredCheck& d : *ctx.deferred) {
-        if (d.update.pred != u.pred) continue;
-        has_pending = true;
-        if (d.update.kind == Update::Kind::kInsert) {
-          pending[d.update.tuple] = false;
-        } else {
-          pending.erase(d.update.tuple);
-        }
+  // relation, single-CQ constraints (Sections 5 and 6), through the
+  // artifacts AddConstraint compiled per (constraint, predicate). Local
+  // reads never fail: tiers 0-2 keep answering through any remote outage.
+  auto found = r.tier2.find(u.pred);
+  if (u.kind == Update::Kind::kInsert && found != r.tier2.end()) {
+    const Tier2Artifacts* t2 = found->second.get();
+    // Tier 2 may only trust *verified* local data. A tuple inserted
+    // optimistically while its own check is still deferred must not
+    // serve as evidence (e.g. interval coverage) for accepting further
+    // updates: one unverified insert could otherwise launder
+    // arbitrarily many dependents past the local test, and its late
+    // rollback would leave them standing unchecked. A row deleted under
+    // a deferred check is simply absent: it proves nothing about the
+    // remote data, which may have changed since the delete. The overlay
+    // hides the pending inserts; later queue entries win.
+    const Relation& live = ctx.db->Get(u.pred, u.tuple.size());
+    VerifiedOverlay pending;
+    bool has_pending = false;
+    for (const DeferredCheck& d : *ctx.deferred) {
+      if (d.update.pred != u.pred) continue;
+      has_pending = true;
+      if (d.update.kind == Update::Kind::kInsert) {
+        pending[d.update.tuple] = false;
+      } else {
+        pending.erase(d.update.tuple);
       }
-      Outcome outcome = Outcome::kUnknown;
-      bool decided = false;
+    }
+    Outcome outcome = Outcome::kUnknown;
+    bool decided = false;
 
-      // Fastest applicable method first: the Fig 6.1 interval machinery,
-      // then the Theorem 5.3 RA test, then the general Theorem 5.2 test.
-      if (t2->icq.has_value()) {
-        size_t rows_read = 0;
-        Result<Outcome> o = IcqDirectTestOnInsert(*t2->icq, live, pending,
-                                                  u.tuple, &rows_read);
+    // Fastest applicable method first: the Fig 6.1 interval machinery,
+    // then the Theorem 5.3 RA test, then the general Theorem 5.2 test.
+    if (t2->icq.has_value()) {
+      size_t rows_read = 0;
+      Result<Outcome> o = IcqDirectTestOnInsert(*t2->icq, live, pending,
+                                                u.tuple, &rows_read);
+      if (o.ok()) {
+        outcome = *o;
+        decided = true;
+        // t's key group only, always a local read.
+        CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, rows_read));
+      }
+    }
+    if (!decided && t2->arithmetic_free && !has_pending) {
+      // The RA evaluator reports its own reads through the observer.
+      // It reads L from the database directly, so it is skipped when
+      // unverified tuples would be visible there.
+      //
+      // The Theorem 5.3 compilation happens once per update pattern: the
+      // compiled template is cached and later same-shape tuples are
+      // *bound* into it (delta evaluation) instead of recompiling. The
+      // bound test is evaluated on every update.
+      std::shared_ptr<const RaPlanTemplate> tpl =
+          plans_.FindTemplate(pattern_key);
+      if (tpl != nullptr) {
+        ++ctx.plans->hits;
+      } else {
+        obs::Stopwatch compile_sw;
+        Result<RaPlanTemplate> built =
+            CompileRaPlan(t2->rule, u.pred, u.tuple);
+        if (built.ok()) {
+          tpl = plans_.StoreTemplate(
+              pattern_key,
+              std::make_shared<const RaPlanTemplate>(std::move(*built)));
+          ++ctx.plans->compiles;
+          compile_sw.RecordTo(hist_plan_compile_);
+        }
+        // A failed compile falls through undecided and is not cached,
+        // so error behavior stays per-update.
+      }
+      if (tpl != nullptr) {
+        Result<Outcome> o = EvalPlannedRa(*tpl, u, ctx);
         if (o.ok()) {
           outcome = *o;
           decided = true;
-          // t's key group only, always a local read.
-          CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, rows_read));
         }
       }
-      if (!decided && t2->arithmetic_free && !has_pending) {
-        // The RA evaluator reports its own reads through the observer.
-        // It reads L from the database directly, so it is skipped when
-        // unverified tuples would be visible there.
-        //
-        // The Theorem 5.3 compilation happens once per update pattern: the
-        // compiled template is cached and later same-shape tuples are
-        // *bound* into it (delta evaluation) instead of recompiling. The
-        // bound test is evaluated on every update.
-        std::shared_ptr<const RaPlanTemplate> tpl =
-            plans_.FindTemplate(plan_key);
-        if (tpl != nullptr) {
-          ctr_plan_hits_->Add(1);
-        } else {
-          obs::Stopwatch compile_sw;
-          Result<RaPlanTemplate> built =
-              CompileRaPlan(t2->rule, u.pred, u.tuple);
-          if (built.ok()) {
-            tpl = plans_.StoreTemplate(
-                plan_key,
-                std::make_shared<const RaPlanTemplate>(std::move(*built)));
-            ctr_plan_compiles_->Add(1);
-            compile_sw.RecordTo(hist_plan_compile_);
-          }
-          // A failed compile falls through undecided and is not cached,
-          // so error behavior stays per-update.
-        }
-        if (tpl != nullptr) {
-          Result<Outcome> o = EvalPlannedRa(*tpl, u, ctx);
-          if (o.ok()) {
-            outcome = *o;
-            decided = true;
-          }
-        }
+    }
+    if (!decided && t2->cqc.has_value() && !has_pending) {
+      // The Theorem 5.2 test steps aside while any update of L is
+      // pending, like the RA test: with several local subgoals the new
+      // tuple can join a hidden insert, or a deleted row whose delete is
+      // later rolled back, so the verified rows alone do not decide.
+      Result<LocalTestResult> o =
+          CompleteLocalTestOnInsert(*t2->cqc, u.tuple, live);
+      if (o.ok()) {
+        outcome = o->outcome;
+        decided = true;
+        CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, live.size()));
       }
-      if (!decided && t2->cqc.has_value() && !has_pending) {
-        // The Theorem 5.2 test steps aside while any update of L is
-        // pending, like the RA test: with several local subgoals the new
-        // tuple can join a hidden insert, or a deleted row whose delete is
-        // later rolled back, so the verified rows alone do not decide.
-        Result<LocalTestResult> o =
-            CompleteLocalTestOnInsert(*t2->cqc, u.tuple, live);
-        if (o.ok()) {
-          outcome = o->outcome;
-          decided = true;
-          CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, live.size()));
-        }
-      }
-      if (decided) {
-        if (outcome != Outcome::kUnknown) {
-          report.outcome = outcome;
-          report.tier = Tier::kLocalTest;
-          return report;
-        }
-      }
+    }
+    if (decided && outcome != Outcome::kUnknown) {
+      report.outcome = outcome;
+      report.tier = Tier::kLocalTest;
+      return report;
     }
   }
 
@@ -603,7 +626,7 @@ Result<Outcome> ConstraintManager::EvalPlannedRa(const RaPlanTemplate& tpl,
   if (tpl.trivially_holds) return Outcome::kHolds;
   if (tpl.trivially_violated) return Outcome::kViolated;
   RaExprPtr bound = tpl.Bind(u.tuple);
-  ctr_plan_delta_->Add(1);
+  ++ctx.plans->delta_tuples;
 #ifndef NDEBUG
   // The locality guarantee RaLocalTestOnInsert enforces: a bound Theorem
   // 5.3 test reads only the updated local relation.
@@ -663,8 +686,7 @@ bool ConstraintManager::AllBreakersClosed() const {
   return true;
 }
 
-Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
-                                               const std::string& plan_key,
+Result<bool> ConstraintManager::EvaluateRemote(const CompiledProgram& program,
                                                const Database& db,
                                                const std::set<size_t>& gsites,
                                                size_t* retries_out,
@@ -699,26 +721,7 @@ Result<bool> ConstraintManager::EvaluateRemote(const Program& program,
         options.observer = &site_;
         options.metrics = &metrics();
         options.budget = scope;
-        // The program's evaluation-independent analysis (safety,
-        // stratification, predicate partition) runs once per constraint
-        // instead of once per attempt. Only successful compiles are
-        // cached: a failing program surfaces the identical status on every
-        // attempt.
-        std::shared_ptr<const CompiledProgram> plan =
-            plans_.FindProgram(plan_key);
-        if (plan == nullptr) {
-          obs::Stopwatch compile_sw;
-          CCPI_ASSIGN_OR_RETURN(CompiledProgram built,
-                                CompileProgram(program));
-          plan = plans_.StoreProgram(
-              plan_key, std::make_shared<const CompiledProgram>(
-                            std::move(built)));
-          ctr_plan_compiles_->Add(1);
-          compile_sw.RecordTo(hist_plan_compile_);
-        } else {
-          ctr_plan_hits_->Add(1);
-        }
-        CCPI_ASSIGN_OR_RETURN(violated, IsViolated(*plan, db, options));
+        CCPI_ASSIGN_OR_RETURN(violated, IsViolated(program, db, options));
         return Status::OK();
       });
   sw.RecordTo(hist_remote_eval_);
@@ -846,7 +849,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
     } else {
       ctr_pipe_conflicts_->Add(1);
       ctr_pipe_retries_->Add(1);
-      if (++conflict_streak_ >= pipeline_.max_conflict_streak) {
+      if (++conflict_streak_ >= kMaxConflictStreak) {
         // Sustained conflicts: stop speculating for a window of
         // admissions, then probe again.
         serial_fallback_remaining_ = pipeline_.depth;
@@ -858,6 +861,8 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
   }
 
   Phase1 phase1;
+  PlanTally live_plans;
+  const PlanTally& plans = use_spec ? spec->plans : live_plans;
   if (use_spec) {
     CCPI_DCHECK(EffectPresent(u, site_.db()) == spec->phase1.noop);
     phase1 = std::move(spec->phase1);
@@ -868,9 +873,13 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
       CCPI_RETURN_IF_ERROR(site_.OnRead(pred, count));
     }
   } else {
-    const CheckContext live_ctx{&site_.db(), &site_, &deferred_};
+    const CheckContext live_ctx{&site_.db(), &site_, &deferred_,
+                                &live_plans};
     CCPI_ASSIGN_OR_RETURN(phase1, RunPhase1(u, live_ctx, pool_.get()));
   }
+  ctr_plan_compiles_->Add(plans.compiles);
+  ctr_plan_hits_->Add(plans.hits);
+  ctr_plan_delta_->Add(plans.delta_tuples);
   const bool noop = phase1.noop;
   std::vector<CheckReport>& reports = phase1.reports;
 
@@ -991,7 +1000,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
         }
       }
       ClaimSites(reg.remote_sites);
-      Result<bool> bad = EvaluateRemote(reg.program, reg.name, site_.db(),
+      Result<bool> bad = EvaluateRemote(reg.compiled, site_.db(),
                                         reg.remote_sites, &eval_retries[k],
                                         scope);
       if (!bad.ok()) {
@@ -1275,7 +1284,7 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
         site_budgets.emplace(&site_, [&](size_t) { return scope; });
       }
       size_t recheck_retries = 0;
-      Result<bool> bad = EvaluateRemote(reg->program, reg->name, scratch,
+      Result<bool> bad = EvaluateRemote(reg->compiled, scratch,
                                         reg->remote_sites, &recheck_retries,
                                         scope);
       site_budgets.reset();
@@ -1440,8 +1449,8 @@ Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
   std::optional<UpdateSignature> sig;
   if (!out.noop) sig = MakeUpdateSignature(u, plan_constants_);
 
-  // Each lane owns exactly one Registered (its tier-2 cache included),
-  // reads the frozen database, and writes its own report slot; all shared
+  // Each lane reads one Registered (immutable since AddConstraint) and the
+  // frozen database, and writes its own report slot; all shared
   // sinks on this path (AccessStats, metrics counters, Relation index
   // builds) are atomic or internally locked, and their final values are
   // order-independent sums — so the fan-out is report- and
@@ -1450,7 +1459,7 @@ Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
   out.reports.resize(n);
   out.check_status.resize(n);
   auto check = [&](size_t i) -> Status {
-    Registered& r = constraints_[i];
+    const Registered& r = constraints_[i];
     if (r.subsumed) {
       out.reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kSubsumed};
       return Status::OK();
@@ -1459,7 +1468,7 @@ Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
       out.reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kUnaffected};
       return Status::OK();
     }
-    Result<CheckReport> report = CheckOne(&r, u, *sig, ctx);
+    Result<CheckReport> report = CheckOne(r, u, *sig, ctx);
     if (!report.ok()) {
       // Surfaced at this constraint's position in the commit phase, so
       // error reporting matches the sequential order.
@@ -1489,7 +1498,8 @@ Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
 void ConstraintManager::SpeculatePhase1(Episode* e) {
   const Update& u = e->update;
   BufferingObserver buffer;
-  const CheckContext ctx{&e->snapshot, &buffer, &e->deferred_snapshot};
+  const CheckContext ctx{&e->snapshot, &buffer, &e->deferred_snapshot,
+                         &e->plans};
   // Phase 1 against the snapshot, sequentially on this worker: the
   // parallelism of the pipeline is across episodes, not within one.
   Result<Phase1> phase1 = RunPhase1(u, ctx, nullptr);

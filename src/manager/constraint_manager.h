@@ -2,16 +2,15 @@
 #define CCPI_MANAGER_CONSTRAINT_MANAGER_H_
 
 #include <array>
-#include <condition_variable>
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "datalog/ast.h"
 #include "distsim/site_db.h"
+#include "eval/engine.h"
 #include "obs/metrics.h"
 #include "plan/plan_cache.h"
 #include "plan/update_signature.h"
@@ -57,8 +56,6 @@ struct ResilienceConfig {
   RetryPolicy retry;
   CircuitBreakerConfig breaker;
   DeferredPolicy on_unreachable = DeferredPolicy::kOptimisticApply;
-  /// Seed of the jitter stream of the retry policy.
-  uint64_t retry_seed = 0x5eed;
   /// Drain the deferred-recheck queue automatically at the start of each
   /// ApplyUpdate once the circuit allows remote traffic again.
   bool auto_recheck = true;
@@ -81,11 +78,14 @@ struct ParallelConfig {
 };
 
 /// The remote-read snapshot cache (see docs/remote_cache.md). On by
-/// default: the cache is semantically invisible — reports, verdicts, and
-/// the deferred queue are identical with it off — and only the access
-/// accounting (fewer trips, cached_tuples instead of remote_tuples)
-/// changes. `ccpi_check --remote-cache=off` and benchmarks use the switch
-/// to measure the uncached baseline.
+/// default: reports, verdicts, and the deferred queue are identical with
+/// it off, and only the access accounting (fewer trips, cached_tuples
+/// instead of remote_tuples) changes — with one known exception: under
+/// fault injection at more than one site, a site recovery refetches its
+/// cached relations through the injector only when the cache is on, so
+/// the two runs draw different fault schedules and may defer different
+/// checks (ROADMAP item 4, defect C). `ccpi_check --remote-cache=off` and
+/// benchmarks use the switch to measure the uncached baseline.
 struct RemoteCacheConfig {
   bool enabled = true;
   /// Hedged batched reads (`ccpi_check --hedge-after=N`): when a batched
@@ -129,10 +129,6 @@ struct PipelineConfig {
   /// always run at depth 1: wall-clock deadlines are admission-order
   /// sensitive, so speculation is never attempted under budgets.
   size_t depth = 1;
-  /// Consecutive conflicted commits that trip the serial fallback
-  /// (admission stops speculating for `depth` episodes, then probes
-  /// speculation again).
-  size_t max_conflict_streak = 4;
 };
 
 /// What to do when a new deferred re-check would push the queue past
@@ -332,7 +328,13 @@ class ConstraintManager {
   /// it, it is recorded as redundant (never checked) and `subsumed` is set
   /// in the returned flag. Names are unique: a name already registered,
   /// subsumed or not, is kInvalidArgument (reports, deferred entries and
-  /// plan-cache keys all name constraints by it).
+  /// plan-cache keys all name constraints by it). A program the evaluator
+  /// refuses (unsafe or unstratifiable) is rejected with that error and
+  /// nothing is registered.
+  ///
+  /// Everything that depends on the constraint alone is built here, once:
+  /// the tier-3 CompiledProgram and the tier-2 artifacts of every local
+  /// predicate it mentions. Episodes only read them.
   ///
   /// Drain-first precondition: must not be called with episodes in flight
   /// (registration changes the active set every speculation quantifies
@@ -417,18 +419,10 @@ class ConstraintManager {
   /// Number of remote sites (>= 1).
   size_t sites() const { return site_.sites(); }
 
-  /// The fan-out configuration this manager was built with.
-  const ParallelConfig& parallel() const { return parallel_; }
-  /// The remote-cache configuration this manager was built with.
-  const RemoteCacheConfig& remote_cache() const { return remote_cache_; }
-  /// The budget configuration this manager was built with.
-  const BudgetConfig& budget() const { return budget_; }
   /// The pipeline configuration this manager was built with.
   const PipelineConfig& pipeline() const { return pipeline_; }
   /// Episodes currently admitted but not yet retired.
   size_t in_flight() const { return inflight_.size(); }
-  /// Checker lanes actually available (>= 1; the caller is one).
-  size_t check_threads() const { return pool_->thread_count(); }
 
   /// Snapshot of the aggregate statistics, materialized from the metrics
   /// registry (plus the site's AccessStats). `resolved_by` carries only
@@ -453,15 +447,20 @@ class ConstraintManager {
   }
 
  private:
-  // Tier-2 artifacts per (constraint, updated local predicate), compiled
-  // once and reused across updates: the unfolded single-CQ form, the
-  // Fig 6.1 interval compilation when applicable, and the normalized CQC
-  // for the general Theorem 5.2 test. Defined in the .cc.
+  // Tier-2 artifacts per (constraint, updated local predicate): the
+  // unfolded single-CQ form, the Fig 6.1 interval compilation when
+  // applicable, and the normalized CQC for the general Theorem 5.2 test.
+  // Defined in the .cc.
   struct Tier2Artifacts;
 
+  /// One registered constraint. Built by AddConstraint and immutable
+  /// afterwards, so episodes (speculative ones included) share it
+  /// read-only.
   struct Registered {
     std::string name;
-    Program program;
+    /// The program with its safety/stratification analysis done: what
+    /// tier 3 evaluates.
+    CompiledProgram compiled;
     bool subsumed = false;
     /// The remote base relations a tier-3 evaluation of this constraint
     /// may read, computed once at registration — the episode prefetch
@@ -473,15 +472,10 @@ class ConstraintManager {
     /// while the rest of the topology burns (partial degradation), and a
     /// constraint with no remote relations is never gated at all.
     std::set<size_t> remote_sites;
-    // Cache keyed by the updated predicate.
+    /// Keyed by the updated local predicate; active constraints only. A
+    /// predicate with no entry has no applicable tier-2 test.
     std::map<std::string, std::shared_ptr<const Tier2Artifacts>> tier2;
   };
-
-  /// Returns (compiling and caching on first use) the tier-2 artifacts of
-  /// `r` for insertions into `local_pred`; null when tier 2 is
-  /// inapplicable to this constraint.
-  std::shared_ptr<const Tier2Artifacts> PrepareTier2(
-      Registered* r, const std::string& local_pred);
 
   /// Registers the manager's whole metric catalog in metrics() and
   /// resolves the handles. Called once from the constructor; handles are
@@ -523,10 +517,10 @@ class ConstraintManager {
   /// episode's update signature, the per-pattern component of every
   /// plan-cache key the tiers look up. `ctx` routes every tier-1/2 read
   /// (see CheckContext).
-  Result<CheckReport> CheckOne(Registered* r, const Update& u,
+  Result<CheckReport> CheckOne(const Registered& r, const Update& u,
                                const UpdateSignature& sig,
                                const CheckContext& ctx);
-  Result<CheckReport> CheckOneImpl(Registered* r, const Update& u,
+  Result<CheckReport> CheckOneImpl(const Registered& r, const Update& u,
                                    const UpdateSignature& sig,
                                    const CheckContext& ctx);
   /// `spec` is the episode whose speculation to reuse (commit path), or
@@ -552,13 +546,8 @@ class ConstraintManager {
   /// unbudgeted) was spent — never retried, never counted against any
   /// breaker (the sites did nothing wrong). `retries_out` receives the
   /// extra attempts consumed.
-  /// `plan_key` names the plan-cache slot holding the program's
-  /// CompiledProgram; the constraint name suffices, since names are unique
-  /// and a constraint's program never changes after registration. A
-  /// program that fails to compile fails on every attempt, exactly where
-  /// IsViolated(Program, ...) would.
-  Result<bool> EvaluateRemote(const Program& program,
-                              const std::string& plan_key, const Database& db,
+  Result<bool> EvaluateRemote(const CompiledProgram& program,
+                              const Database& db,
                               const std::set<size_t>& gsites,
                               size_t* retries_out, const BudgetScope* scope);
 
@@ -629,10 +618,7 @@ class ConstraintManager {
   bool UpdateRefused(const std::vector<CheckReport>& reports) const;
 
   SiteDatabase site_;
-  CostModel cost_model_;
   ResilienceConfig resilience_;
-  ParallelConfig parallel_;
-  RemoteCacheConfig remote_cache_;
   BudgetConfig budget_;
   /// budget_.armed(), precomputed: the unbudgeted hot path pays exactly
   /// one branch on this flag.
@@ -648,7 +634,7 @@ class ConstraintManager {
   // no injector attached) therefore never touches it concurrently.
   Rng retry_rng_;
   std::vector<Registered> constraints_;
-  /// The compiled-plan cache (see docs/plan_cache.md). Wholesale
+  /// The pattern-keyed plan cache (see docs/plan_cache.md). Wholesale
   /// invalidated on AddConstraint: registration changes the active set
   /// that tier-1 decisions quantify over and the signature constant pool.
   PlanCache plans_;
@@ -657,9 +643,9 @@ class ConstraintManager {
   std::vector<Value> plan_constants_;
   /// True iff every active program is comparison-free (SignatureSafe).
   /// Order comparisons can distinguish same-shape tuples, so the tier-1
-  /// decision memo is disabled unless this holds; the RA template and
-  /// tier-3 caches need no such gate (they cache structure, not verdicts
-  /// quantified over tuples of a shape).
+  /// decision memo is disabled unless this holds; the RA templates need no
+  /// such gate (they cache structure, not verdicts quantified over tuples
+  /// of a shape).
   bool plan_sig_safe_ = true;
   std::deque<DeferredCheck> deferred_;
   uint64_t update_sequence_ = 0;
@@ -677,15 +663,11 @@ class ConstraintManager {
   /// admission epoch is stale speculated against a queue that no longer
   /// exists and must re-run.
   uint64_t deferred_epoch_ = 0;
-  /// Consecutive conflicted commits; >= max_conflict_streak trips the
-  /// serial fallback below. Reset by any clean commit.
+  /// Consecutive conflicted commits; kMaxConflictStreak (in the .cc)
+  /// trips the serial fallback below. Reset by any clean commit.
   size_t conflict_streak_ = 0;
   /// Episodes left to admit without speculation before probing again.
   size_t serial_fallback_remaining_ = 0;
-  /// Guards Registered::tier2 (the only lazily-built shared state the
-  /// speculative phase 1 can write): concurrent episodes may compile the
-  /// same artifacts; first insert wins, identical by construction.
-  std::mutex tier2_mu_;
 
   std::unique_ptr<ThreadPool> pool_;
 

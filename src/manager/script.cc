@@ -173,8 +173,9 @@ const ScriptOption kOptions[] = {
      }},
     {"remote-cache", "", "on|off", "on or off", "",
      "remote-read snapshot cache (default on;\n"
-     "semantically invisible — only the access\n"
-     "accounting changes)",
+     "only the access accounting changes, except\n"
+     "under faults at more than one site, where\n"
+     "recovery refetches draw faults only when on)",
      [](std::string_view v, ScriptOptions* o) {
        return SetSwitch(v, &o->remote_cache.enabled);
      }},

@@ -60,8 +60,10 @@ struct ScriptOptions {
   /// (ccpi_check --threads). Reports are identical at any thread count.
   ParallelConfig parallel;
   /// Remote-read snapshot cache (ccpi_check --remote-cache). On by
-  /// default; semantically invisible either way. Its hedge_after field
-  /// (ccpi_check --hedge-after) arms hedged batched reads.
+  /// default; the per-update log is the same either way, except under
+  /// faults at more than one site, where recovery refetches draw faults
+  /// only with the cache on (see RemoteCacheConfig). Its hedge_after
+  /// field (ccpi_check --hedge-after) arms hedged batched reads.
   RemoteCacheConfig remote_cache;
   /// Episode pipeline (ccpi_check --pipeline-depth). Depth 1 (the
   /// default) is the serial checker; depth N>1 overlaps speculative
@@ -164,7 +166,9 @@ struct ScriptReport {
 };
 
 /// Runs `script` under `script.options`. A configuration that fails
-/// ValidateScriptOptions fails the run with that InvalidArgument.
+/// ValidateScriptOptions fails the run with that InvalidArgument, and so
+/// does a constraint that AddConstraint refuses (a repeated name, or an
+/// unsafe or unstratifiable program), before any update is checked.
 Result<ScriptReport> RunScript(const Script& script);
 
 /// One run option, declared once for both of its surfaces: the

@@ -31,30 +31,15 @@ std::shared_ptr<const RaPlanTemplate> PlanCache::StoreTemplate(
   return it->second;
 }
 
-std::shared_ptr<const CompiledProgram> PlanCache::FindProgram(
-    const std::string& key) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = programs_.find(key);
-  return it == programs_.end() ? nullptr : it->second;
-}
-
-std::shared_ptr<const CompiledProgram> PlanCache::StoreProgram(
-    const std::string& key, std::shared_ptr<const CompiledProgram> program) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  auto [it, inserted] = programs_.emplace(key, std::move(program));
-  return it->second;
-}
-
 void PlanCache::Invalidate() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   tier1_.clear();
   templates_.clear();
-  programs_.clear();
 }
 
 size_t PlanCache::size() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return tier1_.size() + templates_.size() + programs_.size();
+  return tier1_.size() + templates_.size();
 }
 
 }  // namespace ccpi

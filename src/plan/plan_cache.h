@@ -7,18 +7,19 @@
 #include <string>
 #include <unordered_map>
 
-#include "eval/engine.h"
 #include "plan/ra_plan.h"
 
 namespace ccpi {
 
 /// Thread-safe store of compiled checking plans, keyed by strings the
 /// manager derives from (constraint id, update pattern) — see
-/// docs/plan_cache.md for the keying discipline. Three entry families:
+/// docs/plan_cache.md for the keying discipline. Two entry families:
 ///
 ///   tier-1 memo      (constraint, pattern) -> the independence decision
 ///   RA templates     (constraint, pattern) -> RaPlanTemplate (Theorem 5.3)
-///   compiled programs (constraint) -> the tier-3 CompiledProgram
+///
+/// What depends on the constraint alone (the tier-3 CompiledProgram, the
+/// tier-2 artifacts) is not here: the manager builds it at registration.
 ///
 /// Lookups take the shared lock, stores the exclusive lock; compilation
 /// always happens outside any lock. Store is first-insert-wins: when two
@@ -45,11 +46,6 @@ class PlanCache {
   std::shared_ptr<const RaPlanTemplate> StoreTemplate(
       const std::string& key, std::shared_ptr<const RaPlanTemplate> tpl);
 
-  std::shared_ptr<const CompiledProgram> FindProgram(
-      const std::string& key) const;
-  std::shared_ptr<const CompiledProgram> StoreProgram(
-      const std::string& key, std::shared_ptr<const CompiledProgram> program);
-
   /// Drops every entry. The manager calls this when the constraint set
   /// changes (AddConstraint): tier-1 decisions quantify over the *other*
   /// active constraints, so registration is a cache epoch.
@@ -63,8 +59,6 @@ class PlanCache {
   std::unordered_map<std::string, Tier1Decision> tier1_;
   std::unordered_map<std::string, std::shared_ptr<const RaPlanTemplate>>
       templates_;
-  std::unordered_map<std::string, std::shared_ptr<const CompiledProgram>>
-      programs_;
 };
 
 }  // namespace ccpi

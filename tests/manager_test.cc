@@ -74,6 +74,41 @@ TEST(ManagerTest, AddConstraintRejectsARegisteredName) {
   EXPECT_TRUE(mgr.site().db().Contains("l", {V(1)}));
 }
 
+TEST(ManagerTest, AddConstraintRejectsAnUnsafeProgram) {
+  // X occurs only under negation, so the evaluator refuses the program.
+  // It used to be registered anyway: inserts into l settled at tier 1 and
+  // the run went on until an update first reached tier 3 and failed there.
+  ConstraintManager mgr({"l"}, CostModel{});
+  auto unsafe = mgr.AddConstraint("c", MustParse("panic :- r(Y) & not l(X)"));
+  ASSERT_FALSE(unsafe.ok());
+  EXPECT_EQ(unsafe.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unsafe.status().message().find("unsafe"), std::string::npos)
+      << unsafe.status().message();
+  // Unstratifiable: p and q depend on each other through negation.
+  auto cyclic = mgr.AddConstraint(
+      "d", MustParse("panic :- l(X) & p(X)\n"
+                     "p(X) :- l(X) & not q(X)\n"
+                     "q(X) :- l(X) & not p(X)"));
+  ASSERT_FALSE(cyclic.ok());
+  EXPECT_EQ(cyclic.status().code(), StatusCode::kInvalidArgument);
+
+  // Nothing was registered: an update is checked against no constraint.
+  ASSERT_TRUE(mgr.site().db().Insert("r", {V(1)}).ok());
+  ASSERT_TRUE(mgr.site().db().Insert("l", {V(1)}).ok());
+  auto none = mgr.ApplyUpdate(Update::Insert("l", {V(2)}));
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+
+  // And the name is still free for a safe program, which is checked.
+  ASSERT_TRUE(
+      mgr.AddConstraint("c", MustParse("panic :- r(Y) & not l(Y)")).ok());
+  auto reports = mgr.ApplyUpdate(Update::Delete("l", {V(1)}));
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  ASSERT_EQ(reports->size(), 1u);
+  EXPECT_EQ(OutcomeOf(*reports, "c"), Outcome::kViolated);
+  EXPECT_TRUE(mgr.site().db().Contains("l", {V(1)}));
+}
+
 TEST(ManagerTest, UnaffectedTier) {
   ConstraintManager mgr({"l"}, CostModel{});
   ASSERT_TRUE(mgr.AddConstraint("c", MustParse("panic :- p(X) & q(X)")).ok());

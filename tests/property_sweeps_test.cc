@@ -236,6 +236,13 @@ TEST_P(KeyedIcqAgreement, ProbeAgreesWithFullScanAndTheorem52) {
   auto comp = CompileIcq(rule, "l");
   ASSERT_TRUE(comp.ok()) << comp.status().ToString();
   ASSERT_TRUE(comp->key_col.has_value()) << text;
+  // The manager's form: the same analysis without the interval program.
+  // The direct test below runs on it, the datalog oracle on `comp`.
+  auto analyzed = AnalyzeIcq(rule, "l");
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_TRUE(analyzed->interval_program.rules.empty());
+  EXPECT_EQ(analyzed->key_col, comp->key_col);
+  EXPECT_EQ(analyzed->local_arity, comp->local_arity);
   auto cqc = MakeCqc(rule, "l");
   ASSERT_TRUE(cqc.ok()) << cqc.status().ToString();
   const size_t arity = comp->local_arity;
@@ -268,7 +275,7 @@ TEST_P(KeyedIcqAgreement, ProbeAgreesWithFullScanAndTheorem52) {
 
     size_t rows_read = 0;
     auto datalog = IcqLocalTestOnInsert(*comp, database_of(local), t);
-    auto direct = IcqDirectTestOnInsert(*comp, local, t, &rows_read);
+    auto direct = IcqDirectTestOnInsert(*analyzed, local, t, &rows_read);
     auto thm52 = CompleteLocalTestOnInsert(*cqc, t, local);
     ASSERT_TRUE(datalog.ok()) << datalog.status().ToString();
     ASSERT_TRUE(direct.ok());

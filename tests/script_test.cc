@@ -285,6 +285,27 @@ TEST(ScriptRunTest, RunScriptRefusesARepeatedConstraintName) {
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ScriptRunTest, UnsafeConstraintEndsTheRunBeforeAnyUpdate) {
+  // X occurs only under negation. The run used to check every insert
+  // below at tier 1 and exit clean; a later update reaching tier 3 would
+  // then fail with "unsafe rule" partway through the stream. Registration
+  // refuses the program, so the run ends before any update is checked.
+  auto script = ParseScript(
+      "local l\n"
+      "constraint bad\n"
+      "panic :- r(Y) & not l(X)\n"
+      "fact r(1)\n"
+      "fact l(5)\n"
+      "insert l(2)\n"
+      "insert l(3)\n");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  auto report = RunScript(*script);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("unsafe rule"), std::string::npos)
+      << report.status().message();
+}
+
 // ---- pipeline directive and --pipeline-depth flag -------------------------
 
 TEST(ScriptParseTest, PipelineDirective) {
