@@ -109,13 +109,39 @@ struct BufferingObserver : AccessObserver {
   }
 };
 
-/// Plan-cache work of one phase 1, billed to the plan.* counters when its
-/// reports commit, like its local reads: a speculation that a conflict
-/// discards counts nothing, and its inline re-run counts what it does.
-/// Atomic: the phase-1 fan-out's lanes share one tally.
+/// Plan-cache work of one phase 1: the entries it consulted, billed to the
+/// plan.* counters when its reports commit, like its local reads. Billing
+/// asks each entry whether an earlier commit billed it already (a hit) or
+/// not (a compile), so the counts follow the serial order whatever stored
+/// the entry: a speculation that a conflict discards counts nothing, and
+/// its inline re-run counts what a serial run would. Locked: the phase-1
+/// fan-out's lanes share one tally.
 struct PlanTally {
-  std::atomic<uint64_t> compiles{0};
-  std::atomic<uint64_t> hits{0};
+  void ConsultedTier1(const std::string& key) {
+    std::lock_guard<std::mutex> lock(mu);
+    tier1.push_back(key);
+  }
+  void ConsultedTemplate(const std::string& key) {
+    std::lock_guard<std::mutex> lock(mu);
+    templates.push_back(key);
+  }
+
+  /// Called once, in the episode's commit turn.
+  void Bill(PlanCache& cache, obs::Counter* compiles, obs::Counter* hits,
+            obs::Counter* delta) const {
+    uint64_t compiled = 0;
+    for (const std::string& key : tier1) compiled += cache.BillTier1(key);
+    for (const std::string& key : templates) {
+      compiled += cache.BillTemplate(key);
+    }
+    compiles->Add(compiled);
+    hits->Add(tier1.size() + templates.size() - compiled);
+    delta->Add(delta_tuples);
+  }
+
+  std::mutex mu;
+  std::vector<std::string> tier1;
+  std::vector<std::string> templates;
   std::atomic<uint64_t> delta_tuples{0};
 };
 
@@ -413,17 +439,12 @@ Result<bool> ConstraintManager::AddConstraint(const std::string& name,
   // Registration is a plan-cache epoch: the tier-1 memo quantifies over
   // the set of active constraints, which just changed, so every cached
   // decision (and, wholesale for simplicity, every RA template) is
-  // dropped. The signature inputs are refreshed too — the
-  // distinguished-constant pool and whether every active program is
-  // comparison-free, the soundness gate of shape-keyed decision
-  // memoization (see docs/plan_cache.md).
+  // dropped. The distinguished-constant pool the order-type keys are taken
+  // against is refreshed too (see docs/plan_cache.md).
   plans_.Invalidate();
   std::vector<const Program*> active_programs;
-  plan_sig_safe_ = true;
   for (const Registered& r : constraints_) {
-    if (r.subsumed) continue;
-    active_programs.push_back(&r.compiled.program);
-    plan_sig_safe_ = plan_sig_safe_ && SignatureSafe(r.compiled.program);
+    if (!r.subsumed) active_programs.push_back(&r.compiled.program);
   }
   plan_constants_ = CollectProgramConstants(active_programs);
   return subsumed;
@@ -467,22 +488,16 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
 
   // Tier 1: constraints + update only (Section 4). The decision is a pure
   // function of (constraint, update pattern, active constraint set): it
-  // compares the constraint against the update via equality reasoning
-  // alone, so two updates with the same shape signature get the same
-  // verdict — memoizable per pattern, as long as no active program carries
-  // an order comparison (those can distinguish same-shape tuples; see
-  // docs/plan_cache.md). AddConstraint invalidates the memo wholesale.
-  bool tier1_known = false;
+  // relates the update's values to each other and to the constraints'
+  // constants only by equality and by their place in a dense order, so two
+  // updates of the same order type get the same verdict — memoizable per
+  // pattern (see docs/plan_cache.md). AddConstraint invalidates the memo
+  // wholesale.
   bool tier1_holds = false;
-  if (plan_sig_safe_) {
-    if (std::optional<PlanCache::Tier1Decision> memo =
-            plans_.FindTier1(pattern_key)) {
-      ++ctx.plans->hits;
-      tier1_known = true;
-      tier1_holds = memo->holds;
-    }
-  }
-  if (!tier1_known) {
+  if (std::optional<PlanCache::Tier1Decision> memo =
+          plans_.FindTier1(pattern_key)) {
+    tier1_holds = memo->holds;
+  } else {
     obs::Stopwatch compile_sw;
     std::vector<Program> assumed;
     for (const Registered& other : constraints_) {
@@ -499,15 +514,11 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
     tier1_holds =
         independent.ok() && independent->outcome == Outcome::kHolds;
     // Memoize both verdicts — holds and falls-through (kUnsupported
-    // included) — but never a hard error, which returned above. A decision
-    // derived while the memo is off is a compile all the same: it is the
-    // work a hit would have saved.
-    if (plan_sig_safe_) {
-      plans_.StoreTier1(pattern_key, PlanCache::Tier1Decision{tier1_holds});
-    }
-    ++ctx.plans->compiles;
+    // included) — but never a hard error, which returned above.
+    plans_.StoreTier1(pattern_key, PlanCache::Tier1Decision{tier1_holds});
     compile_sw.RecordTo(hist_plan_compile_);
   }
+  ctx.plans->ConsultedTier1(pattern_key);
   if (tier1_holds) {
     report.outcome = Outcome::kHolds;
     report.tier = Tier::kIndependence;
@@ -569,9 +580,7 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
       // bound test is evaluated on every update.
       std::shared_ptr<const RaPlanTemplate> tpl =
           plans_.FindTemplate(pattern_key);
-      if (tpl != nullptr) {
-        ++ctx.plans->hits;
-      } else {
+      if (tpl == nullptr) {
         obs::Stopwatch compile_sw;
         Result<RaPlanTemplate> built =
             CompileRaPlan(t2->rule, u.pred, u.tuple);
@@ -579,13 +588,13 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
           tpl = plans_.StoreTemplate(
               pattern_key,
               std::make_shared<const RaPlanTemplate>(std::move(*built)));
-          ++ctx.plans->compiles;
           compile_sw.RecordTo(hist_plan_compile_);
         }
-        // A failed compile falls through undecided and is not cached,
-        // so error behavior stays per-update.
+        // A failed compile falls through undecided and is neither cached
+        // nor billed, so error behavior stays per-update.
       }
       if (tpl != nullptr) {
+        ctx.plans->ConsultedTemplate(pattern_key);
         Result<Outcome> o = EvalPlannedRa(*tpl, u, ctx);
         if (o.ok()) {
           outcome = *o;
@@ -877,9 +886,7 @@ Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
                                 &live_plans};
     CCPI_ASSIGN_OR_RETURN(phase1, RunPhase1(u, live_ctx, pool_.get()));
   }
-  ctr_plan_compiles_->Add(plans.compiles);
-  ctr_plan_hits_->Add(plans.hits);
-  ctr_plan_delta_->Add(plans.delta_tuples);
+  plans.Bill(plans_, ctr_plan_compiles_, ctr_plan_hits_, ctr_plan_delta_);
   const bool noop = phase1.noop;
   std::vector<CheckReport>& reports = phase1.reports;
 

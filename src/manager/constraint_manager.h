@@ -641,12 +641,6 @@ class ConstraintManager {
   /// The distinguished-constant pool of the active constraint set, sorted
   /// and deduped — input to ShapeSignature. Rebuilt on AddConstraint.
   std::vector<Value> plan_constants_;
-  /// True iff every active program is comparison-free (SignatureSafe).
-  /// Order comparisons can distinguish same-shape tuples, so the tier-1
-  /// decision memo is disabled unless this holds; the RA templates need no
-  /// such gate (they cache structure, not verdicts quantified over tuples
-  /// of a shape).
-  bool plan_sig_safe_ = true;
   std::deque<DeferredCheck> deferred_;
   uint64_t update_sequence_ = 0;
 

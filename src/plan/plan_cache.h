@@ -28,6 +28,14 @@ namespace ccpi {
 /// phase-1 fan-out keys embed the constraint id and each lane owns one
 /// constraint, so the race is theoretical there — but the cache does not
 /// rely on that.)
+///
+/// Every entry carries a *billed* mark for the plan.* counters. Who stored
+/// an entry first depends on scheduling (a pipelined speculation may store
+/// one and then be discarded), so the counters do not count stores: the
+/// manager bills each entry an episode consulted in its serialized commit
+/// turn, a compile if the entry was not billed yet and a hit otherwise.
+/// Commit order is the serial order, so the counts match a serial run at
+/// any pipeline depth and thread count.
 class PlanCache {
  public:
   /// The memoized tier-1 verdict for an update pattern: holds (resolve at
@@ -46,6 +54,11 @@ class PlanCache {
   std::shared_ptr<const RaPlanTemplate> StoreTemplate(
       const std::string& key, std::shared_ptr<const RaPlanTemplate> tpl);
 
+  /// Bills one consultation of an existing entry: true the first time (the
+  /// consultation counts as the entry's compile), false after (a hit).
+  bool BillTier1(const std::string& key);
+  bool BillTemplate(const std::string& key);
+
   /// Drops every entry. The manager calls this when the constraint set
   /// changes (AddConstraint): tier-1 decisions quantify over the *other*
   /// active constraints, so registration is a cache epoch.
@@ -55,10 +68,18 @@ class PlanCache {
   size_t size() const;
 
  private:
+  struct Tier1Entry {
+    Tier1Decision decision;
+    bool billed = false;
+  };
+  struct TemplateEntry {
+    std::shared_ptr<const RaPlanTemplate> tpl;
+    bool billed = false;
+  };
+
   mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, Tier1Decision> tier1_;
-  std::unordered_map<std::string, std::shared_ptr<const RaPlanTemplate>>
-      templates_;
+  std::unordered_map<std::string, Tier1Entry> tier1_;
+  std::unordered_map<std::string, TemplateEntry> templates_;
 };
 
 }  // namespace ccpi

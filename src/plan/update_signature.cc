@@ -7,24 +7,37 @@ namespace ccpi {
 
 std::string ShapeSignature(const Tuple& t,
                            const std::vector<Value>& constants) {
+  // The tuple's distinct non-constant values in Value order: a component's
+  // rank is its value's index here, so ranks encode both the tuple's own
+  // order and its equalities.
+  std::vector<Value> others;
+  for (const Value& v : t) {
+    if (!std::binary_search(constants.begin(), constants.end(), v)) {
+      others.push_back(v);
+    }
+  }
+  std::sort(others.begin(), others.end());
+  others.erase(std::unique(others.begin(), others.end()), others.end());
+
   std::string shape;
-  shape.reserve(t.size() * 3);
-  // Non-constant values in first-appearance order; a component's class id
-  // is its value's index here.
-  std::vector<Value> classes;
+  shape.reserve(t.size() * 5);
   for (size_t i = 0; i < t.size(); ++i) {
     if (i > 0) shape += '.';
+    // Index of the first pool constant not below t[i]: the constant it
+    // equals, or else the gap it falls in (gap g lies strictly between
+    // constants g-1 and g).
     auto it = std::lower_bound(constants.begin(), constants.end(), t[i]);
+    const size_t pos = it - constants.begin();
     if (it != constants.end() && *it == t[i]) {
       shape += 'C';
-      shape += std::to_string(it - constants.begin());
+      shape += std::to_string(pos);
       continue;
     }
-    size_t cls = 0;
-    while (cls < classes.size() && !(classes[cls] == t[i])) ++cls;
-    if (cls == classes.size()) classes.push_back(t[i]);
+    shape += 'G';
+    shape += std::to_string(pos);
     shape += 'N';
-    shape += std::to_string(cls);
+    shape += std::to_string(
+        std::lower_bound(others.begin(), others.end(), t[i]) - others.begin());
   }
   return shape;
 }

@@ -41,22 +41,31 @@ Rule MustParseRule(const char* text) {
   return *r;
 }
 
-// ---- Shape signatures ----------------------------------------------------
+// ---- Order-type signatures ----------------------------------------------
 
 TEST(UpdateSignatureTest, ShapeClassesFollowFirstAppearance) {
+  // In these tuples first appearance and value order coincide;
+  // RanksFollowValueOrder below tells the two apart. With an empty pool
+  // every value is in gap 0.
   std::vector<Value> none;
-  EXPECT_EQ(ShapeSignature({V("a"), V("b"), V("b")}, none), "N0.N1.N1");
-  EXPECT_EQ(ShapeSignature({V("x"), V("y"), V("y")}, none), "N0.N1.N1");
-  EXPECT_EQ(ShapeSignature({V("a"), V("b"), V("c")}, none), "N0.N1.N2");
-  EXPECT_EQ(ShapeSignature({V("a"), V("a"), V("b")}, none), "N0.N0.N1");
+  EXPECT_EQ(ShapeSignature({V("a"), V("b"), V("b")}, none),
+            "G0N0.G0N1.G0N1");
+  EXPECT_EQ(ShapeSignature({V("x"), V("y"), V("y")}, none),
+            "G0N0.G0N1.G0N1");
+  EXPECT_EQ(ShapeSignature({V("a"), V("b"), V("c")}, none),
+            "G0N0.G0N1.G0N2");
+  EXPECT_EQ(ShapeSignature({V("a"), V("a"), V("b")}, none),
+            "G0N0.G0N0.G0N1");
   EXPECT_EQ(ShapeSignature({}, none), "");
 }
 
 TEST(UpdateSignatureTest, DistinguishedConstantsGetTheirOwnClasses) {
   // Sorted, deduplicated constant pool (Value's total order).
   std::vector<Value> constants = {V("a"), V("b")};
-  EXPECT_EQ(ShapeSignature({V("a"), V("x"), V("x")}, constants), "C0.N0.N0");
-  EXPECT_EQ(ShapeSignature({V("b"), V("a"), V("q")}, constants), "C1.C0.N0");
+  EXPECT_EQ(ShapeSignature({V("a"), V("x"), V("x")}, constants),
+            "C0.G2N0.G2N0");
+  EXPECT_EQ(ShapeSignature({V("b"), V("a"), V("q")}, constants),
+            "C1.C0.G2N0");
   // A non-constant repeating a constant's *class* is impossible: equality
   // with the pool is what routes to C — so same-shape tuples agree on
   // every pool equality.
@@ -70,9 +79,70 @@ TEST(UpdateSignatureTest, MixedTypesAndKeyRendering) {
   Update del = Update::Delete("emp", {V("ann"), V(5)});
   UpdateSignature a = MakeUpdateSignature(ins, constants);
   UpdateSignature b = MakeUpdateSignature(del, constants);
-  EXPECT_EQ(a.Key(), "emp/+/N0.C0");
-  EXPECT_EQ(b.Key(), "emp/-/N0.C0");
+  // Symbols sort above every int: "ann" lies in the gap above 5.
+  EXPECT_EQ(a.Key(), "emp/+/G1N0.C0");
+  EXPECT_EQ(b.Key(), "emp/-/G1N0.C0");
   EXPECT_NE(a.Key(), b.Key());  // kind is part of the pattern
+}
+
+TEST(UpdateSignatureTest, GapsPlaceValuesAmongThePoolConstants) {
+  std::vector<Value> constants = {V(3), V(10)};
+  EXPECT_EQ(ShapeSignature({V(1)}, constants), "G0N0");
+  EXPECT_EQ(ShapeSignature({V(3)}, constants), "C0");
+  EXPECT_EQ(ShapeSignature({V(4)}, constants), "G1N0");
+  EXPECT_EQ(ShapeSignature({V(9)}, constants), "G1N0");
+  EXPECT_EQ(ShapeSignature({V(10)}, constants), "C1");
+  EXPECT_EQ(ShapeSignature({V(11)}, constants), "G2N0");
+  // Values on either side of a constant never share a key: a comparison
+  // with that constant tells them apart.
+  EXPECT_NE(ShapeSignature({V(2)}, constants),
+            ShapeSignature({V(4)}, constants));
+  EXPECT_NE(ShapeSignature({V(9)}, constants),
+            ShapeSignature({V(11)}, constants));
+}
+
+TEST(UpdateSignatureTest, RanksFollowValueOrder) {
+  std::vector<Value> constants = {V(5)};
+  // Ranks are taken over all non-constant values, across gaps.
+  EXPECT_EQ(ShapeSignature({V(7), V(6), V(5)}, constants), "G1N1.G1N0.C0");
+  EXPECT_EQ(ShapeSignature({V(2), V(9), V(9)}, constants),
+            "G0N0.G1N1.G1N1");
+  // Same gaps, opposite order inside one gap: a comparison between the
+  // two components (Hi < Lo) tells these apart, so the keys differ.
+  EXPECT_EQ(ShapeSignature({V(6), V(8)}, constants), "G1N0.G1N1");
+  EXPECT_EQ(ShapeSignature({V(8), V(6)}, constants), "G1N1.G1N0");
+  // Same order type, different values: one key.
+  EXPECT_EQ(ShapeSignature({V(6), V(8)}, constants),
+            ShapeSignature({V(100), V(200)}, constants));
+  EXPECT_EQ(ShapeSignature({V(0), V(7)}, constants),
+            ShapeSignature({V(-40), V(6)}, constants));
+}
+
+TEST(UpdateSignatureTest, RepeatsShareOneRank) {
+  std::vector<Value> constants = {V(0)};
+  EXPECT_EQ(ShapeSignature({V(4), V(2), V(4), V(2)}, constants),
+            "G1N1.G1N0.G1N1.G1N0");
+  // A repeat is an equality: breaking it changes the key even when the
+  // order is otherwise kept.
+  EXPECT_NE(ShapeSignature({V(3), V(3)}, constants),
+            ShapeSignature({V(3), V(4)}, constants));
+  EXPECT_EQ(ShapeSignature({V(3), V(3)}, constants),
+            ShapeSignature({V(8), V(8)}, constants));
+}
+
+TEST(UpdateSignatureTest, MixedIntSymbolOrderMatchesValueOrder) {
+  // Value's total order: every int below every symbol, ints numerically,
+  // symbols lexicographically. The pool {5, "m"} splits the line into
+  // gap 0 (ints below 5), gap 1 (ints above 5 and symbols below "m") and
+  // gap 2 (symbols above "m").
+  std::vector<Value> constants = {V(5), V("m")};
+  EXPECT_EQ(ShapeSignature({V(9), V("c")}, constants), "G1N0.G1N1");
+  EXPECT_EQ(ShapeSignature({V("c"), V(9)}, constants), "G1N1.G1N0");
+  EXPECT_EQ(ShapeSignature({V(-3), V("z")}, constants), "G0N0.G2N1");
+  EXPECT_EQ(ShapeSignature({V("a"), V("b")}, constants),
+            ShapeSignature({V(6), V(7)}, constants));
+  EXPECT_NE(ShapeSignature({V(4), V("b")}, constants),
+            ShapeSignature({V(6), V("b")}, constants));
 }
 
 TEST(UpdateSignatureTest, CollectProgramConstantsAndSafety) {
@@ -334,32 +404,60 @@ TEST(PlanCacheManagerTest, AddConstraintInvalidatesThePatternMemo) {
             compiles_before);
 }
 
-TEST(PlanCacheManagerTest, TierOneDecisionsCountWhileTheMemoIsOff) {
-  // An order comparison can tell same-shape tuples apart, so the tier-1
-  // memo is off for this constraint set and every decision is derived
-  // afresh. Each one still counts as a compile: plan.hits / plan.compiles
-  // then reflects the decisions the cache could not serve, instead of
-  // leaving them out.
+TEST(PlanCacheManagerTest, ComparisonConstraintsServeTierOneHits) {
+  // An order comparison no longer turns the tier-1 memo off: updates of
+  // one order type share a key, so only the first of them derives the
+  // decision, and plan.compiles / plan.hits bill exactly one compile per
+  // new key and one hit per reuse.
   ConstraintManager mgr({"l"}, CostModel{});
   ASSERT_TRUE(mgr.AddConstraint(
                      "ord", MustParse("panic :- l(X,Y) & r(Y) & Y < X"))
                   .ok());
   ASSERT_TRUE(mgr.site().db().Insert("r", {V(100)}).ok());
-  // A same-shape warm-up first, so the counts below see only the work
-  // every such update repeats.
-  ASSERT_TRUE(mgr.ApplyUpdate(Update::Insert("l", {V(9), V(0)})).ok());
-  const uint64_t compiles =
-      mgr.metrics().GetCounter("plan.compiles")->value();
-  const uint64_t hits = mgr.metrics().GetCounter("plan.hits")->value();
-  constexpr int kInserts = 5;
-  for (int i = 0; i < kInserts; ++i) {
-    // Same shape every time: two distinct non-constant components.
-    auto reports = mgr.ApplyUpdate(Update::Insert("l", {V(10 + i), V(i)}));
+  auto count = [&](const char* name) {
+    return mgr.metrics().GetCounter(name)->value();
+  };
+  // One order type: X above Y, both below 100. Every update after the
+  // first is a hit.
+  constexpr int kDeletes = 5;
+  for (int i = 0; i < kDeletes; ++i) {
+    // Deletes of present rows: tier 1 settles them (ord cannot be broken
+    // by a delete), so each episode consults the tier-1 memo only.
+    ASSERT_TRUE(mgr.site().db().Insert("l", {V(10 + i), V(i)}).ok());
+    auto reports = mgr.ApplyUpdate(Update::Delete("l", {V(10 + i), V(i)}));
     ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+    ASSERT_EQ(reports->size(), 1u);
+    EXPECT_EQ((*reports)[0].tier, Tier::kIndependence);
   }
-  EXPECT_EQ(mgr.metrics().GetCounter("plan.compiles")->value(),
-            compiles + kInserts);
-  EXPECT_EQ(mgr.metrics().GetCounter("plan.hits")->value(), hits);
+  EXPECT_EQ(count("plan.compiles"), 1u);
+  EXPECT_EQ(count("plan.hits"), uint64_t{kDeletes - 1});
+  // A second order type (X below Y) is a new key: one more compile.
+  ASSERT_TRUE(mgr.site().db().Insert("l", {V(1), V(2)}).ok());
+  ASSERT_TRUE(mgr.ApplyUpdate(Update::Delete("l", {V(1), V(2)})).ok());
+  EXPECT_EQ(count("plan.compiles"), 2u);
+  EXPECT_EQ(count("plan.hits"), uint64_t{kDeletes - 1});
+}
+
+TEST(PlanCacheManagerTest, OrderTypeMemoStillRefusesAnInvertedRange) {
+  // sane-range (Hi < Lo is a violation) decides a well-formed range at
+  // tier 1: the insert cannot fire the constraint. An inverted range of
+  // the same *shape* must not reuse that decision; the order type keeps
+  // the two apart, so the second insert is still refused.
+  ConstraintManager mgr({"range"}, CostModel{});
+  ASSERT_TRUE(mgr.AddConstraint(
+                     "sane-range",
+                     MustParse("panic :- range(N,Lo,Hi) & Hi < Lo"))
+                  .ok());
+  auto ok = mgr.ApplyUpdate(Update::Insert("range", {V("p"), V(3), V(5)}));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  ASSERT_EQ(ok->size(), 1u);
+  EXPECT_EQ((*ok)[0].outcome, Outcome::kHolds);
+  EXPECT_EQ((*ok)[0].tier, Tier::kIndependence);
+  auto bad = mgr.ApplyUpdate(Update::Insert("range", {V("p"), V(7), V(6)}));
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  ASSERT_EQ(bad->size(), 1u);
+  EXPECT_EQ((*bad)[0].outcome, Outcome::kViolated);
+  EXPECT_FALSE(mgr.site().db().Contains("range", {V("p"), V(7), V(6)}));
 }
 
 // ---- Manager-level: budgets under cache hits ---------------------------

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "containment/cqc.h"
 #include "containment/exact.h"
@@ -17,6 +19,8 @@
 #include "core/local_test.h"
 #include "datalog/parser.h"
 #include "eval/engine.h"
+#include "plan/update_signature.h"
+#include "updates/independence.h"
 #include "updates/rewrite.h"
 #include "util/rng.h"
 
@@ -401,6 +405,98 @@ TEST_P(EvalAblation, NaiveIndexlessSeminaiveAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EvalAblation,
                          ::testing::Values(10u, 20u, 30u, 40u));
+
+// --- Sweep 6: one order type, one tier-1 verdict ---------------------------
+
+// The comparison shapes of the config-lattice pool (fi, ord, rcap, swap,
+// cap, bounds) plus join, which shares their predicates. The negated
+// shapes stay out: with one in the set, tier 1 runs the exact small-model
+// oracle, at tenths of a second per call.
+const char* const kOrderShapes[] = {
+    "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y",
+    "panic :- l(X,Y) & X > Y",
+    "panic :- r(Z) & Z > 8",
+    "panic :- l(X,Y) & l(Y,X2) & X = X2",
+    "panic :- emp(E,D,S) & S > 100",
+    "panic :- r(Z) & Z > 10\npanic :- emp(E,D,S) & S > 120",
+    "panic :- l(X,Y) & r(X)",
+};
+
+// Every pool constant (8, 10, 100, 120), values next to each, between
+// them and outside them, and symbols, which sort above every int.
+const Value kOrderValues[] = {V(-7), V(0),   V(7),   V(8),   V(9),
+                              V(10), V(11),  V(50),  V(99),  V(100),
+                              V(101), V(110), V(120), V(121), V(500),
+                              V("a"), V("q")};
+
+class OrderTypeVerdicts : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(OrderTypeVerdicts, SameOrderTypeSameColdVerdict) {
+  // The tier-1 memo's soundness: updates with one key (predicate, kind,
+  // order type against the set's constants) get the same cold
+  // HoldsAfterUpdate verdict from every constraint of the set.
+  Rng rng(GetParam());
+  size_t shared = 0;  // verdicts compared against an earlier same-key one
+  size_t holds = 0;
+  size_t falls_through = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    std::vector<Program> set;
+    std::vector<const Program*> programs;
+    for (const char* text : kOrderShapes) {
+      if (!rng.Chance(1, 3)) continue;
+      auto p = ParseProgram(text);
+      ASSERT_TRUE(p.ok()) << p.status().ToString();
+      set.push_back(*p);
+    }
+    if (set.empty()) continue;
+    for (const Program& p : set) programs.push_back(&p);
+    const std::vector<Value> pool = CollectProgramConstants(programs);
+    const char* preds[] = {"l", "r", "emp"};
+    const size_t arity[] = {2, 1, 3};
+    const size_t which = rng.Below(3);
+    const bool insert = rng.Chance(1, 2);
+    // First verdict seen per (key, constraint index): holds, or the
+    // status code it fell through with.
+    std::map<std::pair<std::string, size_t>, std::pair<Tuple, int>> seen;
+    for (int draw = 0; draw < 24; ++draw) {
+      Tuple t;
+      for (size_t i = 0; i < arity[which]; ++i) {
+        t.push_back(kOrderValues[rng.Below(std::size(kOrderValues))]);
+      }
+      const Update u = insert ? Update::Insert(preds[which], t)
+                              : Update::Delete(preds[which], t);
+      const std::string key = MakeUpdateSignature(u, pool).Key();
+      for (size_t c = 0; c < set.size(); ++c) {
+        std::vector<Program> assumed;
+        for (size_t o = 0; o < set.size(); ++o) {
+          if (o != c) assumed.push_back(set[o]);
+        }
+        auto d = HoldsAfterUpdate(set[c], u, assumed);
+        // -1: holds; otherwise the status code (0 for a decided
+        // fall-through).
+        const int verdict =
+            d.ok() ? (d->outcome == Outcome::kHolds ? -1 : 0)
+                   : static_cast<int>(d.status().code());
+        (verdict == -1 ? holds : falls_through) += 1;
+        auto [it, fresh] = seen.try_emplace({key, c}, t, verdict);
+        if (fresh || it->second.first == t) continue;
+        ++shared;
+        EXPECT_EQ(it->second.second, verdict)
+            << "key " << key << " constraint " << set[c].ToString()
+            << " tuples " << TupleToString(it->second.first) << " and "
+            << TupleToString(t);
+      }
+    }
+  }
+  // Non-vacuous: same-key pairs of distinct tuples were compared, and the
+  // verdicts themselves vary.
+  EXPECT_GT(shared, 50u);
+  EXPECT_GT(holds, 0u);
+  EXPECT_GT(falls_through, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OrderTypeVerdicts,
+                         ::testing::Values(3u, 14u, 15u, 92u));
 
 }  // namespace
 }  // namespace ccpi

@@ -330,10 +330,26 @@ TEST(ScriptParseTest, PipelineDirectiveRejectsBadValue) {
   }
 }
 
+/// Runs `text` with --stats serially, then at pipeline depth 8 over
+/// `threads` lanes: the report — log and summary, plan counters included —
+/// must be byte-identical.
+void ExpectPipelinedMatchesSerial(const char* text, size_t threads) {
+  auto script = ParseScript(text);
+  ASSERT_TRUE(script.ok());
+  script->options.print_stats = true;
+  auto serial = RunScript(*script);
+  ASSERT_TRUE(serial.ok());
+  script->options.pipeline.depth = 8;
+  script->options.parallel.threads = threads;
+  auto piped = RunScript(*script);
+  ASSERT_TRUE(piped.ok());
+  EXPECT_EQ(serial->text, piped->text);
+}
+
 TEST(ScriptRunTest, PipelinedRunMatchesSerialByteForByte) {
   // The whole point of the serialized commit map: the report — log and
   // summary both — is byte-identical at any pipeline depth.
-  const char* text =
+  ExpectPipelinedMatchesSerial(
       "local l\n"
       "constraint ord\n"
       "panic :- l(X,Y) & X > Y\n"
@@ -343,16 +359,34 @@ TEST(ScriptRunTest, PipelinedRunMatchesSerialByteForByte) {
       "insert l(1, 2)\n"
       "insert l(5, 3)\n"
       "insert l(4, 7)\n"
-      "insert l(2, 9)\n";
-  auto script = ParseScript(text);
-  ASSERT_TRUE(script.ok());
-  script->options.print_stats = true;
-  auto serial = RunScript(*script);
-  ASSERT_TRUE(serial.ok());
-  script->options.pipeline.depth = 8;
-  auto piped = RunScript(*script);
-  ASSERT_TRUE(piped.ok());
-  EXPECT_EQ(serial->text, piped->text);
+      "insert l(2, 9)\n",
+      1);
+}
+
+/// Comparison-free, and every insert writes l, which both constraints
+/// read: each speculation behind the first is discarded and re-run. The
+/// second insert is the first of its pattern, so its discarded
+/// speculation stores plan entries that its re-run then finds. Billing
+/// must still follow the serial run: a compile for the first consultation
+/// of an entry, a hit after.
+const char kRepeatedPatternScript[] =
+    "local l\n"
+    "constraint noloop\n"
+    "panic :- l(X,X)\n"
+    "constraint join\n"
+    "panic :- l(X,Y) & r(Y)\n"
+    "fact r(7)\n"
+    "insert l(1, 2)\n"
+    "insert l(3, 3)\n"
+    "insert l(4, 7)\n"
+    "insert l(2, 9)\n";
+
+TEST(ScriptRunTest, PipelinedPlanBillingMatchesSerialByteForByte) {
+  ExpectPipelinedMatchesSerial(kRepeatedPatternScript, 1);
+}
+
+TEST(ScriptRunTest, PipelinedPlanBillingOnFourThreadsMatchesSerial) {
+  ExpectPipelinedMatchesSerial(kRepeatedPatternScript, 4);
 }
 
 /// The value of counter `name` in a MetricsRegistry::ToJson() dump.
