@@ -21,10 +21,17 @@
 // Every row also records the pipeline accounting, which must balance:
 // admitted == committed + retried_commits, where retried_commits counts
 // episodes that could not retire from speculation (conflict re-runs plus
-// unspeculated serial-fallback admissions). Depth-1 rows run the plain
-// serial path (no pipeline counters exist) and synthesize the trivial
-// accounting. Each run is also diffed against the depth-1 stats — the
-// scheduler must not move a single verdict.
+// unspeculated serial-fallback admissions). Depth-1 rows go through the
+// same ApplyUpdateAsync/Drain calls, where each episode is admitted and
+// retired at once through the commit turn, unspeculated; the pipeline
+// counters read 0 there, so those rows synthesize the trivial accounting.
+// Each run is also diffed against the depth-1 stats — the scheduler must
+// not move a single verdict.
+//
+// Every sweep point, the depth-1 base included, is timed as the fastest of
+// kRunsPerPoint fresh runs: the speedup contract compares two wall-clock
+// times, and one descheduled run on a loaded host can move a single
+// timing by tens of percent.
 
 #include <benchmark/benchmark.h>
 
@@ -67,9 +74,10 @@ std::unique_ptr<ConstraintManager> MakeManager(size_t constraints,
   CostModel costs;
   costs.trip_latency_us = trip_latency_us;
   auto mgr = std::make_unique<ConstraintManager>(
-      locals, costs, ResilienceConfig{}, ParallelConfig{threads},
-      RemoteCacheConfig{}, BudgetConfig{}, TopologyConfig{},
-      PipelineConfig{depth});
+      ManagerConfig{.local_preds = locals,
+                    .costs = costs,
+                    .parallel = {.threads = threads},
+                    .pipeline = {.depth = depth}});
   for (size_t k = 0; k < constraints; ++k) {
     std::string ks = std::to_string(k);
     auto p = ParseProgram("panic :- l" + ks + "(X) & r" + ks + "(X)");
@@ -128,6 +136,9 @@ struct StreamPoint {
   ManagerStats stats;
 };
 
+/// Runs per sweep point; the point keeps the fastest (see the top comment).
+constexpr int kRunsPerPoint = 3;
+
 StreamPoint RunStream(size_t depth, size_t threads, bool high_conflict,
                       size_t episodes, uint64_t trip_latency_us) {
   // Both regimes run K=8 constraints: big enough that a depth-8 window of
@@ -141,12 +152,8 @@ StreamPoint RunStream(size_t depth, size_t threads, bool high_conflict,
       MakeStream(episodes, constraints, high_conflict);
   StreamPoint point;
   double t0 = NowNs();
-  if (depth > 1) {
-    for (const Update& u : stream) mgr->ApplyUpdateAsync(u);
-    for (auto& reports : mgr->Drain()) CCPI_CHECK(reports.ok());
-  } else {
-    for (const Update& u : stream) CCPI_CHECK(mgr->ApplyUpdate(u).ok());
-  }
+  for (const Update& u : stream) mgr->ApplyUpdateAsync(u);
+  for (auto& reports : mgr->Drain()) CCPI_CHECK(reports.ok());
   point.ns = NowNs() - t0;
   if (depth > 1) {
     auto counter = [&](const char* name) {
@@ -157,8 +164,8 @@ StreamPoint RunStream(size_t depth, size_t threads, bool high_conflict,
     point.conflicts = counter("manager.pipeline.conflicts");
     point.unspeculated = counter("manager.pipeline.unspeculated");
   } else {
-    // The serial path books no pipeline counters; the trivial accounting
-    // keeps the artifact schema uniform across rows.
+    // Depth 1 books no pipeline counters; the trivial accounting keeps the
+    // artifact schema uniform across rows.
     point.admitted = static_cast<double>(episodes);
     point.committed = static_cast<double>(episodes);
   }
@@ -172,6 +179,21 @@ void CheckSameVerdicts(const ManagerStats& a, const ManagerStats& b) {
   CCPI_CHECK(a.deferred == b.deferred);
 }
 
+/// The fastest of kRunsPerPoint runs of one sweep point; every run must
+/// reach the same verdicts.
+StreamPoint FastestRun(size_t depth, size_t threads, bool high_conflict,
+                       size_t episodes, uint64_t trip_latency_us) {
+  StreamPoint best =
+      RunStream(depth, threads, high_conflict, episodes, trip_latency_us);
+  for (int run = 1; run < kRunsPerPoint; ++run) {
+    StreamPoint p =
+        RunStream(depth, threads, high_conflict, episodes, trip_latency_us);
+    CheckSameVerdicts(best.stats, p.stats);
+    if (p.ns < best.ns) best = p;
+  }
+  return best;
+}
+
 void RunSweep(ccpi::bench::Harness* harness, bool quick) {
   const size_t episodes = quick ? 32 : 96;
   const uint64_t trip_latency_us = 400;
@@ -182,12 +204,12 @@ void RunSweep(ccpi::bench::Harness* harness, bool quick) {
     const char* regime = high_conflict ? "high" : "low";
     for (size_t threads : {size_t{4}, size_t{8}}) {
       StreamPoint base =
-          RunStream(1, threads, high_conflict, episodes, trip_latency_us);
+          FastestRun(1, threads, high_conflict, episodes, trip_latency_us);
       for (size_t depth : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
         StreamPoint p =
             depth == 1 ? base
-                       : RunStream(depth, threads, high_conflict, episodes,
-                                   trip_latency_us);
+                       : FastestRun(depth, threads, high_conflict, episodes,
+                                    trip_latency_us);
         CheckSameVerdicts(base.stats, p.stats);
         double retried = p.conflicts + p.unspeculated;
         CCPI_CHECK(p.admitted == p.committed + retried);

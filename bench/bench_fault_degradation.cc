@@ -29,8 +29,8 @@ namespace ccpi {
 namespace {
 
 std::unique_ptr<ConstraintManager> MakeManager(ResilienceConfig resilience) {
-  auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"reserved", "emp"}, CostModel{}, resilience);
+  auto mgr = std::make_unique<ConstraintManager>(ManagerConfig{
+      .local_preds = {"reserved", "emp"}, .resilience = resilience});
   CCPI_CHECK(mgr->AddConstraint(
                     "no-reserved-order",
                     *ParseProgram("panic :- reserved(P,Lo,Hi) & order(P,Q) & "

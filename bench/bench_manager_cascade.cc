@@ -23,7 +23,7 @@ namespace {
 
 std::unique_ptr<ConstraintManager> MakeManager() {
   auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"reserved", "emp"}, CostModel{});
+      ManagerConfig{.local_preds = {"reserved", "emp"}});
   CCPI_CHECK(mgr->AddConstraint(
                     "no-reserved-order",
                     *ParseProgram("panic :- reserved(P,Lo,Hi) & order(P,Q) & "

@@ -35,9 +35,8 @@ namespace {
 /// update is applied and each one costs `constraints` full evaluations).
 std::unique_ptr<ConstraintManager> MakeManager(size_t constraints,
                                                size_t threads) {
-  auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"l"}, CostModel{}, ResilienceConfig{},
-      ParallelConfig{threads});
+  auto mgr = std::make_unique<ConstraintManager>(ManagerConfig{
+      .local_preds = {"l"}, .parallel = {.threads = threads}});
   Rng rng(17);
   for (size_t k = 0; k < constraints; ++k) {
     std::string t = "t" + std::to_string(k);

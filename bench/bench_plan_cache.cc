@@ -49,8 +49,8 @@ double NowNs() {
 /// every streamed update is applied and the run stays in the steady-state
 /// re-check regime the cache targets.
 std::unique_ptr<ConstraintManager> MakeManager(size_t constraints) {
-  auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"l"}, CostModel{});
+  auto mgr =
+      std::make_unique<ConstraintManager>(ManagerConfig{.local_preds = {"l"}});
   for (size_t k = 0; k < constraints; ++k) {
     std::string rel = "r" + std::to_string(k);
     auto p = ParseProgram("panic :- l(X,Y,Z) & " + rel + "(Y,A,B)");

@@ -57,8 +57,10 @@ std::unique_ptr<ConstraintManager> MakeManager(size_t sites,
   TopologyConfig topology = MakeTopology(sites);
   if (with_audit) topology.placement["audit"] = 0;
   auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"reserved", "logged"}, CostModel{}, resilience,
-      parallel, RemoteCacheConfig{}, BudgetConfig{}, std::move(topology));
+      ManagerConfig{.local_preds = {"reserved", "logged"},
+                    .resilience = resilience,
+                    .parallel = parallel,
+                    .topology = std::move(topology)});
   for (size_t k = 0; k < kRemoteRelations; ++k) {
     std::string rel = "order" + std::to_string(k);
     CCPI_CHECK(mgr->AddConstraint(
@@ -344,9 +346,10 @@ LatencyRow RunLatency(const std::string& name, bool skew,
     topology.site_latency[s] = o;
   }
   auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"reserved", "logged"}, CostModel{},
-      ResilienceConfig{}, parallel, remote_cache, BudgetConfig{},
-      std::move(topology));
+      ManagerConfig{.local_preds = {"reserved", "logged"},
+                    .parallel = parallel,
+                    .remote_cache = remote_cache,
+                    .topology = std::move(topology)});
   for (size_t k = 0; k < kRemoteRelations; ++k) {
     std::string rel = "order" + std::to_string(k);
     CCPI_CHECK(mgr->AddConstraint(

@@ -19,7 +19,7 @@ using namespace ccpi;  // NOLINT: example brevity
 
 int main() {
   CostModel costs;  // remote round trip = 10, remote tuple = 0.1, local 1e-3
-  ConstraintManager mgr({"reserved"}, costs);
+  ConstraintManager mgr({.local_preds = {"reserved"}, .costs = costs});
   (void)mgr.AddConstraint(
       "no-reserved-order",
       *ParseProgram("panic :- reserved(P,Lo,Hi) & order(P,Q) & "

@@ -12,7 +12,7 @@
 using namespace ccpi;  // NOLINT: example brevity
 
 int main() {
-  ConstraintManager mgr({"emp", "dept"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"emp", "dept"}});
 
   // Example 2.1: no employee in both sales and accounting (modeled on the
   // binary assign(E,D) relation so the 3-ary emp keeps salaries).

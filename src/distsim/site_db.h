@@ -103,7 +103,6 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   bool IsLocal(const std::string& pred) const {
     return local_preds_.count(pred) > 0;
   }
-  const std::set<std::string>& local_preds() const { return local_preds_; }
 
   const Topology& topology() const { return topology_; }
   size_t sites() const { return topology_.sites(); }
@@ -122,10 +121,6 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   void set_site_fault_injector(size_t site, FaultInjector* injector) {
     CCPI_CHECK(site < site_states_.size());
     site_states_[site]->injector = injector;
-  }
-  FaultInjector* site_fault_injector(size_t site) const {
-    CCPI_CHECK(site < site_states_.size());
-    return site_states_[site]->injector;
   }
   /// Whether any site has an injector attached — the gate the manager uses
   /// to keep tier-3 sequential (draw alignment is per-site, but verdict
@@ -161,10 +156,6 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   void set_site_cost_model(size_t site, const CostModel& model) {
     CCPI_CHECK(site < site_states_.size());
     site_states_[site]->costs = model;
-  }
-  const CostModel& site_cost_model(size_t site) const {
-    CCPI_CHECK(site < site_states_.size());
-    return site_states_[site]->costs;
   }
 
   /// Arms hedged batched reads: when a batched per-site prefetch's drawn
@@ -214,10 +205,6 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// drops every site's entries.
   void EnableRemoteCache(bool on);
   bool remote_cache_enabled() const { return cache_enabled_; }
-  RemoteReadCache& site_remote_cache(size_t site) {
-    CCPI_CHECK(site < site_states_.size());
-    return site_states_[site]->cache;
-  }
 
   /// Overrides (or with nullptr restores to this site's own db) the
   /// database whose relation versions key cache decisions. The manager

@@ -147,11 +147,11 @@ struct PlanTally {
 
 }  // namespace
 
-/// Read routing of one constraint check. The serial path reads the live
+/// Read routing of one constraint check. The commit turn reads the live
 /// database, charges the site observer directly, and consults the live
-/// deferred queue; a speculative phase 1 reads its episode's admission
-/// snapshot, buffers its charges, and consults the queue as of admission.
-/// Either way its plan-cache work goes to `plans`.
+/// deferred queue; a speculative phase 1 reads its admission snapshot,
+/// buffers its charges, and consults the queue as of admission. Either
+/// way its plan-cache work goes to `plans`.
 struct ConstraintManager::CheckContext {
   const Database* db;
   AccessObserver* observer;
@@ -159,12 +159,12 @@ struct ConstraintManager::CheckContext {
   PlanTally* plans;
 };
 
-/// One pipelined update episode. Admission state is written by the
-/// admitting thread before the speculation task is launched; speculation
-/// outputs are written only by the task; the done/cv handshake publishes
-/// them back to the committing (admitting) thread. After `done`, the
-/// episode is owned by the committer again.
-struct ConstraintManager::Episode {
+/// One pipelined admission. Admission state is written by the admitting
+/// thread before the speculation task is launched; speculation outputs are
+/// written only by the task; the done/cv handshake publishes them back to
+/// the committing (admitting) thread. After `done`, the admission is owned
+/// by the committer again.
+struct ConstraintManager::Admission {
   Update update;
   uint64_t sequence = 0;
   /// Admission-time MVCC snapshot (copy-on-write Database copy).
@@ -177,8 +177,8 @@ struct ConstraintManager::Episode {
   uint64_t deferred_epoch = 0;
   /// commit_writes_ length at admission: the validation suffix.
   size_t write_mark = 0;
-  /// False for a serial-fallback admission: no snapshot, no task, the
-  /// commit runs the episode from scratch.
+  /// False for a serial-fallback admission (no snapshot, no task) or a
+  /// failed speculation: the commit turn runs the episode cold.
   bool speculated = false;
 
   // ---- Speculation outputs (valid once `done`).
@@ -198,6 +198,68 @@ struct ConstraintManager::Episode {
   std::condition_variable cv;
   bool done = false;
 };
+
+/// One update episode in its commit turn. Nothing here allocates until a
+/// phase needs it, so the unspeculated episode of ApplyUpdate costs no
+/// more than the locals of one function.
+struct ConstraintManager::Episode {
+  Episode(const Update& u, uint64_t seq, Admission* admission)
+      : update(u), sequence(seq), spec(admission) {}
+
+  const Update& update;
+  /// The serial position, drawn at admission.
+  const uint64_t sequence;
+  /// The admission whose speculation to validate, or null for a cold
+  /// episode. SettleLocally clears it when validation discards the
+  /// speculation, so from then on non-null means replayed.
+  Admission* spec;
+  /// The execution envelope: inert unless budgets are armed, in which
+  /// case `budget` points at it.
+  BudgetScope scope;
+  const BudgetScope* budget = nullptr;
+  Phase1 phase1;
+  /// Constraint indexes left for tier 3, in constraint order.
+  std::vector<size_t> worklist;
+  bool violated = false;
+  bool any_deferred = false;
+  /// Budget-armed episodes only: the per-site slices of `scope` with the
+  /// guard that routes the tier-3 block's trips through them, and the
+  /// per-check slices, one per worklist entry.
+  std::vector<BudgetScope> site_scopes;
+  std::optional<SiteBudgetGuard> site_budgets;
+  std::vector<BudgetScope> check_scopes;
+};
+
+/// The result of one tier-3 attempt (see AttemptTier3).
+struct ConstraintManager::Tier3Attempt {
+  /// kHolds or kViolated when the evaluation answered, else kDeferred.
+  Outcome outcome = Outcome::kDeferred;
+  /// Why a kDeferred attempt has no verdict: kResourceExhausted when the
+  /// budget (or the latency projection) shed it, else the unreachable
+  /// site's kUnavailable/kDeadlineExceeded.
+  StatusCode reason = StatusCode::kOk;
+  /// A breaker refused the attempt: nothing was evaluated.
+  bool fast_fail = false;
+  /// Shed by the latency projection before paying a trip.
+  bool latency_shed = false;
+  size_t retries = 0;
+  /// A hard error: neither a verdict nor a deferral; the caller fails.
+  Status error;
+};
+
+std::vector<size_t> ConstraintManager::Phase1::Worklist() const {
+  std::vector<size_t> worklist;
+  for (size_t i = 0; i < reports.size(); ++i) {
+    if (reports[i].tier == Tier::kFullCheck) worklist.push_back(i);
+  }
+  return worklist;
+}
+
+bool ConstraintManager::Phase1::Violated() const {
+  return std::any_of(reports.begin(), reports.end(), [](const CheckReport& r) {
+    return r.outcome == Outcome::kViolated;
+  });
+}
 
 void ConstraintManager::InitObservability() {
   obs::MetricsRegistry& m = metrics();
@@ -264,26 +326,21 @@ void ConstraintManager::InitObservability() {
   }
 }
 
-ConstraintManager::ConstraintManager(
-    std::set<std::string> local_preds, CostModel cost_model,
-    ResilienceConfig resilience, ParallelConfig parallel,
-    RemoteCacheConfig remote_cache, BudgetConfig budget,
-    TopologyConfig topology, PipelineConfig pipeline)
-    : site_(std::move(local_preds), std::move(topology)),
-      resilience_(resilience),
-      budget_(budget),
-      budget_armed_(budget.armed()),
+ConstraintManager::ConstraintManager(ManagerConfig config)
+    : site_(config.local_preds, config.topology),
+      config_(std::move(config)),
+      budget_armed_(config_.budget.armed()),
       retry_rng_(kRetrySeed),
-      pipeline_(pipeline),
-      pool_(std::make_unique<ThreadPool>(parallel.threads)) {
+      pool_(std::make_unique<ThreadPool>(config_.parallel.threads)) {
   // One independent fault domain per site: each gets its own breaker
   // (same config) and its own recovery bookkeeping.
   breakers_.reserve(site_.sites());
   for (size_t s = 0; s < site_.sites(); ++s) {
-    breakers_.push_back(std::make_unique<CircuitBreaker>(resilience.breaker));
+    breakers_.push_back(
+        std::make_unique<CircuitBreaker>(config_.resilience.breaker));
   }
   site_was_dark_.assign(site_.sites(), false);
-  site_.EnableRemoteCache(remote_cache.enabled);
+  site_.EnableRemoteCache(config_.remote_cache.enabled);
   // Price every site with the manager's cost model, folding in the
   // topology's per-site latency overrides (the billing weights stay
   // uniform; only the latency distribution is per-site). Without this the
@@ -292,7 +349,7 @@ ConstraintManager::ConstraintManager(
   // block, and latency-hiding machinery could not be measured.
   const auto& latency_overrides = site_.topology().config().site_latency;
   for (size_t s = 0; s < site_.sites(); ++s) {
-    CostModel priced = cost_model;
+    CostModel priced = config_.costs;
     auto it = latency_overrides.find(s);
     if (it != latency_overrides.end()) {
       const SiteLatencyOverride& o = it->second;
@@ -306,17 +363,17 @@ ConstraintManager::ConstraintManager(
     site_.set_site_cost_model(s, priced);
   }
   InitObservability();
-  site_.set_hedge(remote_cache.hedge_after);
+  site_.set_hedge(config_.remote_cache.hedge_after);
 }
 
 ConstraintManager::ConstraintManager(
-    std::set<std::string> local_preds, CostModel cost_model,
+    std::set<std::string> local_preds, CostModel costs,
     ResilienceConfig resilience, ParallelConfig parallel,
     RemoteCacheConfig remote_cache, BudgetConfig budget,
     TopologyConfig topology, PlanCacheConfig, PipelineConfig pipeline)
-    : ConstraintManager(std::move(local_preds), cost_model, resilience,
-                        parallel, remote_cache, budget, std::move(topology),
-                        pipeline) {}
+    : ConstraintManager(ManagerConfig{std::move(local_preds), costs,
+                                      resilience, parallel, remote_cache,
+                                      budget, std::move(topology), pipeline}) {}
 
 ConstraintManager::~ConstraintManager() { AbandonInflight(); }
 
@@ -471,33 +528,52 @@ Result<CheckReport> ConstraintManager::CheckOne(const Registered& r,
 Result<CheckReport> ConstraintManager::CheckOneImpl(
     const Registered& r, const Update& u, const UpdateSignature& sig,
     const CheckContext& ctx) {
-  CheckReport report;
-  report.constraint = r.name;
-
+  CheckReport report{r.name, Outcome::kHolds, Tier::kUnaffected};
   // Tier 1 prefilter: the constraint cannot see the updated relation.
-  if (!Mentions(r.compiled.program, u.pred)) {
-    report.outcome = Outcome::kHolds;
-    report.tier = Tier::kUnaffected;
-    return report;
-  }
+  if (!Mentions(r.compiled.program, u.pred)) return report;
 
   // The plan-cache key for this (constraint, update pattern). Keys embed
   // the constraint id, so under the phase-1 fan-out each lane touches a
   // disjoint key family and cache contents stay thread-count independent.
   const std::string pattern_key = r.name + '\x1f' + sig.Key();
+  CCPI_ASSIGN_OR_RETURN(bool independent, Tier1Holds(r, u, pattern_key, ctx));
+  if (independent) {
+    report.tier = Tier::kIndependence;
+    return report;
+  }
 
-  // Tier 1: constraints + update only (Section 4). The decision is a pure
+  // Tier 2: complete local test with local data — insertions into a local
+  // relation, single-CQ constraints (Sections 5 and 6), through the
+  // artifacts AddConstraint compiled per (constraint, predicate). Local
+  // reads never fail: tiers 0-2 keep answering through any remote outage.
+  auto found = r.tier2.find(u.pred);
+  if (u.kind == Update::Kind::kInsert && found != r.tier2.end()) {
+    CCPI_ASSIGN_OR_RETURN(report.outcome,
+                          Tier2Decide(*found->second, u, pattern_key, ctx));
+    if (report.outcome != Outcome::kUnknown) {
+      report.tier = Tier::kLocalTest;
+      return report;
+    }
+  }
+
+  report.outcome = Outcome::kUnknown;  // needs the full (remote) check
+  report.tier = Tier::kFullCheck;
+  return report;
+}
+
+Result<bool> ConstraintManager::Tier1Holds(const Registered& r,
+                                           const Update& u,
+                                           const std::string& key,
+                                           const CheckContext& ctx) {
+  // Constraints + update only (Section 4). The decision is a pure
   // function of (constraint, update pattern, active constraint set): it
   // relates the update's values to each other and to the constraints'
   // constants only by equality and by their place in a dense order, so two
   // updates of the same order type get the same verdict — memoizable per
   // pattern (see docs/plan_cache.md). AddConstraint invalidates the memo
   // wholesale.
-  bool tier1_holds = false;
-  if (std::optional<PlanCache::Tier1Decision> memo =
-          plans_.FindTier1(pattern_key)) {
-    tier1_holds = memo->holds;
-  } else {
+  std::optional<PlanCache::Tier1Decision> memo = plans_.FindTier1(key);
+  if (!memo.has_value()) {
     obs::Stopwatch compile_sw;
     std::vector<Program> assumed;
     for (const Registered& other : constraints_) {
@@ -511,120 +587,94 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
         independent.status().code() != StatusCode::kUnsupported) {
       return independent.status();
     }
-    tier1_holds =
-        independent.ok() && independent->outcome == Outcome::kHolds;
     // Memoize both verdicts — holds and falls-through (kUnsupported
     // included) — but never a hard error, which returned above.
-    plans_.StoreTier1(pattern_key, PlanCache::Tier1Decision{tier1_holds});
+    memo = PlanCache::Tier1Decision{independent.ok() &&
+                                    independent->outcome == Outcome::kHolds};
+    plans_.StoreTier1(key, *memo);
     compile_sw.RecordTo(hist_plan_compile_);
   }
-  ctx.plans->ConsultedTier1(pattern_key);
-  if (tier1_holds) {
-    report.outcome = Outcome::kHolds;
-    report.tier = Tier::kIndependence;
-    return report;
-  }
+  ctx.plans->ConsultedTier1(key);
+  return memo->holds;
+}
 
-  // Tier 2: complete local test with local data — insertions into a local
-  // relation, single-CQ constraints (Sections 5 and 6), through the
-  // artifacts AddConstraint compiled per (constraint, predicate). Local
-  // reads never fail: tiers 0-2 keep answering through any remote outage.
-  auto found = r.tier2.find(u.pred);
-  if (u.kind == Update::Kind::kInsert && found != r.tier2.end()) {
-    const Tier2Artifacts* t2 = found->second.get();
-    // Tier 2 may only trust *verified* local data. A tuple inserted
-    // optimistically while its own check is still deferred must not
-    // serve as evidence (e.g. interval coverage) for accepting further
-    // updates: one unverified insert could otherwise launder
-    // arbitrarily many dependents past the local test, and its late
-    // rollback would leave them standing unchecked. A row deleted under
-    // a deferred check is simply absent: it proves nothing about the
-    // remote data, which may have changed since the delete. The overlay
-    // hides the pending inserts; later queue entries win.
-    const Relation& live = ctx.db->Get(u.pred, u.tuple.size());
-    VerifiedOverlay pending;
-    bool has_pending = false;
-    for (const DeferredCheck& d : *ctx.deferred) {
-      if (d.update.pred != u.pred) continue;
-      has_pending = true;
-      if (d.update.kind == Update::Kind::kInsert) {
-        pending[d.update.tuple] = false;
-      } else {
-        pending.erase(d.update.tuple);
-      }
-    }
-    Outcome outcome = Outcome::kUnknown;
-    bool decided = false;
-
-    // Fastest applicable method first: the Fig 6.1 interval machinery,
-    // then the Theorem 5.3 RA test, then the general Theorem 5.2 test.
-    if (t2->icq.has_value()) {
-      size_t rows_read = 0;
-      Result<Outcome> o = IcqDirectTestOnInsert(*t2->icq, live, pending,
-                                                u.tuple, &rows_read);
-      if (o.ok()) {
-        outcome = *o;
-        decided = true;
-        // t's key group only, always a local read.
-        CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, rows_read));
-      }
-    }
-    if (!decided && t2->arithmetic_free && !has_pending) {
-      // The RA evaluator reports its own reads through the observer.
-      // It reads L from the database directly, so it is skipped when
-      // unverified tuples would be visible there.
-      //
-      // The Theorem 5.3 compilation happens once per update pattern: the
-      // compiled template is cached and later same-shape tuples are
-      // *bound* into it (delta evaluation) instead of recompiling. The
-      // bound test is evaluated on every update.
-      std::shared_ptr<const RaPlanTemplate> tpl =
-          plans_.FindTemplate(pattern_key);
-      if (tpl == nullptr) {
-        obs::Stopwatch compile_sw;
-        Result<RaPlanTemplate> built =
-            CompileRaPlan(t2->rule, u.pred, u.tuple);
-        if (built.ok()) {
-          tpl = plans_.StoreTemplate(
-              pattern_key,
-              std::make_shared<const RaPlanTemplate>(std::move(*built)));
-          compile_sw.RecordTo(hist_plan_compile_);
-        }
-        // A failed compile falls through undecided and is neither cached
-        // nor billed, so error behavior stays per-update.
-      }
-      if (tpl != nullptr) {
-        ctx.plans->ConsultedTemplate(pattern_key);
-        Result<Outcome> o = EvalPlannedRa(*tpl, u, ctx);
-        if (o.ok()) {
-          outcome = *o;
-          decided = true;
-        }
-      }
-    }
-    if (!decided && t2->cqc.has_value() && !has_pending) {
-      // The Theorem 5.2 test steps aside while any update of L is
-      // pending, like the RA test: with several local subgoals the new
-      // tuple can join a hidden insert, or a deleted row whose delete is
-      // later rolled back, so the verified rows alone do not decide.
-      Result<LocalTestResult> o =
-          CompleteLocalTestOnInsert(*t2->cqc, u.tuple, live);
-      if (o.ok()) {
-        outcome = o->outcome;
-        decided = true;
-        CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, live.size()));
-      }
-    }
-    if (decided && outcome != Outcome::kUnknown) {
-      report.outcome = outcome;
-      report.tier = Tier::kLocalTest;
-      return report;
+Result<Outcome> ConstraintManager::Tier2Decide(const Tier2Artifacts& t2,
+                                               const Update& u,
+                                               const std::string& key,
+                                               const CheckContext& ctx) {
+  // Tier 2 may only trust *verified* local data. A tuple inserted
+  // optimistically while its own check is still deferred must not serve
+  // as evidence (e.g. interval coverage) for accepting further updates:
+  // one unverified insert could otherwise launder arbitrarily many
+  // dependents past the local test, and its late rollback would leave
+  // them standing unchecked. A row deleted under a deferred check is
+  // simply absent: it proves nothing about the remote data, which may
+  // have changed since the delete. The overlay hides the pending inserts;
+  // later queue entries win.
+  const Relation& live = ctx.db->Get(u.pred, u.tuple.size());
+  VerifiedOverlay pending;
+  bool has_pending = false;
+  for (const DeferredCheck& d : *ctx.deferred) {
+    if (d.update.pred != u.pred) continue;
+    has_pending = true;
+    if (d.update.kind == Update::Kind::kInsert) {
+      pending[d.update.tuple] = false;
+    } else {
+      pending.erase(d.update.tuple);
     }
   }
 
-  report.outcome = Outcome::kUnknown;  // needs the full (remote) check
-  report.tier = Tier::kFullCheck;
-  return report;
+  // Fastest applicable method first: the Fig 6.1 interval machinery, then
+  // the Theorem 5.3 RA test, then the general Theorem 5.2 test. The first
+  // that applies decides, kUnknown included.
+  if (t2.icq.has_value()) {
+    size_t rows_read = 0;
+    Result<Outcome> o =
+        IcqDirectTestOnInsert(*t2.icq, live, pending, u.tuple, &rows_read);
+    if (o.ok()) {
+      // t's key group only, always a local read.
+      CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, rows_read));
+      return *o;
+    }
+  }
+  // The RA and Theorem 5.2 tests step aside while any update of L is
+  // pending: they read L from the database directly, where unverified
+  // tuples would be visible, and with several local subgoals the new tuple
+  // can join a hidden insert, or a deleted row whose delete is later
+  // rolled back, so the verified rows alone do not decide.
+  if (has_pending) return Outcome::kUnknown;
+  if (t2.arithmetic_free) {
+    // The Theorem 5.3 compilation happens once per update pattern: the
+    // compiled template is cached and later same-shape tuples are *bound*
+    // into it (delta evaluation) instead of recompiling. The bound test
+    // (which reports its own reads) is evaluated on every update.
+    std::shared_ptr<const RaPlanTemplate> tpl = plans_.FindTemplate(key);
+    if (tpl == nullptr) {
+      obs::Stopwatch compile_sw;
+      Result<RaPlanTemplate> built = CompileRaPlan(t2.rule, u.pred, u.tuple);
+      // A failed compile falls through undecided and is neither cached
+      // nor billed, so error behavior stays per-update.
+      if (built.ok()) {
+        tpl = plans_.StoreTemplate(
+            key, std::make_shared<const RaPlanTemplate>(std::move(*built)));
+        compile_sw.RecordTo(hist_plan_compile_);
+      }
+    }
+    if (tpl != nullptr) {
+      ctx.plans->ConsultedTemplate(key);
+      Result<Outcome> o = EvalPlannedRa(*tpl, u, ctx);
+      if (o.ok()) return *o;
+    }
+  }
+  if (t2.cqc.has_value()) {
+    Result<LocalTestResult> o =
+        CompleteLocalTestOnInsert(*t2.cqc, u.tuple, live);
+    if (o.ok()) {
+      CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, live.size()));
+      return o->outcome;
+    }
+  }
+  return Outcome::kUnknown;
 }
 
 Result<Outcome> ConstraintManager::EvalPlannedRa(const RaPlanTemplate& tpl,
@@ -650,24 +700,6 @@ Result<Outcome> ConstraintManager::EvalPlannedRa(const RaPlanTemplate& tpl,
   return nonempty ? Outcome::kHolds : Outcome::kUnknown;
 }
 
-bool ConstraintManager::SitesWouldAllow(
-    const std::set<size_t>& gsites) const {
-  for (size_t s : gsites) {
-    if (!breakers_[s]->WouldAllow()) return false;
-  }
-  return true;
-}
-
-void ConstraintManager::ClaimSites(const std::set<size_t>& gsites) {
-  for (size_t s : gsites) {
-    bool admitted = breakers_[s]->AllowRequest();
-    // The caller gated on SitesWouldAllow with no breaker traffic in
-    // between, so the claim cannot be refused.
-    CCPI_DCHECK(admitted);
-    (void)admitted;
-  }
-}
-
 std::set<std::string> ConstraintManager::PrefetchPreds(
     const std::vector<size_t>& worklist) const {
   std::set<std::string> preds;
@@ -682,17 +714,14 @@ std::set<std::string> ConstraintManager::PrefetchPreds(
 }
 
 bool ConstraintManager::AnyBreakerWouldAllow() const {
-  for (const std::unique_ptr<CircuitBreaker>& b : breakers_) {
-    if (b->WouldAllow()) return true;
-  }
-  return false;
+  return std::any_of(breakers_.begin(), breakers_.end(),
+                     [](const auto& b) { return b->WouldAllow(); });
 }
 
 bool ConstraintManager::AllBreakersClosed() const {
-  for (const std::unique_ptr<CircuitBreaker>& b : breakers_) {
-    if (b->state() != CircuitState::kClosed) return false;
-  }
-  return true;
+  return std::all_of(breakers_.begin(), breakers_.end(), [](const auto& b) {
+    return b->state() == CircuitState::kClosed;
+  });
 }
 
 Result<bool> ConstraintManager::EvaluateRemote(const CompiledProgram& program,
@@ -725,7 +754,7 @@ Result<bool> ConstraintManager::EvaluateRemote(const CompiledProgram& program,
   obs::Stopwatch sw;
   bool violated = false;
   RetryOutcome episode =
-      RunWithRetry(resilience_.retry, &retry_rng_, [&]() -> Status {
+      RunWithRetry(config_.resilience.retry, &retry_rng_, [&]() -> Status {
         EvalOptions options;
         options.observer = &site_;
         options.metrics = &metrics();
@@ -784,374 +813,353 @@ bool ConstraintManager::UpdateRefused(
     if (r.outcome == Outcome::kViolated) return true;
     if (r.queue_overflow) return true;
     if (r.outcome == Outcome::kDeferred &&
-        resilience_.on_unreachable == DeferredPolicy::kReject) {
+        config_.resilience.on_unreachable == DeferredPolicy::kReject) {
       return true;
     }
   }
   return false;
 }
 
+Status ConstraintManager::WriteLive(const Update& u) {
+  CCPI_RETURN_IF_ERROR(u.ApplyTo(&site_.db()));
+  // The write log exists only to validate in-flight speculation.
+  if (!inflight_.empty()) commit_writes_.push_back(u.pred);
+  return Status::OK();
+}
+
+Status ConstraintManager::Undo(const Update& u) {
+  return WriteLive(InverseOf(u));
+}
+
 Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdate(
     const Update& u) {
   // The synchronous and asynchronous entry points share one serial order:
-  // everything admitted earlier commits first.
+  // everything admitted earlier commits first. Admitted here, retired at
+  // once: the unspeculated episode of a depth-1 pipeline.
   DrainInflightInternal();
-  return RunEpisode(u, nullptr);
+  Episode e(u, update_sequence_++, nullptr);
+  return CommitTurn(e);
 }
 
-Result<std::vector<CheckReport>> ConstraintManager::RunEpisode(
-    const Update& u, Episode* spec) {
+Result<std::vector<CheckReport>> ConstraintManager::CommitTurn(Episode& e) {
   obs::Span span("manager.apply_update", "manager");
   if (span.active()) {
-    span.Attr("pred", u.pred);
-    span.Attr("kind", u.kind == Update::Kind::kInsert ? "insert" : "delete");
+    span.Attr("pred", e.update.pred);
+    span.Attr("kind",
+              e.update.kind == Update::Kind::kInsert ? "insert" : "delete");
   }
   obs::Stopwatch sw;
-  Result<std::vector<CheckReport>> reports = ApplyUpdateImpl(u, spec);
+  Result<std::vector<CheckReport>> reports = RetireEpisode(e);
   sw.RecordTo(hist_apply_);
   gauge_deferred_len_->Set(static_cast<int64_t>(deferred_.size()));
   return reports;
 }
 
-Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdateImpl(
-    const Update& u, Episode* spec) {
+Result<std::vector<CheckReport>> ConstraintManager::RetireEpisode(
+    Episode& e) {
   // The episode's execution envelope, armed from configuration alone: an
-  // unbudgeted manager never reads the clock here — episode_scope stays
-  // inert and every checkpoint downstream is one branch on a null scope.
-  BudgetScope episode_scope;
+  // unbudgeted manager never reads the clock here — the scope stays inert
+  // and every checkpoint downstream is one branch on a null scope.
   if (budget_armed_) {
-    episode_scope = BudgetScope::Start(budget_.per_episode, budget_.cancel);
+    e.scope = BudgetScope::Start(config_.budget.per_episode,
+                                 config_.budget.cancel);
+    e.budget = &e.scope;
   }
-  const BudgetScope* episode = budget_armed_ ? &episode_scope : nullptr;
+  CCPI_RETURN_IF_ERROR(EpisodePrelude(e));
+  CCPI_RETURN_IF_ERROR(SettleLocally(e));
+  if (!e.worklist.empty() && !e.violated) {
+    // Tentatively apply, evaluate the undecided constraints on the new
+    // state (remote reads charged), roll back on violation. A constraint
+    // whose evaluation cannot reach the remote site resolves as kDeferred
+    // instead of blocking or failing the whole update.
+    CCPI_RETURN_IF_ERROR(TentativeApply(e));
+    CCPI_RETURN_IF_ERROR(RunTier3(e));
+    CCPI_RETURN_IF_ERROR(ApplyQueuePolicy(e));
+    // The budget routing ends with the tier-3 block: the recovery
+    // refetches below are not the episode's trips.
+    e.site_budgets.reset();
+  } else if (!e.violated && !e.phase1.noop) {
+    CCPI_RETURN_IF_ERROR(WriteLive(e.update));
+  }
 
+  std::vector<CheckReport>& reports = e.phase1.reports;
+  if (!e.phase1.noop && !UpdateRefused(reports)) {
+    // An applied update supersedes any queued re-check of its exact
+    // inverse: that check's effect no longer exists, so there is nothing
+    // left to verify or roll back (and tier 2 never trusted it).
+    const Update& u = e.update;
+    size_t moot = std::erase_if(deferred_, [&](const DeferredCheck& d) {
+      return d.sequence != e.sequence && d.update.pred == u.pred &&
+             d.update.tuple == u.tuple && d.update.kind != u.kind;
+    });
+    if (moot > 0) ++deferred_epoch_;
+  }
+  if (e.violated) ctr_violations_->Add(1);
+  if (e.scope.has_deadline()) {
+    hist_budget_remaining_->Observe(e.scope.remaining_ms());
+  }
+  DetectRecoveries();
+  return std::move(reports);
+}
+
+Status ConstraintManager::EpisodePrelude(Episode& e) {
   for (std::unique_ptr<CircuitBreaker>& b : breakers_) b->Tick();
   // Opportunistically drain the deferred queue first: once a remote site
   // answers again, earlier optimistic applies are re-verified before new
   // work builds on them. Any reachable site is reason enough to try — the
   // drain itself skips entries whose own sites are still dark.
-  if (resilience_.auto_recheck && !deferred_.empty() &&
+  if (config_.resilience.auto_recheck && !deferred_.empty() &&
       AnyBreakerWouldAllow()) {
-    Result<std::vector<DeferredResolution>> drained =
-        RecheckDeferredImpl(episode);
-    if (!drained.ok()) return drained.status();
+    return RecheckDeferredImpl(e.budget).status();
   }
+  return Status::OK();
+}
 
-  // The episode's serial position. A pipelined episode was numbered at
-  // admission (admission order == commit order == the serial order), so
-  // its conflict re-run must not draw a fresh number.
-  uint64_t sequence = spec != nullptr ? spec->sequence : update_sequence_++;
-
-  // Commit-map validation, after the prelude above: the breaker ticks and
-  // the auto-recheck drain are part of THIS episode's commit turn, so a
-  // drain that just mutated the database or the queue correctly
-  // invalidates this episode's own speculation. A valid speculation's
-  // phase 1 is reused wholesale (reports + replayed read charges); a
-  // conflicted one is re-run inline on the live database — and because
-  // commits are serialized, that single re-run cannot be invalidated
-  // again. An unspeculated (serial-fallback) admission just runs cold.
-  bool use_spec = false;
-  if (spec != nullptr && spec->speculated) {
-    use_spec = SpecStillValid(*spec);
-    if (use_spec) {
-      conflict_streak_ = 0;
-      ctr_pipe_committed_->Add(1);
-    } else {
-      ctr_pipe_conflicts_->Add(1);
-      ctr_pipe_retries_->Add(1);
-      if (++conflict_streak_ >= kMaxConflictStreak) {
-        // Sustained conflicts: stop speculating for a window of
-        // admissions, then probe again.
-        serial_fallback_remaining_ = pipeline_.depth;
-        conflict_streak_ = 0;
-      }
-    }
-  } else if (spec != nullptr) {
-    ctr_pipe_unspeculated_->Add(1);
-  }
-
-  Phase1 phase1;
+Status ConstraintManager::SettleLocally(Episode& e) {
+  // Speculation validation, after the prelude: the breaker ticks and the
+  // auto-recheck drain are part of THIS episode's commit turn, so a drain
+  // that just mutated the database or the queue correctly invalidates the
+  // episode's own speculation. A valid speculation's phase 1 is reused
+  // wholesale (reports + replayed read charges); a conflicted one is
+  // re-run live — and because commits are serialized, that single re-run
+  // cannot be invalidated again.
+  if (e.spec != nullptr && !ValidateSpeculation(*e.spec)) e.spec = nullptr;
   PlanTally live_plans;
-  const PlanTally& plans = use_spec ? spec->plans : live_plans;
-  if (use_spec) {
-    CCPI_DCHECK(EffectPresent(u, site_.db()) == spec->phase1.noop);
-    phase1 = std::move(spec->phase1);
+  if (e.spec != nullptr) {
+    CCPI_DCHECK(EffectPresent(e.update, site_.db()) == e.spec->phase1.noop);
+    e.phase1 = std::move(e.spec->phase1);
     // Replay the buffered phase-1 charges in recorded order, so
-    // AccessStats advance exactly as the serial phase 1 would have
-    // advanced them here.
-    for (const auto& [pred, count] : spec->buffered_reads) {
+    // AccessStats advance exactly as a live phase 1 would advance them.
+    for (const auto& [pred, count] : e.spec->buffered_reads) {
       CCPI_RETURN_IF_ERROR(site_.OnRead(pred, count));
     }
   } else {
-    const CheckContext live_ctx{&site_.db(), &site_, &deferred_,
-                                &live_plans};
-    CCPI_ASSIGN_OR_RETURN(phase1, RunPhase1(u, live_ctx, pool_.get()));
+    const CheckContext ctx{&site_.db(), &site_, &deferred_, &live_plans};
+    CCPI_ASSIGN_OR_RETURN(e.phase1, RunPhase1(e.update, ctx, pool_.get()));
   }
-  plans.Bill(plans_, ctr_plan_compiles_, ctr_plan_hits_, ctr_plan_delta_);
-  const bool noop = phase1.noop;
-  std::vector<CheckReport>& reports = phase1.reports;
-
-  // ---- Phase 2 (serialized commit): counters and the tier-3 worklist,
-  // in constraint order.
-  std::vector<size_t> need_full;
+  (e.spec != nullptr ? e.spec->plans : live_plans)
+      .Bill(plans_, ctr_plan_compiles_, ctr_plan_hits_, ctr_plan_delta_);
+  // Counters in constraint order; a check error surfaces at its
+  // constraint's position.
   for (size_t i = 0; i < constraints_.size(); ++i) {
-    CCPI_RETURN_IF_ERROR(phase1.check_status[i]);
-    if (reports[i].tier == Tier::kFullCheck) {
-      need_full.push_back(i);
-    } else {
-      ctr_resolved_[TierIndex(reports[i].tier)]->Add(1);
-    }
+    CCPI_RETURN_IF_ERROR(e.phase1.check_status[i]);
+    Tier tier = e.phase1.reports[i].tier;
+    if (tier != Tier::kFullCheck) ctr_resolved_[TierIndex(tier)]->Add(1);
+  }
+  e.worklist = e.phase1.Worklist();
+  e.violated = e.phase1.Violated();
+  return Status::OK();
+}
+
+Status ConstraintManager::TentativeApply(Episode& e) {
+  CCPI_RETURN_IF_ERROR(WriteLive(e.update));
+  // Every admitted check is completed, deferred or shed:
+  // t3_admitted == resolved_by[kFullCheck] + deferred + shed_checks,
+  // plan-cache hits or not (regression-tested in plan_cache_test).
+  ctr_t3_admitted_->Add(e.worklist.size());
+
+  // Route the episode's remote trips — prefetch included — through the
+  // budget until the queue policy is done, so a passed deadline refuses
+  // trips before paying them. Each site gets an equal slice of the
+  // episode scope so one hot site cannot starve the trips of the others;
+  // at one site the slice is the whole episode budget.
+  if (budget_armed_) {
+    e.site_scopes.assign(site_.sites(), e.scope.Split(site_.sites(), {}));
+    e.site_budgets.emplace(&site_,
+                           [&e](size_t s) { return &e.site_scopes[s]; });
   }
 
-  bool violated = false;
-  for (const CheckReport& r : reports) {
-    violated = violated || r.outcome == Outcome::kViolated;
+  // Batched prefetch: coalesce the worklist's remote relations into one
+  // round trip per site, before any evaluation, so the per-constraint
+  // evaluations (parallel or not) read them as cache hits instead of each
+  // paying its own trip. Runs at every thread count — the cache's hit and
+  // trip counts must not depend on the fan-out width — but never under
+  // fault injection (PrefetchRemoteBatched declines: each logical read
+  // must consume its own draw of the failure schedule in evaluation
+  // order). A replayed speculation already slept the trips of its staged
+  // batches; those still exactly what is fetched here are billed without
+  // sleeping again.
+  static const std::vector<SiteDatabase::SiteBatch> kUnstaged;
+  site_.PrefetchRemoteBatched(PrefetchPreds(e.worklist), pool_.get(),
+                              e.spec != nullptr ? e.spec->staged : kUnstaged);
+
+  // Budget split: every undecided constraint gets an *identical* child
+  // scope — 1/N of each episode cap, the episode's absolute deadline and
+  // cancellation token, tightened by the per-check envelope (whose own
+  // deadline counts from here, after the prefetch). The split depends
+  // only on configuration and the worklist size, never on sibling
+  // progress, so verdicts cannot depend on the fan-out width.
+  if (budget_armed_) {
+    for (size_t k = 0; k < e.worklist.size(); ++k) {
+      e.check_scopes.push_back(
+          e.scope.Split(e.worklist.size(), config_.budget.per_check));
+    }
   }
-  bool any_deferred = false;
-  bool overflow_refused = false;
+  return Status::OK();
+}
 
-  if (!need_full.empty() && !violated) {
-    // Tentatively apply, evaluate the undecided constraints on the new
-    // state (remote reads charged), roll back on violation. A constraint
-    // whose evaluation cannot reach the remote site resolves as kDeferred
-    // instead of blocking or failing the whole update.
-    CCPI_RETURN_IF_ERROR(u.ApplyTo(&site_.db()));
-    LogCommitWrite(u.pred);
-    // Every admitted check is completed, deferred or shed:
-    // t3_admitted == resolved_by[kFullCheck] + deferred + shed_checks,
-    // plan-cache hits or not (regression-tested in plan_cache_test).
-    ctr_t3_admitted_->Add(need_full.size());
-
-    // Route the episode's remote trips — prefetch included — through the
-    // budget for the duration of the tier-3 block, so a passed deadline
-    // refuses trips before paying them. Each site gets an equal slice of
-    // the episode scope so one hot site cannot starve the trips of the
-    // others; at one site the slice is the whole episode budget.
-    std::vector<BudgetScope> site_scopes;
-    std::optional<SiteBudgetGuard> site_budgets;
-    if (budget_armed_) {
-      site_scopes.assign(site_.sites(),
-                         episode_scope.Split(site_.sites(), {}));
-      site_budgets.emplace(&site_,
-                           [&](size_t s) { return &site_scopes[s]; });
-    }
-
-    // Batched prefetch: coalesce the worklist's remote relations into one
-    // round trip per site, before any evaluation, so the per-constraint
-    // evaluations (parallel or not) read them as cache hits instead of
-    // each paying its own trip. Runs at every thread count — the cache's
-    // hit and trip counts must not depend on the fan-out width — but
-    // never under fault injection (PrefetchRemoteBatched declines: each
-    // logical read must consume its own draw of the failure schedule in
-    // evaluation order). A valid speculation already slept the trips of
-    // its staged batches; those still exactly what is fetched here are
-    // billed without sleeping again.
-    const std::vector<SiteDatabase::SiteBatch> unstaged;
-    site_.PrefetchRemoteBatched(PrefetchPreds(need_full), pool_.get(),
-                                use_spec ? spec->staged : unstaged);
-
-    // Tier 3 may fan out only when remote verdicts cannot depend on
-    // arrival order: the fault injector consumes one RNG draw per remote
-    // trip in global order, and an open/half-open breaker admits episodes
-    // by arrival — either would make interleaved evaluations
-    // seed-irreproducible. With neither in play, each evaluation is a pure
-    // function of (program, frozen database) and the fan-out commits
-    // verdicts in constraint order below. An episode-wide remote-trip cap
-    // is arrival-order dependent for the same reason the injector is (the
-    // shared counter bills trips in global order), so it too forces the
-    // sequential path.
-    bool parallel_t3 = pool_->thread_count() > 1 && need_full.size() > 1 &&
-                       !site_.any_fault_injector() && AllBreakersClosed() &&
-                       budget_.per_episode.max_remote_trips == 0;
-
-    // Budget split: every undecided constraint gets an *identical* child
-    // scope — 1/N of each episode cap, the episode's absolute deadline and
-    // cancellation token, tightened by the per-check envelope. The split
-    // depends only on configuration and the worklist size, never on
-    // sibling progress, so verdicts cannot depend on the fan-out width.
-    std::vector<BudgetScope> check_scopes(budget_armed_ ? need_full.size()
-                                                        : 0);
-    for (BudgetScope& scope : check_scopes) {
-      scope = episode_scope.Split(need_full.size(), budget_.per_check);
-    }
-    auto scope_for = [&](size_t k) -> const BudgetScope* {
-      return budget_armed_ ? &check_scopes[k] : nullptr;
-    };
-
-    std::vector<Status> eval_status(need_full.size());
-    std::vector<char> eval_bad(need_full.size(), 0);
-    std::vector<size_t> eval_retries(need_full.size(), 0);
-    std::vector<char> lat_shed(need_full.size(), 0);
-    // One tier-3 check, shared by the parallel fan-out and the sequential
-    // loop. Latency-aware shed first — the refuse-before-pay rule
-    // extended from spent budgets to projected latency: when a member
-    // site's observed-latency EWMA already says one round trip cannot
-    // finish inside the check's remaining deadline, the check is shed to
-    // kDeferred *before* paying the trip (no draw consumed, no trip
-    // billed), instead of paying the trip and shedding at the next
-    // checkpoint anyway. Otherwise the check claims its sites' breakers
-    // (no-op claims while closed, which the fan-out requires) and runs.
-    auto check_remote = [&](size_t k) -> Status {
-      const Registered& reg = constraints_[need_full[k]];
-      const BudgetScope* scope = scope_for(k);
-      if (latency_aware_ && scope != nullptr && scope->has_deadline()) {
-        uint64_t worst_us = 0;
-        for (size_t s : reg.remote_sites) {
-          worst_us = std::max(worst_us, site_.site_latency_ewma_us(s));
-        }
-        // No observation yet (worst_us == 0): try the trip.
-        if (worst_us != 0 && worst_us / 1000 >= scope->remaining_ms()) {
-          lat_shed[k] = 1;
-          eval_status[k] = Status::ResourceExhausted(
-              "projected trip latency exceeds remaining deadline");
-          return Status::OK();
-        }
-      }
-      ClaimSites(reg.remote_sites);
-      Result<bool> bad = EvaluateRemote(reg.compiled, site_.db(),
-                                        reg.remote_sites, &eval_retries[k],
-                                        scope);
-      if (!bad.ok()) {
-        eval_status[k] = bad.status();
-      } else {
-        eval_bad[k] = *bad ? 1 : 0;
-      }
-      return Status::OK();
-    };
-    if (parallel_t3) {
-      CCPI_RETURN_IF_ERROR(pool_->ParallelFor(need_full.size(), check_remote));
-    }
-    for (size_t k = 0; k < need_full.size(); ++k) {
-      size_t idx = need_full[k];
-      CheckReport& report = reports[idx];
-      if (!parallel_t3) {
-        if (!SitesWouldAllow(constraints_[idx].remote_sites)) {
-          // Circuit open: a site this check needs is known-dead; fail
-          // fast. Checks whose sites are all healthy still run — tier-3
-          // degradation is partial, per fault domain.
-          report.outcome = Outcome::kDeferred;
-          report.reason = StatusCode::kUnavailable;
-          ctr_deferred_->Add(1);
-          ctr_fast_fails_->Add(1);
-          any_deferred = true;
-          continue;
-        }
-        (void)check_remote(k);
-      }
-      report.retries = eval_retries[k];
-      if (!eval_status[k].ok()) {
-        if (eval_status[k].code() == StatusCode::kResourceExhausted) {
-          // Shed: the envelope was spent before a verdict. The optimistic
-          // apply stands and the check joins the deferred queue like an
-          // unreachable-site deferral, but is counted separately — the
-          // site is fine, the budget is not.
-          report.outcome = Outcome::kDeferred;
-          report.reason = StatusCode::kResourceExhausted;
-          ctr_shed_->Add(1);
-          if (lat_shed[k] != 0) ctr_latency_shed_->Add(1);
-          any_deferred = true;
-          continue;
-        }
-        if (!IsRetriable(eval_status[k].code())) return eval_status[k];
-        // Unreachable after retries: degrade, don't error out.
-        report.outcome = Outcome::kDeferred;
-        report.reason = eval_status[k].code();
-        ctr_deferred_->Add(1);
-        any_deferred = true;
-        continue;
-      }
-      report.outcome =
-          eval_bad[k] != 0 ? Outcome::kViolated : Outcome::kHolds;
+Status ConstraintManager::RunTier3(Episode& e) {
+  // Tier 3 may fan out only when remote verdicts cannot depend on arrival
+  // order: the fault injector consumes one RNG draw per remote trip in
+  // global order, and an open/half-open breaker admits episodes by
+  // arrival — either would make interleaved evaluations
+  // seed-irreproducible. With neither in play, each evaluation is a pure
+  // function of (program, frozen database) and verdicts merge in
+  // constraint order below. An episode-wide remote-trip cap is
+  // arrival-order dependent for the same reason the injector is (the
+  // shared counter bills trips in global order), so it too forces the
+  // sequential path.
+  const size_t n = e.worklist.size();
+  const bool parallel = pool_->thread_count() > 1 && n > 1 &&
+                        !site_.any_fault_injector() && AllBreakersClosed() &&
+                        config_.budget.per_episode.max_remote_trips == 0;
+  std::vector<Tier3Attempt> attempts(n);
+  auto attempt = [&](size_t k) -> Status {
+    attempts[k] = AttemptTier3(constraints_[e.worklist[k]], site_.db(),
+                               budget_armed_ ? &e.check_scopes[k] : nullptr,
+                               /*project_latency=*/true);
+    return Status::OK();
+  };
+  if (parallel) CCPI_RETURN_IF_ERROR(pool_->ParallelFor(n, attempt));
+  for (size_t k = 0; k < n; ++k) {
+    if (!parallel) (void)attempt(k);
+    const Tier3Attempt& a = attempts[k];
+    CCPI_RETURN_IF_ERROR(a.error);
+    CheckReport& report = e.phase1.reports[e.worklist[k]];
+    report.outcome = a.outcome;
+    report.reason = a.reason;
+    report.retries = a.retries;
+    if (a.outcome != Outcome::kDeferred) {
       ctr_resolved_[TierIndex(Tier::kFullCheck)]->Add(1);
-      violated = violated || eval_bad[k] != 0;
+      e.violated = e.violated || a.outcome == Outcome::kViolated;
+      continue;
     }
-    if (violated) {
-      // Roll back: a definite violation wins over any deferral.
-      CCPI_RETURN_IF_ERROR(InverseOf(u).ApplyTo(&site_.db()));
-      LogCommitWrite(u.pred);
-    } else if (any_deferred) {
-      if (resilience_.on_unreachable == DeferredPolicy::kOptimisticApply) {
-        // Keep the optimistic apply; queue each undecided constraint for
-        // re-verification once the remote site answers — unless the queue
-        // cap says the backlog of unverified work is already at its bound.
-        size_t fresh = 0;
-        for (const CheckReport& r : reports) {
-          fresh += r.outcome == Outcome::kDeferred ? 1 : 0;
-        }
-        size_t cap = budget_.deferred_queue_cap;
-        bool over = cap != 0 && deferred_.size() + fresh > cap;
-        if (over && budget_.overflow == OverflowPolicy::kBlockRecheck &&
-            AnyBreakerWouldAllow()) {
-          // Block: one synchronous drain pass to make room, then re-check
-          // occupancy; falls back to refusal below if it freed nothing.
-          Result<std::vector<DeferredResolution>> drained =
-              RecheckDeferredImpl(episode);
-          if (!drained.ok()) return drained.status();
-          over = deferred_.size() + fresh > cap;
-        }
-        if (over && budget_.overflow != OverflowPolicy::kShedOldest) {
-          // The queue bounds the optimistic, still-unverified state this
-          // site carries; refuse to exceed it (kRejectUpdate, or a
-          // kBlockRecheck drain that could not make room).
-          CCPI_RETURN_IF_ERROR(InverseOf(u).ApplyTo(&site_.db()));
-          LogCommitWrite(u.pred);
-          ctr_budget_exhausted_->Add(1);
-          for (CheckReport& r : reports) {
-            if (r.outcome == Outcome::kDeferred) r.queue_overflow = true;
-          }
-          overflow_refused = true;
-        } else {
-          for (const CheckReport& r : reports) {
-            if (r.outcome == Outcome::kDeferred) {
-              deferred_.push_back(DeferredCheck{u, r.constraint, sequence});
-            }
-          }
-          // Shed-oldest: admit the fresh entries and drop from the front.
-          // A dropped entry's optimistic apply stays standing, permanently
-          // unverified — availability bought with bounded, oldest-first
-          // verification debt.
-          while (cap != 0 && deferred_.size() > cap) {
-            deferred_.pop_front();
-            ctr_deferred_dropped_->Add(1);
-          }
-          ++deferred_epoch_;
-        }
-      } else {
-        // Conservative policy: refuse updates we cannot fully verify.
-        CCPI_RETURN_IF_ERROR(InverseOf(u).ApplyTo(&site_.db()));
-        LogCommitWrite(u.pred);
-      }
+    // No verdict: the optimistic apply stands and the check joins the
+    // deferred queue. A shed (the envelope spent before a verdict) is
+    // counted apart from an unreachable-site deferral — the site is fine,
+    // the budget is not.
+    e.any_deferred = true;
+    if (a.reason == StatusCode::kResourceExhausted) {
+      ctr_shed_->Add(1);
+      if (a.latency_shed) ctr_latency_shed_->Add(1);
+    } else {
+      ctr_deferred_->Add(1);
+      if (a.fast_fail) ctr_fast_fails_->Add(1);
     }
-  } else if (!violated && !noop) {
-    CCPI_RETURN_IF_ERROR(u.ApplyTo(&site_.db()));
-    LogCommitWrite(u.pred);
   }
+  return Status::OK();
+}
 
-  bool kept =
-      !noop && !violated && !overflow_refused &&
-      !(any_deferred &&
-        resilience_.on_unreachable == DeferredPolicy::kReject);
-  if (kept) {
-    // An applied update supersedes any queued re-check of its exact
-    // inverse: that check's effect no longer exists, so there is nothing
-    // left to verify or roll back (and tier 2 never trusted it).
-    for (auto it = deferred_.begin(); it != deferred_.end();) {
-      bool moot = it->sequence != sequence && it->update.pred == u.pred &&
-                  it->update.tuple == u.tuple && it->update.kind != u.kind;
-      if (moot) {
-        it = deferred_.erase(it);
-        ++deferred_epoch_;
-      } else {
-        ++it;
-      }
+Status ConstraintManager::ApplyQueuePolicy(Episode& e) {
+  // A definite violation wins over any deferral; the conservative policy
+  // refuses updates it cannot fully verify.
+  if (e.violated) return Undo(e.update);
+  if (!e.any_deferred) return Status::OK();
+  if (config_.resilience.on_unreachable == DeferredPolicy::kReject) {
+    return Undo(e.update);
+  }
+  // Keep the optimistic apply; queue each undecided constraint for
+  // re-verification once the remote site answers — unless the queue cap
+  // says the backlog of unverified work is already at its bound.
+  std::vector<CheckReport>& reports = e.phase1.reports;
+  const size_t fresh =
+      std::count_if(reports.begin(), reports.end(), [](const CheckReport& r) {
+        return r.outcome == Outcome::kDeferred;
+      });
+  const BudgetConfig& budget = config_.budget;
+  const size_t cap = budget.deferred_queue_cap;
+  bool over = cap != 0 && deferred_.size() + fresh > cap;
+  if (over && budget.overflow == OverflowPolicy::kBlockRecheck &&
+      AnyBreakerWouldAllow()) {
+    // Block: one synchronous drain pass to make room, then re-check
+    // occupancy; falls back to refusal below if it freed nothing.
+    CCPI_RETURN_IF_ERROR(RecheckDeferredImpl(e.budget).status());
+    over = deferred_.size() + fresh > cap;
+  }
+  if (over && budget.overflow != OverflowPolicy::kShedOldest) {
+    // The queue bounds the optimistic, still-unverified state this site
+    // carries; refuse to exceed it (kRejectUpdate, or a kBlockRecheck
+    // drain that could not make room).
+    CCPI_RETURN_IF_ERROR(Undo(e.update));
+    ctr_budget_exhausted_->Add(1);
+    for (CheckReport& r : reports) {
+      if (r.outcome == Outcome::kDeferred) r.queue_overflow = true;
+    }
+    return Status::OK();
+  }
+  for (const CheckReport& r : reports) {
+    if (r.outcome == Outcome::kDeferred) {
+      deferred_.push_back(DeferredCheck{e.update, r.constraint, e.sequence});
     }
   }
-
-  if (violated) ctr_violations_->Add(1);
-  if (episode_scope.has_deadline()) {
-    hist_budget_remaining_->Observe(episode_scope.remaining_ms());
+  // Shed-oldest: admit the fresh entries and drop from the front. A
+  // dropped entry's optimistic apply stays standing, permanently
+  // unverified — availability bought with bounded, oldest-first
+  // verification debt.
+  while (cap != 0 && deferred_.size() > cap) {
+    deferred_.pop_front();
+    ctr_deferred_dropped_->Add(1);
   }
-  DetectRecoveries();
-  return reports;
+  ++deferred_epoch_;
+  return Status::OK();
+}
+
+ConstraintManager::Tier3Attempt ConstraintManager::AttemptTier3(
+    const Registered& reg, const Database& db, const BudgetScope* scope,
+    bool project_latency) {
+  Tier3Attempt out;
+  const std::set<size_t>& sites = reg.remote_sites;
+  if (!std::all_of(sites.begin(), sites.end(), [&](size_t s) {
+        return breakers_[s]->WouldAllow();
+      })) {
+    // Circuit open: a site this check needs is known-dead; fail fast.
+    // Checks whose sites are all healthy still run — tier-3 degradation
+    // is partial, per fault domain.
+    out.reason = StatusCode::kUnavailable;
+    out.fast_fail = true;
+    return out;
+  }
+  if (project_latency && latency_aware_ && scope != nullptr &&
+      scope->has_deadline()) {
+    // The refuse-before-pay rule extended from spent budgets to projected
+    // latency: when a member site's observed-latency EWMA already says one
+    // round trip cannot finish inside the check's remaining deadline, the
+    // check is shed *before* paying the trip (no draw consumed, no trip
+    // billed), instead of paying it and shedding at the next checkpoint.
+    uint64_t worst_us = 0;
+    for (size_t s : sites) {
+      worst_us = std::max(worst_us, site_.site_latency_ewma_us(s));
+    }
+    // No observation yet (worst_us == 0): try the trip.
+    if (worst_us != 0 && worst_us / 1000 >= scope->remaining_ms()) {
+      out.reason = StatusCode::kResourceExhausted;
+      out.latency_shed = true;
+      return out;
+    }
+  }
+  // Claim the gated sites (no-op claims while closed, which the tier-3
+  // fan-out requires). No breaker traffic happened since the gate, so the
+  // claim cannot be refused.
+  for (size_t s : sites) {
+    bool admitted = breakers_[s]->AllowRequest();
+    CCPI_DCHECK(admitted);
+    (void)admitted;
+  }
+  Result<bool> violated =
+      EvaluateRemote(reg.compiled, db, sites, &out.retries, scope);
+  if (violated.ok()) {
+    out.outcome = *violated ? Outcome::kViolated : Outcome::kHolds;
+    return out;
+  }
+  // A spent budget sheds; a site unreachable after retries degrades
+  // instead of erroring out. Anything else is a hard error.
+  const StatusCode code = violated.status().code();
+  if (code == StatusCode::kResourceExhausted || IsRetriable(code)) {
+    out.reason = code;
+  } else {
+    out.error = violated.status();
+  }
+  return out;
 }
 
 void ConstraintManager::DetectRecoveries() {
@@ -1238,7 +1246,7 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
   // The drain below reorders or resolves queue entries either way, so any
   // in-flight episode's speculation (which captured the queue at its
   // admission) is invalidated wholesale.
-  if (!deferred_.empty() && AnyBreakerWouldAllow()) ++deferred_epoch_;
+  if (AnyBreakerWouldAllow()) ++deferred_epoch_;
   bool progress = true;
   while (progress && !deferred_.empty() && AnyBreakerWouldAllow()) {
     progress = false;
@@ -1246,86 +1254,31 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
     for (size_t i = 0; i < pass && !deferred_.empty(); ++i) {
       if (!AnyBreakerWouldAllow()) break;
       DeferredCheck entry = deferred_.front();
-      const Registered* reg = nullptr;
-      for (const Registered& r : constraints_) {
-        if (r.name == entry.constraint) reg = &r;
-      }
-      if (reg == nullptr) {  // constraint no longer registered
-        deferred_.pop_front();
-        progress = true;
-        continue;
-      }
-      // Replay this entry's update into the scratch pre-state before its
-      // verdict is attempted — a skipped entry keeps its effect replayed,
-      // so younger entries are still judged against the state their check
-      // originally saw. (A no-op for a second constraint of the same
-      // update, or for an update a late rollback already rejected;
-      // EffectPresent keeps the replay idempotent across passes.)
-      if (!EffectPresent(entry.update, scratch)) {
-        CCPI_RETURN_IF_ERROR(entry.update.ApplyTo(&scratch));
-      }
-      // Each re-check runs under its own envelope: the per-check budget,
-      // tightened by the enclosing episode's scope when the drain happens
-      // inside a budgeted ApplyUpdate. Routed through the site too, so
-      // the re-check's remote trips honor the trip cap and deadline.
-      BudgetScope recheck_scope;
-      if (episode != nullptr) {
-        recheck_scope = episode->Split(1, budget_.per_check);
-      } else if (budget_armed_) {
-        recheck_scope =
-            BudgetScope::Start(budget_.per_check, budget_.cancel);
-      }
-      // A named site still dark: requeue without evaluating (and without
-      // touching `progress`, so a queue of only-dark entries terminates
-      // the pass).
-      if (!SitesWouldAllow(reg->remote_sites)) {
-        deferred_.pop_front();
+      Tier3Attempt attempt = RecheckEntry(entry, &scratch, episode);
+      CCPI_RETURN_IF_ERROR(attempt.error);
+      deferred_.pop_front();
+      if (attempt.outcome == Outcome::kDeferred) {
+        // A site still dark or unreachable, or the budget spent: requeue
+        // without touching `progress`, so a queue of only-undecidable
+        // entries ends the pass; the next entry may be reachable.
         deferred_.push_back(std::move(entry));
         continue;
       }
-      ClaimSites(reg->remote_sites);
-      const BudgetScope* scope =
-          recheck_scope.active() ? &recheck_scope : nullptr;
-      std::optional<SiteBudgetGuard> site_budgets;
-      if (scope != nullptr) {
-        site_budgets.emplace(&site_, [&](size_t) { return scope; });
-      }
-      size_t recheck_retries = 0;
-      Result<bool> bad = EvaluateRemote(reg->compiled, scratch,
-                                        reg->remote_sites, &recheck_retries,
-                                        scope);
-      site_budgets.reset();
-      if (!bad.ok()) {
-        StatusCode code = bad.status().code();
-        if (IsRetriable(code) || code == StatusCode::kResourceExhausted) {
-          // Skip and requeue; the next entry may be reachable.
-          deferred_.pop_front();
-          deferred_.push_back(std::move(entry));
-          continue;
-        }
-        return bad.status();
-      }
-      DeferredResolution res;
-      res.check = entry;
-      res.retries = recheck_retries;
-      deferred_.pop_front();
       progress = true;
-      if (*bad) {
+      DeferredResolution res{std::move(entry), attempt.outcome, false,
+                             attempt.retries};
+      if (res.outcome == Outcome::kViolated) {
         // Late-detected violation: compensate by undoing the optimistic
         // apply — in the replay state and, unless a later update already
         // removed its effect, in the real database.
-        res.outcome = Outcome::kViolated;
         ctr_deferred_violations_->Add(1);
         ctr_violations_->Add(1);
         CCPI_RETURN_IF_ERROR(InverseOf(res.check.update).ApplyTo(&scratch));
         if (EffectPresent(res.check.update, site_.db())) {
-          CCPI_RETURN_IF_ERROR(
-              InverseOf(res.check.update).ApplyTo(&site_.db()));
-          LogCommitWrite(res.check.update.pred);
+          CCPI_RETURN_IF_ERROR(Undo(res.check.update));
           res.rolled_back = true;
         }
       } else {
-        res.outcome = Outcome::kHolds;
         ctr_deferred_recovered_->Add(1);
       }
       resolved.push_back(std::move(res));
@@ -1333,6 +1286,44 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
   }
   gauge_deferred_len_->Set(static_cast<int64_t>(deferred_.size()));
   return resolved;
+}
+
+ConstraintManager::Tier3Attempt ConstraintManager::RecheckEntry(
+    const DeferredCheck& entry, Database* scratch,
+    const BudgetScope* episode) {
+  // Names are unique and registration is permanent, so every queued entry
+  // names a registered constraint.
+  auto reg = std::find_if(
+      constraints_.begin(), constraints_.end(),
+      [&](const Registered& r) { return r.name == entry.constraint; });
+  CCPI_CHECK(reg != constraints_.end());
+  // Replay this entry's update into the scratch pre-state before its
+  // verdict is attempted — a requeued entry keeps its effect replayed, so
+  // younger entries are still judged against the state their check
+  // originally saw. (A no-op for a second constraint of the same update,
+  // or for an update a late rollback already rejected; EffectPresent
+  // keeps the replay idempotent across passes.)
+  if (!EffectPresent(entry.update, *scratch)) {
+    Status applied = entry.update.ApplyTo(scratch);
+    if (!applied.ok()) return Tier3Attempt{.error = applied};
+  }
+  // Each re-check runs under its own envelope: the per-check budget,
+  // tightened by the enclosing episode's scope when the drain happens
+  // inside a budgeted ApplyUpdate. Routed through the site too, so the
+  // re-check's remote trips honor the trip cap and deadline.
+  BudgetScope recheck_scope;
+  if (episode != nullptr) {
+    recheck_scope = episode->Split(1, config_.budget.per_check);
+  } else if (budget_armed_) {
+    recheck_scope =
+        BudgetScope::Start(config_.budget.per_check, config_.budget.cancel);
+  }
+  const BudgetScope* scope = recheck_scope.active() ? &recheck_scope : nullptr;
+  std::optional<SiteBudgetGuard> site_budgets;
+  if (scope != nullptr) {
+    site_budgets.emplace(&site_, [&](size_t) { return scope; });
+  }
+  return AttemptTier3(*reg, *scratch, scope, /*project_latency=*/false);
 }
 
 Result<ConstraintManager::TransactionResult> ConstraintManager::ApplyTransaction(
@@ -1354,16 +1345,12 @@ Result<ConstraintManager::TransactionResult> ConstraintManager::ApplyTransaction
       // reverse order and drop any re-check entries this transaction
       // enqueued (their updates no longer exist).
       for (auto it = applied.rbegin(); it != applied.rend(); ++it) {
-        CCPI_RETURN_IF_ERROR(InverseOf(*it).ApplyTo(&site_.db()));
-        LogCommitWrite(it->pred);
+        CCPI_RETURN_IF_ERROR(Undo(*it));
       }
-      for (auto it = deferred_.begin(); it != deferred_.end();) {
-        if (it->sequence >= first_sequence) {
-          it = deferred_.erase(it);
-          ++deferred_epoch_;
-        } else {
-          ++it;
-        }
+      if (std::erase_if(deferred_, [&](const DeferredCheck& d) {
+            return d.sequence >= first_sequence;
+          }) > 0) {
+        ++deferred_epoch_;
       }
       result.committed = false;
       return result;
@@ -1376,47 +1363,50 @@ Result<ConstraintManager::TransactionResult> ConstraintManager::ApplyTransaction
 
 // ---------------------------------------------------------------------------
 // Episode scheduler: ApplyUpdateAsync admissions, speculative phase 1, and
-// the serialized commit map. All scheduler state is owned by the admitting
-// thread; speculation tasks touch only their own Episode (plus internally
-// thread-safe shared components) and publish through the done/cv handshake.
+// retirement in admission order through the commit turn. All scheduler
+// state is owned by the admitting thread; speculation tasks touch only
+// their own Admission (plus internally thread-safe shared components) and
+// publish through the done/cv handshake.
 
 void ConstraintManager::ApplyUpdateAsync(const Update& u) {
   // Budget-armed managers never pipeline: wall-clock deadlines are
   // admission-order sensitive, so speculation could change which checks a
   // deadline sheds.
-  const size_t depth = budget_armed_ ? 1 : pipeline_.depth;
+  const size_t depth = budget_armed_ ? 1 : config_.pipeline.depth;
   if (depth <= 1) {
-    // Degenerate pipeline: exactly ApplyUpdate, result parked for Drain.
-    pending_results_.push_back(RunEpisode(u, nullptr));
+    // Depth 1: nothing is ever in flight, and the episode is admitted and
+    // retired at once, exactly as ApplyUpdate does; the result is parked
+    // for Drain.
+    pending_results_.push_back(ApplyUpdate(u));
     return;
   }
-  // Full pipeline: retire the oldest episode through the commit map to
+  // Full pipeline: retire the oldest episode through the commit turn to
   // make room before admitting.
   while (inflight_.size() >= depth) CommitHeadToPending();
 
-  auto e = std::make_unique<Episode>();
-  e->update = u;
+  auto a = std::make_unique<Admission>();
+  a->update = u;
   // Numbered at admission: admission order == commit order == the serial
   // order, so sequences match depth-1 execution exactly.
-  e->sequence = update_sequence_++;
-  e->deferred_epoch = deferred_epoch_;
-  e->write_mark = commit_writes_.size();
+  a->sequence = update_sequence_++;
+  a->deferred_epoch = deferred_epoch_;
+  a->write_mark = commit_writes_.size();
   ctr_pipe_admitted_->Add(1);
   if (serial_fallback_remaining_ > 0) {
     // Serial fallback window after sustained conflicts: admit without
     // speculating; the commit turn runs the episode cold.
     --serial_fallback_remaining_;
-    e->speculated = false;
-    e->done = true;
+    a->speculated = false;
+    a->done = true;
   } else {
-    e->speculated = true;
+    a->speculated = true;
     // The MVCC admission snapshot: a copy-on-write Database copy —
     // O(#relations) shared_ptr bumps, no tuple copying.
-    e->snapshot = site_.db();
-    e->deferred_snapshot = deferred_;
+    a->snapshot = site_.db();
+    a->deferred_snapshot = deferred_;
   }
-  Episode* raw = e.get();
-  inflight_.push_back(std::move(e));
+  Admission* raw = a.get();
+  inflight_.push_back(std::move(a));
   gauge_pipe_in_flight_->Set(static_cast<int64_t>(inflight_.size()));
   if (raw->speculated) SpeculateEpisode(raw);
 }
@@ -1428,21 +1418,21 @@ std::vector<Result<std::vector<CheckReport>>> ConstraintManager::Drain() {
   return out;
 }
 
-void ConstraintManager::SpeculateEpisode(Episode* e) {
-  pool_->Submit([this, e]() {
+void ConstraintManager::SpeculateEpisode(Admission* a) {
+  pool_->Submit([this, a]() {
     try {
-      SpeculatePhase1(e);
+      SpeculatePhase1(a);
     } catch (...) {
       // Never expected (the checking code reports through Status); a
       // stray exception just downgrades the episode to a cold run.
-      e->speculated = false;
+      a->speculated = false;
     }
     // Notify while holding the lock: once `done` is visible the committer
-    // may retire and free the episode, so nothing may touch `e` after the
-    // lock is released.
-    std::lock_guard<std::mutex> lock(e->mu);
-    e->done = true;
-    e->cv.notify_all();
+    // may retire and free the admission, so nothing may touch `a` after
+    // the lock is released.
+    std::lock_guard<std::mutex> lock(a->mu);
+    a->done = true;
+    a->cv.notify_all();
   });
 }
 
@@ -1502,68 +1492,66 @@ Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
   return out;
 }
 
-void ConstraintManager::SpeculatePhase1(Episode* e) {
-  const Update& u = e->update;
+void ConstraintManager::SpeculatePhase1(Admission* a) {
+  const Update& u = a->update;
   BufferingObserver buffer;
-  const CheckContext ctx{&e->snapshot, &buffer, &e->deferred_snapshot,
-                         &e->plans};
+  const CheckContext ctx{&a->snapshot, &buffer, &a->deferred_snapshot,
+                         &a->plans};
   // Phase 1 against the snapshot, sequentially on this worker: the
   // parallelism of the pipeline is across episodes, not within one.
   Result<Phase1> phase1 = RunPhase1(u, ctx, nullptr);
   if (!phase1.ok()) {
-    e->speculated = false;
+    a->speculated = false;
     return;
   }
-  e->phase1 = std::move(*phase1);
-  bool all_ok = true;
-  bool violated = false;
-  std::vector<size_t> worklist;
-  for (size_t i = 0; i < constraints_.size(); ++i) {
-    all_ok = all_ok && e->phase1.check_status[i].ok();
-    violated =
-        violated || e->phase1.reports[i].outcome == Outcome::kViolated;
-    if (e->phase1.reports[i].tier == Tier::kFullCheck) worklist.push_back(i);
-  }
+  a->phase1 = std::move(*phase1);
 
   // The validation read set. Tier 1 is db-free and tier 2 reads only the
   // updated local relation, so in practice this is {u.pred}; recording
   // the buffered reads keeps it correct by construction either way.
-  e->read_preds.insert(u.pred);
-  for (const auto& [pred, count] : buffer.reads) e->read_preds.insert(pred);
-  e->buffered_reads = std::move(buffer.reads);
+  a->read_preds.insert(u.pred);
+  for (const auto& [pred, count] : buffer.reads) a->read_preds.insert(pred);
+  a->buffered_reads = std::move(buffer.reads);
 
   // Staged remote prefetch: pay the tier-3 worklist's simulated round
   // trips NOW, on this worker, where they overlap other episodes' stages —
   // the latency-hiding that makes the pipeline beat depth 1 in wall-clock.
-  // Only where the serial path would itself prefetch (cache on, no
+  // Only where the commit turn would itself prefetch (cache on, no
   // injector — StageRemoteBatches declines otherwise — and the owning
   // site's breaker closed) and never under budgets (budget-armed managers
   // do not pipeline at all). The commit-time tentative apply re-stamps
   // the updated relation's version, so a batch carrying it could never
   // match the commit-time batch: its whole site is left unstaged.
-  if (!all_ok || violated || e->phase1.noop) return;
-  std::set<std::string> preds = PrefetchPreds(worklist);
+  const std::vector<Status>& status = a->phase1.check_status;
+  if (a->phase1.noop || a->phase1.Violated() ||
+      !std::all_of(status.begin(), status.end(),
+                   [](const Status& st) { return st.ok(); })) {
+    return;
+  }
+  std::set<std::string> preds = PrefetchPreds(a->phase1.Worklist());
   if (preds.count(u.pred) > 0) {
     const size_t updated_site = site_.SiteOf(u.pred);
     std::erase_if(preds, [&](const std::string& pred) {
       return site_.SiteOf(pred) == updated_site;
     });
   }
-  e->staged = site_.StageRemoteBatches(preds, e->snapshot);
+  a->staged = site_.StageRemoteBatches(preds, a->snapshot);
 }
 
 void ConstraintManager::CommitHeadToPending() {
   if (inflight_.empty()) return;
-  Episode* e = inflight_.front().get();
+  Admission* a = inflight_.front().get();
   {
     // Wait for the speculation to publish (immediate for unspeculated
     // admissions). The wait is the pipeline's only synchronization point.
     obs::Stopwatch sw;
-    std::unique_lock<std::mutex> lock(e->mu);
-    e->cv.wait(lock, [e]() { return e->done; });
+    std::unique_lock<std::mutex> lock(a->mu);
+    a->cv.wait(lock, [a]() { return a->done; });
     sw.RecordTo(hist_pipe_commit_wait_);
   }
-  pending_results_.push_back(RunEpisode(e->update, e));
+  if (!a->speculated) ctr_pipe_unspeculated_->Add(1);
+  Episode e(a->update, a->sequence, a->speculated ? a : nullptr);
+  pending_results_.push_back(CommitTurn(e));
   inflight_.pop_front();
   // The write log only exists to validate in-flight speculation; with
   // nothing in flight it restarts empty (and write marks restart at 0).
@@ -1579,28 +1567,37 @@ void ConstraintManager::AbandonInflight() {
   // Destructor path: wait for speculation tasks (they touch this
   // manager's members) but commit nothing — uncommitted episodes are
   // discarded, never applied.
-  for (std::unique_ptr<Episode>& ep : inflight_) {
-    std::unique_lock<std::mutex> lock(ep->mu);
-    ep->cv.wait(lock, [&ep]() { return ep->done; });
+  for (std::unique_ptr<Admission>& a : inflight_) {
+    std::unique_lock<std::mutex> lock(a->mu);
+    a->cv.wait(lock, [&a]() { return a->done; });
   }
   inflight_.clear();
   commit_writes_.clear();
 }
 
-bool ConstraintManager::SpecStillValid(const Episode& e) const {
+bool ConstraintManager::ValidateSpeculation(const Admission& a) {
   // The queue changed shape since admission: tier 2's verified-data
   // adjustment and the moot-erase pass saw a queue that no longer exists.
-  if (e.deferred_epoch != deferred_epoch_) return false;
-  // Read-write conflict: an intervening commit wrote a relation this
-  // episode's phase 1 read.
-  for (size_t i = e.write_mark; i < commit_writes_.size(); ++i) {
-    if (e.read_preds.count(commit_writes_[i]) > 0) return false;
+  // Otherwise, a read-write conflict: an intervening commit wrote a
+  // relation this episode's phase 1 read.
+  bool valid = a.deferred_epoch == deferred_epoch_;
+  for (size_t i = a.write_mark; valid && i < commit_writes_.size(); ++i) {
+    valid = a.read_preds.count(commit_writes_[i]) == 0;
   }
-  return true;
-}
-
-void ConstraintManager::LogCommitWrite(const std::string& pred) {
-  if (!inflight_.empty()) commit_writes_.push_back(pred);
+  if (valid) {
+    conflict_streak_ = 0;
+    ctr_pipe_committed_->Add(1);
+    return true;
+  }
+  ctr_pipe_conflicts_->Add(1);
+  ctr_pipe_retries_->Add(1);
+  if (++conflict_streak_ >= kMaxConflictStreak) {
+    // Sustained conflicts: stop speculating for a window of admissions,
+    // then probe again.
+    serial_fallback_remaining_ = config_.pipeline.depth;
+    conflict_streak_ = 0;
+  }
+  return false;
 }
 
 }  // namespace ccpi

@@ -103,7 +103,7 @@ struct RemoteCacheConfig {
 /// has nothing to configure. Kept only so that perfbench/main.cc, which
 /// passes `PlanCacheConfig{}` positionally and changes only with a
 /// re-baselined benchmark, still compiles; it goes with the 9-argument
-/// ConstraintManager overload below (ROADMAP item 7).
+/// ConstraintManager overload (ROADMAP item 7).
 struct PlanCacheConfig {};
 
 /// The pipelined episode scheduler (see docs/concurrency.md). With depth
@@ -112,11 +112,12 @@ struct PlanCacheConfig {};
 /// copy-on-write Database copy) and speculates the episode's read-only
 /// phases — the tier-0/1 signature checks, the tier-2 local tests, and
 /// the remote prefetch — on the thread pool against that snapshot, while
-/// commits retire strictly in admission order through a serialized commit
-/// map. A commit first validates its speculation against the writes of
-/// intervening commits (read-set vs write-log) and re-runs the episode's
-/// phase 1 inline on the live database when conflicted; because commits
-/// are serialized, that single retry can never be invalidated again.
+/// episodes retire strictly in admission order through the commit turn
+/// every episode takes, ApplyUpdate's included. A commit first validates
+/// its speculation against the writes of intervening commits (read-set vs
+/// write-log) and re-runs the episode's phase 1 inline on the live
+/// database when conflicted; because commits are serialized, that single
+/// retry can never be invalidated again.
 /// Sustained conflicts trip a serial fallback: admission stops speculating
 /// for a window of episodes, then probes again. Reports, ManagerStats,
 /// the deferred queue, breaker admissions, and fault-schedule draws are
@@ -124,8 +125,8 @@ struct PlanCacheConfig {};
 /// count — everything order-sensitive (tier 3, breakers, injector draws,
 /// budgets, the deferred queue) stays in the serialized commit phase.
 struct PipelineConfig {
-  /// Maximum episodes in flight; 1 (the default) disables pipelining and
-  /// is byte-for-byte the pre-pipeline manager. Budget-armed managers
+  /// Maximum episodes in flight; 1 (the default) disables speculation:
+  /// each episode is admitted and retired at once. Budget-armed managers
   /// always run at depth 1: wall-clock deadlines are admission-order
   /// sensitive, so speculation is never attempted under budgets.
   size_t depth = 1;
@@ -179,6 +180,28 @@ struct BudgetConfig {
   bool armed() const {
     return per_episode.armed() || per_check.armed() || cancel != nullptr;
   }
+};
+
+/// Everything a ConstraintManager is built from, one field per concern.
+/// An aggregate: name the fields that differ from their defaults with
+/// designated initializers, in declaration order, and leave out the rest
+/// (every field has a default member initializer, so leaving one out is
+/// not a missing initializer):
+///
+///     ConstraintManager mgr({.local_preds = {"emp"},
+///                            .parallel = {.threads = 4}});
+struct ManagerConfig {
+  /// Predicates held at this site; every other predicate is remote.
+  std::set<std::string> local_preds = {};
+  /// Access pricing of every site (the topology may override a site's
+  /// latency distribution).
+  CostModel costs = {};
+  ResilienceConfig resilience = {};
+  ParallelConfig parallel = {};
+  RemoteCacheConfig remote_cache = {};
+  BudgetConfig budget = {};
+  TopologyConfig topology = {};
+  PipelineConfig pipeline = {};
 };
 
 /// Aggregate statistics across updates. This is a *snapshot view*: the
@@ -305,16 +328,11 @@ struct DeferredResolution {
 class ConstraintManager {
  public:
   // Defined in the .cc: the body (and unwind paths) needs the complete
-  // Episode type behind inflight_.
-  ConstraintManager(std::set<std::string> local_preds, CostModel cost_model,
-                    ResilienceConfig resilience = {},
-                    ParallelConfig parallel = {},
-                    RemoteCacheConfig remote_cache = {},
-                    BudgetConfig budget = {}, TopologyConfig topology = {},
-                    PipelineConfig pipeline = {});
-  /// perfbench/main.cc's positional form; forwards without the empty
-  /// PlanCacheConfig. Deleted with it in ROADMAP item 7.
-  ConstraintManager(std::set<std::string> local_preds, CostModel cost_model,
+  // Admission type behind inflight_.
+  explicit ConstraintManager(ManagerConfig config);
+  /// perfbench/main.cc's positional form; forwards to the ManagerConfig
+  /// constructor. Deleted with PlanCacheConfig in ROADMAP item 7.
+  ConstraintManager(std::set<std::string> local_preds, CostModel costs,
                     ResilienceConfig resilience, ParallelConfig parallel,
                     RemoteCacheConfig remote_cache, BudgetConfig budget,
                     TopologyConfig topology, PlanCacheConfig,
@@ -361,8 +379,8 @@ class ConstraintManager {
   /// parked for Drain(). With depth D > 1, up to D episodes are in flight
   /// at once: admission snapshots the database and speculates the
   /// episode's read-only phases on the thread pool, and when the pipeline
-  /// is full the oldest episode is retired through the serialized commit
-  /// map (validating its speculation against intervening writes) to make
+  /// is full the oldest episode is retired through the commit turn
+  /// (validating its speculation against intervening writes) to make
   /// room. Results are produced in admission order and collected by
   /// Drain(). See PipelineConfig for the equivalence guarantee.
   void ApplyUpdateAsync(const Update& u);
@@ -420,7 +438,7 @@ class ConstraintManager {
   size_t sites() const { return site_.sites(); }
 
   /// The pipeline configuration this manager was built with.
-  const PipelineConfig& pipeline() const { return pipeline_; }
+  const PipelineConfig& pipeline() const { return config_.pipeline; }
   /// Episodes currently admitted but not yet retired.
   size_t in_flight() const { return inflight_.size(); }
 
@@ -484,14 +502,20 @@ class ConstraintManager {
 
   static size_t TierIndex(Tier tier) { return static_cast<size_t>(tier); }
 
-  /// One pipelined update episode: the admission snapshot, the buffered
-  /// speculation results, and the retire handshake. Defined in the .cc.
+  /// One update episode in its commit turn, built on the stack by
+  /// whoever retires it: ApplyUpdate (and so depth-1 ApplyUpdateAsync)
+  /// unspeculated, CommitHeadToPending over a pipelined admission. The
+  /// phase functions below fill it in order. Defined in the .cc.
   struct Episode;
+  /// One pipelined admission: the update's own copy, its admission
+  /// snapshot, the buffered speculation results, and the retire
+  /// handshake. Defined in the .cc.
+  struct Admission;
 
   /// Where a check reads from and who observes the reads: the live
-  /// database + the site observer + the live deferred queue on the serial
-  /// path, or an episode's admission snapshot + a buffering observer + the
-  /// queue as-of-admission on the speculative path. Defined in the .cc.
+  /// database + the site observer + the live deferred queue in the commit
+  /// turn, or an admission's snapshot + a buffering observer + the queue
+  /// as-of-admission on the speculative path. Defined in the .cc.
   struct CheckContext;
 
   /// Phase-1 output of one episode: every constraint settled as far as
@@ -501,40 +525,83 @@ class ConstraintManager {
     bool noop = false;
     std::vector<CheckReport> reports;
     /// Per-constraint check errors, surfaced at the constraint's position
-    /// in the commit phase.
+    /// in the commit turn.
     std::vector<Status> check_status;
+
+    /// The tier-3 worklist: the constraints left at kFullCheck, in
+    /// constraint order.
+    std::vector<size_t> Worklist() const;
+    bool Violated() const;
   };
+
+  /// What one tier-3 attempt came to. Defined in the .cc.
+  struct Tier3Attempt;
 
   /// Phase 1 (read-only) through `ctx`: the noop probe, the update's
   /// plan signature, and CheckOne per constraint. `pool` fans the checks
-  /// out over the frozen database (serial path); null runs them inline
+  /// out over the frozen database (commit turn); null runs them inline
   /// (speculation, which already runs on a pool worker).
   Result<Phase1> RunPhase1(const Update& u, const CheckContext& ctx,
                            ThreadPool* pool);
 
   /// CheckOne wraps CheckOneImpl with a span and the per-tier latency
-  /// histogram; ApplyUpdate likewise wraps ApplyUpdateImpl. `sig` is the
-  /// episode's update signature, the per-pattern component of every
-  /// plan-cache key the tiers look up. `ctx` routes every tier-1/2 read
-  /// (see CheckContext).
+  /// histogram. `sig` is the episode's update signature, the per-pattern
+  /// component of every plan-cache key the tiers look up. `ctx` routes
+  /// every tier-1/2 read (see CheckContext).
   Result<CheckReport> CheckOne(const Registered& r, const Update& u,
                                const UpdateSignature& sig,
                                const CheckContext& ctx);
   Result<CheckReport> CheckOneImpl(const Registered& r, const Update& u,
                                    const UpdateSignature& sig,
                                    const CheckContext& ctx);
-  /// `spec` is the episode whose speculation to reuse (commit path), or
-  /// null for a fully serial run. When non-null and the speculation is
-  /// still valid against intervening commits, phase 1 replays the buffered
-  /// reads and reports instead of re-running; when invalidated, phase 1
-  /// re-runs inline on the live database (counted as a conflict retry).
-  Result<std::vector<CheckReport>> ApplyUpdateImpl(const Update& u,
-                                                   Episode* spec);
-  /// RecheckDeferred body; `episode` (may be null) is the enclosing
-  /// ApplyUpdate's budget scope, folded into each re-check's envelope.
-  Result<std::vector<DeferredResolution>> RecheckDeferredImpl(
-      const BudgetScope* episode);
+  /// Tier 1: whether `r` holds after `u` given the other active
+  /// constraints (Section 4), memoized per order type under `key`.
+  Result<bool> Tier1Holds(const Registered& r, const Update& u,
+                          const std::string& key, const CheckContext& ctx);
+  /// Tier 2: the complete local test of an insert (Sections 5-6) through
+  /// the registration-time artifacts `t2`; kUnknown when no applicable
+  /// test decides.
+  Result<Outcome> Tier2Decide(const Tier2Artifacts& t2, const Update& u,
+                              const std::string& key, const CheckContext& ctx);
+  /// Tier-2 evaluation through a cached RA plan template: binds the
+  /// update's tuple into the template and evaluates it. Answers what
+  /// RaLocalTestOnInsert answers for that tuple, charging the same reads
+  /// (see docs/plan_cache.md). Reads through `ctx`.
+  Result<Outcome> EvalPlannedRa(const RaPlanTemplate& tpl, const Update& u,
+                                const CheckContext& ctx);
 
+  /// --- The commit turn: every episode retires through CommitTurn, in
+  /// --- admission order, on the admitting thread.
+
+  /// The instrumented commit turn (span, latency histogram, queue gauge)
+  /// around RetireEpisode.
+  Result<std::vector<CheckReport>> CommitTurn(Episode& e);
+  /// The phases of one episode, in order; returns its reports.
+  Result<std::vector<CheckReport>> RetireEpisode(Episode& e);
+  /// Prelude: breaker ticks and the auto-recheck drain.
+  Status EpisodePrelude(Episode& e);
+  /// Phase 1: replays a speculation that survived validation, or runs
+  /// phase 1 live; bills its plan work, counts what it settled and
+  /// derives the tier-3 worklist.
+  Status SettleLocally(Episode& e);
+  /// The tentative apply, the episode's budget slices, and the batched
+  /// remote prefetch of the worklist.
+  Status TentativeApply(Episode& e);
+  /// Tier 3 over the worklist, fanned out where verdicts cannot depend on
+  /// arrival order; verdicts and counters merge in constraint order.
+  Status RunTier3(Episode& e);
+  /// Commit and queue policy: rolls the tentative apply back on a
+  /// violation or a refusal, else queues the deferred checks.
+  Status ApplyQueuePolicy(Episode& e);
+
+  /// One tier-3 attempt at `reg` over `db` — the only place that decides
+  /// what an attempt's status means: a verdict, a fast fail, a shed, an
+  /// unreachable site or a hard error. Gates on the breakers of the
+  /// constraint's sites (a dark site fails fast), optionally sheds when
+  /// the sites' latency EWMA already exceeds `scope`'s remaining deadline
+  /// (`project_latency`), then claims the sites and runs EvaluateRemote.
+  Tier3Attempt AttemptTier3(const Registered& reg, const Database& db,
+                            const BudgetScope* scope, bool project_latency);
   /// Runs one tier-3 evaluation of `program` over `db` under the retry
   /// policy and the breakers of `gsites` — the sites the constraint may
   /// touch, whose probe slots the caller has already claimed via
@@ -550,48 +617,45 @@ class ConstraintManager {
                               const Database& db,
                               const std::set<size_t>& gsites,
                               size_t* retries_out, const BudgetScope* scope);
+  /// RecheckDeferred body; `episode` (may be null) is the enclosing
+  /// ApplyUpdate's budget scope, folded into each re-check's envelope.
+  Result<std::vector<DeferredResolution>> RecheckDeferredImpl(
+      const BudgetScope* episode);
+  /// One re-check of `entry`: replays its update into the drain's
+  /// `scratch` pre-state, then attempts tier 3 over it under the entry's
+  /// own budget envelope.
+  Tier3Attempt RecheckEntry(const DeferredCheck& entry, Database* scratch,
+                            const BudgetScope* episode);
 
-  /// Tier-2 evaluation through a cached RA plan template: binds the
-  /// update's tuple into the template and evaluates it. Answers what
-  /// RaLocalTestOnInsert answers for that tuple, charging the same reads
-  /// (see docs/plan_cache.md). Reads through `ctx`.
-  Result<Outcome> EvalPlannedRa(const RaPlanTemplate& tpl, const Update& u,
-                                const CheckContext& ctx);
+  /// Applies `u` to the live database and, while episodes are in flight,
+  /// logs the written predicate for their validation (commit_writes_).
+  Status WriteLive(const Update& u);
+  /// Undoes an applied `u` the same way: every rollback and refusal.
+  Status Undo(const Update& u);
 
   /// --- Episode scheduler (PipelineConfig; all private state below is
-  /// --- touched only by the admitting thread except Episode internals).
+  /// --- touched only by the admitting thread except Admission internals).
 
-  /// The ApplyUpdate wrapper body (span, latency histogram, queue gauge)
-  /// around ApplyUpdateImpl — shared by the synchronous path and the
-  /// commit map so a committed pipelined episode emits the identical
-  /// per-episode instrumentation.
-  Result<std::vector<CheckReport>> RunEpisode(const Update& u, Episode* spec);
-  /// Launches the episode's speculative phase 1 on the thread pool.
-  void SpeculateEpisode(Episode* e);
+  /// Launches the admission's speculative phase 1 on the thread pool.
+  void SpeculateEpisode(Admission* a);
   /// The speculation body: phase 1 against the admission snapshot with
   /// buffered reads, plus the staged remote prefetch. Runs on a pool
   /// worker (or inline on sequential pools).
-  void SpeculatePhase1(Episode* e);
-  /// Retires inflight_.front() through the commit map: waits for its
-  /// speculation, validates it, runs ApplyUpdateImpl (reusing or
-  /// discarding the speculation), and appends the result to
-  /// pending_results_.
+  void SpeculatePhase1(Admission* a);
+  /// Retires inflight_.front() through the commit turn: waits for its
+  /// speculation and appends the result to pending_results_.
   void CommitHeadToPending();
   /// Retires every in-flight episode in admission order.
   void DrainInflightInternal();
   /// Waits for in-flight speculations and discards them uncommitted
   /// (destructor path only).
   void AbandonInflight();
-  /// Whether `e`'s speculation survives the writes committed since its
-  /// admission (read-set vs commit_writes_[mark..], deferred-queue epoch).
-  bool SpecStillValid(const Episode& e) const;
-  /// Records `pred` as written by a committed episode; no-op while the
-  /// pipeline is empty (the log exists only to validate speculation).
-  void LogCommitWrite(const std::string& pred);
+  /// Whether `a`'s speculation survives the writes committed since its
+  /// admission (read-set vs commit_writes_[mark..], deferred-queue
+  /// epoch); counts the commit or the conflict, and trips the serial
+  /// fallback on sustained conflicts.
+  bool ValidateSpeculation(const Admission& a);
 
-  /// Whether every breaker in `gsites` would currently admit a request
-  /// (pure gate: claims nothing, transitions nothing).
-  bool SitesWouldAllow(const std::set<size_t>& gsites) const;
   /// Whether any site's breaker would admit a request (the deferred-drain
   /// gate).
   bool AnyBreakerWouldAllow() const;
@@ -602,9 +666,6 @@ class ConstraintManager {
   /// never pays.
   std::set<std::string> PrefetchPreds(
       const std::vector<size_t>& worklist) const;
-  /// Claims every breaker in `gsites` (sequential paths only: the caller
-  /// has just seen SitesWouldAllow succeed).
-  void ClaimSites(const std::set<size_t>& gsites);
   bool AllBreakersClosed() const;
   /// End-of-episode catch-up hook (multi-site only): detects sites whose
   /// breaker re-closed after being observed dark, reconciles their cache
@@ -613,14 +674,13 @@ class ConstraintManager {
   /// auto-recheck on the next update.
   void DetectRecoveries();
 
-  /// Whether reports mean the update was refused (violated, or deferred
-  /// under DeferredPolicy::kReject).
+  /// Whether reports mean the update was refused (violated, deferred
+  /// under DeferredPolicy::kReject, or refused by the queue cap).
   bool UpdateRefused(const std::vector<CheckReport>& reports) const;
 
   SiteDatabase site_;
-  ResilienceConfig resilience_;
-  BudgetConfig budget_;
-  /// budget_.armed(), precomputed: the unbudgeted hot path pays exactly
+  ManagerConfig config_;
+  /// config_.budget.armed(), precomputed: the unbudgeted hot path pays exactly
   /// one branch on this flag.
   bool budget_armed_ = false;
   /// One breaker per remote site (heap-allocated: a breaker owns a mutex
@@ -644,9 +704,8 @@ class ConstraintManager {
   std::deque<DeferredCheck> deferred_;
   uint64_t update_sequence_ = 0;
 
-  PipelineConfig pipeline_;
   /// Admitted, not yet retired, in admission order (== commit order).
-  std::deque<std::unique_ptr<Episode>> inflight_;
+  std::deque<std::unique_ptr<Admission>> inflight_;
   /// Results of retired episodes since the last Drain, admission order.
   std::vector<Result<std::vector<CheckReport>>> pending_results_;
   /// Predicates written by committed episodes while the pipeline was

@@ -169,7 +169,7 @@ const ScriptOption kOptions[] = {
      "fan-out (default 1 = sequential; reports\n"
      "are identical at any thread count)",
      [](std::string_view v, ScriptOptions* o) {
-       return SetUint(v, 0, 256, &o->parallel.threads);
+       return SetUint(v, 0, 256, &o->manager.parallel.threads);
      }},
     {"remote-cache", "", "on|off", "on or off", "",
      "remote-read snapshot cache (default on;\n"
@@ -177,7 +177,7 @@ const ScriptOption kOptions[] = {
      "under faults at more than one site, where\n"
      "recovery refetches draw faults only when on)",
      [](std::string_view v, ScriptOptions* o) {
-       return SetSwitch(v, &o->remote_cache.enabled);
+       return SetSwitch(v, &o->manager.remote_cache.enabled);
      }},
     {"pipeline-depth", "pipeline", "N", "a positive integer", "",
      "episode pipeline depth (default 1 = serial;\n"
@@ -186,7 +186,7 @@ const ScriptOption kOptions[] = {
      "so stdout is byte-identical at any depth);\n"
      "overrides the script's pipeline directive",
      [](std::string_view v, ScriptOptions* o) {
-       return SetUint(v, 1, UINT64_MAX, &o->pipeline.depth);
+       return SetUint(v, 1, UINT64_MAX, &o->manager.pipeline.depth);
      }},
     {"fault-rate", "", "P", "a probability in [0,1]",
      "Fault injection (simulated remote-site failures)",
@@ -218,7 +218,7 @@ const ScriptOption kOptions[] = {
      "refuse undecided updates instead of applying\n"
      "them optimistically with a deferred re-check",
      [](std::string_view, ScriptOptions* o) {
-       o->resilience.on_unreachable = DeferredPolicy::kReject;
+       o->manager.resilience.on_unreachable = DeferredPolicy::kReject;
        return true;
      }},
     {"sites", "sites", "N", "a positive integer (at most 1024)",
@@ -229,7 +229,7 @@ const ScriptOption kOptions[] = {
      "healthy sites keep completing during a\n"
      "single-site outage",
      [](std::string_view v, ScriptOptions* o) {
-       return SetUint(v, 1, 1024, &o->topology.sites);
+       return SetUint(v, 1, 1024, &o->manager.topology.sites);
      }},
     {"placement", "", "p:0,q:1", "pred:site pairs like p:0,q:1", "",
      "pin remote predicates to sites; unpinned\n"
@@ -245,7 +245,7 @@ const ScriptOption kOptions[] = {
          }
          pins[std::string(pair.substr(0, colon))] = static_cast<size_t>(s);
        }
-       for (auto& [pred, s] : pins) o->topology.placement[pred] = s;
+       for (auto& [pred, s] : pins) o->manager.topology.placement[pred] = s;
        return true;
      }},
     {"", "site", "", "SITE then the predicates it holds", "", "",
@@ -254,7 +254,8 @@ const ScriptOption kOptions[] = {
        uint64_t s = 0;
        if (parts.size() < 2 || !ParseUint64(parts[0], &s)) return false;
        for (size_t i = 1; i < parts.size(); ++i) {
-         o->topology.placement[std::string(parts[i])] = static_cast<size_t>(s);
+         o->manager.topology.placement[std::string(parts[i])] =
+             static_cast<size_t>(s);
        }
        return true;
      }},
@@ -312,7 +313,7 @@ const ScriptOption kOptions[] = {
            !ParseLatencySpec(rest, &model)) {
          return false;
        }
-       o->topology.site_latency[site] = model;
+       o->manager.topology.site_latency[site] = model;
        return true;
      }},
     {"hedge-after", "hedge_after", "N",
@@ -323,7 +324,7 @@ const ScriptOption kOptions[] = {
      "(0 = off, default; each issued hedge bills\n"
      "one extra trip, tuples are counted once)",
      [](std::string_view v, ScriptOptions* o) {
-       return SetUint(v, 0, 1000, &o->remote_cache.hedge_after);
+       return SetUint(v, 0, 1000, &o->manager.remote_cache.hedge_after);
      }},
     {"domains", "", "NAME:S0+S1,...", "NAME:S0+S1,... domain specs", "",
      "correlated failure domains; a site may\n"
@@ -341,7 +342,7 @@ const ScriptOption kOptions[] = {
          }
          domains.push_back(std::move(dom));
        }
-       o->topology.domains = std::move(domains);
+       o->manager.topology.domains = std::move(domains);
        return true;
      }},
     {"", "domain", "", "NAME then member site indices", "", "",
@@ -351,7 +352,7 @@ const ScriptOption kOptions[] = {
        if (!ParseDomain(parts[0], std::span(parts).subspan(1), &dom)) {
          return false;
        }
-       o->topology.domains.push_back(std::move(dom));
+       o->manager.topology.domains.push_back(std::move(dom));
        return true;
      }},
     {"domain-outage", "domain_outage", "NAME:A:B",
@@ -377,7 +378,7 @@ const ScriptOption kOptions[] = {
      "deferred queue (0 = no deadline, default)",
      [](std::string_view v, ScriptOptions* o) {
        return SetUint(v, 0, 86'400'000,
-                      &o->budget.per_episode.deadline_ms);
+                      &o->manager.budget.per_episode.deadline_ms);
      }},
     {"max-fixpoint-rounds", "", "N", "a non-negative integer (0 = unlimited)",
      "",
@@ -385,7 +386,7 @@ const ScriptOption kOptions[] = {
      "(0 = unlimited, default)",
      [](std::string_view v, ScriptOptions* o) {
        return SetUint(v, 0, UINT64_MAX,
-                      &o->budget.per_check.max_fixpoint_rounds);
+                      &o->manager.budget.per_check.max_fixpoint_rounds);
      }},
     {"max-derived-tuples", "", "N", "a non-negative integer (0 = unlimited)",
      "",
@@ -393,14 +394,15 @@ const ScriptOption kOptions[] = {
      "(0 = unlimited, default)",
      [](std::string_view v, ScriptOptions* o) {
        return SetUint(v, 0, UINT64_MAX,
-                      &o->budget.per_check.max_derived_tuples);
+                      &o->manager.budget.per_check.max_derived_tuples);
      }},
     {"deferred-queue-cap", "", "N", "a non-negative integer (0 = unbounded)",
      "",
      "bound on queued deferred re-checks\n"
      "(0 = unbounded, default)",
      [](std::string_view v, ScriptOptions* o) {
-       return SetUint(v, 0, UINT64_MAX, &o->budget.deferred_queue_cap);
+       return SetUint(v, 0, UINT64_MAX,
+                      &o->manager.budget.deferred_queue_cap);
      }},
     {"overflow-policy", "", "P", "reject-update, shed-oldest or block-recheck",
      "",
@@ -413,7 +415,7 @@ const ScriptOption kOptions[] = {
              std::pair{"shed-oldest", OverflowPolicy::kShedOldest},
              std::pair{"block-recheck", OverflowPolicy::kBlockRecheck}}) {
          if (v != name) continue;
-         o->budget.overflow = policy;
+         o->manager.budget.overflow = policy;
          return true;
        }
        return false;
@@ -591,7 +593,7 @@ Status ApplyScriptFlag(std::string_view arg, ScriptOptions* options,
 }
 
 Status ValidateScriptOptions(const ScriptOptions& options) {
-  const size_t sites = options.topology.sites;
+  const size_t sites = options.manager.topology.sites;
   auto beyond = [sites](const std::string& claim) {
     return Status::InvalidArgument(claim + " but the topology has " +
                                    std::to_string(sites) + " site(s)");
@@ -614,13 +616,13 @@ Status ValidateScriptOptions(const ScriptOptions& options) {
                     std::to_string(site));
     }
   }
-  for (const auto& [pred, site] : options.topology.placement) {
+  for (const auto& [pred, site] : options.manager.topology.placement) {
     if (site >= sites) {
       return beyond("placement pins " + pred + " to site " +
                     std::to_string(site));
     }
   }
-  for (const auto& [site, model] : options.topology.site_latency) {
+  for (const auto& [site, model] : options.manager.topology.site_latency) {
     (void)model;
     if (site >= sites) {
       return beyond("site_latency names site " + std::to_string(site));
@@ -628,7 +630,7 @@ Status ValidateScriptOptions(const ScriptOptions& options) {
   }
   std::set<std::string> names;
   std::set<size_t> claimed;
-  for (const FailureDomain& dom : options.topology.domains) {
+  for (const FailureDomain& dom : options.manager.topology.domains) {
     if (!names.insert(dom.name).second) {
       return Status::InvalidArgument("failure domain \"" + dom.name +
                                      "\" is declared twice");
@@ -658,20 +660,20 @@ Status ValidateScriptOptions(const ScriptOptions& options) {
 Result<ScriptReport> RunScript(const Script& script) {
   const ScriptOptions& options = script.options;
   CCPI_RETURN_IF_ERROR(ValidateScriptOptions(options));
-  const CostModel& costs = options.costs;
+  ManagerConfig config = options.manager;
+  config.local_preds = script.local_preds;
+  const CostModel& costs = config.costs;
   // Domain outages attach by name to the domains (validation guarantees
   // each name resolves).
-  TopologyConfig topology = options.topology;
-  for (FailureDomain& dom : topology.domains) {
+  const TopologyConfig& topology = config.topology;
+  for (FailureDomain& dom : config.topology.domains) {
     auto it = options.domain_outages.find(dom.name);
     if (it == options.domain_outages.end()) continue;
     dom.outages.insert(dom.outages.end(), it->second.begin(),
                        it->second.end());
   }
 
-  ConstraintManager mgr(script.local_preds, costs, options.resilience,
-                        options.parallel, options.remote_cache,
-                        options.budget, topology, options.pipeline);
+  ConstraintManager mgr(config);
   // Correlated failure domains ride the per-site injectors: each domain's
   // outage windows are copied to every member site, so the whole domain
   // goes dark (and recovers) together. Any expanded window arms fault
@@ -727,7 +729,7 @@ Result<ScriptReport> RunScript(const Script& script) {
   }
 
   bool reject_on_defer =
-      options.resilience.on_unreachable == DeferredPolicy::kReject;
+      config.resilience.on_unreachable == DeferredPolicy::kReject;
   ScriptReport report;
   auto log_update = [&](const Update& u,
                         const std::vector<CheckReport>& checks) {
@@ -779,7 +781,7 @@ Result<ScriptReport> RunScript(const Script& script) {
   // at shutdown, so wait out the breaker cooldown between rounds; stop
   // when a round makes no progress (the site is still unreachable).
   while (!mgr.deferred_queue().empty()) {
-    mgr.TickBreaker(options.resilience.breaker.cooldown_ticks + 1);
+    mgr.TickBreaker(config.resilience.breaker.cooldown_ticks + 1);
     CCPI_ASSIGN_OR_RETURN(std::vector<DeferredResolution> late,
                           mgr.RecheckDeferred());
     if (late.empty()) break;
@@ -797,7 +799,7 @@ Result<ScriptReport> RunScript(const Script& script) {
   const ManagerStats& stats = report.stats;
   report.deferred_pending = mgr.deferred_queue().size();
   report.budget_armed =
-      options.budget.armed() || options.budget.deferred_queue_cap != 0;
+      config.budget.armed() || config.budget.deferred_queue_cap != 0;
 
   std::ostringstream summary;
   summary << "---\n";
@@ -809,7 +811,7 @@ Result<ScriptReport> RunScript(const Script& script) {
           << access.remote_tuples << " remote tuples in "
           << access.remote_trips << " trips (cost " << access.Cost(costs)
           << ")\n";
-  if (options.remote_cache.enabled) {
+  if (config.remote_cache.enabled) {
     summary << "cache: " << access.cache_hits << " remote reads served ("
             << access.cached_tuples << " cached tuples)\n";
   }
@@ -850,7 +852,7 @@ Result<ScriptReport> RunScript(const Script& script) {
     }
     // The hedge and latency lines exist only when their feature does, so
     // a default-config --stats block is byte-identical to earlier tools.
-    if (options.remote_cache.hedge_after > 0) {
+    if (config.remote_cache.hedge_after > 0) {
       summary << "hedge: " << stats.hedges_issued << " issued, "
               << stats.hedges_won << " won, " << stats.hedges_wasted
               << " wasted\n";

@@ -37,44 +37,30 @@ struct SiteFaultOverride {
 /// in argv order, so whichever setting comes later wins. ScriptOptionTable
 /// lists every knob reachable from either surface.
 struct ScriptOptions {
-  CostModel costs;
+  /// The manager's configuration: access pricing, the remote topology
+  /// (site count, placement, per-site latency models and failure
+  /// domains), resilience, the check fan-out (--threads; reports are
+  /// identical at any thread count), the remote-read cache
+  /// (--remote-cache, --hedge-after), the episode pipeline
+  /// (--pipeline-depth; the per-update log is byte-identical at any
+  /// depth), and execution budgets (--deadline-ms and friends; off by
+  /// default). `manager.local_preds` stays empty: RunScript takes the
+  /// script's `local` lines.
+  ManagerConfig manager;
   /// Remote faults to inject; used only when enable_faults is true. With
   /// N sites this is the base config every site inherits: site 0 keeps
   /// the seed verbatim, site s derives seed + s * golden-ratio so the
   /// sites draw independent schedules by default.
   FaultConfig faults;
   bool enable_faults = false;
-  /// Remote-site topology: site count, placement, per-site latency models
-  /// and failure domains.
-  TopologyConfig topology;
   /// Correlated-outage windows by domain name, attached at run time to the
-  /// domain of that name in `topology.domains`. Naming a domain that does
-  /// not exist there fails validation. Any entry implies fault injection
-  /// (the expanded windows ride the per-site FaultInjectors).
+  /// domain of that name in `manager.topology.domains`. Naming a domain
+  /// that does not exist there fails validation. Any entry implies fault
+  /// injection (the expanded windows ride the per-site FaultInjectors).
   std::map<std::string, std::vector<OutageWindow>> domain_outages;
   /// Per-site fault overrides from --site-fault-rate=S:P and friends;
   /// any entry implies enable_faults.
   std::map<size_t, SiteFaultOverride> site_faults;
-  ResilienceConfig resilience;
-  /// Checker lanes for the manager's per-constraint fan-out
-  /// (ccpi_check --threads). Reports are identical at any thread count.
-  ParallelConfig parallel;
-  /// Remote-read snapshot cache (ccpi_check --remote-cache). On by
-  /// default; the per-update log is the same either way, except under
-  /// faults at more than one site, where recovery refetches draw faults
-  /// only with the cache on (see RemoteCacheConfig). Its hedge_after
-  /// field (ccpi_check --hedge-after) arms hedged batched reads.
-  RemoteCacheConfig remote_cache;
-  /// Episode pipeline (ccpi_check --pipeline-depth). Depth 1 (the
-  /// default) is the serial checker; depth N>1 overlaps speculative
-  /// check phases while commits stay serialized in admission order, so
-  /// the per-update log is byte-identical at any depth.
-  PipelineConfig pipeline;
-  /// Execution budgets and overload control (ccpi_check --deadline-ms,
-  /// --max-fixpoint-rounds, --max-derived-tuples, --deferred-queue-cap,
-  /// --overflow-policy). Off by default: an unbudgeted run is bit-identical
-  /// to one before budgets existed.
-  BudgetConfig budget;
   /// Append the full ManagerStats block (retries, deferred/recovered
   /// outcomes, breaker state) to the report text.
   bool print_stats = false;
@@ -214,8 +200,8 @@ Status ApplyScriptFlag(std::string_view arg, ScriptOptions* options,
 /// The one cross-field check of a configuration, whichever surfaces built
 /// it: the fault probabilities (global and per-site effective) sum to at
 /// most 1; every site index that placement, a per-site fault override or
-/// a latency model names is < topology.sites; failure-domain names are
-/// unique, no site is in two domains and every member is < sites; and
+/// a latency model names is < manager.topology.sites; failure-domain names
+/// are unique, no site is in two domains and every member is < sites; and
 /// every domain outage names a domain. ParseScript, `ccpi_check` and
 /// RunScript all call it.
 Status ValidateScriptOptions(const ScriptOptions& options);

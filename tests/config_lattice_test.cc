@@ -491,9 +491,12 @@ RunResult Run(const Workload& w, const Point& p, Oracle* oracle = nullptr) {
   BudgetConfig budget;
   if (p.budget == Budget::kDeadline) budget.per_check.deadline_ms = 1;
   if (p.budget == Budget::kCancel) budget.cancel = &cancelled;
-  ConstraintManager mgr({"l", "emp", "lq"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{p.threads}, remote_cache, budget,
-                        topology, PipelineConfig{p.depth});
+  ConstraintManager mgr({.local_preds = {"l", "emp", "lq"},
+                         .parallel = {.threads = p.threads},
+                         .remote_cache = remote_cache,
+                         .budget = budget,
+                         .topology = topology,
+                         .pipeline = {.depth = p.depth}});
   // Per-site schedules derive their seeds as the script layer does: site
   // 0 verbatim, then the golden-ratio stride.
   std::vector<std::unique_ptr<FaultInjector>> injectors;

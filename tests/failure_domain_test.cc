@@ -92,7 +92,7 @@ TEST(FailureDomainTest, WholeDomainDarkDefersEveryMemberSiteCheck) {
                             "domain_outage rackA 0 2\n");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
   ScriptOptions& options = script->options;
-  options.resilience = DomainResilience();
+  options.manager.resilience = DomainResilience();
   // No --fault-* flags: the domain window alone must arm injection.
   ASSERT_FALSE(options.enable_faults);
   auto report = RunScript(*script);
@@ -125,7 +125,7 @@ TEST(FailureDomainTest, DomainOutageEqualsManualPerSiteWindows) {
 
   for (ScriptOptions* options :
        {&domain_script->options, &plain_script->options}) {
-    options->resilience = DomainResilience();
+    options->manager.resilience = DomainResilience();
     options->print_stats = true;
   }
   ScriptOptions& manual_options = plain_script->options;
@@ -240,9 +240,8 @@ TEST(FailureDomainTest, LatencyShedRefusesBeforePayingTheTrip) {
   auto make = [&](uint64_t deadline_ms) {
     BudgetConfig budget;
     budget.per_episode.deadline_ms = deadline_ms;
-    auto mgr = std::make_unique<ConstraintManager>(
-        std::set<std::string>{"l"}, costs, ResilienceConfig{},
-        ParallelConfig{}, RemoteCacheConfig{}, budget);
+    auto mgr = std::make_unique<ConstraintManager>(ManagerConfig{
+        .local_preds = {"l"}, .costs = costs, .budget = budget});
     EXPECT_TRUE(mgr->AddConstraint(
                        "fi", MustParse(
                                  "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y"))
@@ -326,10 +325,10 @@ TEST(FailureDomainTest, HedgingIsSemanticallyInvisibleOnTheLog) {
   skewed.lo_us = 1;
   skewed.hi_us = 50;
   skewed.slow_share = 0.4;
-  options.topology.site_latency[0] = skewed;
+  options.manager.topology.site_latency[0] = skewed;
 
   auto unhedged = RunScript(*script);
-  options.remote_cache.hedge_after = 1;
+  options.manager.remote_cache.hedge_after = 1;
   auto hedged = RunScript(*script);
   ASSERT_TRUE(unhedged.ok()) << unhedged.status().ToString();
   ASSERT_TRUE(hedged.ok()) << hedged.status().ToString();

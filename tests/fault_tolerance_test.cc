@@ -48,7 +48,8 @@ Outcome OutcomeOf(const std::vector<CheckReport>& reports,
 /// attached injector owned by the fixture.
 struct Rig {
   explicit Rig(ResilienceConfig resilience = {}, FaultConfig faults = {})
-      : injector(faults), mgr({"l", "emp"}, CostModel{}, resilience) {
+      : injector(faults),
+        mgr({.local_preds = {"l", "emp"}, .resilience = resilience}) {
     EXPECT_TRUE(mgr.AddConstraint(
                        "fi",
                        MustParse(
@@ -163,7 +164,7 @@ TEST(FaultToleranceTest, DeletingAnUnverifiedTupleDropsItsRecheck) {
 
 TEST(FaultToleranceTest, UnverifiedTupleNeverServesAsCoverage) {
   FaultInjector injector{FaultConfig{}};
-  ConstraintManager mgr({"reserved"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"reserved"}});
   ASSERT_TRUE(mgr.AddConstraint(
                      "fi", MustParse("panic :- reserved(P,Lo,Hi) & "
                                      "order(P,Q) & Lo <= Q & Q <= Hi"))
@@ -208,7 +209,7 @@ TEST(FaultToleranceTest, PendingDeleteNeverServesAsCoverage) {
   // change (here r(1) arrives), so it proves nothing. It used to stay in
   // tier 2's view and answer kHolds for an insert that violates "join".
   FaultInjector injector{FaultConfig{}};
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(
       mgr.AddConstraint("join", MustParse("panic :- l(X,Y) & r(Y)")).ok());
   // Recursion keeps tier 1 from settling the delete, so it is deferred.
@@ -467,8 +468,9 @@ TEST(FaultToleranceTest, RejectPolicyAbortsTransactionOnOutage) {
 struct BudgetRig {
   explicit BudgetRig(BudgetConfig budget, ResilienceConfig resilience = {})
       : injector(FaultConfig{}),
-        mgr({"l", "l2"}, CostModel{}, resilience, ParallelConfig{},
-            RemoteCacheConfig{}, budget) {
+        mgr({.local_preds = {"l", "l2"},
+             .resilience = resilience,
+             .budget = budget}) {
     EXPECT_TRUE(mgr.AddConstraint(
                        "fi",
                        MustParse(
@@ -599,7 +601,7 @@ TEST(FaultToleranceTest, DeadPredDoesNotBlockOtherRechecksBehindIt) {
   resilience.breaker.failure_threshold = 1000;
   resilience.auto_recheck = false;  // drain explicitly, assert precisely
   FaultInjector injector{FaultConfig{}};
-  ConstraintManager mgr({"l"}, CostModel{}, resilience);
+  ConstraintManager mgr({.local_preds = {"l"}, .resilience = resilience});
   mgr.site().set_site_fault_injector(0, &injector);
   ASSERT_TRUE(mgr.AddConstraint(
                      "a", MustParse("panic :- l(X,Y) & r1(Z) & X <= Z & Z <= Y"))
@@ -652,8 +654,8 @@ TEST(FaultToleranceTest, ScriptRunReportsDeferredAndRecovers) {
   // Outage covering the whole stream's remote trips; the shutdown drain
   // runs after it ends (trip indices past the window succeed).
   options.faults.outages.push_back(OutageWindow{0, 3});
-  options.resilience.retry.max_attempts = 1;
-  options.resilience.breaker.cooldown_ticks = 0;
+  options.manager.resilience.retry.max_attempts = 1;
+  options.manager.resilience.breaker.cooldown_ticks = 0;
   options.print_stats = true;
   auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -763,9 +765,9 @@ struct TopologyRig {
           topology.placement["r1"] = 0;
           topology.placement["r2"] = 1;
           topology.placement["x2"] = 1;
-          return ConstraintManager({"l", "lx"}, CostModel{}, resilience,
-                                   ParallelConfig{}, RemoteCacheConfig{},
-                                   BudgetConfig{}, topology);
+          return ConstraintManager({.local_preds = {"l", "lx"},
+                                    .resilience = resilience,
+                                    .topology = topology});
         }()) {
     EXPECT_TRUE(mgr.AddConstraint(
                        "a",
@@ -921,7 +923,8 @@ TEST(FaultToleranceTest, LocalOnlyTier3CheckIsNotGatedBySiteBreaker) {
   resilience.breaker.half_open_successes = 2;
   resilience.auto_recheck = false;
   FaultInjector injector{FaultConfig{}};
-  ConstraintManager mgr({"l", "a", "b"}, CostModel{}, resilience);
+  ConstraintManager mgr(
+      {.local_preds = {"l", "a", "b"}, .resilience = resilience});
   // Negation keeps tiers 1-2 from settling `neg`: it reaches tier 3 and
   // reads only local relations there.
   ASSERT_TRUE(

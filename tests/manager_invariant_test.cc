@@ -28,7 +28,7 @@ Program MustParse(const std::string& text) {
 
 TEST(ManagerInvariantTransactions, AtomicityUnderRandomBatches) {
   Rng rng(99);
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(mgr.AddConstraint("ord", MustParse("panic :- l(X,Y) & X > Y"))
                   .ok());
   ASSERT_TRUE(
@@ -83,8 +83,9 @@ TEST(ManagerInvariantTransactions, AtomicityUnderRandomBatches) {
 std::unique_ptr<ConstraintManager> HeavyRig(size_t chain, BudgetConfig budget,
                                             ResilienceConfig resilience = {}) {
   auto mgr = std::make_unique<ConstraintManager>(
-      std::set<std::string>{"l", "lq"}, CostModel{}, resilience,
-      ParallelConfig{}, RemoteCacheConfig{}, budget);
+      ManagerConfig{.local_preds = {"l", "lq"},
+                    .resilience = resilience,
+                    .budget = budget});
   EXPECT_TRUE(
       mgr->AddConstraint(
              "fi", MustParse("panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y"))

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "datalog/parser.h"
+#include "distsim/fault_injector.h"
 #include "manager/active_rules.h"
 #include "manager/constraint_manager.h"
 #include "manager/view_maint.h"
@@ -33,7 +36,7 @@ Outcome OutcomeOf(const std::vector<CheckReport>& reports,
 }
 
 TEST(ManagerTest, SubsumedConstraintDropped) {
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   auto first = mgr.AddConstraint("strong", MustParse("panic :- p(X)"));
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(*first);
@@ -52,7 +55,7 @@ TEST(ManagerTest, AddConstraintRejectsARegisteredName) {
   // name. A second "c" used to be registered beside the first, and tier 3
   // then evaluated the first one's compiled program for both, so the
   // insert below was applied although the second "c" forbids it.
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(
       mgr.AddConstraint("c", MustParse("panic :- l(X) & r(X) & s(X)")).ok());
   auto again = mgr.AddConstraint("c", MustParse("panic :- l(X) & r(X)"));
@@ -78,7 +81,7 @@ TEST(ManagerTest, AddConstraintRejectsAnUnsafeProgram) {
   // X occurs only under negation, so the evaluator refuses the program.
   // It used to be registered anyway: inserts into l settled at tier 1 and
   // the run went on until an update first reached tier 3 and failed there.
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   auto unsafe = mgr.AddConstraint("c", MustParse("panic :- r(Y) & not l(X)"));
   ASSERT_FALSE(unsafe.ok());
   EXPECT_EQ(unsafe.status().code(), StatusCode::kInvalidArgument);
@@ -110,7 +113,7 @@ TEST(ManagerTest, AddConstraintRejectsAnUnsafeProgram) {
 }
 
 TEST(ManagerTest, UnaffectedTier) {
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(mgr.AddConstraint("c", MustParse("panic :- p(X) & q(X)")).ok());
   auto reports = mgr.ApplyUpdate(Update::Insert("other", {V(1)}));
   ASSERT_TRUE(reports.ok());
@@ -119,7 +122,7 @@ TEST(ManagerTest, UnaffectedTier) {
 }
 
 TEST(ManagerTest, IndependenceTierOnSafeInsert) {
-  ConstraintManager mgr({"emp"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"emp"}});
   ASSERT_TRUE(
       mgr.AddConstraint("cap", MustParse("panic :- emp(E,D,S) & S > 100"))
           .ok());
@@ -131,7 +134,7 @@ TEST(ManagerTest, IndependenceTierOnSafeInsert) {
 }
 
 TEST(ManagerTest, LocalTestTierForForbiddenIntervals) {
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(mgr.AddConstraint(
                      "fi",
                      MustParse("panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y"))
@@ -149,7 +152,7 @@ TEST(ManagerTest, LocalTestTierForForbiddenIntervals) {
 }
 
 TEST(ManagerTest, FullCheckDetectsAndRejectsViolation) {
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(mgr.AddConstraint(
                      "fi",
                      MustParse("panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y"))
@@ -167,7 +170,7 @@ TEST(ManagerTest, FullCheckDetectsAndRejectsViolation) {
 }
 
 TEST(ManagerTest, LocalOnlyConstraintViolatedAtLocalTier) {
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(
       mgr.AddConstraint("ord", MustParse("panic :- l(X,Y) & X > Y")).ok());
   auto ok = mgr.ApplyUpdate(Update::Insert("l", {V(1), V(2)}));
@@ -181,7 +184,7 @@ TEST(ManagerTest, LocalOnlyConstraintViolatedAtLocalTier) {
 }
 
 TEST(ManagerTest, NoopUpdateResolvesTrivially) {
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(
       mgr.AddConstraint("c", MustParse("panic :- l(X) & r(X)")).ok());
   ASSERT_TRUE(mgr.ApplyUpdate(Update::Delete("l", {V(1)})).ok());  // absent
@@ -191,7 +194,7 @@ TEST(ManagerTest, NoopUpdateResolvesTrivially) {
 }
 
 TEST(ManagerTest, DeletionOfMonotoneConstraintIndependent) {
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(
       mgr.AddConstraint("c", MustParse("panic :- l(X) & r(X)")).ok());
   ASSERT_TRUE(mgr.site().db().Insert("l", {V(1)}).ok());
@@ -202,7 +205,7 @@ TEST(ManagerTest, DeletionOfMonotoneConstraintIndependent) {
 }
 
 TEST(ManagerTest, AccessAccountingSeparatesSites) {
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(mgr.AddConstraint(
                      "fi",
                      MustParse("panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y"))
@@ -217,7 +220,7 @@ TEST(ManagerTest, AccessAccountingSeparatesSites) {
 }
 
 TEST(ManagerTest, Fig61TestBillsOnlyTheInsertedKeyGroup) {
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(mgr.AddConstraint(
                      "fi", MustParse("panic :- l(K,X,Y) & r(K,Z) & "
                                      "X <= Z & Z <= Y"))
@@ -242,10 +245,9 @@ TEST(ManagerTest, Fig61TestBillsOnlyTheInsertedKeyGroup) {
 
 /// A depth-4 pipelined manager over one local and one remote predicate.
 ConstraintManager MakePipelinedManager(size_t depth) {
-  return ConstraintManager({"l"}, CostModel{}, ResilienceConfig{},
-                           ParallelConfig{2}, RemoteCacheConfig{},
-                           BudgetConfig{}, TopologyConfig{},
-                           PipelineConfig{depth});
+  return ConstraintManager({.local_preds = {"l"},
+                            .parallel = {.threads = 2},
+                            .pipeline = {.depth = depth}});
 }
 
 TEST(ManagerTest, AsyncDrainMatchesApplyUpdate) {
@@ -287,6 +289,150 @@ TEST(ManagerTest, AsyncDrainMatchesApplyUpdate) {
   EXPECT_EQ(piped.site().db().ToString(), serial.site().db().ToString());
   // Drain is destructive: a second call returns nothing new.
   EXPECT_TRUE(piped.Drain().empty());
+}
+
+/// Every ManagerStats field, access accounting included, as one line.
+std::string StatsText(const ManagerStats& s) {
+  std::ostringstream out;
+  for (const auto& [tier, n] : s.resolved_by) {
+    out << TierToString(tier) << "=" << n << " ";
+  }
+  out << "violations=" << s.violations << " attempts=" << s.remote_attempts
+      << " retries=" << s.remote_retries << " failed=" << s.remote_failures
+      << " deferred=" << s.deferred << " fast_fails=" << s.breaker_fast_fails
+      << " recovered=" << s.deferred_recovered
+      << " late_violations=" << s.deferred_violations
+      << " t3=" << s.t3_admitted << " shed=" << s.shed_checks
+      << " exhausted=" << s.budget_exhausted
+      << " dropped=" << s.deferred_dropped
+      << " sites_recovered=" << s.sites_recovered
+      << " revalidated=" << s.cache_revalidated
+      << " hedges=" << s.hedges_issued << "/" << s.hedges_won << "/"
+      << s.hedges_wasted << " latency_shed=" << s.latency_shed
+      << " local=" << s.access.local_tuples
+      << " remote=" << s.access.remote_tuples
+      << " trips=" << s.access.remote_trips
+      << " failed_trips=" << s.access.remote_failures
+      << " cache_hits=" << s.access.cache_hits
+      << " cached=" << s.access.cached_tuples;
+  return out.str();
+}
+
+std::string ReportText(const CheckReport& r) {
+  std::ostringstream out;
+  out << r.constraint << ":" << OutcomeToString(r.outcome) << "@"
+      << TierToString(r.tier) << " retries=" << r.retries
+      << " reason=" << static_cast<int>(r.reason)
+      << " overflow=" << r.queue_overflow;
+  return out.str();
+}
+
+TEST(ManagerTest, SyncAndDepthOneAsyncShareOneCommitTurn) {
+  // ApplyUpdate and depth-1 ApplyUpdateAsync admit and retire an episode
+  // through the same commit turn, so interleaving them must reproduce an
+  // all-ApplyUpdate run exactly — through an outage that defers checks,
+  // trips the breaker, and later drains the queue by auto-recheck — and
+  // neither may touch the pipeline's counters.
+  std::vector<Update> stream;
+  for (int i = 0; i < 24; ++i) {
+    // [10i, 10i+5]: i = 5 covers the remote r(50) and is violated.
+    stream.push_back(Update::Insert("l", {V(10 * i), V(10 * i + 5)}));
+    if (i % 4 == 3) {
+      stream.push_back(Update::Delete("l", {V(10 * (i - 1)), V(10 * i - 5)}));
+    }
+    if (i % 6 == 0) stream.push_back(Update::Delete("l", {V(-1), V(-1)}));
+    if (i == 10) stream.push_back(Update::Insert("l", {V(9), V(1)}));
+  }
+  struct Run {
+    std::vector<std::string> reports;
+    std::vector<std::string> queue;
+    std::string stats;
+    std::string db;
+    ManagerStats counts;
+    uint64_t pipeline_counts = 0;
+  };
+  auto run = [&stream](bool interleave) {
+    FaultConfig faults;
+    faults.outages.push_back(OutageWindow{2, 12});
+    faults.outages.push_back(OutageWindow{20, 1000});
+    FaultInjector injector(faults);
+    ResilienceConfig resilience;
+    resilience.retry.max_attempts = 1;
+    resilience.breaker.failure_threshold = 2;
+    resilience.breaker.cooldown_ticks = 3;
+    ConstraintManager mgr({.local_preds = {"l"}, .resilience = resilience});
+    mgr.site().set_site_fault_injector(0, &injector);
+    EXPECT_TRUE(mgr.AddConstraint(
+                       "fi", MustParse(
+                                 "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y"))
+                    .ok());
+    EXPECT_TRUE(
+        mgr.AddConstraint("ord", MustParse("panic :- l(X,Y) & X > Y")).ok());
+    EXPECT_TRUE(mgr.site().db().Insert("r", {V(50)}).ok());
+    EXPECT_TRUE(mgr.site().db().Insert("r", {V(1000)}).ok());
+
+    Run out;
+    std::vector<std::vector<CheckReport>> results(stream.size());
+    std::vector<size_t> parked;  // stream positions awaiting Drain
+    auto drain = [&]() {
+      std::vector<Result<std::vector<CheckReport>>> drained = mgr.Drain();
+      EXPECT_EQ(drained.size(), parked.size());
+      for (size_t k = 0; k < drained.size() && k < parked.size(); ++k) {
+        EXPECT_TRUE(drained[k].ok()) << drained[k].status().ToString();
+        if (drained[k].ok()) results[parked[k]] = *drained[k];
+      }
+      parked.clear();
+    };
+    for (size_t i = 0; i < stream.size(); ++i) {
+      if (interleave && i % 3 != 0) {
+        mgr.ApplyUpdateAsync(stream[i]);
+        parked.push_back(i);
+        if (i % 7 == 0) drain();
+        continue;
+      }
+      Result<std::vector<CheckReport>> reports = mgr.ApplyUpdate(stream[i]);
+      EXPECT_TRUE(reports.ok()) << reports.status().ToString();
+      if (reports.ok()) results[i] = *reports;
+    }
+    drain();
+    for (const std::vector<CheckReport>& reports : results) {
+      std::string line;
+      for (const CheckReport& r : reports) line += ReportText(r) + "; ";
+      out.reports.push_back(line);
+    }
+    for (const DeferredCheck& d : mgr.deferred_queue()) {
+      out.queue.push_back(d.update.ToString() + " " + d.constraint + " #" +
+                          std::to_string(d.sequence));
+    }
+    out.counts = mgr.stats();
+    out.stats = StatsText(out.counts);
+    out.db = mgr.site().db().ToString();
+    for (const char* name :
+         {"manager.pipeline.admitted", "manager.pipeline.committed",
+          "manager.pipeline.conflicts", "manager.pipeline.retries",
+          "manager.pipeline.unspeculated"}) {
+      out.pipeline_counts += mgr.metrics().GetCounter(name)->value();
+    }
+    return out;
+  };
+
+  const Run serial = run(false);
+  const Run mixed = run(true);
+  // The stream really exercised the fault path: checks were deferred,
+  // fast-failed and re-verified, one update was violated at tier 3, and
+  // entries were still queued at the end.
+  EXPECT_GT(serial.counts.deferred, 0u) << serial.stats;
+  EXPECT_GT(serial.counts.breaker_fast_fails, 0u) << serial.stats;
+  EXPECT_GT(serial.counts.deferred_recovered, 0u) << serial.stats;
+  EXPECT_GT(serial.counts.resolved_by.count(Tier::kFullCheck), 0u);
+  EXPECT_GT(serial.counts.violations, 0u) << serial.stats;
+  EXPECT_FALSE(serial.queue.empty()) << serial.stats;
+  EXPECT_EQ(mixed.reports, serial.reports);
+  EXPECT_EQ(mixed.queue, serial.queue);
+  EXPECT_EQ(mixed.stats, serial.stats);
+  EXPECT_EQ(mixed.db, serial.db);
+  EXPECT_EQ(serial.pipeline_counts, 0u);
+  EXPECT_EQ(mixed.pipeline_counts, 0u);
 }
 
 TEST(ManagerTest, AddConstraintDrainsInFlightEpisodes) {
@@ -335,10 +481,9 @@ TEST(ManagerTest, PipelinedStressRetiresEpisodesSafely) {
   // episode after publishing would be a use-after-free — the sanitizer
   // jobs catch it. Mostly no-op deletes (every admission speculates and
   // nothing conflicts), with a sprinkling of real inserts.
-  ConstraintManager mgr({"l", "k"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{4}, RemoteCacheConfig{},
-                        BudgetConfig{}, TopologyConfig{},
-                        PipelineConfig{8});
+  ConstraintManager mgr({.local_preds = {"l", "k"},
+                         .parallel = {.threads = 4},
+                         .pipeline = {.depth = 8}});
   ASSERT_TRUE(
       mgr.AddConstraint("ord", MustParse("panic :- l(X,Y) & X > Y")).ok());
   ASSERT_TRUE(

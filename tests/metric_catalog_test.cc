@@ -91,9 +91,7 @@ TEST(MetricCatalogTest, DocNamesExactlyTheMetricsAFreshManagerRegisters) {
     SCOPED_TRACE("sites=" + std::to_string(sites));
     TopologyConfig topology;
     topology.sites = sites;
-    ConstraintManager mgr({"l"}, CostModel{}, ResilienceConfig{},
-                          ParallelConfig{}, RemoteCacheConfig{},
-                          BudgetConfig{}, topology);
+    ConstraintManager mgr({.local_preds = {"l"}, .topology = topology});
     const Catalog documented = DocumentedCatalog(sites);
     const Catalog registered = RegisteredCatalog(mgr.metrics());
     ASSERT_FALSE(registered.empty());

@@ -345,7 +345,7 @@ TEST(PlanCacheManagerTest, RepeatedRejectedUpdateHitsTheTemplate) {
   // constraint's Theorem 5.3 test must come from the cached template:
   // the resubmission binds one more delta tuple into it (and evaluates
   // it again), and the cache serves at least that template hit.
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   // ICQ-inapplicable (two remote-only variables), so the tier-2 check is
   // the RA test the template cache serves.
   ASSERT_TRUE(
@@ -383,7 +383,7 @@ TEST(PlanCacheManagerTest, RepeatedRejectedUpdateHitsTheTemplate) {
 }
 
 TEST(PlanCacheManagerTest, AddConstraintInvalidatesThePatternMemo) {
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(
       mgr.AddConstraint("join", MustParse("panic :- l(X,Y) & r(Y)")).ok());
   // Seed the rows first: deleting an absent tuple is a no-op episode and
@@ -409,7 +409,7 @@ TEST(PlanCacheManagerTest, ComparisonConstraintsServeTierOneHits) {
   // one order type share a key, so only the first of them derives the
   // decision, and plan.compiles / plan.hits bill exactly one compile per
   // new key and one hit per reuse.
-  ConstraintManager mgr({"l"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"l"}});
   ASSERT_TRUE(mgr.AddConstraint(
                      "ord", MustParse("panic :- l(X,Y) & r(Y) & Y < X"))
                   .ok());
@@ -443,7 +443,7 @@ TEST(PlanCacheManagerTest, OrderTypeMemoStillRefusesAnInvertedRange) {
   // tier 1: the insert cannot fire the constraint. An inverted range of
   // the same *shape* must not reuse that decision; the order type keeps
   // the two apart, so the second insert is still refused.
-  ConstraintManager mgr({"range"}, CostModel{});
+  ConstraintManager mgr({.local_preds = {"range"}});
   ASSERT_TRUE(mgr.AddConstraint(
                      "sane-range",
                      MustParse("panic :- range(N,Lo,Hi) & Hi < Lo"))
@@ -472,8 +472,7 @@ TEST(PlanCacheManagerTest, BudgetInvariantHoldsUnderCacheHits) {
   // changes nothing about what tier 3 admits, splits, or sheds.
   BudgetConfig budget;
   budget.per_check.max_fixpoint_rounds = 4;
-  ConstraintManager mgr({"l", "lq", "emp"}, CostModel{}, ResilienceConfig{},
-                        ParallelConfig{}, RemoteCacheConfig{}, budget);
+  ConstraintManager mgr({.local_preds = {"l", "lq", "emp"}, .budget = budget});
   ASSERT_TRUE(
       mgr.AddConstraint("join", MustParse("panic :- l(X,Y) & r(Y)")).ok());
   ASSERT_TRUE(mgr.AddConstraint(

@@ -201,7 +201,7 @@ TEST(ScriptFuzzTest, MutatedScriptsRunCleanly) {
     // reset to the default fixed 0us and the pass never sleeps. The
     // latency values themselves are covered by the parse pass above and
     // by the script test's ceiling case.
-    for (auto& [site, model] : script->options.topology.site_latency) {
+    for (auto& [site, model] : script->options.manager.topology.site_latency) {
       model = SiteLatencyOverride{};
     }
     Result<ScriptReport> report = RunScript(*script);

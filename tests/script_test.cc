@@ -120,7 +120,7 @@ TEST(ScriptRunTest, BudgetShedsAreReportedDistinctlyFromDeferrals) {
   auto script = ParseScript(kOverloadScript);
   ASSERT_TRUE(script.ok()) << script.status().ToString();
   ScriptOptions& options = script->options;
-  options.budget.per_check.max_fixpoint_rounds = 1;
+  options.manager.budget.per_check.max_fixpoint_rounds = 1;
   options.print_stats = true;
   auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -155,7 +155,7 @@ TEST(ScriptRunTest, QueueCapAloneArmsBudgetReporting) {
   // cap can drop or refuse work, so the run must disclose its counters).
   auto script = ParseScript(kOverloadScript);
   ASSERT_TRUE(script.ok());
-  script->options.budget.deferred_queue_cap = 4;
+  script->options.manager.budget.deferred_queue_cap = 4;
   auto report = RunScript(*script);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->budget_armed);
@@ -311,10 +311,10 @@ TEST(ScriptRunTest, UnsafeConstraintEndsTheRunBeforeAnyUpdate) {
 TEST(ScriptParseTest, PipelineDirective) {
   auto four = ParseScript("pipeline 4\nlocal l\n");
   ASSERT_TRUE(four.ok());
-  EXPECT_EQ(four->options.pipeline.depth, 4u);
+  EXPECT_EQ(four->options.manager.pipeline.depth, 4u);
   auto unset = ParseScript("local l\n");
   ASSERT_TRUE(unset.ok());
-  EXPECT_EQ(unset->options.pipeline.depth, 1u);
+  EXPECT_EQ(unset->options.manager.pipeline.depth, 1u);
 }
 
 TEST(ScriptParseTest, PipelineDirectiveRejectsBadValue) {
@@ -339,15 +339,15 @@ void ExpectPipelinedMatchesSerial(const char* text, size_t threads) {
   script->options.print_stats = true;
   auto serial = RunScript(*script);
   ASSERT_TRUE(serial.ok());
-  script->options.pipeline.depth = 8;
-  script->options.parallel.threads = threads;
+  script->options.manager.pipeline.depth = 8;
+  script->options.manager.parallel.threads = threads;
   auto piped = RunScript(*script);
   ASSERT_TRUE(piped.ok());
   EXPECT_EQ(serial->text, piped->text);
 }
 
 TEST(ScriptRunTest, PipelinedRunMatchesSerialByteForByte) {
-  // The whole point of the serialized commit map: the report — log and
+  // The whole point of the serialized commit turn: the report — log and
   // summary both — is byte-identical at any pipeline depth.
   ExpectPipelinedMatchesSerial(
       "local l\n"
@@ -430,13 +430,13 @@ TEST(ScriptRunTest, PipelineFlagOverridesScriptDirective) {
 TEST(ScriptFlagTest, ValidFlagsApply) {
   ScriptOptions options;
   EXPECT_TRUE(ApplyOk("--threads=8", &options));
-  EXPECT_EQ(options.parallel.threads, 8u);
+  EXPECT_EQ(options.manager.parallel.threads, 8u);
   EXPECT_TRUE(ApplyOk("--remote-cache=off", &options));
-  EXPECT_FALSE(options.remote_cache.enabled);
+  EXPECT_FALSE(options.manager.remote_cache.enabled);
   EXPECT_TRUE(ApplyOk("--remote-cache=on", &options));
-  EXPECT_TRUE(options.remote_cache.enabled);
+  EXPECT_TRUE(options.manager.remote_cache.enabled);
   EXPECT_TRUE(ApplyOk("--pipeline-depth=8", &options));
-  EXPECT_EQ(options.pipeline.depth, 8u);
+  EXPECT_EQ(options.manager.pipeline.depth, 8u);
   EXPECT_TRUE(ApplyOk("--fault-rate=0.25", &options));
   EXPECT_DOUBLE_EQ(options.faults.transient_rate, 0.25);
   EXPECT_TRUE(options.enable_faults);
@@ -449,7 +449,7 @@ TEST(ScriptFlagTest, ValidFlagsApply) {
   EXPECT_EQ(options.faults.outages[0].begin, 10u);
   EXPECT_EQ(options.faults.outages[0].end, 25u);
   EXPECT_TRUE(ApplyOk("--fault-reject", &options));
-  EXPECT_EQ(options.resilience.on_unreachable, DeferredPolicy::kReject);
+  EXPECT_EQ(options.manager.resilience.on_unreachable, DeferredPolicy::kReject);
   EXPECT_TRUE(ApplyOk("--stats", &options));
   EXPECT_TRUE(options.print_stats);
 }
@@ -482,7 +482,8 @@ TEST(ScriptFlagTest, MalformedValueLeavesOptionsUntouched) {
   bool matched = false;
   Status st = ApplyScriptFlag("--threads=abc", &options, &matched);
   EXPECT_FALSE(st.ok());
-  EXPECT_EQ(options.parallel.threads, ScriptOptions{}.parallel.threads);
+  EXPECT_EQ(options.manager.parallel.threads,
+            ScriptOptions{}.manager.parallel.threads);
 }
 
 TEST(ScriptFlagTest, UnrecognizedFlagsAreNotMatched) {
@@ -503,22 +504,22 @@ TEST(ScriptFlagTest, ColumnarFlagIsNoLongerMatched) {
 
 TEST(ScriptFlagTest, BudgetFlagsApply) {
   ScriptOptions options;
-  EXPECT_FALSE(options.budget.armed());
+  EXPECT_FALSE(options.manager.budget.armed());
   EXPECT_TRUE(ApplyOk("--deadline-ms=750", &options));
-  EXPECT_EQ(options.budget.per_episode.deadline_ms, 750u);
+  EXPECT_EQ(options.manager.budget.per_episode.deadline_ms, 750u);
   EXPECT_TRUE(ApplyOk("--max-fixpoint-rounds=6", &options));
-  EXPECT_EQ(options.budget.per_check.max_fixpoint_rounds, 6u);
+  EXPECT_EQ(options.manager.budget.per_check.max_fixpoint_rounds, 6u);
   EXPECT_TRUE(ApplyOk("--max-derived-tuples=10000", &options));
-  EXPECT_EQ(options.budget.per_check.max_derived_tuples, 10000u);
+  EXPECT_EQ(options.manager.budget.per_check.max_derived_tuples, 10000u);
   EXPECT_TRUE(ApplyOk("--deferred-queue-cap=32", &options));
-  EXPECT_EQ(options.budget.deferred_queue_cap, 32u);
+  EXPECT_EQ(options.manager.budget.deferred_queue_cap, 32u);
   EXPECT_TRUE(ApplyOk("--overflow-policy=shed-oldest", &options));
-  EXPECT_EQ(options.budget.overflow, OverflowPolicy::kShedOldest);
+  EXPECT_EQ(options.manager.budget.overflow, OverflowPolicy::kShedOldest);
   EXPECT_TRUE(ApplyOk("--overflow-policy=block-recheck", &options));
-  EXPECT_EQ(options.budget.overflow, OverflowPolicy::kBlockRecheck);
+  EXPECT_EQ(options.manager.budget.overflow, OverflowPolicy::kBlockRecheck);
   EXPECT_TRUE(ApplyOk("--overflow-policy=reject-update", &options));
-  EXPECT_EQ(options.budget.overflow, OverflowPolicy::kRejectUpdate);
-  EXPECT_TRUE(options.budget.armed());
+  EXPECT_EQ(options.manager.budget.overflow, OverflowPolicy::kRejectUpdate);
+  EXPECT_TRUE(options.manager.budget.armed());
 }
 
 TEST(ScriptFlagTest, MalformedBudgetValuesAreHardErrors) {
@@ -535,7 +536,7 @@ TEST(ScriptFlagTest, MalformedBudgetValuesAreHardErrors) {
   bool matched = false;
   Status st = ApplyScriptFlag("--deadline-ms=abc", &options, &matched);
   EXPECT_FALSE(st.ok());
-  EXPECT_FALSE(options.budget.armed());
+  EXPECT_FALSE(options.manager.budget.armed());
 }
 
 TEST(ScriptFlagTest, ValidateRejectsRateSumAboveOne) {
@@ -564,7 +565,7 @@ TEST(ScriptParseTest, LatencyAndDomainDirectives) {
       "domain_outage rack0 4 10\n"
       "hedge_after 3\n");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  const TopologyConfig& t = script->options.topology;
+  const TopologyConfig& t = script->options.manager.topology;
   ASSERT_EQ(t.site_latency.size(), 3u);
   EXPECT_EQ(t.site_latency.at(0).model, LatencyModel::kFixed);
   EXPECT_EQ(t.site_latency.at(0).fixed_us, 250u);
@@ -584,7 +585,7 @@ TEST(ScriptParseTest, LatencyAndDomainDirectives) {
   ASSERT_EQ(outages.at("rack0").size(), 1u);
   EXPECT_EQ(outages.at("rack0")[0].begin, 4u);
   EXPECT_EQ(outages.at("rack0")[0].end, 10u);
-  EXPECT_EQ(script->options.remote_cache.hedge_after, 3u);
+  EXPECT_EQ(script->options.manager.remote_cache.hedge_after, 3u);
 }
 
 /// Expects ParseScript to fail with a message containing `needle`.
@@ -621,17 +622,20 @@ TEST(ScriptParseTest, LatencyAndDomainDirectivesRejectBadValues) {
 TEST(ScriptFlagTest, LatencyAndDomainFlagsApply) {
   ScriptOptions options;
   EXPECT_TRUE(ApplyOk("--site-latency=1:twopoint:100:5000:0.1", &options));
-  ASSERT_EQ(options.topology.site_latency.count(1), 1u);
-  EXPECT_EQ(options.topology.site_latency.at(1).model, LatencyModel::kTwoPoint);
-  EXPECT_EQ(options.topology.site_latency.at(1).lo_us, 100u);
-  EXPECT_EQ(options.topology.site_latency.at(1).hi_us, 5000u);
+  ASSERT_EQ(options.manager.topology.site_latency.count(1), 1u);
+  const SiteLatencyOverride& latency =
+      options.manager.topology.site_latency.at(1);
+  EXPECT_EQ(latency.model, LatencyModel::kTwoPoint);
+  EXPECT_EQ(latency.lo_us, 100u);
+  EXPECT_EQ(latency.hi_us, 5000u);
   EXPECT_TRUE(ApplyOk("--hedge-after=3", &options));
-  EXPECT_EQ(options.remote_cache.hedge_after, 3u);
+  EXPECT_EQ(options.manager.remote_cache.hedge_after, 3u);
   EXPECT_TRUE(ApplyOk("--domains=rack0:0+1,rack1:2", &options));
-  ASSERT_EQ(options.topology.domains.size(), 2u);
-  EXPECT_EQ(options.topology.domains[0].name, "rack0");
-  EXPECT_EQ(options.topology.domains[0].members, (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(options.topology.domains[1].members, (std::vector<size_t>{2}));
+  const std::vector<FailureDomain>& domains = options.manager.topology.domains;
+  ASSERT_EQ(domains.size(), 2u);
+  EXPECT_EQ(domains[0].name, "rack0");
+  EXPECT_EQ(domains[0].members, (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(domains[1].members, (std::vector<size_t>{2}));
   EXPECT_TRUE(ApplyOk("--domain-outage=rack0:4:10", &options));
   ASSERT_EQ(options.domain_outages.count("rack0"), 1u);
   ASSERT_EQ(options.domain_outages.at("rack0").size(), 1u);
@@ -723,7 +727,7 @@ TEST(ScriptRunTest, HedgeFlagOverridesScriptDirective) {
       "insert l(10, 20)\n";
   auto script = ParseScript(text);
   ASSERT_TRUE(script.ok()) << script.status().ToString();
-  EXPECT_EQ(script->options.remote_cache.hedge_after, 7u);
+  EXPECT_EQ(script->options.manager.remote_cache.hedge_after, 7u);
   script->options.print_stats = true;
   ASSERT_TRUE(ApplyOk("--hedge-after=0", &script->options));
   auto report = RunScript(*script);
@@ -786,23 +790,23 @@ std::map<std::string, OverrideCase> OverrideCases() {
   std::map<std::string, OverrideCase> cases;
   cases["pipeline"] = {
       "", "pipeline 4", "2", [](const ScriptOptions& o) {
-        return std::to_string(o.pipeline.depth);
+        return std::to_string(o.manager.pipeline.depth);
       }};
   cases["sites"] = {
       "", "sites 3", "2", [](const ScriptOptions& o) {
-        return std::to_string(o.topology.sites);
+        return std::to_string(o.manager.topology.sites);
       }};
   cases["site_latency"] = {
       "sites 2\n", "site_latency 1 fixed:250", "1:uniform:10:50",
       [](const ScriptOptions& o) {
-        const SiteLatencyOverride& m = o.topology.site_latency.at(1);
+        const SiteLatencyOverride& m = o.manager.topology.site_latency.at(1);
         return std::to_string(static_cast<int>(m.model)) + ":" +
                std::to_string(m.fixed_us) + ":" + std::to_string(m.lo_us) +
                ":" + std::to_string(m.hi_us);
       }};
   cases["hedge_after"] = {
       "", "hedge_after 7", "0", [](const ScriptOptions& o) {
-        return std::to_string(o.remote_cache.hedge_after);
+        return std::to_string(o.manager.remote_cache.hedge_after);
       }};
   // domain_outage appends, so the flag's window is the last one.
   cases["domain_outage"] = {
@@ -850,8 +854,9 @@ TEST(ScriptOptionTableTest, DirectiveAndFlagAreOneParse) {
   ScriptOptions flagged;
   ASSERT_TRUE(ApplyOk("--sites=2", &flagged));
   ASSERT_TRUE(ApplyOk("--site-latency=1:fixed:250", &flagged));
-  const SiteLatencyOverride& a = script->options.topology.site_latency.at(1);
-  const SiteLatencyOverride& b = flagged.topology.site_latency.at(1);
+  const SiteLatencyOverride& a =
+      script->options.manager.topology.site_latency.at(1);
+  const SiteLatencyOverride& b = flagged.manager.topology.site_latency.at(1);
   EXPECT_EQ(a.model, b.model);
   EXPECT_EQ(a.fixed_us, b.fixed_us);
 }
@@ -943,7 +948,7 @@ TEST(ScriptRunTest, ProgrammaticSiteCountIsHonored) {
       "insert l(10, 20)\n");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
   script->options.print_stats = true;
-  script->options.topology.sites = 3;
+  script->options.manager.topology.sites = 3;
   auto report = RunScript(*script);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->summary_text.find("site2: breaker"), std::string::npos)

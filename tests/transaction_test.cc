@@ -14,7 +14,7 @@ Program MustParse(const char* text) {
 
 class TransactionTest : public ::testing::Test {
  protected:
-  TransactionTest() : mgr_({"l"}, CostModel{}) {
+  TransactionTest() : mgr_({.local_preds = {"l"}}) {
     EXPECT_TRUE(
         mgr_.AddConstraint("ord", MustParse("panic :- l(X,Y) & X > Y")).ok());
     EXPECT_TRUE(mgr_.AddConstraint(
