@@ -1,7 +1,6 @@
 #include "manager/constraint_manager.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
@@ -114,18 +113,8 @@ struct BufferingObserver : AccessObserver {
 /// asks each entry whether an earlier commit billed it already (a hit) or
 /// not (a compile), so the counts follow the serial order whatever stored
 /// the entry: a speculation that a conflict discards counts nothing, and
-/// its inline re-run counts what a serial run would. Locked: the phase-1
-/// fan-out's lanes share one tally.
+/// its inline re-run counts what a serial run would.
 struct PlanTally {
-  void ConsultedTier1(const std::string& key) {
-    std::lock_guard<std::mutex> lock(mu);
-    tier1.push_back(key);
-  }
-  void ConsultedTemplate(const std::string& key) {
-    std::lock_guard<std::mutex> lock(mu);
-    templates.push_back(key);
-  }
-
   /// Called once, in the episode's commit turn.
   void Bill(PlanCache& cache, obs::Counter* compiles, obs::Counter* hits,
             obs::Counter* delta) const {
@@ -139,10 +128,9 @@ struct PlanTally {
     delta->Add(delta_tuples);
   }
 
-  std::mutex mu;
   std::vector<std::string> tier1;
   std::vector<std::string> templates;
-  std::atomic<uint64_t> delta_tuples{0};
+  uint64_t delta_tuples = 0;
 };
 
 }  // namespace
@@ -532,9 +520,7 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
   // Tier 1 prefilter: the constraint cannot see the updated relation.
   if (!Mentions(r.compiled.program, u.pred)) return report;
 
-  // The plan-cache key for this (constraint, update pattern). Keys embed
-  // the constraint id, so under the phase-1 fan-out each lane touches a
-  // disjoint key family and cache contents stay thread-count independent.
+  // The plan-cache key for this (constraint, update pattern).
   const std::string pattern_key = r.name + '\x1f' + sig.Key();
   CCPI_ASSIGN_OR_RETURN(bool independent, Tier1Holds(r, u, pattern_key, ctx));
   if (independent) {
@@ -594,7 +580,7 @@ Result<bool> ConstraintManager::Tier1Holds(const Registered& r,
     plans_.StoreTier1(key, *memo);
     compile_sw.RecordTo(hist_plan_compile_);
   }
-  ctx.plans->ConsultedTier1(key);
+  ctx.plans->tier1.push_back(key);
   return memo->holds;
 }
 
@@ -661,7 +647,7 @@ Result<Outcome> ConstraintManager::Tier2Decide(const Tier2Artifacts& t2,
       }
     }
     if (tpl != nullptr) {
-      ctx.plans->ConsultedTemplate(key);
+      ctx.plans->templates.push_back(key);
       Result<Outcome> o = EvalPlannedRa(*tpl, u, ctx);
       if (o.ok()) return *o;
     }
@@ -935,16 +921,14 @@ Status ConstraintManager::SettleLocally(Episode& e) {
     }
   } else {
     const CheckContext ctx{&site_.db(), &site_, &deferred_, &live_plans};
-    CCPI_ASSIGN_OR_RETURN(e.phase1, RunPhase1(e.update, ctx, pool_.get()));
+    CCPI_ASSIGN_OR_RETURN(e.phase1, RunPhase1(e.update, ctx));
   }
   (e.spec != nullptr ? e.spec->plans : live_plans)
       .Bill(plans_, ctr_plan_compiles_, ctr_plan_hits_, ctr_plan_delta_);
-  // Counters in constraint order; a check error surfaces at its
-  // constraint's position.
-  for (size_t i = 0; i < constraints_.size(); ++i) {
-    CCPI_RETURN_IF_ERROR(e.phase1.check_status[i]);
-    Tier tier = e.phase1.reports[i].tier;
-    if (tier != Tier::kFullCheck) ctr_resolved_[TierIndex(tier)]->Add(1);
+  for (const CheckReport& report : e.phase1.reports) {
+    if (report.tier != Tier::kFullCheck) {
+      ctr_resolved_[TierIndex(report.tier)]->Add(1);
+    }
   }
   e.worklist = e.phase1.Worklist();
   e.violated = e.phase1.Violated();
@@ -1004,7 +988,7 @@ Status ConstraintManager::RunTier3(Episode& e) {
   // global order, and an open/half-open breaker admits episodes by
   // arrival — either would make interleaved evaluations
   // seed-irreproducible. With neither in play, each evaluation is a pure
-  // function of (program, frozen database) and verdicts merge in
+  // function of (program, post-update database) and verdicts merge in
   // constraint order below. An episode-wide remote-trip cap is
   // arrival-order dependent for the same reason the injector is (the
   // shared counter bills trips in global order), so it too forces the
@@ -1437,7 +1421,7 @@ void ConstraintManager::SpeculateEpisode(Admission* a) {
 }
 
 Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
-    const Update& u, const CheckContext& ctx, ThreadPool* pool) {
+    const Update& u, const CheckContext& ctx) {
   Phase1 out;
   out.noop = EffectPresent(u, *ctx.db);
   // The episode's update signature — the per-pattern plan-cache key
@@ -1445,50 +1429,17 @@ Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
   // checks nothing and needs none.
   std::optional<UpdateSignature> sig;
   if (!out.noop) sig = MakeUpdateSignature(u, plan_constants_);
-
-  // Each lane reads one Registered (immutable since AddConstraint) and the
-  // frozen database, and writes its own report slot; all shared
-  // sinks on this path (AccessStats, metrics counters, Relation index
-  // builds) are atomic or internally locked, and their final values are
-  // order-independent sums — so the fan-out is report- and
-  // stats-equivalent to the sequential loop.
-  const size_t n = constraints_.size();
-  out.reports.resize(n);
-  out.check_status.resize(n);
-  auto check = [&](size_t i) -> Status {
-    const Registered& r = constraints_[i];
+  out.reports.reserve(constraints_.size());
+  for (const Registered& r : constraints_) {
     if (r.subsumed) {
-      out.reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kSubsumed};
-      return Status::OK();
+      out.reports.push_back({r.name, Outcome::kHolds, Tier::kSubsumed});
+    } else if (out.noop) {
+      out.reports.push_back({r.name, Outcome::kHolds, Tier::kUnaffected});
+    } else {
+      CCPI_ASSIGN_OR_RETURN(CheckReport report, CheckOne(r, u, *sig, ctx));
+      out.reports.push_back(std::move(report));
     }
-    if (out.noop) {
-      out.reports[i] = CheckReport{r.name, Outcome::kHolds, Tier::kUnaffected};
-      return Status::OK();
-    }
-    Result<CheckReport> report = CheckOne(r, u, *sig, ctx);
-    if (!report.ok()) {
-      // Surfaced at this constraint's position in the commit phase, so
-      // error reporting matches the sequential order.
-      out.check_status[i] = report.status();
-      out.reports[i].tier = Tier::kFullCheck;  // never read; keep defined
-      return Status::OK();
-    }
-    out.reports[i] = std::move(*report);
-    return Status::OK();
-  };
-  if (pool == nullptr) {
-    for (size_t i = 0; i < n; ++i) (void)check(i);
-    return out;
   }
-  if (pool->thread_count() > 1 && !out.noop && n > 1) {
-    // Build every column index up front so checker threads mostly take the
-    // shared (reader) path through Relation::Probe. Writes keep frozen
-    // relations' indexes current, so after the first episode this builds
-    // nothing (freezing is stats-invisible: it charges no accesses and
-    // draws no faults).
-    ctx.db->FreezeIndexes();
-  }
-  CCPI_RETURN_IF_ERROR(pool->ParallelFor(n, check));
   return out;
 }
 
@@ -1497,9 +1448,10 @@ void ConstraintManager::SpeculatePhase1(Admission* a) {
   BufferingObserver buffer;
   const CheckContext ctx{&a->snapshot, &buffer, &a->deferred_snapshot,
                          &a->plans};
-  // Phase 1 against the snapshot, sequentially on this worker: the
-  // parallelism of the pipeline is across episodes, not within one.
-  Result<Phase1> phase1 = RunPhase1(u, ctx, nullptr);
+  // Phase 1 against the snapshot, on this worker: the parallelism of the
+  // pipeline is across episodes. A check error leaves the episode to run
+  // cold in its commit turn, which surfaces the error.
+  Result<Phase1> phase1 = RunPhase1(u, ctx);
   if (!phase1.ok()) {
     a->speculated = false;
     return;
@@ -1522,12 +1474,7 @@ void ConstraintManager::SpeculatePhase1(Admission* a) {
   // do not pipeline at all). The commit-time tentative apply re-stamps
   // the updated relation's version, so a batch carrying it could never
   // match the commit-time batch: its whole site is left unstaged.
-  const std::vector<Status>& status = a->phase1.check_status;
-  if (a->phase1.noop || a->phase1.Violated() ||
-      !std::all_of(status.begin(), status.end(),
-                   [](const Status& st) { return st.ok(); })) {
-    return;
-  }
+  if (a->phase1.noop || a->phase1.Violated()) return;
   std::set<std::string> preds = PrefetchPreds(a->phase1.Worklist());
   if (preds.count(u.pred) > 0) {
     const size_t updated_site = site_.SiteOf(u.pred);

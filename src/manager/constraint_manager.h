@@ -61,18 +61,18 @@ struct ResilienceConfig {
   bool auto_recheck = true;
 };
 
-/// Degree of parallelism of ApplyUpdate's per-constraint check fan-out.
-///
-/// The tiered cascade makes each constraint's check for a given update a
-/// pure function of (constraint, update, frozen database), so the manager
-/// can evaluate them on a thread pool and merge verdicts afterwards. The
-/// fan-out is report-equivalent to the sequential order at any thread
-/// count: tier 1/2 checks touch only infallible local reads, and tier 3
-/// runs in parallel only when no fault injector is attached and the
-/// circuit breaker is plainly closed — the two cases where remote
-/// verdicts depend on global arrival order (see docs/concurrency.md).
+/// Size of the manager's thread pool, which serves three uses: the tier-3
+/// fan-out inside one episode, the per-site batched prefetch, and
+/// pipeline speculation. Phase 1 (tiers 0-2) runs inline on the
+/// committing (or speculating) thread. Each tier-3 check is a pure
+/// function of (constraint, post-update database), so the fan-out merges
+/// verdicts in constraint order and is report-equivalent to the
+/// sequential order at any thread count; it runs in parallel only when no
+/// fault injector is attached and every breaker is plainly closed — the
+/// cases where remote verdicts depend on global arrival order (see
+/// docs/concurrency.md).
 struct ParallelConfig {
-  /// Total checker lanes, counting the thread that called ApplyUpdate.
+  /// Total pool threads, counting the thread that called ApplyUpdate.
   /// 0 and 1 both mean sequential (no worker threads are spawned).
   size_t threads = 1;
 };
@@ -524,9 +524,6 @@ class ConstraintManager {
     /// The update leaves the database unchanged (nothing is checked).
     bool noop = false;
     std::vector<CheckReport> reports;
-    /// Per-constraint check errors, surfaced at the constraint's position
-    /// in the commit turn.
-    std::vector<Status> check_status;
 
     /// The tier-3 worklist: the constraints left at kFullCheck, in
     /// constraint order.
@@ -538,11 +535,9 @@ class ConstraintManager {
   struct Tier3Attempt;
 
   /// Phase 1 (read-only) through `ctx`: the noop probe, the update's
-  /// plan signature, and CheckOne per constraint. `pool` fans the checks
-  /// out over the frozen database (commit turn); null runs them inline
-  /// (speculation, which already runs on a pool worker).
-  Result<Phase1> RunPhase1(const Update& u, const CheckContext& ctx,
-                           ThreadPool* pool);
+  /// plan signature, and CheckOne per constraint in constraint order, on
+  /// the calling thread. The first check error ends it.
+  Result<Phase1> RunPhase1(const Update& u, const CheckContext& ctx);
 
   /// CheckOne wraps CheckOneImpl with a span and the per-tier latency
   /// histogram. `sig` is the episode's update signature, the per-pattern
@@ -582,7 +577,8 @@ class ConstraintManager {
   Status EpisodePrelude(Episode& e);
   /// Phase 1: replays a speculation that survived validation, or runs
   /// phase 1 live; bills its plan work, counts what it settled and
-  /// derives the tier-3 worklist.
+  /// derives the tier-3 worklist. A check error returns before the plan
+  /// work is billed or any constraint is counted.
   Status SettleLocally(Episode& e);
   /// The tentative apply, the episode's budget slices, and the batched
   /// remote prefetch of the worklist.

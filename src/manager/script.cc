@@ -165,9 +165,10 @@ const ScriptOption kOptions[] = {
        return true;
      }},
     {"threads", "", "N", "a non-negative integer (at most 256)", "",
-     "checker threads for the per-constraint\n"
-     "fan-out (default 1 = sequential; reports\n"
-     "are identical at any thread count)",
+     "pool threads for the tier-3 fan-out,\n"
+     "per-site prefetch and pipeline speculation\n"
+     "(default 1 = sequential; reports are\n"
+     "identical at any thread count)",
      [](std::string_view v, ScriptOptions* o) {
        return SetUint(v, 0, 256, &o->manager.parallel.threads);
      }},

@@ -39,8 +39,9 @@ struct SiteFaultOverride {
 struct ScriptOptions {
   /// The manager's configuration: access pricing, the remote topology
   /// (site count, placement, per-site latency models and failure
-  /// domains), resilience, the check fan-out (--threads; reports are
-  /// identical at any thread count), the remote-read cache
+  /// domains), resilience, the thread pool (--threads: the tier-3
+  /// fan-out, prefetch and speculation; reports are identical at any
+  /// thread count), the remote-read cache
   /// (--remote-cache, --hedge-after), the episode pipeline
   /// (--pipeline-depth; the per-update log is byte-identical at any
   /// depth), and execution budgets (--deadline-ms and friends; off by

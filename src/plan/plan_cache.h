@@ -23,11 +23,9 @@ namespace ccpi {
 ///
 /// Lookups take the shared lock, stores the exclusive lock; compilation
 /// always happens outside any lock. Store is first-insert-wins: when two
-/// lanes compile the same key concurrently, the loser adopts the winner's
-/// entry, so every reader of a key sees one plan. (Under the manager's
-/// phase-1 fan-out keys embed the constraint id and each lane owns one
-/// constraint, so the race is theoretical there — but the cache does not
-/// rely on that.)
+/// threads (pipelined speculations, or one and the commit turn) compile
+/// the same key concurrently, the loser adopts the winner's entry, so
+/// every reader of a key sees one plan.
 ///
 /// Every entry carries a *billed* mark for the plan.* counters. Who stored
 /// an entry first depends on scheduling (a pipelined speculation may store

@@ -15,12 +15,11 @@
 
 namespace ccpi {
 
-/// Fixed-size worker pool for the per-constraint check fan-out.
-///
-/// The pool exists because the paper's tiered cascade makes each
-/// constraint's check for a given update independent of every other
-/// constraint's: ApplyUpdate can evaluate them concurrently over the
-/// frozen database and only the verdict aggregation needs serializing.
+/// Fixed-size worker pool of the constraint manager: the tier-3 fan-out
+/// (each undecided constraint's full evaluation over the post-update
+/// database is independent of every other's, so only the verdict
+/// aggregation needs serializing), the per-site batched prefetch, and
+/// pipeline speculation.
 ///
 /// Design points:
 ///   - ParallelFor is the blocking work-distribution primitive: it runs

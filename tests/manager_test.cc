@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "datalog/parser.h"
@@ -506,6 +507,95 @@ TEST(ManagerTest, PipelinedStressRetiresEpisodesSafely) {
             static_cast<size_t>(inserts));
   EXPECT_GT(
       mgr.metrics().GetCounter("manager.pipeline.committed")->value(), 0u);
+}
+
+TEST(ManagerTest, PhaseOneErrorLeavesNoTrace) {
+  // `insert l(1)` does not match l's arity, so tier 1 answers a hard error
+  // at constraint `a`, after `u` (which cannot see l) already settled as
+  // unaffected. The episode returns the error and leaves nothing behind:
+  // no write, no queue entry, no stats and no plan counts, not even the
+  // unaffected `u`. The following updates get the reports of a run that
+  // never saw the bad one — also when it is in flight together with them.
+  const Update bad = Update::Insert("l", {V(1)});
+  const std::vector<Update> after = {Update::Insert("l", {V(2), V(3)}),
+                                     Update::Insert("m", {V(7)})};
+  struct State {
+    std::string db, queue, stats, plan;
+  };
+  for (size_t depth : {1, 8}) {
+    for (size_t threads : {1, 4}) {
+      SCOPED_TRACE("depth " + std::to_string(depth) + " threads " +
+                   std::to_string(threads));
+      auto make = [&]() {
+        auto mgr = std::make_unique<ConstraintManager>(
+            ManagerConfig{.local_preds = {"l"},
+                          .parallel = {.threads = threads},
+                          .pipeline = {.depth = depth}});
+        EXPECT_TRUE(
+            mgr->AddConstraint("u", MustParse("panic :- m(X) & X > 5")).ok());
+        EXPECT_TRUE(
+            mgr->AddConstraint("a", MustParse("panic :- l(X,Y) & r(Y)")).ok());
+        EXPECT_TRUE(mgr->site().db().Insert("r", {V(9)}).ok());
+        return mgr;
+      };
+      auto state = [](ConstraintManager& mgr) {
+        State s{mgr.site().db().ToString(), "", StatsText(mgr.stats()), ""};
+        for (const DeferredCheck& d : mgr.deferred_queue()) {
+          s.queue += d.update.ToString() + " " + d.constraint + "; ";
+        }
+        for (const char* name :
+             {"plan.compiles", "plan.hits", "plan.delta_tuples"}) {
+          s.plan += std::to_string(
+                        mgr.metrics().GetCounter(name)->value()) + " ";
+        }
+        return s;
+      };
+      auto apply = [](ConstraintManager& mgr, std::vector<Update> updates) {
+        for (const Update& u : updates) mgr.ApplyUpdateAsync(u);
+        return mgr.Drain();
+      };
+      auto text = [](const Result<std::vector<CheckReport>>& reports) {
+        if (!reports.ok()) return reports.status().ToString();
+        std::string line;
+        for (const CheckReport& r : *reports) line += ReportText(r) + "; ";
+        return line;
+      };
+
+      std::unique_ptr<ConstraintManager> ref = make();
+      ASSERT_TRUE(apply(*ref, {Update::Insert("l", {V(1), V(2)})})[0].ok());
+      std::vector<std::string> expected;
+      for (const auto& reports : apply(*ref, after)) {
+        expected.push_back(text(reports));
+      }
+
+      std::unique_ptr<ConstraintManager> mgr = make();
+      ASSERT_TRUE(apply(*mgr, {Update::Insert("l", {V(1), V(2)})})[0].ok());
+      const State before = state(*mgr);
+      auto failed = apply(*mgr, {bad});
+      ASSERT_EQ(failed.size(), 1u);
+      ASSERT_FALSE(failed[0].ok());
+      EXPECT_EQ(failed[0].status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(failed[0].status().message().find(
+                    "update arity mismatch on l"),
+                std::string::npos)
+          << failed[0].status().ToString();
+      const State now = state(*mgr);
+      EXPECT_EQ(now.db, before.db);
+      EXPECT_EQ(now.queue, before.queue);
+      EXPECT_EQ(now.stats, before.stats);
+      EXPECT_EQ(now.plan, before.plan);
+
+      std::vector<Update> stream = {bad};
+      stream.insert(stream.end(), after.begin(), after.end());
+      auto results = apply(*mgr, stream);
+      ASSERT_EQ(results.size(), 3u);
+      EXPECT_FALSE(results[0].ok());
+      EXPECT_EQ(text(results[1]), expected[0]);
+      EXPECT_EQ(text(results[2]), expected[1]);
+      EXPECT_EQ(mgr->site().db().ToString(), ref->site().db().ToString());
+      EXPECT_EQ(StatsText(mgr->stats()), StatsText(ref->stats()));
+    }
+  }
 }
 
 // --- Active rules (application 2) ------------------------------------------

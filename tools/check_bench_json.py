@@ -422,6 +422,52 @@ def check_episode_pipeline(path, doc, problems):
                  f"speedup_vs_depth1 is {speedup}, want >= {floor}", problems)
 
 
+# parallel_scaling (PAR-1): verdict invariance. The thread count may move
+# the timings but not what was checked, so every cold (`scaling`) and warm
+# (`scaling_warm`) row must apply as many updates and admit as many tier-3
+# checks as its sweep's sequential t1 row, which must admit some. Counts,
+# not timings, so the check is exact in quick mode too. There is no speedup
+# floor: contention on a shared host moves it.
+PARALLEL_SCALING_SWEEPS = ("scaling", "scaling_warm")
+PARALLEL_SCALING_CONSTRAINTS = (8, 64)
+PARALLEL_SCALING_COUNTS = ("applied_updates", "tier3_checks")
+
+
+def check_parallel_scaling(path, doc, problems):
+    env = doc.get("env")
+    quick = isinstance(env, dict) and env.get("quick") is True
+    threads = (1, 4) if quick else (1, 2, 4, 8)
+    rows = {p["name"]: p.get("metrics") for p in doc.get("points", [])
+            if isinstance(p, dict) and p.get("kind") == "sweep"
+            and isinstance(p.get("name"), str)}
+    for sweep in PARALLEL_SCALING_SWEEPS:
+        for constraints in PARALLEL_SCALING_CONSTRAINTS:
+            base = rows.get(f"{sweep}/c{constraints}/t1")
+            if isinstance(base, dict) and base.get("tier3_checks") == 0:
+                fail(path, f"parallel_scaling: {sweep}/c{constraints}/t1 "
+                     f"admitted no tier-3 check", problems)
+            for t in threads:
+                name = f"{sweep}/c{constraints}/t{t}"
+                if name not in rows:
+                    fail(path, f"parallel_scaling: missing sweep row "
+                         f"{name!r}", problems)
+                    continue
+                metrics = rows[name]
+                if not isinstance(metrics, dict):
+                    continue  # already reported by check_point
+                for key in ("speedup_vs_t1",) + PARALLEL_SCALING_COUNTS:
+                    if key not in metrics:
+                        fail(path, f"parallel_scaling: sweep {name!r} "
+                             f"missing metric {key!r}", problems)
+                if not isinstance(base, dict):
+                    continue
+                for key in PARALLEL_SCALING_COUNTS:
+                    if key in metrics and metrics[key] != base.get(key):
+                        fail(path, f"parallel_scaling: sweep {name!r} "
+                             f"{key} is {metrics[key]!r}, but the t1 row "
+                             f"has {base.get(key)!r}", problems)
+
+
 # fig61_intervals: the keyed direct Fig 6.1 test reads only the inserted
 # tuple's key group, so every |L| row must read exactly its 50-row group.
 # A count, not a timing, so the check is exact in quick mode too.
@@ -517,6 +563,8 @@ def check_file(path, problems):
         check_plan_cache(path, doc, problems)
     if doc.get("name") == "episode_pipeline":
         check_episode_pipeline(path, doc, problems)
+    if doc.get("name") == "parallel_scaling":
+        check_parallel_scaling(path, doc, problems)
     if doc.get("name") == "fig61_intervals":
         check_fig61_intervals(path, doc, problems)
     if doc.get("name") == "relation_writes":
