@@ -13,8 +13,11 @@
 // tail latency, and two exact counts that must not depend on the thread
 // count: the updates that changed the database and the tier-3 checks
 // admitted (tools/check_bench_json.py holds every row to its t1 row).
-// Speedup is bounded by the machine's core count — on a single-core
-// runner every configuration degenerates to ~1x.
+// Every sweep point, the t1 base included, is timed as the fastest of
+// kRunsPerPoint fresh runs, so one descheduled run on a loaded host does
+// not move a speedup by tens of percent. Speedup is bounded by the
+// machine's core count — on a single-core runner every configuration
+// degenerates to ~1x.
 
 #include <benchmark/benchmark.h>
 
@@ -154,6 +157,24 @@ ScalePoint RunScale(size_t constraints, size_t threads,
   return point;
 }
 
+/// Runs per sweep point; the point keeps the fastest (see the top comment).
+constexpr int kRunsPerPoint = 3;
+
+/// The fastest of kRunsPerPoint runs of one sweep point; every run must
+/// apply the same updates and admit the same tier-3 checks.
+ScalePoint FastestRun(size_t constraints, size_t threads,
+                      const std::vector<Update>& warmup,
+                      const std::vector<Update>& timed) {
+  ScalePoint best = RunScale(constraints, threads, warmup, timed);
+  for (int run = 1; run < kRunsPerPoint; ++run) {
+    ScalePoint p = RunScale(constraints, threads, warmup, timed);
+    CCPI_CHECK(p.applied == best.applied &&
+               p.tier3_checks == best.tier3_checks);
+    if (p.total_ms < best.total_ms) best = p;
+  }
+  return best;
+}
+
 void RunSweep(ccpi::bench::Harness* harness, bool quick) {
   std::vector<size_t> constraint_counts = {8, 64};
   std::vector<size_t> thread_counts = quick
@@ -180,7 +201,7 @@ void RunSweep(ccpi::bench::Harness* harness, bool quick) {
     for (size_t c : constraint_counts) {
       double base_ms = 0;
       for (size_t t : thread_counts) {
-        ScalePoint p = RunScale(c, t, regime.warmup, regime.timed);
+        ScalePoint p = FastestRun(c, t, regime.warmup, regime.timed);
         if (t == 1) base_ms = p.total_ms;
         double speedup = p.total_ms > 0 ? base_ms / p.total_ms : 0;
         std::printf(

@@ -23,26 +23,9 @@ void RemoteReadCache::NoteFailure(const std::string& pred) {
   entries_[pred].usable = false;
 }
 
-void RemoteReadCache::Clear() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  entries_.clear();
-}
-
 size_t RemoteReadCache::size() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return entries_.size();
-}
-
-const char* RemoteCacheLookupToString(RemoteReadCache::Lookup lookup) {
-  switch (lookup) {
-    case RemoteReadCache::Lookup::kHit:
-      return "hit";
-    case RemoteReadCache::Lookup::kMissCold:
-      return "miss-cold";
-    case RemoteReadCache::Lookup::kMissStale:
-      return "miss-stale";
-  }
-  return "?";
 }
 
 }  // namespace ccpi

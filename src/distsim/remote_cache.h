@@ -26,8 +26,7 @@ namespace ccpi {
 ///
 /// A failed fill calls NoteFailure, which leaves the entry present but
 /// unusable; subsequent lookups miss (kMissStale) until a later fill
-/// succeeds, so checks degrade to the deferred path exactly as with no
-/// cache.
+/// succeeds, so a read after a fault always pays a physical trip.
 ///
 /// Thread safety: all methods are safe to call concurrently (shared lock
 /// for lookups, exclusive for fills). During the manager's parallel tier-3
@@ -39,12 +38,6 @@ class RemoteReadCache {
     kHit,        // entry usable and version matches: serve locally
     kMissCold,   // never fetched: physical trip required
     kMissStale,  // fetched before, but mutated since (or last fill failed)
-  };
-
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;          // cold + stale
-    uint64_t invalidations = 0;   // stale misses: a version moved on us
   };
 
   /// Classifies a read of `pred` whose relation currently has `version`.
@@ -59,9 +52,6 @@ class RemoteReadCache {
   /// until the next successful fill.
   void NoteFailure(const std::string& pred);
 
-  /// Drops every entry (test hook).
-  void Clear();
-
   size_t size() const;
 
  private:
@@ -73,8 +63,6 @@ class RemoteReadCache {
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, Entry> entries_;
 };
-
-const char* RemoteCacheLookupToString(RemoteReadCache::Lookup lookup);
 
 }  // namespace ccpi
 

@@ -86,13 +86,6 @@ void SiteDatabase::ResetStats() {
   }
 }
 
-void SiteDatabase::EnableRemoteCache(bool on) {
-  cache_enabled_ = on;
-  if (!on) {
-    for (auto& st : site_states_) st->cache.Clear();
-  }
-}
-
 Status SiteDatabase::OnRead(const std::string& pred, size_t count) {
   if (IsLocal(pred)) {
     ActiveReadGuard guard(&active_reads_);
@@ -108,23 +101,21 @@ Status SiteDatabase::ReadRemote(const std::string& pred, size_t count) {
   SiteState& st = *site_states_[site];
   if (st.budget != nullptr) {
     // Deadline/cancellation gate before any trip accounting or injector
-    // draw, so budgeted cache-on and cache-off runs refuse at the same
-    // point. The trip cap itself is charged in FetchRemote, where the
-    // physical trip would be paid.
+    // draw, so a hit and a miss refuse at the same point. The trip cap
+    // itself is charged in FetchRemote, where the physical trip is paid.
     CCPI_RETURN_IF_ERROR(st.budget->Check());
   }
-  if (!cache_enabled_) return FetchRemote(site, pred, count);
-
   const uint64_t version = cache_source().Get(pred, 0).version();
   switch (st.cache.Find(pred, version)) {
     case RemoteReadCache::Lookup::kHit: {
       if (st.injector != nullptr) {
         // Every logical remote read consumes exactly one draw of the
-        // site's seeded failure schedule, hit or not — otherwise the cache
-        // would shift which later reads fail and the run would diverge
-        // from the cache-off run. A fault on a cached read is billed as a
-        // failed physical trip and poisons the entry, exactly like a
-        // failed fill.
+        // site's seeded failure schedule, hit or not: the schedule is
+        // indexed by logical reads, so what the cache happens to hold
+        // (which prefetches, staged batches and scratch replays decide)
+        // never decides which read faults. A fault on a cached read is
+        // billed as a failed physical trip and poisons the entry, exactly
+        // like a failed fill.
         Status fault = st.injector->InjectOnRead(pred);
         if (!fault.ok()) {
           st.remote_trips.Add(1);
@@ -294,7 +285,7 @@ bool SiteDatabase::SiteBatch::SameFetch(const SiteBatch& other) const {
 std::vector<SiteDatabase::SiteBatch> SiteDatabase::PlanBatches(
     const std::set<std::string>& preds, const Database& db) const {
   std::vector<SiteBatch> batches;
-  if (preds.empty() || !cache_enabled_ || any_fault_injector()) {
+  if (preds.empty() || any_fault_injector()) {
     return batches;
   }
   std::vector<SiteBatch> by_site(site_states_.size());
@@ -394,7 +385,6 @@ std::vector<SiteDatabase::SiteBatch> SiteDatabase::StageRemoteBatches(
 size_t SiteDatabase::RecoverSiteCache(size_t site,
                                       const std::set<std::string>& preds) {
   CCPI_CHECK(site < site_states_.size());
-  if (!cache_enabled_) return 0;
   SiteState& st = *site_states_[site];
   size_t revalidated = 0;
   for (const std::string& pred : preds) {

@@ -52,6 +52,18 @@ struct AccessStats {
     cached_tuples += other.cached_tuples;
     return *this;
   }
+
+  /// The same logical reads with every cache hit paid as a physical trip
+  /// at remote prices: what the reads cost uncached. Exact for a run
+  /// without batched prefetch (see SiteDatabase).
+  AccessStats Uncached() const {
+    AccessStats out = *this;
+    out.remote_trips += cache_hits;
+    out.remote_tuples += cached_tuples;
+    out.cache_hits = 0;
+    out.cached_tuples = 0;
+    return out;
+  }
 };
 
 /// A database split into "local" and "remote" predicates, in the sense of
@@ -76,13 +88,16 @@ struct AccessStats {
 /// site_stats() are snapshot views over those counters, as ManagerStats is
 /// over the manager's series in the same registry.
 ///
-/// With the remote-read cache enabled (EnableRemoteCache), a read of a
-/// remote relation whose content version matches the last successful
-/// physical fetch is served as a cache hit — no round trip, tuples billed
-/// at cached_tuple_cost — while misses fall through to the physical path
-/// and refresh that site's cache. See docs/remote_cache.md for the keying,
-/// invalidation, and fault-interaction rules, and docs/distsim.md for the
-/// topology semantics.
+/// Every remote read goes through the owning site's snapshot cache: a
+/// read of a relation whose content version matches the last successful
+/// physical fetch is a cache hit — no round trip, tuples billed at
+/// cached_tuple_cost — and a miss pays the physical trip and refreshes
+/// the entry. Each read is one *logical* remote read, counted once as a
+/// trip or a hit, so without a batched prefetch (a bare site, or any
+/// fault injector attached) remote_trips + cache_hits and remote_tuples +
+/// cached_tuples are what every read would have cost uncached. See
+/// docs/remote_cache.md for the keying, invalidation, and fault-interaction
+/// rules, and docs/distsim.md for the topology semantics.
 ///
 /// Thread-safety: the read path (OnRead / ReadRemote) only bumps registry
 /// counters (relaxed atomics) and takes shared-mode cache lookups, and may
@@ -91,8 +106,8 @@ struct AccessStats {
 /// a fan-out). Cache fills take the cache's exclusive lock and are safe
 /// concurrently, but the manager avoids racing fills by prefetching the
 /// episode's remote relations before the parallel fan-out. Configuration
-/// calls (set_site_fault_injector, EnableRemoteCache, set_cache_db,
-/// ResetStats, db() mutation) must be externally serialized against reads.
+/// calls (set_site_fault_injector, set_cache_db, ResetStats, db()
+/// mutation) must be externally serialized against reads.
 class SiteDatabase : public AccessObserver, public RemoteAccessor {
  public:
   /// Registers the full `distsim.*` catalog (aggregate and per-site, at
@@ -198,14 +213,6 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   }
   Status ReadRemote(const std::string& pred, size_t count) override;
 
-  /// Turns the remote-read snapshot cache on or off for every site
-  /// (configuration call: serialize against reads). Off by default so a
-  /// bare SiteDatabase behaves exactly as before; the ConstraintManager
-  /// enables it per its RemoteCacheConfig. Turning the cache off also
-  /// drops every site's entries.
-  void EnableRemoteCache(bool on);
-  bool remote_cache_enabled() const { return cache_enabled_; }
-
   /// Overrides (or with nullptr restores to this site's own db) the
   /// database whose relation versions key cache decisions. The manager
   /// points this at its scratch database while replaying deferred checks,
@@ -243,10 +250,10 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// stale relation and one fill-latency sample, and its trip is charged
   /// against the site's budget scope. A planned batch that SameFetch-es
   /// one of `staged` was already slept at speculation time: it is billed
-  /// identically but does not sleep again. No-op when the cache is off or
-  /// any fault injector is attached — under injection each logical read
-  /// must consume its own draw of the failure schedule in evaluation
-  /// order, which a batched pass would reorder.
+  /// identically but does not sleep again. No-op when any fault injector
+  /// is attached — under injection each logical read must consume its own
+  /// draw of the failure schedule in evaluation order, which a batched
+  /// pass would reorder.
   void PrefetchRemoteBatched(const std::set<std::string>& preds,
                              ThreadPool* pool,
                              const std::vector<SiteBatch>& staged = {});
@@ -268,7 +275,7 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// relations are left to demand fetching). Reads route through the
   /// normal ReadRemote path, so trips are billed, draws consumed, and a
   /// still-faulting fetch simply leaves the entry poisoned. Returns how
-  /// many entries were revalidated. No-op with the cache off.
+  /// many entries were revalidated.
   size_t RecoverSiteCache(size_t site, const std::set<std::string>& preds);
 
   /// Snapshot of the statistics accumulated since the last Reset
@@ -356,8 +363,8 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
     return cache_db_ != nullptr ? *cache_db_ : db_;
   }
 
-  /// One physical round trip to `site`: span, trip/tuple/failure billing,
-  /// fault injection, fill-latency timing. The pre-cache ReadRemote body.
+  /// One physical round trip to `site` (ReadRemote's miss path): span,
+  /// trip/tuple/failure billing, fault injection, fill-latency timing.
   Status FetchRemote(size_t site, const std::string& pred, size_t count);
 
   /// Blocks for the site's simulated per-trip latency. kFixed: sleeps
@@ -385,8 +392,7 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   size_t SimulateHedgedTripLatency(size_t site, bool sleep) const;
 
   /// The batches of `preds` against `db`'s relation versions and the
-  /// current cache contents; empty when the cache is off or any injector
-  /// is attached.
+  /// current cache contents; empty when any injector is attached.
   std::vector<SiteBatch> PlanBatches(const std::set<std::string>& preds,
                                      const Database& db) const;
 
@@ -402,7 +408,6 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   // NDEBUG builds, so the release hot path is untouched.
   std::atomic<int> active_reads_{0};
   std::vector<std::unique_ptr<SiteState>> site_states_;
-  bool cache_enabled_ = false;
   const Database* cache_db_ = nullptr;
   // Hedged-read threshold (set_hedge). 0 = off.
   uint64_t hedge_after_ = 0;

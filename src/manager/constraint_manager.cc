@@ -328,7 +328,6 @@ ConstraintManager::ConstraintManager(ManagerConfig config)
         std::make_unique<CircuitBreaker>(config_.resilience.breaker));
   }
   site_was_dark_.assign(site_.sites(), false);
-  site_.EnableRemoteCache(config_.remote_cache.enabled);
   // Price every site with the manager's cost model, folding in the
   // topology's per-site latency overrides (the billing weights stay
   // uniform; only the latency distribution is per-site). Without this the

@@ -77,17 +77,9 @@ struct ParallelConfig {
   size_t threads = 1;
 };
 
-/// The remote-read snapshot cache (see docs/remote_cache.md). On by
-/// default: reports, verdicts, and the deferred queue are identical with
-/// it off, and only the access accounting (fewer trips, cached_tuples
-/// instead of remote_tuples) changes — with one known exception: under
-/// fault injection at more than one site, a site recovery refetches its
-/// cached relations through the injector only when the cache is on, so
-/// the two runs draw different fault schedules and may defer different
-/// checks (ROADMAP item 4, defect C). `ccpi_check --remote-cache=off` and
-/// benchmarks use the switch to measure the uncached baseline.
+/// Remote-read options. Every remote read goes through the snapshot cache
+/// (see docs/remote_cache.md); what a caller configures is hedging.
 struct RemoteCacheConfig {
-  bool enabled = true;
   /// Hedged batched reads (`ccpi_check --hedge-after=N`): when a batched
   /// per-site prefetch's drawn latency exceeds `hedge_after` times that
   /// site's observed latency EWMA, the simulator issues one deterministic

@@ -50,12 +50,6 @@ bool SetUint(std::string_view v, uint64_t lo, uint64_t hi, T* out) {
   return true;
 }
 
-bool SetSwitch(std::string_view v, bool* out) {
-  if (v != "on" && v != "off") return false;
-  *out = v == "on";
-  return true;
-}
-
 /// "A:B", the half-open trip window [A, B). An inverted window would be a
 /// silent no-op, not an outage, so A <= B.
 bool ParseWindow(std::string_view v, OutageWindow* out) {
@@ -171,14 +165,6 @@ const ScriptOption kOptions[] = {
      "identical at any thread count)",
      [](std::string_view v, ScriptOptions* o) {
        return SetUint(v, 0, 256, &o->manager.parallel.threads);
-     }},
-    {"remote-cache", "", "on|off", "on or off", "",
-     "remote-read snapshot cache (default on;\n"
-     "only the access accounting changes, except\n"
-     "under faults at more than one site, where\n"
-     "recovery refetches draw faults only when on)",
-     [](std::string_view v, ScriptOptions* o) {
-       return SetSwitch(v, &o->manager.remote_cache.enabled);
      }},
     {"pipeline-depth", "pipeline", "N", "a positive integer", "",
      "episode pipeline depth (default 1 = serial;\n"
@@ -812,10 +798,8 @@ Result<ScriptReport> RunScript(const Script& script) {
           << access.remote_tuples << " remote tuples in "
           << access.remote_trips << " trips (cost " << access.Cost(costs)
           << ")\n";
-  if (config.remote_cache.enabled) {
-    summary << "cache: " << access.cache_hits << " remote reads served ("
-            << access.cached_tuples << " cached tuples)\n";
-  }
+  summary << "cache: " << access.cache_hits << " remote reads served ("
+          << access.cached_tuples << " cached tuples)\n";
   if (options.print_stats) {
     // Diagnostics only: plan.* counters live outside ManagerStats.
     summary << "plans: " << mgr.metrics().GetCounter("plan.compiles")->value()

@@ -41,8 +41,8 @@ struct ScriptOptions {
   /// (site count, placement, per-site latency models and failure
   /// domains), resilience, the thread pool (--threads: the tier-3
   /// fan-out, prefetch and speculation; reports are identical at any
-  /// thread count), the remote-read cache
-  /// (--remote-cache, --hedge-after), the episode pipeline
+  /// thread count), hedged remote reads
+  /// (--hedge-after), the episode pipeline
   /// (--pipeline-depth; the per-update log is byte-identical at any
   /// depth), and execution budgets (--deadline-ms and friends; off by
   /// default). `manager.local_preds` stays empty: RunScript takes the

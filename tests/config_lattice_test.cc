@@ -6,12 +6,12 @@
 //     families (mixed, high-conflict, pattern-repeating, heavy-recursive
 //     under budgets).
 //  2. Serial reference runs (threads 1, depth 1, no hedging), one per
-//     class of runs: (sites, faults, remote cache, budget). Only
+//     class of runs: (sites, faults, budget). Only
 //     references run the Oracle below, which checks each verdict against
 //     the paper's definition by full evaluation. Every run goes through
 //     the compiled-plan cache, so the oracle judges memoized verdicts too.
 //  3. Lattice points sampled from the seed (threads x pipeline depth x
-//     remote cache x sites x neutral latency with hedging),
+//     sites x neutral latency with hedging),
 //     each diffed against the reference of its class, plus named slices:
 //     fixed points that pin one axis each (ParallelEquivalenceTest.*) and
 //     the oracle on one plain reference per seed (ManagerInvariant).
@@ -258,7 +258,6 @@ struct Point {
   // The class of runs; one reference each.
   size_t sites = 1;
   bool faults = false;
-  bool remote_cache = true;
   Budget budget = Budget::kNone;
   // The lattice axes; a reference takes the first value of each.
   size_t threads = 1;
@@ -269,8 +268,7 @@ struct Point {
 
   std::string ToString() const {
     std::ostringstream out;
-    out << "sites=" << sites << " faults=" << faults
-        << " remote_cache=" << remote_cache << " budget="
+    out << "sites=" << sites << " faults=" << faults << " budget="
         << (budget == Budget::kNone       ? "none"
             : budget == Budget::kDeadline ? "deadline"
                                           : "cancel")
@@ -473,7 +471,7 @@ RunResult Run(const Workload& w, const Point& p, Oracle* oracle = nullptr) {
                         {"dept", 1 % p.sites},
                         {"edge", 2 % p.sites},
                         {"t", p.sites - 1}};
-  RemoteCacheConfig remote_cache{p.remote_cache};
+  RemoteCacheConfig remote_cache;
   if (p.neutral_latency) {
     // kFixed sites draw no latency, so the EWMA never leaves its
     // no-observation sentinel and no hedge can be issued.
@@ -611,6 +609,13 @@ RunResult Run(const Workload& w, const Point& p, Oracle* oracle = nullptr) {
   EXPECT_EQ(out.stats.t3_admitted, FullChecks(out.stats) +
                                        out.stats.deferred +
                                        out.stats.shed_checks);
+  // The fault schedule is indexed by logical remote reads: each one, a
+  // physical trip or a cache hit, draws exactly once (an injector turns
+  // batched prefetch off, so no batch trip is billed without a draw).
+  if (p.faults) {
+    EXPECT_EQ(out.injector_draws,
+              out.stats.access.remote_trips + out.stats.access.cache_hits);
+  }
   if (oracle != nullptr && p.budget == Budget::kNone) {
     oracle->CheckEndState(&mgr, superseded);
   }
@@ -666,9 +671,9 @@ std::string BudgetStatsText(const RunResult& r) {
   return out.str();
 }
 
-/// The stats a remote-cache-on run shares with its cache-off twin: all but
-/// the remote access accounting the cache exists to change.
-std::string SemanticStatsText(const RunResult& r) {
+/// Everything else an identity-class run must reproduce: the full
+/// ManagerStats, per-site breakers and access slices, injector draws.
+std::string FullStatsText(const RunResult& r) {
   const ManagerStats& s = r.stats;
   std::ostringstream out;
   out << BudgetStatsText(r) << "attempts=" << s.remote_attempts
@@ -676,17 +681,7 @@ std::string SemanticStatsText(const RunResult& r) {
       << " fast_fails=" << s.breaker_fast_fails
       << " recovered=" << s.deferred_recovered
       << " late_violations=" << s.deferred_violations
-      << " local=" << s.access.local_tuples
-      << " failed_trips=" << s.access.remote_failures << '\n';
-  return out.str();
-}
-
-/// Everything else an identity-class run must reproduce: the full
-/// ManagerStats, per-site breakers and access slices, injector draws.
-std::string FullStatsText(const RunResult& r) {
-  const ManagerStats& s = r.stats;
-  std::ostringstream out;
-  out << SemanticStatsText(r) << "sites_recovered=" << s.sites_recovered
+      << " sites_recovered=" << s.sites_recovered
       << " revalidated=" << s.cache_revalidated
       << " hedges=" << s.hedges_issued << '/' << s.hedges_won << '/'
       << s.hedges_wasted << " latency_shed=" << s.latency_shed << ' '
@@ -737,7 +732,7 @@ const size_t kThreads[] = {0, 1, 4, 8};  // 0 and 1 both mean sequential
 RunResult RunReference(const Workload& w, const Point& cls, Oracle* oracle,
                        Coverage* cov) {
   const Point ref{.sites = cls.sites, .faults = cls.faults,
-                  .remote_cache = cls.remote_cache, .budget = cls.budget};
+                  .budget = cls.budget};
   SCOPED_TRACE("reference " + ref.ToString());
   RunResult r = Run(w, ref, oracle);
   cov->plan_hits += r.plan_hits;
@@ -764,7 +759,7 @@ RunResult RunReference(const Workload& w, const Point& cls, Oracle* oracle,
 }
 
 /// Runs lattice point `p` and diffs it against `ref`, the reference of
-/// its class with the same remote cache setting.
+/// its class.
 void RunPoint(const Workload& w, const RunResult& ref, const Point& p,
               Coverage* cov) {
   SCOPED_TRACE("lattice point " + p.ToString());
@@ -784,34 +779,18 @@ void RunPoint(const Workload& w, const RunResult& ref, const Point& p,
   cov->plan_hits += run.plan_hits;
 }
 
-/// Runs one seed's slice of the lattice: both references of class `cls`
-/// (remote cache on and off) under the oracle, then each of `points`
-/// diffed against the reference with its remote cache setting. A point's
+/// Runs one seed's slice of the lattice: the reference of class `cls`
+/// under the oracle, then each of `points` diffed against it. A point's
 /// class fields are taken from `cls`.
-void RunSlice(const Workload& w, Point cls, std::vector<Point> points,
+void RunSlice(const Workload& w, const Point& cls, std::vector<Point> points,
               Coverage* cov) {
-  RunResult refs[2];  // indexed by remote_cache
   Oracle oracle(w, cov);
-  for (bool cache : {false, true}) {
-    cls.remote_cache = cache;
-    refs[cache] = RunReference(w, cls, &oracle, cov);
-  }
-  // The twin diff is skipped on faulted multi-site classes: there the
-  // recovery pass (RecoverSiteCache) revalidates cache entries through the
-  // injector, so a cache-on run draws from the fault schedule where its
-  // cache-off twin does not, and later verdicts diverge. ROADMAP tracks it.
-  if (cls.sites == 1 || !cls.faults) {
-    SCOPED_TRACE("remote cache on vs off " + cls.ToString());
-    EXPECT_EQ(refs[false].stats.access.cache_hits, 0u);
-    ExpectSameRun(refs[false], refs[true],
-                  cls.budget != Budget::kNone ? BudgetStatsText
-                                              : SemanticStatsText);
-  }
+  const RunResult ref = RunReference(w, cls, &oracle, cov);
   for (Point& p : points) {
     p.sites = cls.sites;
     p.faults = cls.faults;
     p.budget = cls.budget;
-    RunPoint(w, refs[p.remote_cache], p, cov);
+    RunPoint(w, ref, p, cov);
   }
 }
 
@@ -832,7 +811,6 @@ void RunSeed(Family family, uint64_t seed, Coverage* cov) {
   for (int k = 0; k < 3; ++k) {
     // Point 0 is pipelined and point 1 serial; the third is drawn freely.
     Point& p = points[k];
-    p.remote_cache = rng.Chance(1, 2);
     p.threads = kThreads[rng.Below(4)];
     p.depth = k == 0 || (k == 2 && rng.Chance(1, 2)) ? 8 : 1;
     p.neutral_latency = rng.Chance(1, 2);
@@ -919,7 +897,7 @@ TEST(ConfigLatticeTest, HeavyRecursiveStreamsUnderBudgets) {
 //
 // Fixed lattice points, each pinning one axis on fixed seeds, so that every
 // axis is covered on every run whatever the sampling above draws. Each
-// slice also runs both references under the oracle and their twin diff.
+// slice also runs its reference under the oracle.
 
 constexpr Point kPlain{};
 constexpr Point kFaulty{.faults = true};
@@ -945,29 +923,13 @@ TEST(ParallelEquivalenceTest, SomethingActuallyHappened) {
   Coverage cov = RunFixed(kMixed, kPlain, {}, {11, 23});
   EXPECT_GT(cov.violations, 0u);
   EXPECT_GT(cov.Checked(Tier::kFullCheck, Outcome::kHolds), 0u);
+  EXPECT_GT(cov.cache_hits, 0u);
 }
 
 TEST(ParallelEquivalenceTest, FaultWorkloadsActuallyDefer) {
   Coverage cov = RunFixed(kMixed, kFaulty, {}, {11, 23});
   EXPECT_GT(cov.fault_deferrals, 0u);
   EXPECT_GT(cov.remote_retries, 0u);
-}
-
-TEST(ParallelEquivalenceTest, CacheOnMatchesCacheOff) {
-  Coverage cov = RunFixed(
-      kMixed, kPlain, {{.remote_cache = false, .threads = 4}, {.threads = 8}},
-      {11, 23, 47});
-  EXPECT_GT(cov.cache_hits, 0u);
-}
-
-TEST(ParallelEquivalenceTest, CacheOnMatchesCacheOffUnderFaults) {
-  RunFixed(kMixed, kFaulty,
-           {{.remote_cache = false, .threads = 4}, {.threads = 8}},
-           {11, 23, 47});
-}
-
-TEST(ParallelEquivalenceTest, CacheOffThreadsStillMatchSequential) {
-  RunFixed(kMixed, kPlain, {{.remote_cache = false, .threads = 8}}, {11, 47});
 }
 
 // Every run goes through the plan cache, so the oracle judges the
@@ -1050,13 +1012,6 @@ TEST(ParallelEquivalenceTest, PipelinedDepthsMatchSerialUnderFaults) {
            {{.threads = 1, .depth = 2}, {.threads = 4, .depth = 8}}, {11, 47});
 }
 
-TEST(ParallelEquivalenceTest, PipelinedDepthsMatchSerialWithoutCaches) {
-  RunFixed(kMixed, kPlain,
-           {{.remote_cache = false, .threads = 4, .depth = 2},
-            {.remote_cache = false, .threads = 4, .depth = 8}},
-           {11, 23});
-}
-
 TEST(ParallelEquivalenceTest, PipelinedSpeculationActuallyCommits) {
   Coverage cov = RunFixed(kMixed, kPlain, {{.threads = 4, .depth = 8}}, {11});
   EXPECT_GT(cov.committed, 0u);
@@ -1068,7 +1023,7 @@ class ManagerInvariant : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ManagerInvariant, CascadeIsSoundAndNeverOverRejects) {
   Coverage cov = RunFixed(kMixed, kPlain, {}, {GetParam()});
   EXPECT_FALSE(cov.checked.empty());
-  EXPECT_EQ(cov.end_states, 2u);  // both references
+  EXPECT_EQ(cov.end_states, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ManagerInvariant,

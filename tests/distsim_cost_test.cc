@@ -58,6 +58,7 @@ TEST(SiteDatabaseTest, StatsAccumulateAndReset) {
   SiteDatabase site({"l"});
   ASSERT_TRUE(site.OnRead("l", 5).ok());
   ASSERT_TRUE(site.OnRead("r", 7).ok());
+  ASSERT_TRUE(site.db().Insert("r", {V(1)}).ok());  // the next read is cold
   ASSERT_TRUE(site.OnRead("r", 2).ok());
   EXPECT_EQ(site.stats().local_tuples, 5u);
   EXPECT_EQ(site.stats().remote_tuples, 9u);
@@ -95,14 +96,11 @@ TEST(RemoteReadCacheTest, LookupStates) {
   // A failed fetch poisons the entry: even the filled version misses.
   cache.NoteFailure("r");
   EXPECT_EQ(cache.Find("r", 5), RemoteReadCache::Lookup::kMissStale);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Find("r", 5), RemoteReadCache::Lookup::kMissCold);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(SiteDatabaseTest, CachedReadSkipsTheTripUntilInvalidated) {
   SiteDatabase site({"l"});
-  site.EnableRemoteCache(true);
   ASSERT_TRUE(site.db().Insert("r", {V(1)}).ok());
   ASSERT_TRUE(site.db().Insert("r", {V(2)}).ok());
 
@@ -134,7 +132,6 @@ TEST(SiteDatabaseTest, FailedFillLeavesEntryUnusable) {
   FaultInjector injector(FaultConfig{});
   SiteDatabase site({"l"});
   site.set_site_fault_injector(0, &injector);
-  site.EnableRemoteCache(true);
   ASSERT_TRUE(site.db().Insert("r", {V(1)}).ok());
 
   injector.ForceOutage(true);
@@ -147,7 +144,7 @@ TEST(SiteDatabaseTest, FailedFillLeavesEntryUnusable) {
   EXPECT_EQ(stats.remote_failures, 1u);
   EXPECT_EQ(stats.cache_hits, 0u);
   // Now the fill succeeded, so the next read hits — but it still consumes
-  // one draw of the failure schedule (draw alignment with cache-off runs).
+  // one draw of the failure schedule (one draw per logical read).
   uint64_t draws_before = injector.stats().trips;
   ASSERT_TRUE(site.ReadRemote("r", 1).ok());
   EXPECT_EQ(site.stats().cache_hits, 1u);
@@ -158,7 +155,6 @@ TEST(SiteDatabaseTest, FaultedCacheHitPoisonsTheEntry) {
   FaultInjector injector(FaultConfig{});
   SiteDatabase site({"l"});
   site.set_site_fault_injector(0, &injector);
-  site.EnableRemoteCache(true);
   ASSERT_TRUE(site.db().Insert("r", {V(1)}).ok());
   ASSERT_TRUE(site.ReadRemote("r", 1).ok());  // fill
 
@@ -176,7 +172,6 @@ TEST(SiteDatabaseTest, FaultedCacheHitPoisonsTheEntry) {
 
 TEST(SiteDatabaseTest, PrefetchFetchesEachRelationAtMostOnce) {
   SiteDatabase site({"l"});
-  site.EnableRemoteCache(true);
   ASSERT_TRUE(site.db().Insert("r", {V(1)}).ok());
   ASSERT_TRUE(site.db().Insert("r", {V(2)}).ok());
   ASSERT_TRUE(site.db().Insert("dept", {V("cs")}).ok());
@@ -196,21 +191,6 @@ TEST(SiteDatabaseTest, PrefetchFetchesEachRelationAtMostOnce) {
   ASSERT_TRUE(site.OnRead("dept", 1).ok());
   EXPECT_EQ(site.stats().remote_trips, 1u);
   EXPECT_EQ(site.stats().cache_hits, 2u);
-}
-
-TEST(SiteDatabaseTest, DisablingTheCacheDropsItsEntries) {
-  SiteDatabase site({"l"});
-  site.EnableRemoteCache(true);
-  ASSERT_TRUE(site.db().Insert("r", {V(1)}).ok());
-  ASSERT_TRUE(site.ReadRemote("r", 1).ok());  // fill
-  site.EnableRemoteCache(false);
-  ASSERT_TRUE(site.ReadRemote("r", 1).ok());  // physical: cache is off
-  site.EnableRemoteCache(true);
-  // Re-enabling starts cold; the old fill must not resurface as a hit.
-  ASSERT_TRUE(site.ReadRemote("r", 1).ok());
-  AccessStats stats = site.stats();
-  EXPECT_EQ(stats.remote_trips, 3u);
-  EXPECT_EQ(stats.cache_hits, 0u);
 }
 
 TEST(AccessStatsTest, CachedTuplesArePricedBelowRemote) {

@@ -13,10 +13,17 @@ TEST(SiteDatabaseTest, PartitionsReads) {
   EXPECT_FALSE(site.IsLocal("r"));
   EXPECT_TRUE(site.OnRead("l", 10).ok());
   EXPECT_TRUE(site.OnRead("r", 5).ok());
+  // Moving r's version makes the next read cold: a second physical trip.
+  ASSERT_TRUE(site.db().Insert("r", {V(1)}).ok());
   EXPECT_TRUE(site.OnRead("r", 7).ok());
   EXPECT_EQ(site.stats().local_tuples, 10u);
   EXPECT_EQ(site.stats().remote_tuples, 12u);
   EXPECT_EQ(site.stats().remote_trips, 2u);
+  // Unchanged since that fetch: served by the cache, no trip.
+  EXPECT_TRUE(site.OnRead("r", 7).ok());
+  EXPECT_EQ(site.stats().remote_trips, 2u);
+  EXPECT_EQ(site.stats().cache_hits, 1u);
+  EXPECT_EQ(site.stats().cached_tuples, 7u);
 }
 
 TEST(SiteDatabaseTest, CostModel) {

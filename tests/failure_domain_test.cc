@@ -154,8 +154,9 @@ TEST(FailureDomainTest, LatencyDrawsAreDeterministicAndBounded) {
     costs.latency_hi_us = 3;
     costs.latency_seed = 7;
     site.set_site_cost_model(0, costs);
-    EXPECT_TRUE(site.db().Insert("a", {V(1)}).ok());
     for (int i = 0; i < 16; ++i) {
+      // A fresh row moves a's version, so every read is a physical trip.
+      EXPECT_TRUE(site.db().Insert("a", {V(i)}).ok());
       EXPECT_TRUE(site.ReadRemote("a", 1).ok());
     }
     return site.site_latency_ewma_us(0);
@@ -178,11 +179,11 @@ TEST(FailureDomainTest, LatencyDrawsAreDeterministicAndBounded) {
 // no latency randomness, so trips leave the EWMA untouched at 0.
 TEST(FailureDomainTest, FixedModelConsumesNoLatencyDraws) {
   SiteDatabase site({"l"});
-  EXPECT_TRUE(site.db().Insert("a", {V(1)}).ok());
   for (int i = 0; i < 8; ++i) {
+    EXPECT_TRUE(site.db().Insert("a", {V(i)}).ok());  // a cold read
     EXPECT_TRUE(site.ReadRemote("a", 1).ok());
   }
-  EXPECT_GT(site.stats().remote_trips, 0u);
+  EXPECT_EQ(site.stats().remote_trips, 8u);
   EXPECT_EQ(site.site_latency_ewma_us(0), 0u);
 }
 
@@ -191,7 +192,6 @@ TEST(FailureDomainTest, HedgeIdentityAndTripBillingAreExact) {
     TopologyConfig config;
     config.sites = 1;
     SiteDatabase site({"l"}, config);
-    site.EnableRemoteCache(true);
     CostModel costs;
     costs.latency_model = LatencyModel::kTwoPoint;
     costs.latency_lo_us = 1;

@@ -410,7 +410,6 @@ TEST(FaultToleranceTest, InjectorTripsReconcileWithAccessCounters) {
   faults.transient_rate = 0.3;
   Rig rig(resilience, faults);
   ASSERT_TRUE(rig.mgr.site().db().Insert("r", {V(1000)}).ok());
-  ASSERT_TRUE(rig.mgr.site().remote_cache_enabled());
   for (int i = 0; i < 15; ++i) {
     ASSERT_TRUE(
         rig.mgr.ApplyUpdate(Update::Insert("l", {V(10 * i), V(10 * i + 3)}))

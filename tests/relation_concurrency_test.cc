@@ -137,9 +137,14 @@ TEST(RelationConcurrencyTest, ResetStatsBetweenJoinedReadRounds) {
   ASSERT_TRUE(site.db().Insert("r", {V(7)}).ok());
 
   for (int round = 0; round < 4; ++round) {
-    // Alternate cache modes across rounds: both read paths (physical
-    // fetch and cache hit) must obey the same occupancy discipline.
-    site.EnableRemoteCache(round % 2 == 1);
+    // Alternate cold and warm rounds: both read paths (physical fetch and
+    // cache hit) must obey the same occupancy discipline. Moving r's
+    // version makes a round cold; a round after a cold one finds r
+    // unchanged and reads only hits.
+    const bool cold = round % 2 == 0;
+    if (cold) {
+      ASSERT_TRUE(site.db().Insert("r", {V(round)}).ok());
+    }
     std::vector<std::thread> readers;
     for (int t = 0; t < 8; ++t) {
       readers.emplace_back([&]() {
@@ -157,6 +162,11 @@ TEST(RelationConcurrencyTest, ResetStatsBetweenJoinedReadRounds) {
     // whatever the interleaving of the first fill.
     EXPECT_EQ(stats.remote_trips + stats.cache_hits, 8u * 500);
     EXPECT_EQ(stats.remote_tuples + stats.cached_tuples, 8u * 500);
+    if (cold) {
+      EXPECT_GT(stats.remote_trips, 0u);
+    } else {
+      EXPECT_EQ(stats.remote_trips, 0u);
+    }
 
     // All readers joined: the exclusivity precondition holds, so the
     // reset is race-free and the next round starts from exact zeroes.

@@ -37,7 +37,6 @@ const std::map<std::string, std::string>& Samples() {
   static const std::map<std::string, std::string> samples = {
       {"stats", ""},
       {"threads", "4"},
-      {"remote-cache", "off"},
       {"pipeline-depth", "4"},
       {"fault-rate", "0.25"},
       {"fault-timeout-rate", "0.25"},

@@ -431,10 +431,6 @@ TEST(ScriptFlagTest, ValidFlagsApply) {
   ScriptOptions options;
   EXPECT_TRUE(ApplyOk("--threads=8", &options));
   EXPECT_EQ(options.manager.parallel.threads, 8u);
-  EXPECT_TRUE(ApplyOk("--remote-cache=off", &options));
-  EXPECT_FALSE(options.manager.remote_cache.enabled);
-  EXPECT_TRUE(ApplyOk("--remote-cache=on", &options));
-  EXPECT_TRUE(options.manager.remote_cache.enabled);
   EXPECT_TRUE(ApplyOk("--pipeline-depth=8", &options));
   EXPECT_EQ(options.manager.pipeline.depth, 8u);
   EXPECT_TRUE(ApplyOk("--fault-rate=0.25", &options));
@@ -469,7 +465,6 @@ TEST(ScriptFlagTest, MalformedNumericValuesAreHardErrors) {
   ExpectBadFlag("--fault-outage=10", "--fault-outage");
   ExpectBadFlag("--fault-outage=a:b", "--fault-outage");
   ExpectBadFlag("--fault-outage=25:10", "--fault-outage");
-  ExpectBadFlag("--remote-cache=bogus", "--remote-cache");
   ExpectBadFlag("--pipeline-depth=bogus", "--pipeline-depth");
   ExpectBadFlag("--pipeline-depth=0", "--pipeline-depth");
   ExpectBadFlag("--pipeline-depth=-2", "--pipeline-depth");
@@ -500,6 +495,18 @@ TEST(ScriptFlagTest, ColumnarFlagIsNoLongerMatched) {
   // unknown flag like any other (ccpi_check exits 2 on it).
   ScriptOptions options;
   EXPECT_FALSE(ApplyOk("--columnar=off", &options));
+}
+
+TEST(ScriptFlagTest, RemoteCacheFlagIsNoLongerMatched) {
+  // Every remote read goes through the snapshot cache, so the old cache
+  // switch is an unknown flag like any other (ccpi_check exits 2 on it),
+  // whatever its value.
+  ScriptOptions options;
+  for (const char* flag : {"--remote-cache=off", "--remote-cache=on",
+                           "--remote-cache=bogus", "--remote-cache"}) {
+    EXPECT_FALSE(ApplyOk(flag, &options)) << flag;
+  }
+  EXPECT_EQ(ScriptOptionHelp().find("remote-cache"), std::string::npos);
 }
 
 TEST(ScriptFlagTest, BudgetFlagsApply) {

@@ -68,13 +68,18 @@ TEST(SiteTopologyTest, PerSiteStatsAttributeTrips) {
   ASSERT_TRUE(site.db().Insert("a", {V(1)}).ok());
   ASSERT_TRUE(site.db().Insert("b", {V(2)}).ok());
   ASSERT_TRUE(site.ReadRemote("a", 1).ok());
+  ASSERT_TRUE(site.db().Insert("a", {V(3)}).ok());  // a's next read is cold
   ASSERT_TRUE(site.ReadRemote("a", 1).ok());
   ASSERT_TRUE(site.ReadRemote("b", 1).ok());
-  // Cache off by default (EnableRemoteCache not called): each read is a
-  // trip, attributed to its owner site; the aggregate is their sum.
+  ASSERT_TRUE(site.ReadRemote("b", 1).ok());  // unchanged: a cache hit
+  // Each physical trip and each hit is attributed to its owner site; the
+  // aggregate is their sum.
   EXPECT_EQ(site.site_stats(0).remote_trips, 2u);
   EXPECT_EQ(site.site_stats(1).remote_trips, 1u);
+  EXPECT_EQ(site.site_stats(0).cache_hits, 0u);
+  EXPECT_EQ(site.site_stats(1).cache_hits, 1u);
   EXPECT_EQ(site.stats().remote_trips, 3u);
+  EXPECT_EQ(site.stats().cache_hits, 1u);
 }
 
 TEST(SiteTopologyTest, PerSiteInjectorFailsOnlyItsOwnSite) {
@@ -101,7 +106,6 @@ TEST(SiteTopologyTest, BatchedPrefetchPaysOneTripPerSite) {
   config.placement["b"] = 0;
   config.placement["c"] = 1;
   SiteDatabase site({"l"}, config);
-  site.EnableRemoteCache(true);
   ASSERT_TRUE(site.db().Insert("a", {V(1)}).ok());
   ASSERT_TRUE(site.db().Insert("b", {V(2)}).ok());
   ASSERT_TRUE(site.db().Insert("c", {V(3)}).ok());
@@ -128,7 +132,6 @@ TEST(SiteTopologyTest, BatchedPrefetchSequentialAndParallelAgree) {
     TopologyConfig config;
     config.sites = 3;
     SiteDatabase site({"l"}, config);
-    site.EnableRemoteCache(true);
     std::set<std::string> preds;
     for (int i = 0; i < 9; ++i) {
       std::string pred = "r" + std::to_string(i);
@@ -159,7 +162,6 @@ TEST(SiteTopologyTest, BatchedPrefetchBillsInvalidationsAndFillLatency) {
   config.placement["c"] = 1;
   SiteDatabase site({"l"}, config);
   obs::MetricsRegistry& registry = site.metrics();
-  site.EnableRemoteCache(true);
   ASSERT_TRUE(site.db().Insert("a", {V(1)}).ok());
   ASSERT_TRUE(site.db().Insert("b", {V(2)}).ok());
   ASSERT_TRUE(site.db().Insert("c", {V(3)}).ok());
@@ -193,7 +195,6 @@ TEST(SiteTopologyTest, RecoverSiteCacheRevalidatesOnlyPoisonedEntries) {
   config.placement["b"] = 0;
   config.placement["cold"] = 0;
   SiteDatabase site({"l"}, config);
-  site.EnableRemoteCache(true);
   ASSERT_TRUE(site.db().Insert("a", {V(1)}).ok());
   ASSERT_TRUE(site.db().Insert("b", {V(2)}).ok());
   ASSERT_TRUE(site.db().Insert("cold", {V(3)}).ok());
@@ -240,11 +241,13 @@ TEST(SiteTopologyTest, RegistryCountersAreStatsAcrossResetAtAnySiteCount) {
     config.placement["a"] = 0;
     config.placement["b"] = sites - 1;
     SiteDatabase site({"l"}, config);
-    site.EnableRemoteCache(true);
     ASSERT_TRUE(site.db().Insert("a", {V(1)}).ok());
     ASSERT_TRUE(site.db().Insert("b", {V(2)}).ok());
     FaultInjector dark{FaultConfig{}};
+    int64_t fresh = 10;
     auto read_round = [&]() {
+      // Moving a's version makes every round fill it cold.
+      EXPECT_TRUE(site.db().Insert("a", {V(fresh++)}).ok());
       EXPECT_TRUE(site.OnRead("l", 2).ok());
       EXPECT_TRUE(site.ReadRemote("a", 1).ok());  // cold fill
       EXPECT_TRUE(site.ReadRemote("a", 1).ok());  // cache hit
@@ -253,8 +256,6 @@ TEST(SiteTopologyTest, RegistryCountersAreStatsAcrossResetAtAnySiteCount) {
       EXPECT_FALSE(site.ReadRemote("b", 1).ok());  // failed trip
       site.set_site_fault_injector(sites - 1, nullptr);
       dark.ForceOutage(false);
-      site.EnableRemoteCache(false);  // the next round fills cold again
-      site.EnableRemoteCache(true);
     };
     auto expect_registry_is_stats = [&]() {
       obs::MetricsRegistry& m = site.metrics();

@@ -82,7 +82,6 @@ REMOTE_CACHE_METRICS = (
     "cached_tuples",
     "sim_cost_off",
     "sim_cost_on",
-    "ns_per_update_off",
     "ns_per_update_on",
 )
 
