@@ -94,7 +94,7 @@ OverloadRow RunOverload(std::string name, size_t load, BudgetConfig budget,
   OverloadRow row;
   row.name = std::move(name);
   row.load = load;
-  row.deadline_ms = budget.per_episode.deadline_ms;
+  row.deadline_ms = budget.episode_deadline_ms;
   row.admitted = stats.t3_admitted;
   auto it = stats.resolved_by.find(Tier::kFullCheck);
   row.completed = it != stats.resolved_by.end() ? it->second : 0;
@@ -124,7 +124,7 @@ void PrintOverloadTable(bench::Harness* harness) {
   std::vector<OverloadRow> rows;
   BudgetConfig none;
   BudgetConfig tight;
-  tight.per_episode.deadline_ms = 2;
+  tight.episode_deadline_ms = 2;
   for (size_t load : {8, 32}) {
     std::string suffix = "L" + std::to_string(load);
     rows.push_back(RunOverload("overload/" + suffix + "/d0", load, none));
@@ -190,7 +190,7 @@ BENCHMARK(BM_CheckUnbudgeted);
 
 void BM_CheckTightDeadline(benchmark::State& state) {
   BudgetConfig budget;
-  budget.per_episode.deadline_ms = 1;
+  budget.episode_deadline_ms = 1;
   auto mgr = MakeManager(256, budget);
   int64_t i = 0;
   for (auto _ : state) {

@@ -3,12 +3,12 @@
 // constraints `panic :- emp(E,D,S) & not dept<k>(D)` — negation over a
 // remote table defeats every local test, so each emp insert costs K full
 // tier-3 checks, each reading one remote relation. The sweep crosses the
-// fraction f of updates that mutate a remote-referenced relation (and so
-// genuinely invalidate its cached snapshot) with K: at f=0 the cache
-// converges to zero trips per update; at f=1 every episode refetches and
-// the cache can only break even. The paper's target regime is the low-f
-// row — most updates touch local data only, so almost every remote
-// snapshot is still current and the trips collapse.
+// fraction f of emp inserts that follow a mutation of a remote-referenced
+// relation (and so find its cached snapshot invalidated) with K: at f=0
+// the cache converges to zero trips per update; at f=1 every episode
+// refetches a relation. The paper's target regime is the low-f row — most
+// updates touch local data only, so almost every remote snapshot is still
+// current and the trips collapse.
 //
 // The cache is the only read path, so the uncached baseline (the `_off`
 // columns) is the count of logical remote reads of a twin run with a
@@ -66,31 +66,32 @@ std::unique_ptr<ConstraintManager> MakeManager(size_t constraints) {
   return mgr;
 }
 
-/// `n` updates, a fraction `locality` of which insert a fresh row into a
-/// random remote dept<k> — the only mutations that invalidate a cached
-/// remote snapshot. The rest are local emp inserts, each costing K full
-/// checks. Deterministic in the seed, identical for both runs of a row.
+/// `n` local emp inserts, each costing K full checks, a fraction
+/// `locality` of which are preceded by a fresh row inserted into a random
+/// remote dept<k> — the only mutations that invalidate a cached remote
+/// snapshot (tier 1 settles the dept insert itself: the constraints read
+/// dept<k> only under negation). Deterministic in the seed, identical for
+/// both runs of a row.
 std::vector<Update> Stream(size_t n, double locality, size_t constraints,
                            uint64_t seed) {
   Rng rng(seed);
   std::vector<Update> out;
   for (size_t i = 0; i < n; ++i) {
-    bool remote = rng.Below(1000) < static_cast<uint64_t>(locality * 1000);
-    if (remote) {
+    if (rng.Below(1000) < static_cast<uint64_t>(locality * 1000)) {
       std::string dept = "dept" + std::to_string(rng.Below(constraints));
-      out.push_back(
-          Update::Insert(dept, {V("new" + std::to_string(i))}));
-    } else {
-      out.push_back(Update::Insert(
-          "emp", {V("e" + std::to_string(i)),
-                  V("d" + std::to_string(rng.Below(kDeptDomain))),
-                  V(static_cast<int64_t>(rng.Below(100)))}));
+      out.push_back(Update::Insert(dept, {V("new" + std::to_string(i))}));
     }
+    out.push_back(Update::Insert(
+        "emp", {V("e" + std::to_string(i)),
+                V("d" + std::to_string(rng.Below(kDeptDomain))),
+                V(static_cast<int64_t>(rng.Below(100)))}));
   }
   return out;
 }
 
 struct CachePoint {
+  /// Updates applied: the emp inserts plus the dept<k> inserts before them.
+  size_t updates = 0;
   AccessStats access;
   double sim_cost = 0;
   double ns_per_update = 0;
@@ -98,12 +99,12 @@ struct CachePoint {
 
 /// One run of a row; `uncached_twin` attaches a zero-rate fault injector
 /// and reports the run's logical reads priced uncached.
-CachePoint RunOne(size_t constraints, double locality, size_t updates,
+CachePoint RunOne(size_t constraints, double locality, size_t steps,
                   bool uncached_twin) {
   std::unique_ptr<ConstraintManager> mgr = MakeManager(constraints);
   FaultInjector never_fails{FaultConfig{}};
   if (uncached_twin) mgr->site().set_site_fault_injector(0, &never_fails);
-  std::vector<Update> stream = Stream(updates, locality, constraints, 97);
+  std::vector<Update> stream = Stream(steps, locality, constraints, 97);
   auto t0 = std::chrono::steady_clock::now();
   for (const Update& u : stream) {
     auto reports = mgr->ApplyUpdate(u);
@@ -111,6 +112,7 @@ CachePoint RunOne(size_t constraints, double locality, size_t updates,
   }
   auto t1 = std::chrono::steady_clock::now();
   CachePoint point;
+  point.updates = stream.size();
   point.access = mgr->stats().access;
   if (uncached_twin) point.access = point.access.Uncached();
   point.sim_cost = point.access.Cost(CostModel{});
@@ -118,7 +120,7 @@ CachePoint RunOne(size_t constraints, double locality, size_t updates,
       static_cast<double>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
               .count()) /
-      static_cast<double>(updates);
+      static_cast<double>(point.updates);
   return point;
 }
 
@@ -126,7 +128,7 @@ void RunSweep(ccpi::bench::Harness* harness, bool quick) {
   std::vector<double> localities = {0.0, 0.1, 0.5, 1.0};
   std::vector<size_t> constraint_counts =
       quick ? std::vector<size_t>{4} : std::vector<size_t>{4, 16};
-  size_t updates = quick ? 60 : 200;
+  size_t steps = quick ? 60 : 200;
 
   std::printf("=== CACHE-1: remote-read cache vs. update locality ===\n");
   std::printf("%-10s %-6s %12s %12s %10s %12s %14s\n", "locality", "K",
@@ -134,8 +136,8 @@ void RunSweep(ccpi::bench::Harness* harness, bool quick) {
               "cost_ratio");
   for (size_t k : constraint_counts) {
     for (double f : localities) {
-      CachePoint off = RunOne(k, f, updates, /*uncached_twin=*/true);
-      CachePoint on = RunOne(k, f, updates, /*uncached_twin=*/false);
+      CachePoint off = RunOne(k, f, steps, /*uncached_twin=*/true);
+      CachePoint on = RunOne(k, f, steps, /*uncached_twin=*/false);
       double reduction =
           on.access.remote_trips > 0
               ? static_cast<double>(off.access.remote_trips) /
@@ -153,7 +155,7 @@ void RunSweep(ccpi::bench::Harness* harness, bool quick) {
           point_name,
           {{"locality", f},
            {"constraints", static_cast<double>(k)},
-           {"updates", static_cast<double>(updates)},
+           {"updates", static_cast<double>(on.updates)},
            {"remote_trips_off", static_cast<double>(off.access.remote_trips)},
            {"remote_trips_on", static_cast<double>(on.access.remote_trips)},
            {"trip_reduction", reduction},

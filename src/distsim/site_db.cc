@@ -99,12 +99,6 @@ Status SiteDatabase::ReadRemote(const std::string& pred, size_t count) {
   ActiveReadGuard guard(&active_reads_);
   const size_t site = topology_.SiteOf(pred);
   SiteState& st = *site_states_[site];
-  if (st.budget != nullptr) {
-    // Deadline/cancellation gate before any trip accounting or injector
-    // draw, so a hit and a miss refuse at the same point. The trip cap
-    // itself is charged in FetchRemote, where the physical trip is paid.
-    CCPI_RETURN_IF_ERROR(st.budget->Check());
-  }
   const uint64_t version = cache_source().Get(pred, 0).version();
   switch (st.cache.Find(pred, version)) {
     case RemoteReadCache::Lookup::kHit: {
@@ -248,11 +242,6 @@ Status SiteDatabase::FetchRemote(size_t site, const std::string& pred,
     span.Attr("tuples", static_cast<int64_t>(count));
   }
   obs::Stopwatch fill_timer;
-  if (st.budget != nullptr) {
-    // A trip the budget cannot afford is refused, not paid: no trip is
-    // billed, no injector draw is consumed.
-    CCPI_RETURN_IF_ERROR(st.budget->OnRemoteTrip());
-  }
   SimulateTripLatency(site);
   // The round trip is paid whether or not it succeeds.
   st.remote_trips.Add(1);
@@ -307,7 +296,8 @@ std::vector<SiteDatabase::SiteBatch> SiteDatabase::PlanBatches(
   return batches;
 }
 
-Status SiteDatabase::FetchBatch(const SiteBatch& batch, bool sleep) {
+Status SiteDatabase::FetchBatch(const SiteBatch& batch, bool sleep,
+                                const BudgetScope* budget) {
   ActiveReadGuard guard(&active_reads_);
   SiteState& st = *site_states_[batch.site];
   obs::Span span("distsim.remote_batch", "distsim");
@@ -316,20 +306,14 @@ Status SiteDatabase::FetchBatch(const SiteBatch& batch, bool sleep) {
     span.Attr("relations", static_cast<int64_t>(batch.entries.size()));
   }
   obs::Stopwatch fill_timer;
-  if (st.budget != nullptr) {
-    CCPI_RETURN_IF_ERROR(st.budget->Check());
-    // One budgeted trip buys the whole batch; a refusal leaves the
-    // site's entries unfilled and the fan-out's own reads will shed
-    // against the same exhausted scope.
-    CCPI_RETURN_IF_ERROR(st.budget->OnRemoteTrip());
-  }
+  // Refuse before paying: a batch the budget cannot afford leaves the
+  // site's entries unfilled, and the evaluations that follow shed against
+  // the same scope.
+  if (budget != nullptr) CCPI_RETURN_IF_ERROR(budget->Check());
   // The batched trip is the hedging point: with hedging armed and a
   // slow draw, a single backup attempt races the primary. An issued
   // hedge bills exactly one extra physical trip (the tuples are billed
-  // once — both attempts carry the same payload); the budget's trip cap
-  // was charged once above, before paying, per the refuse-before-pay
-  // rule — the backup is the simulator's own recovery of an
-  // already-approved trip, not a second logical fetch.
+  // once — both attempts carry the same payload).
   const size_t trips = 1 + SimulateHedgedTripLatency(batch.site, sleep);
   st.remote_trips.Add(trips);
   for (const SiteBatch::Entry& e : batch.entries) {
@@ -344,6 +328,7 @@ Status SiteDatabase::FetchBatch(const SiteBatch& batch, bool sleep) {
 
 void SiteDatabase::PrefetchRemoteBatched(const std::set<std::string>& preds,
                                          ThreadPool* pool,
+                                         const BudgetScope* budget,
                                          const std::vector<SiteBatch>& staged) {
   const std::vector<SiteBatch> batches = PlanBatches(preds, cache_source());
   auto fetch = [&](size_t k) -> Status {
@@ -352,12 +337,12 @@ void SiteDatabase::PrefetchRemoteBatched(const std::set<std::string>& preds,
     // staged one vanishes without a trace and this trip is paid in full.
     bool slept = false;
     for (const SiteBatch& s : staged) slept = slept || s.SameFetch(batches[k]);
-    return FetchBatch(batches[k], /*sleep=*/!slept);
+    return FetchBatch(batches[k], /*sleep=*/!slept, budget);
   };
   if (pool != nullptr && pool->thread_count() > 1 && batches.size() > 1) {
     // Concurrent per-site round trips. Budget refusals surface per site;
-    // the fan-out that follows re-encounters the same exhausted scopes,
-    // so swallowing the status here loses nothing.
+    // the fan-out that follows re-encounters the same exhausted scope, so
+    // swallowing the status here loses nothing.
     (void)pool->ParallelFor(batches.size(), fetch);
   } else {
     for (size_t k = 0; k < batches.size(); ++k) (void)fetch(k);

@@ -77,11 +77,11 @@ struct AccessStats {
 ///
 /// The remote side is a Topology of N independent sites (default one):
 /// each remote predicate lives at exactly one site (placement map or
-/// hash), and each site owns its own fault injector, snapshot cache, cost
-/// model, and budget-scope hook, so one site's outage or spent budget
-/// never touches reads bound for another. A single site is simply the
-/// N=1 topology — there is no separate single-site path. The aggregate
-/// counters are the sums of the per-site ones.
+/// hash), and each site owns its own fault injector, snapshot cache and
+/// cost model, so one site's outage never touches reads bound for
+/// another. A single site is simply the N=1 topology — there is no
+/// separate single-site path. The aggregate counters are the sums of the
+/// per-site ones.
 ///
 /// Every count lives in the site's own metrics registry (metrics()), whose
 /// whole `distsim.*` catalog is registered at construction: stats() and
@@ -145,26 +145,6 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
       if (st->injector != nullptr) return true;
     }
     return false;
-  }
-
-  /// Attaches (or detaches, with nullptr) an execution-budget scope to
-  /// one site (configuration call: serialize against reads; not owned,
-  /// must outlive the reads it governs — the manager installs one slice of
-  /// the episode scope per site so one chatty site cannot starve the
-  /// others). Remote reads of the site then become deadline-aware: a read
-  /// is refused with kResourceExhausted *before* paying the round trip
-  /// once the deadline has passed, the token is cancelled, or the scope's
-  /// remote-trip cap is spent. Cache hits pay no trip and are never
-  /// charged against the trip cap (the cache genuinely stretches the
-  /// budget; see docs/budgets.md). Local reads are always free and never
-  /// refused.
-  void set_site_budget(size_t site, const BudgetScope* scope) {
-    CCPI_CHECK(site < site_states_.size());
-    site_states_[site]->budget = scope;
-  }
-  const BudgetScope* site_budget(size_t site) const {
-    CCPI_CHECK(site < site_states_.size());
-    return site_states_[site]->budget;
   }
 
   /// Per-site access pricing (default: every site shares CostModel{}).
@@ -247,22 +227,26 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   /// `pool` (sequentially when pool is null or single threaded). Tuples
   /// are billed per relation; each batch bills one trip (plus one per
   /// issued hedge), one cache miss per relation, one invalidation per
-  /// stale relation and one fill-latency sample, and its trip is charged
-  /// against the site's budget scope. A planned batch that SameFetch-es
-  /// one of `staged` was already slept at speculation time: it is billed
-  /// identically but does not sleep again. No-op when any fault injector
-  /// is attached — under injection each logical read must consume its own
-  /// draw of the failure schedule in evaluation order, which a batched
-  /// pass would reorder.
+  /// stale relation and one fill-latency sample. With `budget` set, a
+  /// batch is refused before paying its trip once the scope's deadline
+  /// has passed or its token is cancelled (kResourceExhausted: nothing is
+  /// billed, the relations stay unfilled, and the evaluations that follow
+  /// shed against the same scope); the concurrent batches share it. A
+  /// planned batch that SameFetch-es one of `staged` was already slept at
+  /// speculation time: it is billed identically but does not sleep again.
+  /// No-op when any fault injector is attached — under injection each
+  /// logical read must consume its own draw of the failure schedule in
+  /// evaluation order, which a batched pass would reorder.
   void PrefetchRemoteBatched(const std::set<std::string>& preds,
                              ThreadPool* pool,
+                             const BudgetScope* budget = nullptr,
                              const std::vector<SiteBatch>& staged = {});
 
   /// Speculative prefetch of a pipelined episode (see docs/concurrency.md):
   /// plans the batches PrefetchRemoteBatched would fetch for `preds` as
   /// seen in `snapshot`, sleeps one simulated trip per batch on the
   /// calling thread, and returns the batches. Nothing observable happens —
-  /// no counter, cache, budget, injector or latency-draw interaction — so
+  /// no counter, cache, injector or latency-draw interaction — so
   /// it is safe on a speculation thread concurrently with commits. Under a
   /// non-fixed latency model the sleep is a draw-free hint (the fast mode):
   /// the real draw is consumed when the batch is billed, in commit order.
@@ -341,7 +325,6 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
     SiteCounter cache_hits;
     SiteCounter cached_tuples;
     FaultInjector* injector = nullptr;
-    const BudgetScope* budget = nullptr;
     RemoteReadCache cache;
     CostModel costs;
     // Index of the site's next latency draw. Counter-keyed (each draw
@@ -396,9 +379,11 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   std::vector<SiteBatch> PlanBatches(const std::set<std::string>& preds,
                                      const Database& db) const;
 
-  /// One coalesced trip: budget gate, the (hedged) trip latency — slept
-  /// iff `sleep` — and the trip/miss/invalidation/tuple/fill billing.
-  Status FetchBatch(const SiteBatch& batch, bool sleep);
+  /// One coalesced trip: the `budget` gate (may be null), the (hedged)
+  /// trip latency — slept iff `sleep` — and the
+  /// trip/miss/invalidation/tuple/fill billing.
+  Status FetchBatch(const SiteBatch& batch, bool sleep,
+                    const BudgetScope* budget);
 
   std::set<std::string> local_preds_;
   Topology topology_;

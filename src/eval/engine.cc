@@ -397,10 +397,6 @@ Result<Database> Evaluate(const CompiledProgram& plan, const Database& edb,
     if (!options.use_seminaive) {
       // Naive fixpoint (ablation baseline): full rounds until quiescence.
       while (delta.TotalTuples() > 0) {
-        if (options.max_derived_tuples != 0 &&
-            derived > options.max_derived_tuples) {
-          return Status::Internal("derivation limit exceeded");
-        }
         delta = Database();
         ++metrics.fixpoint_rounds;
         CCPI_RETURN_IF_ERROR(budget_round());
@@ -413,10 +409,6 @@ Result<Database> Evaluate(const CompiledProgram& plan, const Database& edb,
     // Semi-naive iteration: re-evaluate each rule once per recursive
     // occurrence, with that occurrence reading the previous delta.
     while (delta.TotalTuples() > 0) {
-      if (options.max_derived_tuples != 0 &&
-          derived > options.max_derived_tuples) {
-        return Status::Internal("derivation limit exceeded");
-      }
       Database prev_delta = std::move(delta);
       delta = Database();
       ++metrics.fixpoint_rounds;

@@ -40,10 +40,6 @@ struct EvalOptions {
   /// derived tuples into `eval.*` counters of this registry (see
   /// docs/observability.md for the catalog). Null costs nothing.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Safety valve for runaway recursive programs (0 = unlimited). Predates
-  /// the budget machinery and fails with kInternal; prefer `budget` for
-  /// policy-driven limits that the manager can shed gracefully.
-  size_t max_derived_tuples = 0;
   /// Execution budget (null = unbudgeted; the check is then a single branch
   /// and the engine reads no clocks). When set, the engine checks it at the
   /// start of every fixpoint round, after every rule evaluation's batch of

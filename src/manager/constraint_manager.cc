@@ -59,31 +59,6 @@ bool EffectPresent(const Update& u, const Database& db) {
   return u.kind == Update::Kind::kInsert ? contains : !contains;
 }
 
-/// Installs one budget scope per remote site (`scope_of(site)`) for its
-/// lifetime and puts the previous scopes back on every exit path.
-class SiteBudgetGuard {
- public:
-  template <typename ScopeOf>
-  SiteBudgetGuard(SiteDatabase* site, ScopeOf scope_of)
-      : site_(site), prev_(site->sites()) {
-    for (size_t s = 0; s < prev_.size(); ++s) {
-      prev_[s] = site_->site_budget(s);
-      site_->set_site_budget(s, scope_of(s));
-    }
-  }
-  ~SiteBudgetGuard() {
-    for (size_t s = 0; s < prev_.size(); ++s) {
-      site_->set_site_budget(s, prev_[s]);
-    }
-  }
-  SiteBudgetGuard(const SiteBudgetGuard&) = delete;
-  SiteBudgetGuard& operator=(const SiteBudgetGuard&) = delete;
-
- private:
-  SiteDatabase* site_;
-  std::vector<const BudgetScope*> prev_;
-};
-
 /// Seed of the retry policy's jitter stream.
 constexpr uint64_t kRetrySeed = 0x5eed;
 
@@ -210,11 +185,8 @@ struct ConstraintManager::Episode {
   std::vector<size_t> worklist;
   bool violated = false;
   bool any_deferred = false;
-  /// Budget-armed episodes only: the per-site slices of `scope` with the
-  /// guard that routes the tier-3 block's trips through them, and the
-  /// per-check slices, one per worklist entry.
-  std::vector<BudgetScope> site_scopes;
-  std::optional<SiteBudgetGuard> site_budgets;
+  /// Budget-armed episodes only: the per-check children of `scope`, one
+  /// per worklist entry.
   std::vector<BudgetScope> check_scopes;
 };
 
@@ -846,8 +818,9 @@ Result<std::vector<CheckReport>> ConstraintManager::RetireEpisode(
   // unbudgeted manager never reads the clock here — the scope stays inert
   // and every checkpoint downstream is one branch on a null scope.
   if (budget_armed_) {
-    e.scope = BudgetScope::Start(config_.budget.per_episode,
-                                 config_.budget.cancel);
+    e.scope = BudgetScope::Start(
+        {.deadline_ms = config_.budget.episode_deadline_ms},
+        config_.budget.cancel);
     e.budget = &e.scope;
   }
   CCPI_RETURN_IF_ERROR(EpisodePrelude(e));
@@ -860,9 +833,6 @@ Result<std::vector<CheckReport>> ConstraintManager::RetireEpisode(
     CCPI_RETURN_IF_ERROR(TentativeApply(e));
     CCPI_RETURN_IF_ERROR(RunTier3(e));
     CCPI_RETURN_IF_ERROR(ApplyQueuePolicy(e));
-    // The budget routing ends with the tier-3 block: the recovery
-    // refetches below are not the episode's trips.
-    e.site_budgets.reset();
   } else if (!e.violated && !e.phase1.noop) {
     CCPI_RETURN_IF_ERROR(WriteLive(e.update));
   }
@@ -941,17 +911,6 @@ Status ConstraintManager::TentativeApply(Episode& e) {
   // plan-cache hits or not (regression-tested in plan_cache_test).
   ctr_t3_admitted_->Add(e.worklist.size());
 
-  // Route the episode's remote trips — prefetch included — through the
-  // budget until the queue policy is done, so a passed deadline refuses
-  // trips before paying them. Each site gets an equal slice of the
-  // episode scope so one hot site cannot starve the trips of the others;
-  // at one site the slice is the whole episode budget.
-  if (budget_armed_) {
-    e.site_scopes.assign(site_.sites(), e.scope.Split(site_.sites(), {}));
-    e.site_budgets.emplace(&site_,
-                           [&e](size_t s) { return &e.site_scopes[s]; });
-  }
-
   // Batched prefetch: coalesce the worklist's remote relations into one
   // round trip per site, before any evaluation, so the per-constraint
   // evaluations (parallel or not) read them as cache hits instead of each
@@ -961,22 +920,20 @@ Status ConstraintManager::TentativeApply(Episode& e) {
   // must consume its own draw of the failure schedule in evaluation
   // order). A replayed speculation already slept the trips of its staged
   // batches; those still exactly what is fetched here are billed without
-  // sleeping again.
+  // sleeping again. A passed episode deadline or a cancelled token
+  // refuses each batch before its trip is paid.
   static const std::vector<SiteDatabase::SiteBatch> kUnstaged;
-  site_.PrefetchRemoteBatched(PrefetchPreds(e.worklist), pool_.get(),
+  site_.PrefetchRemoteBatched(PrefetchPreds(e.worklist), pool_.get(), e.budget,
                               e.spec != nullptr ? e.spec->staged : kUnstaged);
 
-  // Budget split: every undecided constraint gets an *identical* child
-  // scope — 1/N of each episode cap, the episode's absolute deadline and
-  // cancellation token, tightened by the per-check envelope (whose own
-  // deadline counts from here, after the prefetch). The split depends
-  // only on configuration and the worklist size, never on sibling
+  // Every undecided constraint gets an *identical* child scope: the
+  // episode's absolute deadline and cancellation token, tightened by the
+  // per-check envelope (whose own deadline counts from here, after the
+  // prefetch). A child depends only on configuration, never on sibling
   // progress, so verdicts cannot depend on the fan-out width.
   if (budget_armed_) {
-    for (size_t k = 0; k < e.worklist.size(); ++k) {
-      e.check_scopes.push_back(
-          e.scope.Split(e.worklist.size(), config_.budget.per_check));
-    }
+    e.check_scopes.assign(e.worklist.size(),
+                          e.scope.Child(config_.budget.per_check));
   }
   return Status::OK();
 }
@@ -988,14 +945,10 @@ Status ConstraintManager::RunTier3(Episode& e) {
   // arrival — either would make interleaved evaluations
   // seed-irreproducible. With neither in play, each evaluation is a pure
   // function of (program, post-update database) and verdicts merge in
-  // constraint order below. An episode-wide remote-trip cap is
-  // arrival-order dependent for the same reason the injector is (the
-  // shared counter bills trips in global order), so it too forces the
-  // sequential path.
+  // constraint order below.
   const size_t n = e.worklist.size();
   const bool parallel = pool_->thread_count() > 1 && n > 1 &&
-                        !site_.any_fault_injector() && AllBreakersClosed() &&
-                        config_.budget.per_episode.max_remote_trips == 0;
+                        !site_.any_fault_injector() && AllBreakersClosed();
   std::vector<Tier3Attempt> attempts(n);
   auto attempt = [&](size_t k) -> Status {
     attempts[k] = AttemptTier3(constraints_[e.worklist[k]], site_.db(),
@@ -1292,20 +1245,15 @@ ConstraintManager::Tier3Attempt ConstraintManager::RecheckEntry(
   }
   // Each re-check runs under its own envelope: the per-check budget,
   // tightened by the enclosing episode's scope when the drain happens
-  // inside a budgeted ApplyUpdate. Routed through the site too, so the
-  // re-check's remote trips honor the trip cap and deadline.
+  // inside a budgeted ApplyUpdate.
   BudgetScope recheck_scope;
   if (episode != nullptr) {
-    recheck_scope = episode->Split(1, config_.budget.per_check);
+    recheck_scope = episode->Child(config_.budget.per_check);
   } else if (budget_armed_) {
     recheck_scope =
         BudgetScope::Start(config_.budget.per_check, config_.budget.cancel);
   }
   const BudgetScope* scope = recheck_scope.active() ? &recheck_scope : nullptr;
-  std::optional<SiteBudgetGuard> site_budgets;
-  if (scope != nullptr) {
-    site_budgets.emplace(&site_, [&](size_t) { return scope; });
-  }
   return AttemptTier3(*reg, *scratch, scope, /*project_latency=*/false);
 }
 

@@ -148,17 +148,14 @@ enum class OverflowPolicy {
 /// as before budgets existed — the hot path pays one branch on a null
 /// scope, no clock reads, no allocations.
 struct BudgetConfig {
-  /// Envelope over one whole ApplyUpdate episode: the deadline is measured
-  /// from the call's entry, the caps are split evenly across the tier-3
-  /// worklist before the fan-out (each of N checks gets max(cap/N, 1), a
-  /// deterministic function of the worklist — never of sibling progress —
-  /// so reports stay byte-identical at any thread count). A nonzero
-  /// max_remote_trips forces the tier-3 fan-out sequential: the trip
-  /// counter is shared, so which lane's trip hits the cap would otherwise
-  /// depend on arrival order.
-  ExecutionBudget per_episode;
+  /// Wall-clock deadline of one whole ApplyUpdate episode, measured from
+  /// its commit turn's start (0 = none). It bounds the batched prefetch
+  /// and every tier-3 check and re-check the episode runs.
+  uint64_t episode_deadline_ms = 0;
   /// Envelope over each single tier-3 evaluation (and each deferred
-  /// re-check), folded into the per-episode slice; tightest limit wins.
+  /// re-check), folded into the episode deadline; tightest limit wins.
+  /// Each check counts its own rounds and tuples, so reports stay
+  /// byte-identical at any thread count.
   ExecutionBudget per_check;
   /// Optional cooperative cancellation honored at every budget checkpoint.
   /// Not owned; must outlive the manager's episodes.
@@ -170,7 +167,7 @@ struct BudgetConfig {
   OverflowPolicy overflow = OverflowPolicy::kRejectUpdate;
 
   bool armed() const {
-    return per_episode.armed() || per_check.armed() || cancel != nullptr;
+    return episode_deadline_ms != 0 || per_check.armed() || cancel != nullptr;
   }
 };
 
@@ -572,8 +569,8 @@ class ConstraintManager {
   /// derives the tier-3 worklist. A check error returns before the plan
   /// work is billed or any constraint is counted.
   Status SettleLocally(Episode& e);
-  /// The tentative apply, the episode's budget slices, and the batched
-  /// remote prefetch of the worklist.
+  /// The tentative apply, the batched remote prefetch of the worklist,
+  /// and the worklist's per-check budget scopes.
   Status TentativeApply(Episode& e);
   /// Tier 3 over the worklist, fanned out where verdicts cannot depend on
   /// arrival order; verdicts and counters merge in constraint order.

@@ -365,7 +365,7 @@ const ScriptOption kOptions[] = {
      "deferred queue (0 = no deadline, default)",
      [](std::string_view v, ScriptOptions* o) {
        return SetUint(v, 0, 86'400'000,
-                      &o->manager.budget.per_episode.deadline_ms);
+                      &o->manager.budget.episode_deadline_ms);
      }},
     {"max-fixpoint-rounds", "", "N", "a non-negative integer (0 = unlimited)",
      "",

@@ -13,13 +13,6 @@ uint64_t MinCap(uint64_t a, uint64_t b) {
   return std::min(a, b);
 }
 
-// Even split of a cap over `ways` work items; an armed cap never splits to
-// zero (that would silently turn "tiny budget" into "unlimited").
-uint64_t SplitCap(uint64_t cap, size_t ways) {
-  if (cap == 0 || ways <= 1) return cap;
-  return std::max<uint64_t>(cap / ways, 1);
-}
-
 }  // namespace
 
 BudgetScope& BudgetScope::operator=(const BudgetScope& other) {
@@ -31,8 +24,6 @@ BudgetScope& BudgetScope::operator=(const BudgetScope& other) {
                 std::memory_order_relaxed);
   tuples_.store(other.tuples_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
-  trips_.store(other.trips_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
   checks_.store(other.checks_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
   return *this;
@@ -51,17 +42,13 @@ BudgetScope BudgetScope::Start(const ExecutionBudget& budget,
   return scope;
 }
 
-BudgetScope BudgetScope::Split(size_t ways,
-                               const ExecutionBudget& extra) const {
+BudgetScope BudgetScope::Child(const ExecutionBudget& extra) const {
   BudgetScope child;
   child.cancel_ = cancel_;
   child.budget_.max_fixpoint_rounds =
-      MinCap(SplitCap(budget_.max_fixpoint_rounds, ways),
-             extra.max_fixpoint_rounds);
-  child.budget_.max_derived_tuples = MinCap(
-      SplitCap(budget_.max_derived_tuples, ways), extra.max_derived_tuples);
-  child.budget_.max_remote_trips = MinCap(
-      SplitCap(budget_.max_remote_trips, ways), extra.max_remote_trips);
+      MinCap(budget_.max_fixpoint_rounds, extra.max_fixpoint_rounds);
+  child.budget_.max_derived_tuples =
+      MinCap(budget_.max_derived_tuples, extra.max_derived_tuples);
   // The parent deadline is an absolute instant shared by all children; an
   // extra deadline counts from now. Keep whichever fires first.
   child.budget_.deadline_ms = MinCap(budget_.deadline_ms, extra.deadline_ms);
@@ -114,16 +101,6 @@ Status BudgetScope::OnDerivedTuples(uint64_t n) const {
   if (budget_.max_derived_tuples != 0 &&
       tuples > budget_.max_derived_tuples) {
     return Exhausted("derived-tuple cap");
-  }
-  return CheckDeadline();
-}
-
-Status BudgetScope::OnRemoteTrip() const {
-  if (!active_) return Status::OK();
-  checks_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t trips = trips_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (budget_.max_remote_trips != 0 && trips > budget_.max_remote_trips) {
-    return Exhausted("remote-trip cap");
   }
   return CheckDeadline();
 }

@@ -37,13 +37,10 @@ struct ExecutionBudget {
   uint64_t max_fixpoint_rounds = 0;
   /// Cap on tuples derived by the evaluation.
   uint64_t max_derived_tuples = 0;
-  /// Cap on physical remote round trips (cache hits are free: the cache
-  /// genuinely stretches this budget, see docs/budgets.md).
-  uint64_t max_remote_trips = 0;
 
   bool armed() const {
     return deadline_ms != 0 || max_fixpoint_rounds != 0 ||
-           max_derived_tuples != 0 || max_remote_trips != 0;
+           max_derived_tuples != 0;
   }
 };
 
@@ -55,10 +52,11 @@ struct ExecutionBudget {
 /// inert scope wherever possible, making the fast path a null check).
 ///
 /// Checkpoints are const and internally atomic so one scope may be shared
-/// by several checker threads (the manager's per-episode scope): the trip
-/// and tuple counters then accumulate in global arrival order, which is
-/// why thread-count-deterministic budgeting splits caps into per-item
-/// child scopes (Split) instead of sharing one counter.
+/// by several threads (the manager's per-episode scope, read by concurrent
+/// per-site prefetch batches). Counted caps belong on per-item child
+/// scopes (Child), never on a shared one: a shared counter accumulates in
+/// arrival order, so which item hit the cap would depend on the thread
+/// count.
 class BudgetScope {
  public:
   BudgetScope() = default;  // inert: active() false, every check OK
@@ -71,15 +69,14 @@ class BudgetScope {
   static BudgetScope Start(const ExecutionBudget& budget,
                            const CancellationToken* cancel = nullptr);
 
-  /// Child scope for one of `ways` parallel work items: each nonzero cap
-  /// of this scope is split evenly (becoming max(cap / ways, 1)), the
-  /// absolute deadline and cancellation token are shared, and `extra`'s
-  /// own limits are folded in (tightest wins; extra.deadline_ms counts
-  /// from now). The result depends only on (this budget, ways, extra),
-  /// never on sibling progress, so a parallel fan-out sheds identically
+  /// Child scope for one work item: shares this scope's absolute deadline
+  /// and cancellation token, and folds in `extra`'s limits (tightest wins;
+  /// extra.deadline_ms counts from now). The child counts its own rounds
+  /// and tuples, so its verdict depends only on (this budget, extra),
+  /// never on sibling progress, and a parallel fan-out sheds identically
   /// at any thread count. Works on an inert parent too: the child is then
   /// armed by `extra` alone (or inert if extra is empty).
-  BudgetScope Split(size_t ways, const ExecutionBudget& extra = {}) const;
+  BudgetScope Child(const ExecutionBudget& extra) const;
 
   bool active() const { return active_; }
   const ExecutionBudget& budget() const { return budget_; }
@@ -89,10 +86,9 @@ class BudgetScope {
   Status OnFixpointRound() const;
   /// Checkpoint after a batch of `n` derived tuples.
   Status OnDerivedTuples(uint64_t n) const;
-  /// Checkpoint before paying one physical remote round trip: a non-OK
-  /// return means the trip must NOT be paid (deadline-aware refusal).
-  Status OnRemoteTrip() const;
-  /// Deadline + cancellation only (per RA node, per EDB enumeration).
+  /// Deadline + cancellation only (per RA node, per EDB enumeration, and
+  /// before each batched prefetch trip: a non-OK return means the trip
+  /// must NOT be paid).
   Status Check() const;
 
   bool has_deadline() const { return active_ && budget_.deadline_ms != 0; }
@@ -114,7 +110,6 @@ class BudgetScope {
   const CancellationToken* cancel_ = nullptr;
   mutable std::atomic<uint64_t> rounds_{0};
   mutable std::atomic<uint64_t> tuples_{0};
-  mutable std::atomic<uint64_t> trips_{0};
   mutable std::atomic<uint64_t> checks_{0};
 };
 

@@ -34,7 +34,7 @@ enum class StatusCode {
   /// links from dead ones.
   kDeadlineExceeded,
   /// The operation ran out of its execution budget (wall-clock deadline,
-  /// fixpoint-round / derived-tuple / remote-trip cap, or cooperative
+  /// fixpoint-round / derived-tuple cap, or cooperative
   /// cancellation — see util/budget.h). NOT retriable: retrying would spend
   /// the same exhausted envelope again. The manager sheds such checks to
   /// the deferred queue instead; see docs/budgets.md for how this differs

@@ -215,22 +215,6 @@ TEST(EvalTest, AccessObserverCountsEdbReads) {
   EXPECT_EQ(counter.reads["dept"], 5u);  // one membership probe per emp row
 }
 
-TEST(EvalTest, DerivationLimit) {
-  Program p = MustParse(
-      "tc(X,Y) :- edge(X,Y)\n"
-      "tc(X,Y) :- tc(X,Z) & edge(Z,Y)\n");
-  p.goal = "tc";
-  Database db;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(db.Insert("edge", {V(i), V(i + 1)}).ok());
-  }
-  EvalOptions options;
-  options.max_derived_tuples = 10;
-  auto rel = EvaluateGoal(p, db, options);
-  ASSERT_FALSE(rel.ok());
-  EXPECT_EQ(rel.status().code(), StatusCode::kInternal);
-}
-
 TEST(EvalTest, BudgetFixpointRoundCutoffIsExact) {
   Program p = MustParse(
       "tc(X,Y) :- edge(X,Y)\n"
@@ -286,8 +270,7 @@ TEST(EvalTest, BudgetDerivedTupleCap) {
   options.budget = &scope;
   auto rel = EvaluateGoal(p, db, options);
   ASSERT_FALSE(rel.ok());
-  // Budget exhaustion is the manager-sheddable kResourceExhausted, unlike
-  // the legacy max_derived_tuples safety valve's kInternal below.
+  // Budget exhaustion is the manager-sheddable kResourceExhausted.
   EXPECT_EQ(rel.status().code(), StatusCode::kResourceExhausted);
 }
 

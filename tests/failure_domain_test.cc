@@ -239,7 +239,7 @@ TEST(FailureDomainTest, LatencyShedRefusesBeforePayingTheTrip) {
   costs.latency_hi_us = 20000;
   auto make = [&](uint64_t deadline_ms) {
     BudgetConfig budget;
-    budget.per_episode.deadline_ms = deadline_ms;
+    budget.episode_deadline_ms = deadline_ms;
     auto mgr = std::make_unique<ConstraintManager>(ManagerConfig{
         .local_preds = {"l"}, .costs = costs, .budget = budget});
     EXPECT_TRUE(mgr->AddConstraint(
@@ -288,6 +288,76 @@ TEST(FailureDomainTest, LatencyShedRefusesBeforePayingTheTrip) {
   // refused episode paid no trip.
   EXPECT_GE(stats.shed_checks, stats.latency_shed);
   EXPECT_EQ(stats.access.remote_trips, trips_before);
+}
+
+// Refuse before paying, for a spent budget: under a cancelled token every
+// tier-3 check sheds before a single trip is paid or a single injector
+// draw consumed — in the episode, in its auto-recheck drain and in an
+// explicit RecheckDeferred. Without injectors the two sites' prefetch
+// batches run concurrently against the one shared episode scope and are
+// refused there; with zero-rate injectors attached prefetch declines and
+// each evaluation's admission check refuses.
+TEST(FailureDomainTest, CancelledTokenShedsBeforePayingAnyTrip) {
+  for (bool with_injectors : {false, true}) {
+    SCOPED_TRACE(with_injectors ? "zero-rate injectors" : "batched prefetch");
+    CancellationToken token;
+    token.Cancel();
+    BudgetConfig budget;
+    budget.cancel = &token;
+    TopologyConfig topology;
+    topology.sites = 2;
+    topology.placement = {{"r", 0}, {"s", 1}};
+    std::array<FaultInjector, 2> injectors = {FaultInjector(FaultConfig{}),
+                                              FaultInjector(FaultConfig{})};
+    ConstraintManager mgr({.local_preds = {"l"},
+                           .parallel = {.threads = 4},
+                           .budget = budget,
+                           .topology = topology});
+    ASSERT_TRUE(mgr.AddConstraint(
+                       "fr", MustParse(
+                                 "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y"))
+                    .ok());
+    ASSERT_TRUE(mgr.AddConstraint(
+                       "fs", MustParse(
+                                 "panic :- l(X,Y) & s(Z) & X <= Z & Z <= Y"))
+                    .ok());
+    ASSERT_TRUE(mgr.site().db().Insert("r", {V(1000)}).ok());
+    ASSERT_TRUE(mgr.site().db().Insert("s", {V(1000)}).ok());
+    if (with_injectors) {
+      for (size_t site = 0; site < 2; ++site) {
+        mgr.site().set_site_fault_injector(site, &injectors[site]);
+      }
+    }
+
+    auto expect_nothing_paid = [&]() {
+      EXPECT_EQ(mgr.stats().access.remote_trips, 0u);
+      EXPECT_EQ(mgr.stats().access.remote_tuples, 0u);
+      for (const FaultInjector& injector : injectors) {
+        EXPECT_EQ(injector.next_trip(), 0u);
+      }
+    };
+    // The second update's prelude drains the first one's shed checks
+    // under its own episode scope.
+    for (int lo : {1, 4}) {
+      auto reports = mgr.ApplyUpdate(Update::Insert("l", {V(lo), V(lo + 1)}));
+      ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+      ASSERT_EQ(reports->size(), 2u);
+      for (const CheckReport& r : *reports) {
+        EXPECT_EQ(r.tier, Tier::kFullCheck);
+        EXPECT_EQ(r.outcome, Outcome::kDeferred);
+        EXPECT_EQ(r.reason, StatusCode::kResourceExhausted);
+      }
+      expect_nothing_paid();
+    }
+    EXPECT_EQ(mgr.stats().shed_checks, 4u);
+    ASSERT_EQ(mgr.deferred_queue().size(), 4u);
+
+    auto resolved = mgr.RecheckDeferred();
+    ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+    EXPECT_TRUE(resolved->empty());
+    EXPECT_EQ(mgr.deferred_queue().size(), 4u);
+    expect_nothing_paid();
+  }
 }
 
 // Hedging is a latency optimization, not a semantic change: the per-update

@@ -142,7 +142,7 @@ TEST(BudgetEnvelope, TightDeadlineBoundsEpisodeWallClock) {
   // including the ones that also drain prior sheds inside the same
   // envelope — must return within 2x the deadline.
   BudgetConfig budget;
-  budget.per_episode.deadline_ms = 250;
+  budget.episode_deadline_ms = 250;
   auto mgr = HeavyRig(768, budget);
   for (int i = 0; i < 4; ++i) {
     auto t0 = std::chrono::steady_clock::now();

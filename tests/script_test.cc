@@ -513,7 +513,7 @@ TEST(ScriptFlagTest, BudgetFlagsApply) {
   ScriptOptions options;
   EXPECT_FALSE(options.manager.budget.armed());
   EXPECT_TRUE(ApplyOk("--deadline-ms=750", &options));
-  EXPECT_EQ(options.manager.budget.per_episode.deadline_ms, 750u);
+  EXPECT_EQ(options.manager.budget.episode_deadline_ms, 750u);
   EXPECT_TRUE(ApplyOk("--max-fixpoint-rounds=6", &options));
   EXPECT_EQ(options.manager.budget.per_check.max_fixpoint_rounds, 6u);
   EXPECT_TRUE(ApplyOk("--max-derived-tuples=10000", &options));

@@ -337,7 +337,6 @@ TEST(BudgetTest, InertScopePassesEveryCheckpoint) {
   EXPECT_FALSE(scope.has_deadline());
   EXPECT_TRUE(scope.OnFixpointRound().ok());
   EXPECT_TRUE(scope.OnDerivedTuples(1u << 20).ok());
-  EXPECT_TRUE(scope.OnRemoteTrip().ok());
   EXPECT_TRUE(scope.Check().ok());
   EXPECT_EQ(scope.checkpoints(), 0u);  // inert scopes count nothing
 }
@@ -374,15 +373,6 @@ TEST(BudgetTest, DerivedTupleCapCountsBatches) {
             StatusCode::kResourceExhausted);
 }
 
-TEST(BudgetTest, RemoteTripCapRefusesBeforePaying) {
-  ExecutionBudget budget;
-  budget.max_remote_trips = 2;
-  BudgetScope scope = BudgetScope::Start(budget);
-  EXPECT_TRUE(scope.OnRemoteTrip().ok());
-  EXPECT_TRUE(scope.OnRemoteTrip().ok());
-  EXPECT_EQ(scope.OnRemoteTrip().code(), StatusCode::kResourceExhausted);
-}
-
 TEST(BudgetTest, ExpiredDeadlineFailsEveryCheckpoint) {
   ExecutionBudget budget;
   budget.deadline_ms = 1;
@@ -395,7 +385,6 @@ TEST(BudgetTest, ExpiredDeadlineFailsEveryCheckpoint) {
   EXPECT_EQ(scope.OnFixpointRound().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(scope.OnDerivedTuples(1).code(),
             StatusCode::kResourceExhausted);
-  EXPECT_EQ(scope.OnRemoteTrip().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(scope.remaining_ms(), 0u);
 }
 
@@ -411,37 +400,49 @@ TEST(BudgetTest, CancellationTripsEveryCheckpoint) {
   EXPECT_TRUE(scope.Check().ok());
 }
 
-TEST(BudgetTest, SplitDividesCapsDeterministically) {
+TEST(BudgetTest, ChildrenCountIndependently) {
   ExecutionBudget budget;
-  budget.max_fixpoint_rounds = 10;
-  budget.max_remote_trips = 3;
+  budget.max_fixpoint_rounds = 2;
   BudgetScope parent = BudgetScope::Start(budget);
-  BudgetScope a = parent.Split(4);
-  BudgetScope b = parent.Split(4);
-  // Children depend only on (budget, ways, extra), never sibling progress.
-  EXPECT_EQ(a.budget().max_fixpoint_rounds, 2u);  // 10 / 4
+  BudgetScope a = parent.Child({});
+  BudgetScope b = parent.Child({});
+  // Children depend only on (budget, extra), never sibling progress.
+  EXPECT_EQ(a.budget().max_fixpoint_rounds, 2u);
   EXPECT_EQ(b.budget().max_fixpoint_rounds, 2u);
-  EXPECT_EQ(a.budget().max_remote_trips, 1u);  // max(3 / 4, 1)
   EXPECT_EQ(a.budget().max_derived_tuples, 0u);  // unlimited stays unlimited
-  // Spending one child leaves the other untouched.
+  // Spending one child leaves the other and the parent untouched.
   EXPECT_TRUE(a.OnFixpointRound().ok());
   EXPECT_TRUE(a.OnFixpointRound().ok());
   EXPECT_EQ(a.OnFixpointRound().code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(b.OnFixpointRound().ok());
+  EXPECT_TRUE(parent.OnFixpointRound().ok());
 }
 
-TEST(BudgetTest, SplitFoldsInPerCheckExtraTightestWins) {
+TEST(BudgetTest, ChildSharesTheParentDeadlineAndToken) {
+  CancellationToken token;
+  ExecutionBudget budget;
+  budget.deadline_ms = 60'000;
+  BudgetScope parent = BudgetScope::Start(budget, &token);
+  BudgetScope child = parent.Child({});
+  EXPECT_TRUE(child.has_deadline());
+  EXPECT_LE(child.remaining_ms(), parent.remaining_ms());
+  EXPECT_TRUE(child.Check().ok());
+  token.Cancel();
+  EXPECT_EQ(child.Check().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(BudgetTest, ChildFoldsInPerCheckExtraTightestWins) {
   ExecutionBudget episode;
   episode.max_fixpoint_rounds = 100;
   ExecutionBudget extra;
-  extra.max_fixpoint_rounds = 2;  // tighter than 100 / 4 = 25
+  extra.max_fixpoint_rounds = 2;  // tighter than 100
   BudgetScope parent = BudgetScope::Start(episode);
-  BudgetScope child = parent.Split(4, extra);
+  BudgetScope child = parent.Child(extra);
   EXPECT_EQ(child.budget().max_fixpoint_rounds, 2u);
 
-  // An inert parent split with a per-check budget is armed by it alone.
+  // An inert parent's child with a per-check budget is armed by it alone.
   BudgetScope inert;
-  BudgetScope solo = inert.Split(1, extra);
+  BudgetScope solo = inert.Child(extra);
   EXPECT_TRUE(solo.active());
   EXPECT_TRUE(solo.OnFixpointRound().ok());
   EXPECT_TRUE(solo.OnFixpointRound().ok());
