@@ -8,25 +8,30 @@
 // where the speedup comes from (the machine may have a single core: the
 // overlapped time is simulated WAN latency, not CPU).
 //
-// Two conflict regimes per thread count:
-//   low   each update writes its own local predicate, so in-flight
-//         speculations are (almost) never invalidated — the depth>1 rows
-//         must show speedup_vs_depth1 >= 1, and >= 2 at depth >= 4
+// A speculation only stages trips: it predicts the episode's tier-3
+// worklist from its admission snapshot and sleeps that worklist's round
+// trips; the commit turn runs every check live and skips the sleep of a
+// batch only when it fetches exactly what was staged. Two conflict
+// regimes per thread count:
+//   low   each update writes its own predicate, so the commits ahead of
+//         a speculation never touch what it predicted from and its staged
+//         batches are the ones its commit fetches — the depth>1 rows must
+//         show speedup_vs_depth1 >= 1, and >= 2 at depth >= 4
 //         (contract-checked by tools/check_bench_json.py)
 //   high  every update writes the one predicate every affected check
-//         reads, so speculation conflicts, retries, and the serial
-//         fallback dominate — the row documents graceful degradation,
-//         not speedup
+//         reads, so each speculation predicts from a snapshot the
+//         commits ahead of it have already made stale: its phase 1 is
+//         spent again in the commit turn, and a batch it staged before an
+//         earlier commit filled the cache is slept for nothing — the row
+//         documents that cost, not a speedup
 //
 // Every row also records the pipeline accounting, which must balance:
-// admitted == committed + retried_commits, where retried_commits counts
-// episodes that could not retire from speculation (conflict re-runs plus
-// unspeculated serial-fallback admissions). Depth-1 rows go through the
-// same ApplyUpdateAsync/Drain calls, where each episode is admitted and
-// retired at once through the commit turn, unspeculated; the pipeline
-// counters read 0 there, so those rows synthesize the trivial accounting.
-// Each run is also diffed against the depth-1 stats — the scheduler must
-// not move a single verdict.
+// every admitted episode retires through the commit turn (admitted ==
+// committed). Depth-1 rows go through the same ApplyUpdateAsync/Drain
+// calls, where each episode is admitted and retired at once with nothing
+// staged; the pipeline counters read 0 there, so those rows synthesize
+// the trivial accounting. Each run is also diffed against the depth-1
+// stats — the scheduler must not move a single verdict.
 //
 // Every sweep point, the depth-1 base included, is timed as the fastest of
 // kRunsPerPoint fresh runs: the speedup contract compares two wall-clock
@@ -100,11 +105,11 @@ std::unique_ptr<ConstraintManager> MakeManager(size_t constraints,
 /// tier-3 re-checks really are cold: the remote cache cannot absorb them
 /// and every re-check pays one simulated round trip. Block order keeps
 /// the pipeline clean at any depth <= K: r<k>'s delete commits before the
-/// episode reading r<k> is admitted, so staged fetches validate, and a
-/// depth-sized window of writes never touches a speculation's read set.
+/// episode reading r<k> is admitted, so its staged batch is the one its
+/// commit fetches.
 ///
 /// High conflict: every episode writes the one predicate every in-flight
-/// speculation read, the worst case for the conflict detector.
+/// speculation read, so every speculation predicts from a stale snapshot.
 std::vector<Update> MakeStream(size_t episodes, size_t constraints,
                                bool high_conflict) {
   std::vector<Update> out;
@@ -131,8 +136,6 @@ struct StreamPoint {
   double ns = 0;
   double admitted = 0;
   double committed = 0;
-  double conflicts = 0;
-  double unspeculated = 0;
   ManagerStats stats;
 };
 
@@ -161,8 +164,6 @@ StreamPoint RunStream(size_t depth, size_t threads, bool high_conflict,
     };
     point.admitted = counter("manager.pipeline.admitted");
     point.committed = counter("manager.pipeline.committed");
-    point.conflicts = counter("manager.pipeline.conflicts");
-    point.unspeculated = counter("manager.pipeline.unspeculated");
   } else {
     // Depth 1 books no pipeline counters; the trivial accounting keeps the
     // artifact schema uniform across rows.
@@ -198,8 +199,8 @@ void RunSweep(ccpi::bench::Harness* harness, bool quick) {
   const size_t episodes = quick ? 32 : 96;
   const uint64_t trip_latency_us = 400;
   std::printf("=== PIPE-1: pipelined episodes vs. serial checking ===\n");
-  std::printf("%-22s %12s %12s %10s %10s %10s %10s\n", "stream", "ns_total",
-              "eps/sec", "speedup", "committed", "conflicts", "serial");
+  std::printf("%-22s %12s %12s %10s %10s %10s\n", "stream", "ns_total",
+              "eps/sec", "speedup", "admitted", "committed");
   for (bool high_conflict : {false, true}) {
     const char* regime = high_conflict ? "high" : "low";
     for (size_t threads : {size_t{4}, size_t{8}}) {
@@ -211,17 +212,15 @@ void RunSweep(ccpi::bench::Harness* harness, bool quick) {
                        : FastestRun(depth, threads, high_conflict, episodes,
                                     trip_latency_us);
         CheckSameVerdicts(base.stats, p.stats);
-        double retried = p.conflicts + p.unspeculated;
-        CCPI_CHECK(p.admitted == p.committed + retried);
+        CCPI_CHECK(p.admitted == p.committed);
         double eps_per_sec =
             p.ns > 0 ? static_cast<double>(episodes) * 1e9 / p.ns : 0;
         double speedup = p.ns > 0 ? base.ns / p.ns : 0;
-        std::printf("%-22s %12.0f %12.0f %9.2fx %10.0f %10.0f %10.0f\n",
+        std::printf("%-22s %12.0f %12.0f %9.2fx %10.0f %10.0f\n",
                     (std::string(regime) + "/t" + std::to_string(threads) +
                      "/d" + std::to_string(depth))
                         .c_str(),
-                    p.ns, eps_per_sec, speedup, p.committed, p.conflicts,
-                    p.unspeculated);
+                    p.ns, eps_per_sec, speedup, p.admitted, p.committed);
 
         char point_name[64];
         std::snprintf(point_name, sizeof(point_name), "pipeline/%s/t%zu/d%zu",
@@ -237,9 +236,7 @@ void RunSweep(ccpi::bench::Harness* harness, bool quick) {
              {"episodes_per_sec", eps_per_sec},
              {"speedup_vs_depth1", speedup},
              {"admitted", p.admitted},
-             {"committed", p.committed},
-             {"conflicts", p.conflicts},
-             {"retried_commits", retried}});
+             {"committed", p.committed}});
       }
     }
   }

@@ -62,33 +62,22 @@ bool EffectPresent(const Update& u, const Database& db) {
 /// Seed of the retry policy's jitter stream.
 constexpr uint64_t kRetrySeed = 0x5eed;
 
-/// Consecutive conflicted commits that trip the pipeline's serial fallback
-/// (admission stops speculating for `depth` episodes, then probes
-/// speculation again).
-constexpr size_t kMaxConflictStreak = 4;
-
 constexpr Tier kAllTiers[] = {Tier::kSubsumed, Tier::kUnaffected,
                               Tier::kIndependence, Tier::kLocalTest,
                               Tier::kFullCheck};
 
-/// Observer of a speculative phase 1: charges nothing, records everything.
-/// A committed episode replays the buffer through the site observer in
-/// recorded order, so AccessStats end up byte-identical to an unpipelined
-/// run; a conflicted episode's buffer is dropped without a trace.
-struct BufferingObserver : AccessObserver {
-  std::vector<std::pair<std::string, size_t>> reads;
-  Status OnRead(const std::string& pred, size_t count) override {
-    reads.emplace_back(pred, count);
-    return Status::OK();
-  }
+/// Observer of a speculative phase 1: its reads are never charged, since
+/// the commit turn runs phase 1 again and charges its own.
+struct DiscardingObserver : AccessObserver {
+  Status OnRead(const std::string&, size_t) override { return Status::OK(); }
 };
 
 /// Plan-cache work of one phase 1: the entries it consulted, billed to the
-/// plan.* counters when its reports commit, like its local reads. Billing
-/// asks each entry whether an earlier commit billed it already (a hit) or
-/// not (a compile), so the counts follow the serial order whatever stored
-/// the entry: a speculation that a conflict discards counts nothing, and
-/// its inline re-run counts what a serial run would.
+/// plan.* counters in the commit turn, like its local reads. Billing asks
+/// each entry whether an earlier commit billed it already (a hit) or not
+/// (a compile), so the counts follow the serial order whatever stored the
+/// entry: a speculation's tally is dropped, and the commit turn's phase 1
+/// counts what a serial run would.
 struct PlanTally {
   /// Called once, in the episode's commit turn.
   void Bill(PlanCache& cache, obs::Counter* compiles, obs::Counter* hits,
@@ -111,22 +100,25 @@ struct PlanTally {
 }  // namespace
 
 /// Read routing of one constraint check. The commit turn reads the live
-/// database, charges the site observer directly, and consults the live
-/// deferred queue; a speculative phase 1 reads its admission snapshot,
-/// buffers its charges, and consults the queue as of admission. Either
-/// way its plan-cache work goes to `plans`.
+/// database, charges the site observer, and consults the live deferred
+/// queue; a speculative phase 1 reads its admission snapshot, discards its
+/// charges, and consults the queue as of admission. Either way its
+/// plan-cache work goes to `plans`. Check latencies and RA counters go to
+/// `metrics`, which is null on the speculative path, so a pipelined
+/// episode's phase 1 is counted once, by its commit turn.
 struct ConstraintManager::CheckContext {
   const Database* db;
   AccessObserver* observer;
   const std::deque<DeferredCheck>* deferred;
   PlanTally* plans;
+  obs::MetricsRegistry* metrics;
 };
 
 /// One pipelined admission. Admission state is written by the admitting
-/// thread before the speculation task is launched; speculation outputs are
-/// written only by the task; the done/cv handshake publishes them back to
-/// the committing (admitting) thread. After `done`, the admission is owned
-/// by the committer again.
+/// thread before the speculation task is launched; `staged` is written
+/// only by the task; the done/cv handshake publishes it back to the
+/// committing (admitting) thread. After `done`, the admission is owned by
+/// the committer again.
 struct ConstraintManager::Admission {
   Update update;
   uint64_t sequence = 0;
@@ -135,25 +127,9 @@ struct ConstraintManager::Admission {
   /// The deferred queue as of admission; tier 2's verified-data adjustment
   /// reads it.
   std::deque<DeferredCheck> deferred_snapshot;
-  /// deferred_epoch_ at admission: any structural queue change since then
-  /// invalidates the speculation wholesale.
-  uint64_t deferred_epoch = 0;
-  /// commit_writes_ length at admission: the validation suffix.
-  size_t write_mark = 0;
-  /// False for a serial-fallback admission (no snapshot, no task) or a
-  /// failed speculation: the commit turn runs the episode cold.
-  bool speculated = false;
-
-  // ---- Speculation outputs (valid once `done`).
-  Phase1 phase1;
-  /// Local-read charges of phase 1, in charge order.
-  std::vector<std::pair<std::string, size_t>> buffered_reads;
-  /// Every predicate phase 1 read (always includes update.pred: the noop
-  /// probe and tier 2 read it).
-  std::set<std::string> read_preds;
-  PlanTally plans;
-  /// Per-site prefetch batches staged for the tier-3 worklist (latency
-  /// already slept); billed or silently discarded at the commit turn.
+  /// The speculation's output (valid once `done`): per-site prefetch
+  /// batches staged for the predicted tier-3 worklist, latency already
+  /// slept; billed or silently discarded at the commit turn.
   std::vector<SiteDatabase::SiteBatch> staged;
 
   // ---- Retire handshake.
@@ -163,19 +139,19 @@ struct ConstraintManager::Admission {
 };
 
 /// One update episode in its commit turn. Nothing here allocates until a
-/// phase needs it, so the unspeculated episode of ApplyUpdate costs no
-/// more than the locals of one function.
+/// phase needs it, so the episode of ApplyUpdate costs no more than the
+/// locals of one function.
 struct ConstraintManager::Episode {
-  Episode(const Update& u, uint64_t seq, Admission* admission)
-      : update(u), sequence(seq), spec(admission) {}
+  Episode(const Update& u, uint64_t seq,
+          const std::vector<SiteDatabase::SiteBatch>& staged_batches)
+      : update(u), sequence(seq), staged(staged_batches) {}
 
   const Update& update;
   /// The serial position, drawn at admission.
   const uint64_t sequence;
-  /// The admission whose speculation to validate, or null for a cold
-  /// episode. SettleLocally clears it when validation discards the
-  /// speculation, so from then on non-null means replayed.
-  Admission* spec;
+  /// Prefetch batches a pipelined admission's speculation already slept
+  /// (empty for ApplyUpdate): a hint for TentativeApply, never a verdict.
+  const std::vector<SiteDatabase::SiteBatch>& staged;
   /// The execution envelope: inert unless budgets are armed, in which
   /// case `budget` points at it.
   BudgetScope scope;
@@ -271,9 +247,6 @@ void ConstraintManager::InitObservability() {
   gauge_deferred_len_ = m.GetGauge("manager.deferred_queue_len");
   ctr_pipe_admitted_ = m.GetCounter("manager.pipeline.admitted");
   ctr_pipe_committed_ = m.GetCounter("manager.pipeline.committed");
-  ctr_pipe_conflicts_ = m.GetCounter("manager.pipeline.conflicts");
-  ctr_pipe_retries_ = m.GetCounter("manager.pipeline.retries");
-  ctr_pipe_unspeculated_ = m.GetCounter("manager.pipeline.unspeculated");
   gauge_pipe_in_flight_ = m.GetGauge("manager.pipeline.in_flight");
   hist_pipe_commit_wait_ = m.GetHistogram("manager.pipeline.commit_wait_ns");
   // The components this manager drives count into the same registry on
@@ -479,7 +452,9 @@ Result<CheckReport> ConstraintManager::CheckOne(const Registered& r,
       span.Attr("tier", TierToString(report->tier));
       span.Attr("outcome", OutcomeToString(report->outcome));
     }
-    sw.RecordTo(hist_check_[TierIndex(report->tier)]);
+    if (ctx.metrics != nullptr) {
+      sw.RecordTo(hist_check_[TierIndex(report->tier)]);
+    }
   }
   return report;
 }
@@ -653,7 +628,7 @@ Result<Outcome> ConstraintManager::EvalPlannedRa(const RaPlanTemplate& tpl,
   }
 #endif
   CCPI_ASSIGN_OR_RETURN(bool nonempty,
-                        RaNonempty(*bound, *ctx.db, ctx.observer, &metrics()));
+                        RaNonempty(*bound, *ctx.db, ctx.observer, ctx.metrics));
   return nonempty ? Outcome::kHolds : Outcome::kUnknown;
 }
 
@@ -777,24 +752,18 @@ bool ConstraintManager::UpdateRefused(
   return false;
 }
 
-Status ConstraintManager::WriteLive(const Update& u) {
-  CCPI_RETURN_IF_ERROR(u.ApplyTo(&site_.db()));
-  // The write log exists only to validate in-flight speculation.
-  if (!inflight_.empty()) commit_writes_.push_back(u.pred);
-  return Status::OK();
-}
-
 Status ConstraintManager::Undo(const Update& u) {
-  return WriteLive(InverseOf(u));
+  return InverseOf(u).ApplyTo(&site_.db());
 }
 
 Result<std::vector<CheckReport>> ConstraintManager::ApplyUpdate(
     const Update& u) {
   // The synchronous and asynchronous entry points share one serial order:
   // everything admitted earlier commits first. Admitted here, retired at
-  // once: the unspeculated episode of a depth-1 pipeline.
+  // once: the episode of a depth-1 pipeline, with nothing staged.
   DrainInflightInternal();
-  Episode e(u, update_sequence_++, nullptr);
+  static const std::vector<SiteDatabase::SiteBatch> kUnstaged;
+  Episode e(u, update_sequence_++, kUnstaged);
   return CommitTurn(e);
 }
 
@@ -834,7 +803,7 @@ Result<std::vector<CheckReport>> ConstraintManager::RetireEpisode(
     CCPI_RETURN_IF_ERROR(RunTier3(e));
     CCPI_RETURN_IF_ERROR(ApplyQueuePolicy(e));
   } else if (!e.violated && !e.phase1.noop) {
-    CCPI_RETURN_IF_ERROR(WriteLive(e.update));
+    CCPI_RETURN_IF_ERROR(e.update.ApplyTo(&site_.db()));
   }
 
   std::vector<CheckReport>& reports = e.phase1.reports;
@@ -843,11 +812,10 @@ Result<std::vector<CheckReport>> ConstraintManager::RetireEpisode(
     // inverse: that check's effect no longer exists, so there is nothing
     // left to verify or roll back (and tier 2 never trusted it).
     const Update& u = e.update;
-    size_t moot = std::erase_if(deferred_, [&](const DeferredCheck& d) {
+    std::erase_if(deferred_, [&](const DeferredCheck& d) {
       return d.sequence != e.sequence && d.update.pred == u.pred &&
              d.update.tuple == u.tuple && d.update.kind != u.kind;
     });
-    if (moot > 0) ++deferred_epoch_;
   }
   if (e.violated) ctr_violations_->Add(1);
   if (e.scope.has_deadline()) {
@@ -871,29 +839,14 @@ Status ConstraintManager::EpisodePrelude(Episode& e) {
 }
 
 Status ConstraintManager::SettleLocally(Episode& e) {
-  // Speculation validation, after the prelude: the breaker ticks and the
-  // auto-recheck drain are part of THIS episode's commit turn, so a drain
-  // that just mutated the database or the queue correctly invalidates the
-  // episode's own speculation. A valid speculation's phase 1 is reused
-  // wholesale (reports + replayed read charges); a conflicted one is
-  // re-run live — and because commits are serialized, that single re-run
-  // cannot be invalidated again.
-  if (e.spec != nullptr && !ValidateSpeculation(*e.spec)) e.spec = nullptr;
-  PlanTally live_plans;
-  if (e.spec != nullptr) {
-    CCPI_DCHECK(EffectPresent(e.update, site_.db()) == e.spec->phase1.noop);
-    e.phase1 = std::move(e.spec->phase1);
-    // Replay the buffered phase-1 charges in recorded order, so
-    // AccessStats advance exactly as a live phase 1 would advance them.
-    for (const auto& [pred, count] : e.spec->buffered_reads) {
-      CCPI_RETURN_IF_ERROR(site_.OnRead(pred, count));
-    }
-  } else {
-    const CheckContext ctx{&site_.db(), &site_, &deferred_, &live_plans};
-    CCPI_ASSIGN_OR_RETURN(e.phase1, RunPhase1(e.update, ctx));
-  }
-  (e.spec != nullptr ? e.spec->plans : live_plans)
-      .Bill(plans_, ctr_plan_compiles_, ctr_plan_hits_, ctr_plan_delta_);
+  // Phase 1 always runs here, live, after the prelude (whose breaker ticks
+  // and auto-recheck drain may have changed the database or the queue):
+  // a pipelined episode's verdicts are a depth-1 episode's by construction.
+  PlanTally plans;
+  const CheckContext ctx{&site_.db(), &site_, &deferred_, &plans,
+                         &metrics()};
+  CCPI_ASSIGN_OR_RETURN(e.phase1, RunPhase1(e.update, ctx));
+  plans.Bill(plans_, ctr_plan_compiles_, ctr_plan_hits_, ctr_plan_delta_);
   for (const CheckReport& report : e.phase1.reports) {
     if (report.tier != Tier::kFullCheck) {
       ctr_resolved_[TierIndex(report.tier)]->Add(1);
@@ -905,7 +858,7 @@ Status ConstraintManager::SettleLocally(Episode& e) {
 }
 
 Status ConstraintManager::TentativeApply(Episode& e) {
-  CCPI_RETURN_IF_ERROR(WriteLive(e.update));
+  CCPI_RETURN_IF_ERROR(e.update.ApplyTo(&site_.db()));
   // Every admitted check is completed, deferred or shed:
   // t3_admitted == resolved_by[kFullCheck] + deferred + shed_checks,
   // plan-cache hits or not (regression-tested in plan_cache_test).
@@ -918,13 +871,12 @@ Status ConstraintManager::TentativeApply(Episode& e) {
   // trip counts must not depend on the fan-out width — but never under
   // fault injection (PrefetchRemoteBatched declines: each logical read
   // must consume its own draw of the failure schedule in evaluation
-  // order). A replayed speculation already slept the trips of its staged
-  // batches; those still exactly what is fetched here are billed without
-  // sleeping again. A passed episode deadline or a cancelled token
-  // refuses each batch before its trip is paid.
-  static const std::vector<SiteDatabase::SiteBatch> kUnstaged;
+  // order). A pipelined episode's speculation already slept the trips of
+  // its staged batches; those still exactly what is fetched here are
+  // billed without sleeping again. A passed episode deadline or a
+  // cancelled token refuses each batch before its trip is paid.
   site_.PrefetchRemoteBatched(PrefetchPreds(e.worklist), pool_.get(), e.budget,
-                              e.spec != nullptr ? e.spec->staged : kUnstaged);
+                              e.staged);
 
   // Every undecided constraint gets an *identical* child scope: the
   // episode's absolute deadline and cancellation token, tightened by the
@@ -1036,7 +988,6 @@ Status ConstraintManager::ApplyQueuePolicy(Episode& e) {
     deferred_.pop_front();
     ctr_deferred_dropped_->Add(1);
   }
-  ++deferred_epoch_;
   return Status::OK();
 }
 
@@ -1179,10 +1130,6 @@ ConstraintManager::RecheckDeferredImpl(const BudgetScope* episode) {
   // head, so one dead site never blocks entries for other, reachable
   // sites queued behind it. Each pass visits at most the entries present
   // when it started; draining stops once a full pass resolves nothing.
-  // The drain below reorders or resolves queue entries either way, so any
-  // in-flight episode's speculation (which captured the queue at its
-  // admission) is invalidated wholesale.
-  if (AnyBreakerWouldAllow()) ++deferred_epoch_;
   bool progress = true;
   while (progress && !deferred_.empty() && AnyBreakerWouldAllow()) {
     progress = false;
@@ -1278,11 +1225,9 @@ Result<ConstraintManager::TransactionResult> ConstraintManager::ApplyTransaction
       for (auto it = applied.rbegin(); it != applied.rend(); ++it) {
         CCPI_RETURN_IF_ERROR(Undo(*it));
       }
-      if (std::erase_if(deferred_, [&](const DeferredCheck& d) {
-            return d.sequence >= first_sequence;
-          }) > 0) {
-        ++deferred_epoch_;
-      }
+      std::erase_if(deferred_, [&](const DeferredCheck& d) {
+        return d.sequence >= first_sequence;
+      });
       result.committed = false;
       return result;
     }
@@ -1293,8 +1238,8 @@ Result<ConstraintManager::TransactionResult> ConstraintManager::ApplyTransaction
 }
 
 // ---------------------------------------------------------------------------
-// Episode scheduler: ApplyUpdateAsync admissions, speculative phase 1, and
-// retirement in admission order through the commit turn. All scheduler
+// Episode scheduler: ApplyUpdateAsync admissions, speculative trip staging,
+// and retirement in admission order through the commit turn. All scheduler
 // state is owned by the admitting thread; speculation tasks touch only
 // their own Admission (plus internally thread-safe shared components) and
 // publish through the done/cv handshake.
@@ -1320,26 +1265,15 @@ void ConstraintManager::ApplyUpdateAsync(const Update& u) {
   // Numbered at admission: admission order == commit order == the serial
   // order, so sequences match depth-1 execution exactly.
   a->sequence = update_sequence_++;
-  a->deferred_epoch = deferred_epoch_;
-  a->write_mark = commit_writes_.size();
+  // The MVCC admission snapshot: a copy-on-write Database copy —
+  // O(#relations) shared_ptr bumps, no tuple copying.
+  a->snapshot = site_.db();
+  a->deferred_snapshot = deferred_;
   ctr_pipe_admitted_->Add(1);
-  if (serial_fallback_remaining_ > 0) {
-    // Serial fallback window after sustained conflicts: admit without
-    // speculating; the commit turn runs the episode cold.
-    --serial_fallback_remaining_;
-    a->speculated = false;
-    a->done = true;
-  } else {
-    a->speculated = true;
-    // The MVCC admission snapshot: a copy-on-write Database copy —
-    // O(#relations) shared_ptr bumps, no tuple copying.
-    a->snapshot = site_.db();
-    a->deferred_snapshot = deferred_;
-  }
   Admission* raw = a.get();
   inflight_.push_back(std::move(a));
   gauge_pipe_in_flight_->Set(static_cast<int64_t>(inflight_.size()));
-  if (raw->speculated) SpeculateEpisode(raw);
+  SpeculateEpisode(raw);
 }
 
 std::vector<Result<std::vector<CheckReport>>> ConstraintManager::Drain() {
@@ -1355,8 +1289,7 @@ void ConstraintManager::SpeculateEpisode(Admission* a) {
       SpeculatePhase1(a);
     } catch (...) {
       // Never expected (the checking code reports through Status); a
-      // stray exception just downgrades the episode to a cold run.
-      a->speculated = false;
+      // stray exception just leaves the episode's trips unstaged.
     }
     // Notify while holding the lock: once `done` is visible the committer
     // may retire and free the admission, so nothing may touch `a` after
@@ -1392,37 +1325,29 @@ Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
 
 void ConstraintManager::SpeculatePhase1(Admission* a) {
   const Update& u = a->update;
-  BufferingObserver buffer;
-  const CheckContext ctx{&a->snapshot, &buffer, &a->deferred_snapshot,
-                         &a->plans};
-  // Phase 1 against the snapshot, on this worker: the parallelism of the
-  // pipeline is across episodes. A check error leaves the episode to run
-  // cold in its commit turn, which surfaces the error.
+  // Phase 1 against the snapshot, on this worker, only to predict the
+  // tier-3 worklist: its reads, plan work and metrics are dropped, since
+  // the commit turn runs phase 1 again live. A check error stages nothing;
+  // the commit turn's phase 1 surfaces it.
+  DiscardingObserver discard;
+  PlanTally unbilled;
+  const CheckContext ctx{&a->snapshot, &discard, &a->deferred_snapshot,
+                         &unbilled, nullptr};
   Result<Phase1> phase1 = RunPhase1(u, ctx);
-  if (!phase1.ok()) {
-    a->speculated = false;
-    return;
-  }
-  a->phase1 = std::move(*phase1);
+  if (!phase1.ok() || phase1->noop || phase1->Violated()) return;
 
-  // The validation read set. Tier 1 is db-free and tier 2 reads only the
-  // updated local relation, so in practice this is {u.pred}; recording
-  // the buffered reads keeps it correct by construction either way.
-  a->read_preds.insert(u.pred);
-  for (const auto& [pred, count] : buffer.reads) a->read_preds.insert(pred);
-  a->buffered_reads = std::move(buffer.reads);
-
-  // Staged remote prefetch: pay the tier-3 worklist's simulated round
+  // Staged remote prefetch: pay the predicted worklist's simulated round
   // trips NOW, on this worker, where they overlap other episodes' stages —
   // the latency-hiding that makes the pipeline beat depth 1 in wall-clock.
-  // Only where the commit turn would itself prefetch (cache on, no
-  // injector — StageRemoteBatches declines otherwise — and the owning
-  // site's breaker closed) and never under budgets (budget-armed managers
-  // do not pipeline at all). The commit-time tentative apply re-stamps
-  // the updated relation's version, so a batch carrying it could never
-  // match the commit-time batch: its whole site is left unstaged.
-  if (a->phase1.noop || a->phase1.Violated()) return;
-  std::set<std::string> preds = PrefetchPreds(a->phase1.Worklist());
+  // Only where the commit turn would itself prefetch (no injector —
+  // StageRemoteBatches declines otherwise — and the owning site's breaker
+  // closed) and never under budgets (budget-armed managers do not
+  // pipeline at all). The commit-time tentative apply re-stamps the
+  // updated relation's version, so a batch carrying it could never match
+  // the commit-time batch: its whole site is left unstaged. A wrong
+  // prediction costs only its sleep: the commit turn pays in full every
+  // batch that is not exactly a staged one.
+  std::set<std::string> preds = PrefetchPreds(phase1->Worklist());
   if (preds.count(u.pred) > 0) {
     const size_t updated_site = site_.SiteOf(u.pred);
     std::erase_if(preds, [&](const std::string& pred) {
@@ -1436,20 +1361,17 @@ void ConstraintManager::CommitHeadToPending() {
   if (inflight_.empty()) return;
   Admission* a = inflight_.front().get();
   {
-    // Wait for the speculation to publish (immediate for unspeculated
-    // admissions). The wait is the pipeline's only synchronization point.
+    // Wait for the speculation to publish its staged batches. The wait is
+    // the pipeline's only synchronization point.
     obs::Stopwatch sw;
     std::unique_lock<std::mutex> lock(a->mu);
     a->cv.wait(lock, [a]() { return a->done; });
     sw.RecordTo(hist_pipe_commit_wait_);
   }
-  if (!a->speculated) ctr_pipe_unspeculated_->Add(1);
-  Episode e(a->update, a->sequence, a->speculated ? a : nullptr);
+  Episode e(a->update, a->sequence, a->staged);
   pending_results_.push_back(CommitTurn(e));
+  ctr_pipe_committed_->Add(1);
   inflight_.pop_front();
-  // The write log only exists to validate in-flight speculation; with
-  // nothing in flight it restarts empty (and write marks restart at 0).
-  if (inflight_.empty()) commit_writes_.clear();
   gauge_pipe_in_flight_->Set(static_cast<int64_t>(inflight_.size()));
 }
 
@@ -1466,32 +1388,6 @@ void ConstraintManager::AbandonInflight() {
     a->cv.wait(lock, [&a]() { return a->done; });
   }
   inflight_.clear();
-  commit_writes_.clear();
-}
-
-bool ConstraintManager::ValidateSpeculation(const Admission& a) {
-  // The queue changed shape since admission: tier 2's verified-data
-  // adjustment and the moot-erase pass saw a queue that no longer exists.
-  // Otherwise, a read-write conflict: an intervening commit wrote a
-  // relation this episode's phase 1 read.
-  bool valid = a.deferred_epoch == deferred_epoch_;
-  for (size_t i = a.write_mark; valid && i < commit_writes_.size(); ++i) {
-    valid = a.read_preds.count(commit_writes_[i]) == 0;
-  }
-  if (valid) {
-    conflict_streak_ = 0;
-    ctr_pipe_committed_->Add(1);
-    return true;
-  }
-  ctr_pipe_conflicts_->Add(1);
-  ctr_pipe_retries_->Add(1);
-  if (++conflict_streak_ >= kMaxConflictStreak) {
-    // Sustained conflicts: stop speculating for a window of admissions,
-    // then probe again.
-    serial_fallback_remaining_ = config_.pipeline.depth;
-    conflict_streak_ = 0;
-  }
-  return false;
 }
 
 }  // namespace ccpi

@@ -101,21 +101,16 @@ struct PlanCacheConfig {};
 /// The pipelined episode scheduler (see docs/concurrency.md). With depth
 /// D > 1, ApplyUpdateAsync admits up to D update episodes at once: each
 /// admission takes an immutable MVCC snapshot of the database (a cheap
-/// copy-on-write Database copy) and speculates the episode's read-only
-/// phases — the tier-0/1 signature checks, the tier-2 local tests, and
-/// the remote prefetch — on the thread pool against that snapshot, while
-/// episodes retire strictly in admission order through the commit turn
-/// every episode takes, ApplyUpdate's included. A commit first validates
-/// its speculation against the writes of intervening commits (read-set vs
-/// write-log) and re-runs the episode's phase 1 inline on the live
-/// database when conflicted; because commits are serialized, that single
-/// retry can never be invalidated again.
-/// Sustained conflicts trip a serial fallback: admission stops speculating
-/// for a window of episodes, then probes again. Reports, ManagerStats,
+/// copy-on-write Database copy) and speculates on the thread pool against
+/// it, running phase 1 only to predict the tier-3 worklist and sleep that
+/// worklist's remote round trips ahead of time (staged trips). Episodes
+/// retire strictly in admission order through the commit turn every
+/// episode takes, ApplyUpdate's included, which runs phase 1 live and
+/// decides everything; a staged trip only spares the commit's prefetch a
+/// sleep when it fetches exactly the same data. Reports, ManagerStats,
 /// the deferred queue, breaker admissions, and fault-schedule draws are
-/// byte-identical to depth-1 execution per seed at any depth and thread
-/// count — everything order-sensitive (tier 3, breakers, injector draws,
-/// budgets, the deferred queue) stays in the serialized commit phase.
+/// therefore byte-identical to depth-1 execution per seed at any depth
+/// and thread count.
 struct PipelineConfig {
   /// Maximum episodes in flight; 1 (the default) disables speculation:
   /// each episode is admitted and retired at once. Budget-armed managers
@@ -366,12 +361,12 @@ class ConstraintManager {
   /// Admits `u` into the episode pipeline. With PipelineConfig::depth 1
   /// (or a budget-armed manager) this is ApplyUpdate with the result
   /// parked for Drain(). With depth D > 1, up to D episodes are in flight
-  /// at once: admission snapshots the database and speculates the
-  /// episode's read-only phases on the thread pool, and when the pipeline
-  /// is full the oldest episode is retired through the commit turn
-  /// (validating its speculation against intervening writes) to make
-  /// room. Results are produced in admission order and collected by
-  /// Drain(). See PipelineConfig for the equivalence guarantee.
+  /// at once: admission snapshots the database and speculates on the
+  /// thread pool to stage the episode's remote trips, and when the
+  /// pipeline is full the oldest episode is retired through the commit
+  /// turn to make room. Results are produced in admission order and
+  /// collected by Drain(). See PipelineConfig for the equivalence
+  /// guarantee.
   void ApplyUpdateAsync(const Update& u);
 
   /// Retires every in-flight episode in admission order and returns the
@@ -493,17 +488,18 @@ class ConstraintManager {
 
   /// One update episode in its commit turn, built on the stack by
   /// whoever retires it: ApplyUpdate (and so depth-1 ApplyUpdateAsync)
-  /// unspeculated, CommitHeadToPending over a pipelined admission. The
-  /// phase functions below fill it in order. Defined in the .cc.
+  /// with nothing staged, CommitHeadToPending with its admission's staged
+  /// trips. The phase functions below fill it in order. Defined in the
+  /// .cc.
   struct Episode;
   /// One pipelined admission: the update's own copy, its admission
-  /// snapshot, the buffered speculation results, and the retire
-  /// handshake. Defined in the .cc.
+  /// snapshot, the staged trips, and the retire handshake. Defined in the
+  /// .cc.
   struct Admission;
 
   /// Where a check reads from and who observes the reads: the live
   /// database + the site observer + the live deferred queue in the commit
-  /// turn, or an admission's snapshot + a buffering observer + the queue
+  /// turn, or an admission's snapshot + a discarding observer + the queue
   /// as-of-admission on the speculative path. Defined in the .cc.
   struct CheckContext;
 
@@ -564,10 +560,9 @@ class ConstraintManager {
   Result<std::vector<CheckReport>> RetireEpisode(Episode& e);
   /// Prelude: breaker ticks and the auto-recheck drain.
   Status EpisodePrelude(Episode& e);
-  /// Phase 1: replays a speculation that survived validation, or runs
-  /// phase 1 live; bills its plan work, counts what it settled and
-  /// derives the tier-3 worklist. A check error returns before the plan
-  /// work is billed or any constraint is counted.
+  /// Phase 1, live: runs it, bills its plan work, counts what it settled
+  /// and derives the tier-3 worklist. A check error returns before the
+  /// plan work is billed or any constraint is counted.
   Status SettleLocally(Episode& e);
   /// The tentative apply, the batched remote prefetch of the worklist,
   /// and the worklist's per-check budget scopes.
@@ -612,20 +607,19 @@ class ConstraintManager {
   Tier3Attempt RecheckEntry(const DeferredCheck& entry, Database* scratch,
                             const BudgetScope* episode);
 
-  /// Applies `u` to the live database and, while episodes are in flight,
-  /// logs the written predicate for their validation (commit_writes_).
-  Status WriteLive(const Update& u);
-  /// Undoes an applied `u` the same way: every rollback and refusal.
+  /// Undoes an applied `u` in the live database: every rollback and
+  /// refusal.
   Status Undo(const Update& u);
 
   /// --- Episode scheduler (PipelineConfig; all private state below is
   /// --- touched only by the admitting thread except Admission internals).
 
-  /// Launches the admission's speculative phase 1 on the thread pool.
+  /// Launches the admission's speculation on the thread pool.
   void SpeculateEpisode(Admission* a);
-  /// The speculation body: phase 1 against the admission snapshot with
-  /// buffered reads, plus the staged remote prefetch. Runs on a pool
-  /// worker (or inline on sequential pools).
+  /// The speculation body: phase 1 against the admission snapshot, its
+  /// reads and plan work discarded, to predict the tier-3 worklist whose
+  /// remote trips it stages. Runs on a pool worker (or inline on
+  /// sequential pools).
   void SpeculatePhase1(Admission* a);
   /// Retires inflight_.front() through the commit turn: waits for its
   /// speculation and appends the result to pending_results_.
@@ -635,11 +629,6 @@ class ConstraintManager {
   /// Waits for in-flight speculations and discards them uncommitted
   /// (destructor path only).
   void AbandonInflight();
-  /// Whether `a`'s speculation survives the writes committed since its
-  /// admission (read-set vs commit_writes_[mark..], deferred-queue
-  /// epoch); counts the commit or the conflict, and trips the serial
-  /// fallback on sustained conflicts.
-  bool ValidateSpeculation(const Admission& a);
 
   /// Whether any site's breaker would admit a request (the deferred-drain
   /// gate).
@@ -693,19 +682,6 @@ class ConstraintManager {
   std::deque<std::unique_ptr<Admission>> inflight_;
   /// Results of retired episodes since the last Drain, admission order.
   std::vector<Result<std::vector<CheckReport>>> pending_results_;
-  /// Predicates written by committed episodes while the pipeline was
-  /// non-empty; an episode validates against the suffix from its
-  /// admission mark. Cleared whenever the pipeline empties.
-  std::vector<std::string> commit_writes_;
-  /// Bumped on every structural mutation of deferred_; an episode whose
-  /// admission epoch is stale speculated against a queue that no longer
-  /// exists and must re-run.
-  uint64_t deferred_epoch_ = 0;
-  /// Consecutive conflicted commits; kMaxConflictStreak (in the .cc)
-  /// trips the serial fallback below. Reset by any clean commit.
-  size_t conflict_streak_ = 0;
-  /// Episodes left to admit without speculation before probing again.
-  size_t serial_fallback_remaining_ = 0;
 
   std::unique_ptr<ThreadPool> pool_;
 
@@ -754,9 +730,6 @@ class ConstraintManager {
   /// path, so at depth 1 these read zero. NOT part of stats().
   obs::Counter* ctr_pipe_admitted_ = nullptr;
   obs::Counter* ctr_pipe_committed_ = nullptr;
-  obs::Counter* ctr_pipe_conflicts_ = nullptr;
-  obs::Counter* ctr_pipe_retries_ = nullptr;
-  obs::Counter* ctr_pipe_unspeculated_ = nullptr;
   obs::Gauge* gauge_pipe_in_flight_ = nullptr;
   obs::Histogram* hist_pipe_commit_wait_ = nullptr;
 };

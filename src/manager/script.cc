@@ -168,8 +168,8 @@ const ScriptOption kOptions[] = {
      }},
     {"pipeline-depth", "pipeline", "N", "a positive integer", "",
      "episode pipeline depth (default 1 = serial;\n"
-     "N>1 speculates check phases ahead while\n"
-     "commits stay serialized in admission order,\n"
+     "N>1 stages remote trips ahead while every\n"
+     "check runs in the serialized commit turn,\n"
      "so stdout is byte-identical at any depth);\n"
      "overrides the script's pipeline directive",
      [](std::string_view v, ScriptOptions* o) {

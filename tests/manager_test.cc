@@ -409,9 +409,7 @@ TEST(ManagerTest, SyncAndDepthOneAsyncShareOneCommitTurn) {
     out.stats = StatsText(out.counts);
     out.db = mgr.site().db().ToString();
     for (const char* name :
-         {"manager.pipeline.admitted", "manager.pipeline.committed",
-          "manager.pipeline.conflicts", "manager.pipeline.retries",
-          "manager.pipeline.unspeculated"}) {
+         {"manager.pipeline.admitted", "manager.pipeline.committed"}) {
       out.pipeline_counts += mgr.metrics().GetCounter(name)->value();
     }
     return out;
@@ -480,8 +478,8 @@ TEST(ManagerTest, PipelinedStressRetiresEpisodesSafely) {
   // committer retires (and frees) each episode the moment its
   // speculation publishes `done`, so a speculation task that touched its
   // episode after publishing would be a use-after-free — the sanitizer
-  // jobs catch it. Mostly no-op deletes (every admission speculates and
-  // nothing conflicts), with a sprinkling of real inserts.
+  // jobs catch it. Mostly no-op deletes (every admission speculates),
+  // with a sprinkling of real inserts.
   ConstraintManager mgr({.local_preds = {"l", "k"},
                          .parallel = {.threads = 4},
                          .pipeline = {.depth = 8}});

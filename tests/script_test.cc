@@ -364,11 +364,10 @@ TEST(ScriptRunTest, PipelinedRunMatchesSerialByteForByte) {
 }
 
 /// Comparison-free, and every insert writes l, which both constraints
-/// read: each speculation behind the first is discarded and re-run. The
-/// second insert is the first of its pattern, so its discarded
-/// speculation stores plan entries that its re-run then finds. Billing
-/// must still follow the serial run: a compile for the first consultation
-/// of an entry, a hit after.
+/// read. The second insert is the first of its pattern, so its
+/// speculation stores plan entries that its commit turn's phase 1 then
+/// finds. Billing must still follow the serial run: a compile for the
+/// first consultation of an entry, a hit after.
 const char kRepeatedPatternScript[] =
     "local l\n"
     "constraint noloop\n"

@@ -354,9 +354,8 @@ def check_plan_cache(path, doc, problems):
 # The episode_pipeline sweep is the acceptance evidence of the pipelined
 # episode scheduler: low-conflict re-check rows must show the pipeline
 # beating depth 1 (at least break-even at depth 2, at least 2x from depth
-# 4 up), and every row's pipeline accounting must balance — an admitted
-# episode either committed from speculation or was retried (conflict
-# re-run or serial-fallback admission).
+# 4 up), and every row's pipeline accounting must balance — every
+# admitted episode retires through the commit turn.
 EPISODE_PIPELINE_ROWS = tuple(
     f"pipeline/{regime}/t{threads}/d{depth}"
     for regime in ("low", "high")
@@ -373,8 +372,6 @@ EPISODE_PIPELINE_METRICS = (
     "speedup_vs_depth1",
     "admitted",
     "committed",
-    "conflicts",
-    "retried_commits",
 )
 
 
@@ -398,14 +395,13 @@ def check_episode_pipeline(path, doc, problems):
                      f"metric {key!r}", problems)
         admitted = metrics.get("admitted")
         committed = metrics.get("committed")
-        retried = metrics.get("retried_commits")
         if all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-               for v in (admitted, committed, retried)):
-            if admitted != committed + retried:
+               for v in (admitted, committed)):
+            if admitted != committed:
                 fail(path,
                      f"episode_pipeline: sweep {point['name']!r} accounting "
                      f"does not balance (admitted {admitted} != committed "
-                     f"{committed} + retried {retried})", problems)
+                     f"{committed})", problems)
         depth = metrics.get("depth")
         high = metrics.get("high_conflict")
         speedup = metrics.get("speedup_vs_depth1")
