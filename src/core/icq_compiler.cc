@@ -1,5 +1,7 @@
 #include "core/icq_compiler.h"
 
+#include <algorithm>
+
 #include "eval/engine.h"
 #include "util/check.h"
 
@@ -364,16 +366,32 @@ Result<Outcome> IcqDirectTestOnInsert(const IcqCompilation& comp,
   // No tuple of another arity matches the local atom.
   if (local_relation.arity() != t.size()) return Outcome::kUnknown;
 
-  // The union, over every branch, of the forbidden intervals of the local
-  // tuples in t's key group. Every branch shares the local atom and key, so
-  // t matched the pattern and one key check serves all branches.
+  // The forbidden intervals, over every branch, of the local tuples in t's
+  // key group that overlap or touch some target. Every branch shares the
+  // local atom and key, so t matched the pattern and one key check serves
+  // all branches. An interval separated from every target by a gap cannot
+  // help cover one: a covered target lies inside the union of the
+  // intervals that meet it, so the others are dropped unmerged.
   const IcqBranch& shape = comp.branches[0];
-  IntervalSet covered;
+  std::vector<Interval> touching;
   auto add = [&](const Tuple& s) {
     if (!SameKey(shape, s, t)) return;
     for (const IcqBranch& b : comp.branches) {
       std::optional<Interval> interval = ForbiddenInterval(b, s);
-      if (interval.has_value()) covered.Add(std::move(*interval));
+      if (!interval.has_value()) continue;
+      auto meets = [&interval](const std::optional<Interval>& target) {
+        return target.has_value() && interval->Meets(*target);
+      };
+      // Most of a group meets no target; test that first, emptiness after.
+      if (!std::any_of(targets.begin(), targets.end(), meets) ||
+          interval->Empty()) {
+        continue;
+      }
+      // Rows often arrive as a chain: merging into the last kept interval
+      // when they meet keeps the vector, and FromIntervals' sort, short.
+      if (touching.empty() || !touching.back().Absorb(*interval)) {
+        touching.push_back(std::move(*interval));
+      }
     }
   };
   const std::vector<Tuple>& rows = local_relation.rows();
@@ -394,6 +412,7 @@ Result<Outcome> IcqDirectTestOnInsert(const IcqCompilation& comp,
     add(s);
   }
 
+  const IntervalSet covered = IntervalSet::FromIntervals(std::move(touching));
   for (const std::optional<Interval>& target : targets) {
     if (target.has_value() && !covered.Covers(*target)) {
       return Outcome::kUnknown;

@@ -66,8 +66,13 @@ Result<Outcome> IcqLocalTestOnInsert(const IcqCompilation& comp,
 /// The same test computed directly with IntervalSet (no datalog), the
 /// fast path. Only t's key group can cover t, so it reads the rows that
 /// Relation::Probe(key_col, t[key_col]) returns (all rows when the
-/// constraint has no key): O(|group| * branches). `rows_read`, when given,
-/// receives the number of local tuples read.
+/// constraint has no key). Of their forbidden intervals it keeps those
+/// that overlap or touch some branch's target (merging each into the one
+/// kept before it when they meet), normalizes them once with
+/// IntervalSet::FromIntervals and asks Covers per target:
+/// O(g * b^2 + k log k) for g group rows, b branches and k kept
+/// intervals. `rows_read`, when given, receives the number of local tuples
+/// read.
 Result<Outcome> IcqDirectTestOnInsert(const IcqCompilation& comp,
                                       const Relation& local_relation,
                                       const Tuple& t,

@@ -97,6 +97,17 @@ bool Interval::Covers(const Interval& other) const {
   return true;
 }
 
+bool Interval::Meets(const Interval& other) const {
+  return Connects(hi, other.lo) && Connects(other.hi, lo);
+}
+
+bool Interval::Absorb(const Interval& other) {
+  if (!Meets(other)) return false;
+  if (LowerBoundLess(other.lo, lo)) lo = other.lo;
+  if (UpperBoundLess(hi, other.hi)) hi = other.hi;
+  return true;
+}
+
 bool Connects(const Bound& hi, const Bound& lo) {
   if (!hi.finite() || !lo.finite()) {
     // An infinite end always reaches anything on its side.
@@ -116,6 +127,40 @@ std::string Interval::ToString() const {
   return out;
 }
 
+IntervalSet IntervalSet::FromIntervals(std::vector<Interval> intervals) {
+  // Drop the empty intervals, and merge each into the one kept before it
+  // when the two connect: a chain of intervals that arrives in order
+  // collapses here in one pass, and the sort sees only what is left.
+  size_t kept = 0;
+  for (size_t i = 0; i < intervals.size(); ++i) {
+    Interval& next = intervals[i];
+    if (next.Empty() || (kept > 0 && intervals[kept - 1].Absorb(next))) {
+      continue;
+    }
+    if (i != kept) intervals[kept] = std::move(next);
+    ++kept;
+  }
+  intervals.erase(intervals.begin() + kept, intervals.end());
+  std::sort(intervals.begin(), intervals.end(),
+            [](const Interval& a, const Interval& b) {
+              return LowerBoundLess(a.lo, b.lo);
+            });
+  // Sorted by lower bound, each interval either connects to the member
+  // being grown (no gap after its upper bound) and extends it, or starts
+  // a new member.
+  IntervalSet set;
+  for (Interval& next : intervals) {
+    if (!set.intervals_.empty() &&
+        Connects(set.intervals_.back().hi, next.lo)) {
+      Interval& current = set.intervals_.back();
+      if (UpperBoundLess(current.hi, next.hi)) current.hi = std::move(next.hi);
+      continue;
+    }
+    set.intervals_.push_back(std::move(next));
+  }
+  return set;
+}
+
 void IntervalSet::Add(Interval interval) {
   if (interval.Empty()) return;
   std::vector<Interval> kept;
@@ -123,14 +168,7 @@ void IntervalSet::Add(Interval interval) {
   for (Interval& existing : intervals_) {
     // `existing` stays separate iff a genuine gap lies between it and
     // `current` on one side; otherwise it is absorbed.
-    bool gap_before = !Connects(existing.hi, current.lo);
-    bool gap_after = !Connects(current.hi, existing.lo);
-    if (gap_before || gap_after) {
-      kept.push_back(std::move(existing));
-      continue;
-    }
-    if (LowerBoundLess(existing.lo, current.lo)) current.lo = existing.lo;
-    if (UpperBoundLess(current.hi, existing.hi)) current.hi = existing.hi;
+    if (!current.Absorb(existing)) kept.push_back(std::move(existing));
   }
   kept.push_back(std::move(current));
   std::sort(kept.begin(), kept.end(),

@@ -47,6 +47,13 @@ struct Interval {
   bool Contains(const Value& v) const;
   /// True iff `other` is a subset of this interval.
   bool Covers(const Interval& other) const;
+  /// True iff `other` overlaps or touches this interval: no gap lies
+  /// between them on either side.
+  bool Meets(const Interval& other) const;
+  /// If Meets(other), widens this interval to their union and returns
+  /// true; otherwise leaves it unchanged and returns false. Both must be
+  /// nonempty.
+  bool Absorb(const Interval& other);
   std::string ToString() const;
 };
 
@@ -68,12 +75,25 @@ bool UpperBoundLess(const Bound& a, const Bound& b);
 /// path and as the cross-check oracle for the compiled programs.
 class IntervalSet {
  public:
+  IntervalSet() = default;
+
+  /// The union of `intervals`, normalized in one sort by lower bound and
+  /// one merge sweep: O(n log n) for n intervals, where n calls of Add
+  /// cost O(n^2 log n). A first pass drops empty intervals and absorbs
+  /// each into the one kept before it when they connect, so a chain that
+  /// arrives in order is merged before the sort. Equal to adding the
+  /// intervals one by one, in any order.
+  static IntervalSet FromIntervals(std::vector<Interval> intervals);
+
   /// Adds an interval, merging with neighbours it connects to. Empty
-  /// intervals are ignored.
+  /// intervals are ignored. O(n log n) in the set's size n: it rebuilds
+  /// the member vector, so a set built from many intervals at once should
+  /// come from FromIntervals.
   void Add(Interval interval);
 
   /// True iff `interval` is a subset of the union. (Because the set is
   /// normalized, a covered interval is covered by a single member.)
+  /// O(n) in the number of members.
   bool Covers(const Interval& interval) const;
 
   bool Contains(const Value& v) const;

@@ -350,7 +350,8 @@ void SiteDatabase::PrefetchRemoteBatched(const std::set<std::string>& preds,
 }
 
 std::vector<SiteDatabase::SiteBatch> SiteDatabase::StageRemoteBatches(
-    const std::set<std::string>& preds, const Database& snapshot) const {
+    const std::set<std::string>& preds, const Database& snapshot,
+    const std::function<bool(const SiteBatch&)>& claim) const {
   std::vector<SiteBatch> batches = PlanBatches(preds, snapshot);
   // The round trips' wall-clock cost is paid here, on the speculation
   // thread, where it overlaps other episodes' work; everything observable
@@ -359,6 +360,12 @@ std::vector<SiteDatabase::SiteBatch> SiteDatabase::StageRemoteBatches(
   // speculation-thread interleaving reorder the site's deterministic
   // latency stream.
   for (const SiteBatch& batch : batches) {
+    if (!claim(batch)) continue;
+    obs::Span span("distsim.stage_batch", "distsim");
+    if (span.active()) {
+      span.Attr("site", static_cast<int64_t>(batch.site));
+      span.Attr("relations", static_cast<int64_t>(batch.entries.size()));
+    }
     const CostModel& costs = site_states_[batch.site]->costs;
     SleepUs(costs.latency_model == LatencyModel::kFixed
                 ? costs.trip_latency_us

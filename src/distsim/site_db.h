@@ -2,6 +2,7 @@
 #define CCPI_DISTSIM_SITE_DB_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -244,14 +245,18 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
 
   /// Speculative prefetch of a pipelined episode (see docs/concurrency.md):
   /// plans the batches PrefetchRemoteBatched would fetch for `preds` as
-  /// seen in `snapshot`, sleeps one simulated trip per batch on the
-  /// calling thread, and returns the batches. Nothing observable happens —
-  /// no counter, cache, injector or latency-draw interaction — so
-  /// it is safe on a speculation thread concurrently with commits. Under a
-  /// non-fixed latency model the sleep is a draw-free hint (the fast mode):
-  /// the real draw is consumed when the batch is billed, in commit order.
-  std::vector<SiteBatch> StageRemoteBatches(const std::set<std::string>& preds,
-                                            const Database& snapshot) const;
+  /// seen in `snapshot`, sleeps one simulated trip on the calling thread
+  /// for each batch that `claim` accepts (a batch it declines was slept
+  /// already, by an earlier speculation), and returns every planned batch.
+  /// Each sleep is traced as a `distsim.stage_batch` span. Nothing else
+  /// observable happens — no counter, cache, injector or latency-draw
+  /// interaction — so it is safe on a speculation thread concurrently with
+  /// commits. Under a non-fixed latency model the sleep is a draw-free hint
+  /// (the fast mode): the real draw is consumed when the batch is billed,
+  /// in commit order.
+  std::vector<SiteBatch> StageRemoteBatches(
+      const std::set<std::string>& preds, const Database& snapshot,
+      const std::function<bool(const SiteBatch&)>& claim) const;
 
   /// Catch-up reconciliation for a site returning from outage: re-fetches
   /// every relation of `site` among `preds` whose cache entry went stale

@@ -1346,7 +1346,10 @@ void ConstraintManager::SpeculatePhase1(Admission* a) {
   // updated relation's version, so a batch carrying it could never match
   // the commit-time batch: its whole site is left unstaged. A wrong
   // prediction costs only its sleep: the commit turn pays in full every
-  // batch that is not exactly a staged one.
+  // batch that is not exactly a staged one. A batch an earlier in-flight
+  // admission already slept is staged without a second sleep (see
+  // staged_inflight_); otherwise every admission whose snapshot predates
+  // the first commit's cache fill would sleep the same cold trip.
   std::set<std::string> preds = PrefetchPreds(phase1->Worklist());
   if (preds.count(u.pred) > 0) {
     const size_t updated_site = site_.SiteOf(u.pred);
@@ -1354,7 +1357,15 @@ void ConstraintManager::SpeculatePhase1(Admission* a) {
       return site_.SiteOf(pred) == updated_site;
     });
   }
-  a->staged = site_.StageRemoteBatches(preds, a->snapshot);
+  a->staged = site_.StageRemoteBatches(
+      preds, a->snapshot, [&](const SiteDatabase::SiteBatch& batch) {
+        std::lock_guard<std::mutex> lock(staged_mu_);
+        for (const auto& [sequence, slept] : staged_inflight_) {
+          if (sequence < a->sequence && slept.SameFetch(batch)) return false;
+        }
+        staged_inflight_.emplace_back(a->sequence, batch);
+        return true;
+      });
 }
 
 void ConstraintManager::CommitHeadToPending() {
@@ -1371,6 +1382,11 @@ void ConstraintManager::CommitHeadToPending() {
   Episode e(a->update, a->sequence, a->staged);
   pending_results_.push_back(CommitTurn(e));
   ctr_pipe_committed_->Add(1);
+  {
+    std::lock_guard<std::mutex> lock(staged_mu_);
+    std::erase_if(staged_inflight_,
+                  [a](const auto& entry) { return entry.first == a->sequence; });
+  }
   inflight_.pop_front();
   gauge_pipe_in_flight_->Set(static_cast<int64_t>(inflight_.size()));
 }
@@ -1388,6 +1404,7 @@ void ConstraintManager::AbandonInflight() {
     a->cv.wait(lock, [&a]() { return a->done; });
   }
   inflight_.clear();
+  staged_inflight_.clear();
 }
 
 }  // namespace ccpi

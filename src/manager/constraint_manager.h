@@ -5,7 +5,9 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datalog/ast.h"
@@ -680,6 +682,15 @@ class ConstraintManager {
 
   /// Admitted, not yet retired, in admission order (== commit order).
   std::deque<std::unique_ptr<Admission>> inflight_;
+  /// The prefetch batches in-flight speculations slept, each with the
+  /// sequence of the admission that slept it. A speculation does not
+  /// sleep a batch that an earlier in-flight admission slept at the same
+  /// versions (SameFetch): that sleep ends before the earlier admission's
+  /// commit turn, hence before its own. Speculations run on pool workers,
+  /// so the list has its own lock; an admission's entries leave when it
+  /// retires.
+  std::mutex staged_mu_;
+  std::vector<std::pair<uint64_t, SiteDatabase::SiteBatch>> staged_inflight_;
   /// Results of retired episodes since the last Drain, admission order.
   std::vector<Result<std::vector<CheckReport>>> pending_results_;
 

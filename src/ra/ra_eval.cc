@@ -38,6 +38,17 @@ size_t FindJoinCondition(const std::vector<RaCondition>& conds,
   return static_cast<size_t>(-1);
 }
 
+/// Finds a condition of `conds` that fixes one column to a constant
+/// (#c = k or k = #c), usable as an index probe. Returns the index into
+/// `conds`, or npos.
+size_t FindConstantEquality(const std::vector<RaCondition>& conds) {
+  for (size_t i = 0; i < conds.size(); ++i) {
+    const RaCondition& c = conds[i];
+    if (c.op == CmpOp::kEq && c.lhs.is_col != c.rhs.is_col) return i;
+  }
+  return static_cast<size_t>(-1);
+}
+
 /// An evaluation result that is either owned by the evaluator or borrowed
 /// from the database. kScan borrows — returning the stored relation by
 /// value would be a full O(|R|) row+hashset copy per scan node that also
@@ -128,6 +139,38 @@ Result<RelView> EvalHashJoin(const RaExpr& select, const RaCondition& key,
   return RelView::Own(std::move(out));
 }
 
+/// Evaluates sigma_conds(scan) where `key` fixes a column to a constant:
+/// reads only the rows Relation::Probe returns for that constant and
+/// checks every condition on them. Emits exactly the rows, in exactly the
+/// order, of the scan-then-filter it replaces (the posting is ascending in
+/// row position), and bills the observer the posting's size, the rows it
+/// enumerates: O(|posting|) instead of O(|R|).
+Result<RelView> EvalProbe(const RaExpr& select, const RaCondition& key,
+                          const Database& db, AccessObserver* observer,
+                          obs::Counter* nodes, const BudgetScope* budget) {
+  const RaExpr& scan = *select.left();
+  // The scan node this probe replaces: same node count and budget
+  // checkpoint as the scan-then-filter path.
+  if (nodes != nullptr) nodes->Add(1);
+  if (budget != nullptr) CCPI_RETURN_IF_ERROR(budget->Check());
+  const Relation& rel = db.Get(scan.pred(), scan.arity());
+  if (rel.arity() != scan.arity()) {
+    return Status::InvalidArgument("scan arity mismatch on " + scan.pred());
+  }
+  const size_t col = key.lhs.is_col ? key.lhs.col : key.rhs.col;
+  const Value& constant = key.lhs.is_col ? key.rhs.constant : key.lhs.constant;
+  const std::vector<size_t>& posting = rel.Probe(col, constant);
+  if (observer != nullptr) {
+    CCPI_RETURN_IF_ERROR(observer->OnRead(scan.pred(), posting.size()));
+  }
+  const std::vector<Tuple>& rows = rel.rows();
+  Relation out(select.arity());
+  for (size_t i : posting) {
+    if (Holds(select.conditions(), rows[i])) out.Insert(rows[i]);
+  }
+  return RelView::Own(std::move(out));
+}
+
 Result<RelView> EvalRaNode(const RaExpr& expr, const Database& db,
                            AccessObserver* observer, obs::Counter* nodes,
                            const BudgetScope* budget) {
@@ -153,11 +196,20 @@ Result<RelView> EvalRaNode(const RaExpr& expr, const Database& db,
       return RelView::Own(std::move(out));
     }
     case RaExpr::Kind::kSelect: {
-      // A selection directly over a product whose conditions equate a
-      // left column to a right column is a join in disguise: evaluate it
-      // as a hash equi-join instead of materializing the full product.
-      // Falls through to the nested-loop path when no such condition
-      // exists (e.g. pure theta-joins on inequalities).
+      // A selection directly over a scan that fixes a column to a constant
+      // is an index lookup: probe that column instead of scanning. A
+      // selection directly over a product whose conditions equate a left
+      // column to a right column is a join in disguise: evaluate it as a
+      // hash equi-join instead of materializing the full product. Both
+      // fall through to the filtering path when no such condition exists
+      // (e.g. pure theta-joins on inequalities).
+      if (expr.left()->kind() == RaExpr::Kind::kScan) {
+        size_t key = FindConstantEquality(expr.conditions());
+        if (key != static_cast<size_t>(-1)) {
+          return EvalProbe(expr, expr.conditions()[key], db, observer, nodes,
+                           budget);
+        }
+      }
       if (expr.left()->kind() == RaExpr::Kind::kProduct) {
         size_t key = FindJoinCondition(expr.conditions(),
                                        expr.left()->left()->arity());

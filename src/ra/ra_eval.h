@@ -13,10 +13,17 @@ class MetricsRegistry;
 }  // namespace obs
 
 /// Evaluates an RA expression against `db`. Scans of absent relations see
-/// the empty relation. If `observer` is non-null it is told how many tuples
-/// of each base relation were read — the complete local tests of Theorem
-/// 5.3 run entirely over the local relation, and the benchmark harness uses
-/// this hook to demonstrate it. If `metrics` is non-null the evaluator
+/// the empty relation. Two selections are evaluated by access path rather
+/// than by filtering their input: a selection directly over a scan with a
+/// `#c = constant` condition reads only the rows Relation::Probe returns
+/// for that constant, and a selection directly over a product with a
+/// column equality across it is a hash join; either emits the same rows
+/// in the same order as filtering would. If `observer` is non-null it is
+/// told how many tuples of each base relation were read, counted as the
+/// rows enumerated (a probed selection reads its posting, not the
+/// relation) — the complete local tests of Theorem 5.3 run entirely over
+/// the local relation, and the benchmark harness uses this hook to
+/// demonstrate it. If `metrics` is non-null the evaluator
 /// accounts `ra.*` counters into it (see docs/observability.md); the
 /// counter handle is resolved once per call, not per node. If `budget` is
 /// non-null the evaluator checks the deadline / cancellation at every

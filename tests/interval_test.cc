@@ -189,5 +189,54 @@ TEST(IntervalSetTest, RandomizedPointSampleAgreement) {
   }
 }
 
+/// FromIntervals is the one-sort, one-sweep form of repeated Add: on random
+/// lists of open, closed, ray, whole-line and empty intervals over a small
+/// value range (so endpoints are often shared), both build the same
+/// members, whatever order the list comes in.
+TEST(IntervalSetTest, BulkBuildMatchesIncrementalAdds) {
+  // Touching pairs first: [1,2) + [2,3] is one interval, (1,2) + (2,3)
+  // leaves the point 2 out.
+  EXPECT_EQ(IntervalSet::FromIntervals({CC(2, 3), CO(1, 2)}).ToString(),
+            "[1, 3]");
+  EXPECT_EQ(IntervalSet::FromIntervals({OO(2, 3), OO(1, 2)}).ToString(),
+            "(1, 2) U (2, 3)");
+  EXPECT_TRUE(IntervalSet::FromIntervals({}).empty());
+  EXPECT_TRUE(IntervalSet::FromIntervals({OO(1, 1), CC(2, 1)}).empty());
+
+  Rng rng(3053);
+  auto bound = [&](bool lower) {
+    switch (rng.Range(0, 9)) {
+      case 0:
+        return lower ? Bound::NegInf() : Bound::PosInf();
+      case 1:  // an inverted infinity: the interval is empty
+        return lower ? Bound::PosInf() : Bound::NegInf();
+      default: {
+        Value v = V(static_cast<int>(rng.Range(0, 8)));
+        return rng.Chance(1, 2) ? Bound::Closed(v) : Bound::Open(v);
+      }
+    }
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<Interval> intervals;
+    const int n = static_cast<int>(rng.Range(0, 12));
+    for (int i = 0; i < n; ++i) {
+      Interval interval{bound(true), bound(false)};
+      intervals.push_back(interval);
+    }
+    IntervalSet incremental;
+    for (const Interval& i : intervals) incremental.Add(i);
+    // Any input order builds the same set.
+    for (size_t i = intervals.size(); i > 1; --i) {
+      std::swap(intervals[i - 1], intervals[rng.Below(i)]);
+    }
+    IntervalSet bulk = IntervalSet::FromIntervals(intervals);
+    ASSERT_EQ(bulk.ToString(), incremental.ToString()) << "trial " << trial;
+    ASSERT_EQ(bulk.intervals().size(), incremental.intervals().size());
+    for (int p = -1; p <= 9; ++p) {
+      ASSERT_EQ(bulk.Contains(V(p)), incremental.Contains(V(p)));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ccpi

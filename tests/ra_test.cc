@@ -105,23 +105,70 @@ TEST(RaTest, NonemptyTest) {
   EXPECT_FALSE(*no);
 }
 
+/// Sums the tuples each base relation reports as read.
+class ReadCounter : public AccessObserver {
+ public:
+  Status OnRead(const std::string& pred, size_t count) override {
+    total[pred] += count;
+    return Status::OK();
+  }
+  std::map<std::string, size_t> total;
+};
+
 TEST(RaTest, ObserverCountsBaseReads) {
-  class Counter : public AccessObserver {
-   public:
-    Status OnRead(const std::string& pred, size_t count) override {
-      total[pred] += count;
-      return Status::OK();
-    }
-    std::map<std::string, size_t> total;
-  };
   Database db = SampleDb();
-  Counter counter;
+  ReadCounter counter;
   auto expr = RaExpr::Select(
       RaExpr::Scan("l", 2),
       {RaCondition{RaOperand::Col(0), CmpOp::kEq, RaOperand::Const(V(3))}});
+  // The #1=3 selection probes column 0: only the posting of 3 is read.
   ASSERT_TRUE(EvalRa(*expr, db, &counter).ok());
-  EXPECT_EQ(counter.total["l"], 2u);
+  EXPECT_EQ(counter.total["l"], 1u);
   EXPECT_EQ(counter.total.count("r"), 0u);
+}
+
+TEST(RaTest, ObserverCountsAWholeScanWithoutAnEquality) {
+  Database db = SampleDb();
+  ReadCounter counter;
+  // No #c = constant condition: the selection filters the whole scan.
+  auto expr = RaExpr::Select(
+      RaExpr::Scan("l", 2),
+      {RaCondition{RaOperand::Col(0), CmpOp::kLt, RaOperand::Const(V(4))}});
+  auto rel = EvalRa(*expr, db, &counter);
+  ASSERT_TRUE(rel.ok());
+  EXPECT_EQ(rel->size(), 1u);
+  EXPECT_EQ(counter.total["l"], 2u);
+}
+
+/// A probed selection emits the rows, in the order, of filtering the whole
+/// relation: the same selection over `l U {}` (which is filtered, not
+/// probed) is the reference, with the constant on either side and extra
+/// conditions checked on the posting.
+TEST(RaTest, ProbedSelectionMatchesFilteredScan) {
+  Database db;
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(db.Insert("l", {V(i % 7), V(i), V(i % 3)}).ok());
+  }
+  ASSERT_TRUE(db.Erase("l", {V(3), V(10), V(1)}).ok());  // reorders a row
+  for (int k = -1; k <= 7; ++k) {
+    std::vector<std::vector<RaCondition>> variants = {
+        {RaCondition{RaOperand::Col(0), CmpOp::kEq, RaOperand::Const(V(k))}},
+        {RaCondition{RaOperand::Const(V(k)), CmpOp::kEq, RaOperand::Col(0)},
+         RaCondition{RaOperand::Col(2), CmpOp::kNe, RaOperand::Const(V(1))}},
+        {RaCondition{RaOperand::Col(1), CmpOp::kGt, RaOperand::Const(V(20))},
+         RaCondition{RaOperand::Col(2), CmpOp::kEq, RaOperand::Const(V(k))}},
+    };
+    for (const auto& conds : variants) {
+      auto probed = EvalRa(*RaExpr::Select(RaExpr::Scan("l", 3), conds), db);
+      auto filtered = EvalRa(
+          *RaExpr::Select(
+              RaExpr::Union(RaExpr::Scan("l", 3), RaExpr::ConstRel(3, {})),
+              conds),
+          db);
+      ASSERT_TRUE(probed.ok() && filtered.ok());
+      EXPECT_EQ(probed->rows(), filtered->rows()) << "k=" << k;
+    }
+  }
 }
 
 TEST(RaTest, ToStringRendering) {
