@@ -9,9 +9,10 @@
 // overlapped time is simulated WAN latency, not CPU).
 //
 // A speculation only stages trips: it predicts the episode's tier-3
-// worklist from its admission snapshot and sleeps that worklist's round
-// trips; the commit turn runs every check live and skips the sleep of a
-// batch only when it fetches exactly what was staged. Two conflict
+// worklist from registration data and the tier-1 memo, without reading
+// data, and sleeps that worklist's round trips (batches planned against
+// its admission snapshot); the commit turn runs every check live and
+// skips the sleep of a batch only when it fetches exactly what was staged. Two conflict
 // regimes per thread count:
 //   low   each update writes its own predicate, so the commits ahead of
 //         a speculation never touch what it predicted from and its staged
@@ -19,11 +20,10 @@
 //         show speedup_vs_depth1 >= 1, and >= 2 at depth >= 4
 //         (contract-checked by tools/check_bench_json.py)
 //   high  every update writes the one predicate every affected check
-//         reads, so each speculation predicts from a snapshot the
-//         commits ahead of it have already made stale: its phase 1 is
-//         spent again in the commit turn, and a batch it staged before an
-//         earlier commit filled the cache is slept for nothing — the row
-//         documents that cost, not a speedup
+//         reads, so each speculation stages batches against a snapshot
+//         the commits ahead of it have already made stale: a batch it
+//         staged before an earlier commit filled the cache is slept for
+//         nothing — the row documents that cost, not a speedup
 //
 // Every row also records the pipeline accounting, which must balance:
 // every admitted episode retires through the commit turn (admitted ==
@@ -109,7 +109,8 @@ std::unique_ptr<ConstraintManager> MakeManager(size_t constraints,
 /// commit fetches.
 ///
 /// High conflict: every episode writes the one predicate every in-flight
-/// speculation read, so every speculation predicts from a stale snapshot.
+/// speculation staged against, so every speculation stages from a stale
+/// snapshot.
 std::vector<Update> MakeStream(size_t episodes, size_t constraints,
                                bool high_conflict) {
   std::vector<Update> out;

@@ -1,7 +1,10 @@
 #include "datalog/unfold.h"
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "util/check.h"
 
@@ -76,6 +79,15 @@ Unification UnifyHead(const Atom& rule_head, const Atom& call) {
   return u;
 }
 
+/// Bodies one UnfoldToUCQ call may build, over all its goal rules. An
+/// unfolding can grow exponentially with the nesting depth (two rules per
+/// level double the disjuncts), so past this the program is reported
+/// kUnsupported, which every caller already treats as "no UCQ form". The
+/// largest unfolding of the test suite takes 10 steps (6 disjuncts), of
+/// the perfbench workloads 3; a chain of 10,000 derived predicates takes
+/// 10,001 and still unfolds.
+constexpr size_t kMaxUnfoldSteps = 1 << 14;
+
 class Unfolder {
  public:
   explicit Unfolder(const Program& program) {
@@ -83,43 +95,90 @@ class Unfolder {
     for (const Rule& r : program.rules) rules_by_pred_[r.head.pred].push_back(r);
   }
 
-  Result<std::vector<std::vector<Literal>>> Expand(
-      std::vector<Literal> body) {
-    // Locate the first literal mentioning an IDB predicate.
-    size_t idx = body.size();
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (!body[i].is_comparison() && idb_.count(body[i].atom.pred) > 0) {
-        idx = i;
-        break;
-      }
-    }
-    if (idx == body.size()) {
-      return std::vector<std::vector<Literal>>{std::move(body)};
-    }
-    Literal target = body[idx];
-    body.erase(body.begin() + idx);
-    const std::vector<Rule>& defs = rules_by_pred_[target.atom.pred];
-
-    std::vector<std::vector<Literal>> out;
-    if (target.is_positive()) {
-      for (const Rule& def : defs) {
-        Rule renamed = RenameApart(def, FreshSuffix());
-        Unification u = UnifyHead(renamed.head, target.atom);
-        if (u.statically_false) continue;
+  /// Depth-first expansion of `body` into IDB-free bodies, appended to
+  /// `out` in the order a recursive unfolding would produce them (and with
+  /// the same fresh variable names). The worklist is explicit, so a deep
+  /// chain of definitions cannot exhaust the call stack.
+  Status Expand(std::vector<Literal> body,
+                std::vector<std::vector<Literal>>* out) {
+    // A work item is either a body still to expand or, with `target` set,
+    // the next defining rule (`next_def`) of `target`'s positive
+    // occurrence in `body`, which then holds the rest of that body.
+    struct Item {
+      std::vector<Literal> body = {};
+      std::optional<Literal> target = {};
+      size_t next_def = 0;
+    };
+    std::vector<Item> stack;
+    stack.push_back({std::move(body)});
+    while (!stack.empty()) {
+      Item item = std::move(stack.back());
+      stack.pop_back();
+      if (item.target.has_value()) {
+        // One defining rule at a time, renamed only when reached, so the
+        // fresh-name counter advances in recursive order.
+        const std::vector<Rule>& defs = rules_by_pred_[item.target->atom.pred];
+        if (item.next_def == defs.size()) continue;
+        Rule renamed = RenameApart(defs[item.next_def++], FreshSuffix());
+        Unification u = UnifyHead(renamed.head, item.target->atom);
+        if (u.statically_false) {
+          stack.push_back(std::move(item));
+          continue;
+        }
         std::vector<Literal> next;
         for (const Comparison& eq : u.equalities) next.push_back(Literal::Cmp(eq));
         for (const Literal& l : renamed.body) next.push_back(Apply(u.subst, l));
-        next.insert(next.end(), body.begin(), body.end());
-        CCPI_ASSIGN_OR_RETURN(auto sub, Expand(std::move(next)));
-        for (auto& b : sub) out.push_back(std::move(b));
+        next.insert(next.end(), item.body.begin(), item.body.end());
+        // The rest of this rule's alternatives wait under its expansion.
+        stack.push_back(std::move(item));
+        CCPI_RETURN_IF_ERROR(Spend(1));
+        stack.push_back({std::move(next)});
+        continue;
       }
-      return out;
+      // Locate the first literal mentioning an IDB predicate.
+      std::vector<Literal>& b = item.body;
+      auto idb = std::find_if(b.begin(), b.end(), [&](const Literal& l) {
+        return !l.is_comparison() && idb_.count(l.atom.pred) > 0;
+      });
+      if (idb == b.end()) {
+        out->push_back(std::move(b));
+        continue;
+      }
+      Literal target = *idb;
+      b.erase(idb);
+      if (target.is_positive()) {
+        stack.push_back({std::move(b), std::move(target)});
+        continue;
+      }
+      CCPI_ASSIGN_OR_RETURN(std::vector<std::vector<Literal>> combos,
+                            NegatedChoices(target));
+      // Pushed in reverse so the first choice is expanded first.
+      CCPI_RETURN_IF_ERROR(Spend(combos.size()));
+      for (auto it = combos.rbegin(); it != combos.rend(); ++it) {
+        it->insert(it->end(), b.begin(), b.end());
+        stack.push_back({std::move(*it)});
+      }
     }
+    return Status::OK();
+  }
 
-    // Negated IDB subgoal: not (B1 or ... or Bk) expands to the cross
-    // product of one negated literal chosen from each Bi.
+ private:
+  /// Charges `n` expansion steps against kMaxUnfoldSteps.
+  Status Spend(size_t n) {
+    steps_ += n;
+    if (steps_ <= kMaxUnfoldSteps) return Status::OK();
+    return Status::Unsupported("unfolding exceeds " +
+                               std::to_string(kMaxUnfoldSteps) +
+                               " expansion steps");
+  }
+
+  /// A negated IDB subgoal: not (B1 or ... or Bk) expands to the cross
+  /// product of one negated literal chosen from each Bi. Empty when some
+  /// Bi matches unconditionally (the branch is dead).
+  Result<std::vector<std::vector<Literal>>> NegatedChoices(
+      const Literal& target) {
     std::vector<std::vector<Literal>> candidate_sets;
-    for (const Rule& def : defs) {
+    for (const Rule& def : rules_by_pred_[target.atom.pred]) {
       // Existential variables make not-exists inexpressible in UCQ.
       std::set<std::string> head_vars;
       for (const Term& t : def.head.args) {
@@ -149,11 +208,13 @@ class Unfolder {
       }
       candidate_sets.push_back(std::move(candidates));
     }
-    // Cross product of candidate choices.
+    // Cross product of candidate choices. Every partial combination built
+    // is a step, so the product stops growing at the cap.
     std::vector<std::vector<Literal>> combos = {{}};
     for (const auto& candidates : candidate_sets) {
       std::vector<std::vector<Literal>> next;
       for (const auto& combo : combos) {
+        CCPI_RETURN_IF_ERROR(Spend(candidates.size()));
         for (const Literal& c : candidates) {
           std::vector<Literal> extended = combo;
           extended.push_back(c);
@@ -162,21 +223,15 @@ class Unfolder {
       }
       combos = std::move(next);
     }
-    for (auto& combo : combos) {
-      std::vector<Literal> next = std::move(combo);
-      next.insert(next.end(), body.begin(), body.end());
-      CCPI_ASSIGN_OR_RETURN(auto sub, Expand(std::move(next)));
-      for (auto& b : sub) out.push_back(std::move(b));
-    }
-    return out;
+    return combos;
   }
 
- private:
   std::string FreshSuffix() { return "_u" + std::to_string(counter_++); }
 
   std::set<std::string> idb_;
   std::map<std::string, std::vector<Rule>> rules_by_pred_;
   int counter_ = 0;
+  size_t steps_ = 0;
 };
 
 }  // namespace
@@ -189,7 +244,8 @@ Result<UCQ> UnfoldToUCQ(const Program& program) {
   UCQ out;
   for (const Rule& r : program.rules) {
     if (r.head.pred != program.goal) continue;
-    CCPI_ASSIGN_OR_RETURN(auto bodies, unfolder.Expand(r.body));
+    std::vector<std::vector<Literal>> bodies;
+    CCPI_RETURN_IF_ERROR(unfolder.Expand(r.body, &bodies));
     for (const auto& body : bodies) {
       out.push_back(BodyToCQ(r.head, body));
     }

@@ -22,6 +22,9 @@ namespace ccpi {
 /// `emp1`, `isJones`) are all of this shape. If a defining rule of a negated
 /// predicate has existential variables, Unsupported is returned — the
 /// negation of an existential is not expressible in UCQ with safe negation.
+/// Unsupported is also returned when the unfolding would take more than a
+/// fixed number of expansion steps (`kMaxUnfoldSteps` in unfold.cc): the
+/// number of disjuncts can grow exponentially with the nesting depth.
 ///
 /// Returns InvalidArgument if the program is recursive.
 Result<UCQ> UnfoldToUCQ(const Program& program);

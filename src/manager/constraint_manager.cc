@@ -66,53 +66,7 @@ constexpr Tier kAllTiers[] = {Tier::kSubsumed, Tier::kUnaffected,
                               Tier::kIndependence, Tier::kLocalTest,
                               Tier::kFullCheck};
 
-/// Observer of a speculative phase 1: its reads are never charged, since
-/// the commit turn runs phase 1 again and charges its own.
-struct DiscardingObserver : AccessObserver {
-  Status OnRead(const std::string&, size_t) override { return Status::OK(); }
-};
-
-/// Plan-cache work of one phase 1: the entries it consulted, billed to the
-/// plan.* counters in the commit turn, like its local reads. Billing asks
-/// each entry whether an earlier commit billed it already (a hit) or not
-/// (a compile), so the counts follow the serial order whatever stored the
-/// entry: a speculation's tally is dropped, and the commit turn's phase 1
-/// counts what a serial run would.
-struct PlanTally {
-  /// Called once, in the episode's commit turn.
-  void Bill(PlanCache& cache, obs::Counter* compiles, obs::Counter* hits,
-            obs::Counter* delta) const {
-    uint64_t compiled = 0;
-    for (const std::string& key : tier1) compiled += cache.BillTier1(key);
-    for (const std::string& key : templates) {
-      compiled += cache.BillTemplate(key);
-    }
-    compiles->Add(compiled);
-    hits->Add(tier1.size() + templates.size() - compiled);
-    delta->Add(delta_tuples);
-  }
-
-  std::vector<std::string> tier1;
-  std::vector<std::string> templates;
-  uint64_t delta_tuples = 0;
-};
-
 }  // namespace
-
-/// Read routing of one constraint check. The commit turn reads the live
-/// database, charges the site observer, and consults the live deferred
-/// queue; a speculative phase 1 reads its admission snapshot, discards its
-/// charges, and consults the queue as of admission. Either way its
-/// plan-cache work goes to `plans`. Check latencies and RA counters go to
-/// `metrics`, which is null on the speculative path, so a pipelined
-/// episode's phase 1 is counted once, by its commit turn.
-struct ConstraintManager::CheckContext {
-  const Database* db;
-  AccessObserver* observer;
-  const std::deque<DeferredCheck>* deferred;
-  PlanTally* plans;
-  obs::MetricsRegistry* metrics;
-};
 
 /// One pipelined admission. Admission state is written by the admitting
 /// thread before the speculation task is launched; `staged` is written
@@ -122,11 +76,9 @@ struct ConstraintManager::CheckContext {
 struct ConstraintManager::Admission {
   Update update;
   uint64_t sequence = 0;
-  /// Admission-time MVCC snapshot (copy-on-write Database copy).
+  /// Admission-time MVCC snapshot (copy-on-write Database copy): the
+  /// no-op probe and the staged batches' versions read it.
   Database snapshot;
-  /// The deferred queue as of admission; tier 2's verified-data adjustment
-  /// reads it.
-  std::deque<DeferredCheck> deferred_snapshot;
   /// The speculation's output (valid once `done`): per-site prefetch
   /// batches staged for the predicted tier-3 worklist, latency already
   /// slept; billed or silently discarded at the commit turn.
@@ -156,7 +108,12 @@ struct ConstraintManager::Episode {
   /// case `budget` points at it.
   BudgetScope scope;
   const BudgetScope* budget = nullptr;
-  Phase1 phase1;
+  /// The update leaves the database unchanged (nothing is checked).
+  bool noop = false;
+  /// One report per registered constraint, in constraint order; phase 1
+  /// settles what local information allows and leaves the rest at
+  /// kFullCheck for tier 3.
+  std::vector<CheckReport> reports;
   /// Constraint indexes left for tier 3, in constraint order.
   std::vector<size_t> worklist;
   bool violated = false;
@@ -182,20 +139,6 @@ struct ConstraintManager::Tier3Attempt {
   /// A hard error: neither a verdict nor a deferral; the caller fails.
   Status error;
 };
-
-std::vector<size_t> ConstraintManager::Phase1::Worklist() const {
-  std::vector<size_t> worklist;
-  for (size_t i = 0; i < reports.size(); ++i) {
-    if (reports[i].tier == Tier::kFullCheck) worklist.push_back(i);
-  }
-  return worklist;
-}
-
-bool ConstraintManager::Phase1::Violated() const {
-  return std::any_of(reports.begin(), reports.end(), [](const CheckReport& r) {
-    return r.outcome == Outcome::kViolated;
-  });
-}
 
 void ConstraintManager::InitObservability() {
   obs::MetricsRegistry& m = metrics();
@@ -439,36 +382,36 @@ Result<bool> ConstraintManager::AddConstraint(const std::string& name,
   return subsumed;
 }
 
+std::string ConstraintManager::PatternKey(const Registered& r,
+                                          const UpdateSignature& sig) {
+  return r.name + '\x1f' + sig.Key();
+}
+
 Result<CheckReport> ConstraintManager::CheckOne(const Registered& r,
                                                 const Update& u,
-                                                const UpdateSignature& sig,
-                                                const CheckContext& ctx) {
+                                                const UpdateSignature& sig) {
   obs::Span span("manager.check", "manager");
   obs::Stopwatch sw;
-  Result<CheckReport> report = CheckOneImpl(r, u, sig, ctx);
+  Result<CheckReport> report = CheckOneImpl(r, u, sig);
   if (report.ok()) {
     if (span.active()) {
       span.Attr("constraint", r.name);
       span.Attr("tier", TierToString(report->tier));
       span.Attr("outcome", OutcomeToString(report->outcome));
     }
-    if (ctx.metrics != nullptr) {
-      sw.RecordTo(hist_check_[TierIndex(report->tier)]);
-    }
+    sw.RecordTo(hist_check_[TierIndex(report->tier)]);
   }
   return report;
 }
 
 Result<CheckReport> ConstraintManager::CheckOneImpl(
-    const Registered& r, const Update& u, const UpdateSignature& sig,
-    const CheckContext& ctx) {
+    const Registered& r, const Update& u, const UpdateSignature& sig) {
   CheckReport report{r.name, Outcome::kHolds, Tier::kUnaffected};
   // Tier 1 prefilter: the constraint cannot see the updated relation.
   if (!Mentions(r.compiled.program, u.pred)) return report;
 
-  // The plan-cache key for this (constraint, update pattern).
-  const std::string pattern_key = r.name + '\x1f' + sig.Key();
-  CCPI_ASSIGN_OR_RETURN(bool independent, Tier1Holds(r, u, pattern_key, ctx));
+  const std::string pattern_key = PatternKey(r, sig);
+  CCPI_ASSIGN_OR_RETURN(bool independent, Tier1Holds(r, u, pattern_key));
   if (independent) {
     report.tier = Tier::kIndependence;
     return report;
@@ -481,7 +424,7 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
   auto found = r.tier2.find(u.pred);
   if (u.kind == Update::Kind::kInsert && found != r.tier2.end()) {
     CCPI_ASSIGN_OR_RETURN(report.outcome,
-                          Tier2Decide(*found->second, u, pattern_key, ctx));
+                          Tier2Decide(*found->second, u, pattern_key));
     if (report.outcome != Outcome::kUnknown) {
       report.tier = Tier::kLocalTest;
       return report;
@@ -495,17 +438,18 @@ Result<CheckReport> ConstraintManager::CheckOneImpl(
 
 Result<bool> ConstraintManager::Tier1Holds(const Registered& r,
                                            const Update& u,
-                                           const std::string& key,
-                                           const CheckContext& ctx) {
+                                           const std::string& key) {
   // Constraints + update only (Section 4). The decision is a pure
   // function of (constraint, update pattern, active constraint set): it
   // relates the update's values to each other and to the constraints'
   // constants only by equality and by their place in a dense order, so two
   // updates of the same order type get the same verdict — memoizable per
   // pattern (see docs/plan_cache.md). AddConstraint invalidates the memo
-  // wholesale.
+  // wholesale. A find bills a hit, a store a compile.
   std::optional<PlanCache::Tier1Decision> memo = plans_.FindTier1(key);
-  if (!memo.has_value()) {
+  if (memo.has_value()) {
+    ctr_plan_hits_->Add(1);
+  } else {
     obs::Stopwatch compile_sw;
     std::vector<Program> assumed;
     for (const Registered& other : constraints_) {
@@ -524,16 +468,15 @@ Result<bool> ConstraintManager::Tier1Holds(const Registered& r,
     memo = PlanCache::Tier1Decision{independent.ok() &&
                                     independent->outcome == Outcome::kHolds};
     plans_.StoreTier1(key, *memo);
+    ctr_plan_compiles_->Add(1);
     compile_sw.RecordTo(hist_plan_compile_);
   }
-  ctx.plans->tier1.push_back(key);
   return memo->holds;
 }
 
 Result<Outcome> ConstraintManager::Tier2Decide(const Tier2Artifacts& t2,
                                                const Update& u,
-                                               const std::string& key,
-                                               const CheckContext& ctx) {
+                                               const std::string& key) {
   // Tier 2 may only trust *verified* local data. A tuple inserted
   // optimistically while its own check is still deferred must not serve
   // as evidence (e.g. interval coverage) for accepting further updates:
@@ -543,10 +486,10 @@ Result<Outcome> ConstraintManager::Tier2Decide(const Tier2Artifacts& t2,
   // simply absent: it proves nothing about the remote data, which may
   // have changed since the delete. The overlay hides the pending inserts;
   // later queue entries win.
-  const Relation& live = ctx.db->Get(u.pred, u.tuple.size());
+  const Relation& live = site_.db().Get(u.pred, u.tuple.size());
   VerifiedOverlay pending;
   bool has_pending = false;
-  for (const DeferredCheck& d : *ctx.deferred) {
+  for (const DeferredCheck& d : deferred_) {
     if (d.update.pred != u.pred) continue;
     has_pending = true;
     if (d.update.kind == Update::Kind::kInsert) {
@@ -565,7 +508,7 @@ Result<Outcome> ConstraintManager::Tier2Decide(const Tier2Artifacts& t2,
         IcqDirectTestOnInsert(*t2.icq, live, pending, u.tuple, &rows_read);
     if (o.ok()) {
       // t's key group only, always a local read.
-      CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, rows_read));
+      CCPI_RETURN_IF_ERROR(site_.OnRead(u.pred, rows_read));
       return *o;
     }
   }
@@ -581,7 +524,9 @@ Result<Outcome> ConstraintManager::Tier2Decide(const Tier2Artifacts& t2,
     // into it (delta evaluation) instead of recompiling. The bound test
     // (which reports its own reads) is evaluated on every update.
     std::shared_ptr<const RaPlanTemplate> tpl = plans_.FindTemplate(key);
-    if (tpl == nullptr) {
+    if (tpl != nullptr) {
+      ctr_plan_hits_->Add(1);
+    } else {
       obs::Stopwatch compile_sw;
       Result<RaPlanTemplate> built = CompileRaPlan(t2.rule, u.pred, u.tuple);
       // A failed compile falls through undecided and is neither cached
@@ -589,12 +534,12 @@ Result<Outcome> ConstraintManager::Tier2Decide(const Tier2Artifacts& t2,
       if (built.ok()) {
         tpl = plans_.StoreTemplate(
             key, std::make_shared<const RaPlanTemplate>(std::move(*built)));
+        ctr_plan_compiles_->Add(1);
         compile_sw.RecordTo(hist_plan_compile_);
       }
     }
     if (tpl != nullptr) {
-      ctx.plans->templates.push_back(key);
-      Result<Outcome> o = EvalPlannedRa(*tpl, u, ctx);
+      Result<Outcome> o = EvalPlannedRa(*tpl, u);
       if (o.ok()) return *o;
     }
   }
@@ -602,7 +547,7 @@ Result<Outcome> ConstraintManager::Tier2Decide(const Tier2Artifacts& t2,
     Result<LocalTestResult> o =
         CompleteLocalTestOnInsert(*t2.cqc, u.tuple, live);
     if (o.ok()) {
-      CCPI_RETURN_IF_ERROR(ctx.observer->OnRead(u.pred, live.size()));
+      CCPI_RETURN_IF_ERROR(site_.OnRead(u.pred, live.size()));
       return o->outcome;
     }
   }
@@ -610,14 +555,13 @@ Result<Outcome> ConstraintManager::Tier2Decide(const Tier2Artifacts& t2,
 }
 
 Result<Outcome> ConstraintManager::EvalPlannedRa(const RaPlanTemplate& tpl,
-                                                 const Update& u,
-                                                 const CheckContext& ctx) {
+                                                 const Update& u) {
   // RaLocalTestOnInsert over a prebuilt template: trivial outcomes are
   // shape-stable, so they transfer to every bound tuple.
   if (tpl.trivially_holds) return Outcome::kHolds;
   if (tpl.trivially_violated) return Outcome::kViolated;
   RaExprPtr bound = tpl.Bind(u.tuple);
-  ++ctx.plans->delta_tuples;
+  ctr_plan_delta_->Add(1);
 #ifndef NDEBUG
   // The locality guarantee RaLocalTestOnInsert enforces: a bound Theorem
   // 5.3 test reads only the updated local relation.
@@ -628,7 +572,7 @@ Result<Outcome> ConstraintManager::EvalPlannedRa(const RaPlanTemplate& tpl,
   }
 #endif
   CCPI_ASSIGN_OR_RETURN(bool nonempty,
-                        RaNonempty(*bound, *ctx.db, ctx.observer, ctx.metrics));
+                        RaNonempty(*bound, site_.db(), &site_, &metrics()));
   return nonempty ? Outcome::kHolds : Outcome::kUnknown;
 }
 
@@ -802,12 +746,12 @@ Result<std::vector<CheckReport>> ConstraintManager::RetireEpisode(
     CCPI_RETURN_IF_ERROR(TentativeApply(e));
     CCPI_RETURN_IF_ERROR(RunTier3(e));
     CCPI_RETURN_IF_ERROR(ApplyQueuePolicy(e));
-  } else if (!e.violated && !e.phase1.noop) {
+  } else if (!e.violated && !e.noop) {
     CCPI_RETURN_IF_ERROR(e.update.ApplyTo(&site_.db()));
   }
 
-  std::vector<CheckReport>& reports = e.phase1.reports;
-  if (!e.phase1.noop && !UpdateRefused(reports)) {
+  std::vector<CheckReport>& reports = e.reports;
+  if (!e.noop && !UpdateRefused(reports)) {
     // An applied update supersedes any queued re-check of its exact
     // inverse: that check's effect no longer exists, so there is nothing
     // left to verify or roll back (and tier 2 never trusted it).
@@ -842,18 +786,35 @@ Status ConstraintManager::SettleLocally(Episode& e) {
   // Phase 1 always runs here, live, after the prelude (whose breaker ticks
   // and auto-recheck drain may have changed the database or the queue):
   // a pipelined episode's verdicts are a depth-1 episode's by construction.
-  PlanTally plans;
-  const CheckContext ctx{&site_.db(), &site_, &deferred_, &plans,
-                         &metrics()};
-  CCPI_ASSIGN_OR_RETURN(e.phase1, RunPhase1(e.update, ctx));
-  plans.Bill(plans_, ctr_plan_compiles_, ctr_plan_hits_, ctr_plan_delta_);
-  for (const CheckReport& report : e.phase1.reports) {
-    if (report.tier != Tier::kFullCheck) {
-      ctr_resolved_[TierIndex(report.tier)]->Add(1);
+  const Update& u = e.update;
+  e.noop = EffectPresent(u, site_.db());
+  // The episode's update signature — the per-pattern plan-cache key
+  // component shared by every constraint's check below. A no-op update
+  // checks nothing and needs none.
+  std::optional<UpdateSignature> sig;
+  if (!e.noop) sig = MakeUpdateSignature(u, plan_constants_);
+  e.reports.reserve(constraints_.size());
+  for (const Registered& r : constraints_) {
+    if (r.subsumed) {
+      e.reports.push_back({r.name, Outcome::kHolds, Tier::kSubsumed});
+    } else if (e.noop) {
+      e.reports.push_back({r.name, Outcome::kHolds, Tier::kUnaffected});
+    } else {
+      CCPI_ASSIGN_OR_RETURN(CheckReport report, CheckOne(r, u, *sig));
+      e.reports.push_back(std::move(report));
     }
   }
-  e.worklist = e.phase1.Worklist();
-  e.violated = e.phase1.Violated();
+  // Counted only once every constraint settled: a check error above
+  // leaves no resolved count behind.
+  for (size_t i = 0; i < e.reports.size(); ++i) {
+    const CheckReport& report = e.reports[i];
+    if (report.tier == Tier::kFullCheck) {
+      e.worklist.push_back(i);
+      continue;
+    }
+    ctr_resolved_[TierIndex(report.tier)]->Add(1);
+    e.violated = e.violated || report.outcome == Outcome::kViolated;
+  }
   return Status::OK();
 }
 
@@ -913,7 +874,7 @@ Status ConstraintManager::RunTier3(Episode& e) {
     if (!parallel) (void)attempt(k);
     const Tier3Attempt& a = attempts[k];
     CCPI_RETURN_IF_ERROR(a.error);
-    CheckReport& report = e.phase1.reports[e.worklist[k]];
+    CheckReport& report = e.reports[e.worklist[k]];
     report.outcome = a.outcome;
     report.reason = a.reason;
     report.retries = a.retries;
@@ -949,7 +910,7 @@ Status ConstraintManager::ApplyQueuePolicy(Episode& e) {
   // Keep the optimistic apply; queue each undecided constraint for
   // re-verification once the remote site answers — unless the queue cap
   // says the backlog of unverified work is already at its bound.
-  std::vector<CheckReport>& reports = e.phase1.reports;
+  std::vector<CheckReport>& reports = e.reports;
   const size_t fresh =
       std::count_if(reports.begin(), reports.end(), [](const CheckReport& r) {
         return r.outcome == Outcome::kDeferred;
@@ -1268,7 +1229,6 @@ void ConstraintManager::ApplyUpdateAsync(const Update& u) {
   // The MVCC admission snapshot: a copy-on-write Database copy —
   // O(#relations) shared_ptr bumps, no tuple copying.
   a->snapshot = site_.db();
-  a->deferred_snapshot = deferred_;
   ctr_pipe_admitted_->Add(1);
   Admission* raw = a.get();
   inflight_.push_back(std::move(a));
@@ -1286,7 +1246,7 @@ std::vector<Result<std::vector<CheckReport>>> ConstraintManager::Drain() {
 void ConstraintManager::SpeculateEpisode(Admission* a) {
   pool_->Submit([this, a]() {
     try {
-      SpeculatePhase1(a);
+      StagePredictedTrips(a);
     } catch (...) {
       // Never expected (the checking code reports through Status); a
       // stray exception just leaves the episode's trips unstaged.
@@ -1300,41 +1260,23 @@ void ConstraintManager::SpeculateEpisode(Admission* a) {
   });
 }
 
-Result<ConstraintManager::Phase1> ConstraintManager::RunPhase1(
-    const Update& u, const CheckContext& ctx) {
-  Phase1 out;
-  out.noop = EffectPresent(u, *ctx.db);
-  // The episode's update signature — the per-pattern plan-cache key
-  // component shared by every constraint's check below. A no-op update
-  // checks nothing and needs none.
-  std::optional<UpdateSignature> sig;
-  if (!out.noop) sig = MakeUpdateSignature(u, plan_constants_);
-  out.reports.reserve(constraints_.size());
-  for (const Registered& r : constraints_) {
-    if (r.subsumed) {
-      out.reports.push_back({r.name, Outcome::kHolds, Tier::kSubsumed});
-    } else if (out.noop) {
-      out.reports.push_back({r.name, Outcome::kHolds, Tier::kUnaffected});
-    } else {
-      CCPI_ASSIGN_OR_RETURN(CheckReport report, CheckOne(r, u, *sig, ctx));
-      out.reports.push_back(std::move(report));
-    }
-  }
-  return out;
-}
-
-void ConstraintManager::SpeculatePhase1(Admission* a) {
+void ConstraintManager::StagePredictedTrips(Admission* a) {
   const Update& u = a->update;
-  // Phase 1 against the snapshot, on this worker, only to predict the
-  // tier-3 worklist: its reads, plan work and metrics are dropped, since
-  // the commit turn runs phase 1 again live. A check error stages nothing;
-  // the commit turn's phase 1 surfaces it.
-  DiscardingObserver discard;
-  PlanTally unbilled;
-  const CheckContext ctx{&a->snapshot, &discard, &a->deferred_snapshot,
-                         &unbilled, nullptr};
-  Result<Phase1> phase1 = RunPhase1(u, ctx);
-  if (!phase1.ok() || phase1->noop || phase1->Violated()) return;
+  // Predict the tier-3 worklist from the constraints and the update alone
+  // (Section 4): a no-op checks nothing; otherwise every active constraint
+  // that mentions the updated relation reaches tier 3, unless the tier-1
+  // memo holds a decided hold for its pattern. A memo miss predicts tier
+  // 3, and no tier 2 runs.
+  if (EffectPresent(u, a->snapshot)) return;
+  const UpdateSignature sig = MakeUpdateSignature(u, plan_constants_);
+  std::vector<size_t> predicted;
+  for (size_t i = 0; i < constraints_.size(); ++i) {
+    const Registered& r = constraints_[i];
+    if (r.subsumed || !Mentions(r.compiled.program, u.pred)) continue;
+    std::optional<PlanCache::Tier1Decision> memo =
+        plans_.FindTier1(PatternKey(r, sig));
+    if (!memo.has_value() || !memo->holds) predicted.push_back(i);
+  }
 
   // Staged remote prefetch: pay the predicted worklist's simulated round
   // trips NOW, on this worker, where they overlap other episodes' stages —
@@ -1350,7 +1292,7 @@ void ConstraintManager::SpeculatePhase1(Admission* a) {
   // admission already slept is staged without a second sleep (see
   // staged_inflight_); otherwise every admission whose snapshot predates
   // the first commit's cache fill would sleep the same cold trip.
-  std::set<std::string> preds = PrefetchPreds(phase1->Worklist());
+  std::set<std::string> preds = PrefetchPreds(predicted);
   if (preds.count(u.pred) > 0) {
     const size_t updated_site = site_.SiteOf(u.pred);
     std::erase_if(preds, [&](const std::string& pred) {

@@ -66,7 +66,7 @@ struct ResilienceConfig {
 /// Size of the manager's thread pool, which serves three uses: the tier-3
 /// fan-out inside one episode, the per-site batched prefetch, and
 /// pipeline speculation. Phase 1 (tiers 0-2) runs inline on the
-/// committing (or speculating) thread. Each tier-3 check is a pure
+/// committing thread. Each tier-3 check is a pure
 /// function of (constraint, post-update database), so the fan-out merges
 /// verdicts in constraint order and is report-equivalent to the
 /// sequential order at any thread count; it runs in parallel only when no
@@ -103,16 +103,16 @@ struct PlanCacheConfig {};
 /// The pipelined episode scheduler (see docs/concurrency.md). With depth
 /// D > 1, ApplyUpdateAsync admits up to D update episodes at once: each
 /// admission takes an immutable MVCC snapshot of the database (a cheap
-/// copy-on-write Database copy) and speculates on the thread pool against
-/// it, running phase 1 only to predict the tier-3 worklist and sleep that
-/// worklist's remote round trips ahead of time (staged trips). Episodes
-/// retire strictly in admission order through the commit turn every
-/// episode takes, ApplyUpdate's included, which runs phase 1 live and
-/// decides everything; a staged trip only spares the commit's prefetch a
-/// sleep when it fetches exactly the same data. Reports, ManagerStats,
-/// the deferred queue, breaker admissions, and fault-schedule draws are
-/// therefore byte-identical to depth-1 execution per seed at any depth
-/// and thread count.
+/// copy-on-write Database copy) and speculates on the thread pool: it
+/// predicts the tier-3 worklist from registration data and the tier-1
+/// memo, and sleeps that worklist's remote round trips ahead of time
+/// (staged trips). Episodes retire strictly in admission order through
+/// the commit turn every episode takes, ApplyUpdate's included, which
+/// runs phase 1 live and decides everything; a staged trip only spares
+/// the commit's prefetch a sleep when it fetches exactly the same data.
+/// Reports, ManagerStats, the deferred queue, breaker admissions, and
+/// fault-schedule draws are therefore byte-identical to depth-1 execution
+/// per seed at any depth and thread count.
 struct PipelineConfig {
   /// Maximum episodes in flight; 1 (the default) disables speculation:
   /// each episode is admitted and retired at once. Budget-armed managers
@@ -499,58 +499,37 @@ class ConstraintManager {
   /// .cc.
   struct Admission;
 
-  /// Where a check reads from and who observes the reads: the live
-  /// database + the site observer + the live deferred queue in the commit
-  /// turn, or an admission's snapshot + a discarding observer + the queue
-  /// as-of-admission on the speculative path. Defined in the .cc.
-  struct CheckContext;
-
-  /// Phase-1 output of one episode: every constraint settled as far as
-  /// local information allows (tier-3 candidates stay kFullCheck).
-  struct Phase1 {
-    /// The update leaves the database unchanged (nothing is checked).
-    bool noop = false;
-    std::vector<CheckReport> reports;
-
-    /// The tier-3 worklist: the constraints left at kFullCheck, in
-    /// constraint order.
-    std::vector<size_t> Worklist() const;
-    bool Violated() const;
-  };
-
   /// What one tier-3 attempt came to. Defined in the .cc.
   struct Tier3Attempt;
 
-  /// Phase 1 (read-only) through `ctx`: the noop probe, the update's
-  /// plan signature, and CheckOne per constraint in constraint order, on
-  /// the calling thread. The first check error ends it.
-  Result<Phase1> RunPhase1(const Update& u, const CheckContext& ctx);
-
+  /// The plan-cache key of (`r`, the update pattern `sig`): what the
+  /// commit turn's tier 1 and tier 2 store under and what a speculation's
+  /// prediction looks the tier-1 memo up by.
+  static std::string PatternKey(const Registered& r,
+                                const UpdateSignature& sig);
   /// CheckOne wraps CheckOneImpl with a span and the per-tier latency
   /// histogram. `sig` is the episode's update signature, the per-pattern
-  /// component of every plan-cache key the tiers look up. `ctx` routes
-  /// every tier-1/2 read (see CheckContext).
+  /// component of every plan-cache key the tiers look up. Tiers 1 and 2
+  /// read the live database, charge the site and consult the live
+  /// deferred queue; only the commit turn runs them.
   Result<CheckReport> CheckOne(const Registered& r, const Update& u,
-                               const UpdateSignature& sig,
-                               const CheckContext& ctx);
+                               const UpdateSignature& sig);
   Result<CheckReport> CheckOneImpl(const Registered& r, const Update& u,
-                                   const UpdateSignature& sig,
-                                   const CheckContext& ctx);
+                                   const UpdateSignature& sig);
   /// Tier 1: whether `r` holds after `u` given the other active
   /// constraints (Section 4), memoized per order type under `key`.
   Result<bool> Tier1Holds(const Registered& r, const Update& u,
-                          const std::string& key, const CheckContext& ctx);
+                          const std::string& key);
   /// Tier 2: the complete local test of an insert (Sections 5-6) through
   /// the registration-time artifacts `t2`; kUnknown when no applicable
   /// test decides.
   Result<Outcome> Tier2Decide(const Tier2Artifacts& t2, const Update& u,
-                              const std::string& key, const CheckContext& ctx);
+                              const std::string& key);
   /// Tier-2 evaluation through a cached RA plan template: binds the
   /// update's tuple into the template and evaluates it. Answers what
   /// RaLocalTestOnInsert answers for that tuple, charging the same reads
-  /// (see docs/plan_cache.md). Reads through `ctx`.
-  Result<Outcome> EvalPlannedRa(const RaPlanTemplate& tpl, const Update& u,
-                                const CheckContext& ctx);
+  /// (see docs/plan_cache.md).
+  Result<Outcome> EvalPlannedRa(const RaPlanTemplate& tpl, const Update& u);
 
   /// --- The commit turn: every episode retires through CommitTurn, in
   /// --- admission order, on the admitting thread.
@@ -562,9 +541,11 @@ class ConstraintManager {
   Result<std::vector<CheckReport>> RetireEpisode(Episode& e);
   /// Prelude: breaker ticks and the auto-recheck drain.
   Status EpisodePrelude(Episode& e);
-  /// Phase 1, live: runs it, bills its plan work, counts what it settled
-  /// and derives the tier-3 worklist. A check error returns before the
-  /// plan work is billed or any constraint is counted.
+  /// Phase 1, live: the noop probe, the update's plan signature, and
+  /// CheckOne per constraint in constraint order; then counts what it
+  /// settled and derives the tier-3 worklist. The first check error ends
+  /// it before any constraint is counted; the plan work of the constraints
+  /// checked before it stays billed, like their local reads.
   Status SettleLocally(Episode& e);
   /// The tentative apply, the batched remote prefetch of the worklist,
   /// and the worklist's per-check budget scopes.
@@ -618,11 +599,11 @@ class ConstraintManager {
 
   /// Launches the admission's speculation on the thread pool.
   void SpeculateEpisode(Admission* a);
-  /// The speculation body: phase 1 against the admission snapshot, its
-  /// reads and plan work discarded, to predict the tier-3 worklist whose
-  /// remote trips it stages. Runs on a pool worker (or inline on
-  /// sequential pools).
-  void SpeculatePhase1(Admission* a);
+  /// The speculation body: predicts the tier-3 worklist from registration
+  /// data and the tier-1 memo alone (no tier 2, no reads charged) and
+  /// stages that worklist's remote trips. Runs on a pool worker (or inline
+  /// on sequential pools).
+  void StagePredictedTrips(Admission* a);
   /// Retires inflight_.front() through the commit turn: waits for its
   /// speculation and appends the result to pending_results_.
   void CommitHeadToPending();

@@ -22,18 +22,14 @@ namespace ccpi {
 /// tier-2 artifacts) is not here: the manager builds it at registration.
 ///
 /// Lookups take the shared lock, stores the exclusive lock; compilation
-/// always happens outside any lock. Store is first-insert-wins: when two
-/// threads (pipelined speculations, or one and the commit turn) compile
-/// the same key concurrently, the loser adopts the winner's entry, so
-/// every reader of a key sees one plan.
+/// always happens outside any lock. The manager's commit turn is the only
+/// writer; pipelined speculations read the tier-1 memo from pool workers
+/// while it stores, hence the lock. Store is first-insert-wins, so a
+/// second store of a key adopts the entry already there.
 ///
-/// Every entry carries a *billed* mark for the plan.* counters. Who stored
-/// an entry first depends on scheduling (a pipelined speculation may store
-/// one and then be discarded), so the counters do not count stores: the
-/// manager bills each entry an episode consulted in its serialized commit
-/// turn, a compile if the entry was not billed yet and a hit otherwise.
-/// Commit order is the serial order, so the counts match a serial run at
-/// any pipeline depth and thread count.
+/// The plan.* counters are billed by the writer on the spot: a store is a
+/// compile, a find is a hit. Commit order is the serial order, so the
+/// counts match a serial run at any pipeline depth and thread count.
 class PlanCache {
  public:
   /// The memoized tier-1 verdict for an update pattern: holds (resolve at
@@ -47,15 +43,10 @@ class PlanCache {
 
   std::shared_ptr<const RaPlanTemplate> FindTemplate(
       const std::string& key) const;
-  /// Returns the winning entry (the argument, or a concurrent first
-  /// inserter's).
+  /// Returns the winning entry (the argument, or the one already stored
+  /// under `key`).
   std::shared_ptr<const RaPlanTemplate> StoreTemplate(
       const std::string& key, std::shared_ptr<const RaPlanTemplate> tpl);
-
-  /// Bills one consultation of an existing entry: true the first time (the
-  /// consultation counts as the entry's compile), false after (a hit).
-  bool BillTier1(const std::string& key);
-  bool BillTemplate(const std::string& key);
 
   /// Drops every entry. The manager calls this when the constraint set
   /// changes (AddConstraint): tier-1 decisions quantify over the *other*
@@ -66,18 +57,10 @@ class PlanCache {
   size_t size() const;
 
  private:
-  struct Tier1Entry {
-    Tier1Decision decision;
-    bool billed = false;
-  };
-  struct TemplateEntry {
-    std::shared_ptr<const RaPlanTemplate> tpl;
-    bool billed = false;
-  };
-
   mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, Tier1Entry> tier1_;
-  std::unordered_map<std::string, TemplateEntry> templates_;
+  std::unordered_map<std::string, Tier1Decision> tier1_;
+  std::unordered_map<std::string, std::shared_ptr<const RaPlanTemplate>>
+      templates_;
 };
 
 }  // namespace ccpi

@@ -8,6 +8,7 @@
 #include "manager/active_rules.h"
 #include "manager/constraint_manager.h"
 #include "manager/view_maint.h"
+#include "obs/trace.h"
 
 namespace ccpi {
 namespace {
@@ -593,6 +594,66 @@ TEST(ManagerTest, PhaseOneErrorLeavesNoTrace) {
       EXPECT_EQ(mgr->site().db().ToString(), ref->site().db().ToString());
       EXPECT_EQ(StatsText(mgr->stats()), StatsText(ref->stats()));
     }
+  }
+}
+
+TEST(ManagerTest, SpeculationStagesWhatTheTier1MemoLeavesOpen) {
+  // A speculation predicts the tier-3 worklist from the constraints, the
+  // update and the tier-1 memo, without reading data. A delete from l can
+  // never violate `join` (tier 1 holds), but only the memo can say so
+  // before the commit turn: once an earlier episode of the same pattern
+  // stored that hold, an admission stages nothing, although `join` reads
+  // the still-cold remote r. Without the memo entry, the first delete
+  // stages r's batch and the second, admitted at the same versions, does
+  // not sleep it again. Either way the reports and stats are the serial
+  // run's.
+  const std::vector<Update> stream = {Update::Delete("l", {V(3), V(4)}),
+                                      Update::Delete("l", {V(5), V(6)})};
+  auto run = [&](size_t depth, bool warm_memo, size_t* staged) {
+    ConstraintManager mgr({.local_preds = {"l"},
+                           .parallel = {.threads = 1},
+                           .pipeline = {.depth = depth}});
+    EXPECT_TRUE(
+        mgr.AddConstraint("join", MustParse("panic :- l(X,Y) & r(Y)")).ok());
+    for (int k : {1, 3, 5}) {
+      EXPECT_TRUE(mgr.site().db().Insert("l", {V(k), V(k + 1)}).ok());
+    }
+    EXPECT_TRUE(mgr.site().db().Insert("r", {V(9)}).ok());
+    if (warm_memo) {
+      // Same order type as the stream's deletes; settles at tier 1, so r
+      // stays cold.
+      auto reports = mgr.ApplyUpdate(Update::Delete("l", {V(1), V(2)}));
+      EXPECT_TRUE(reports.ok());
+      if (reports.ok()) {
+        EXPECT_EQ(TierOf(*reports, "join"), Tier::kIndependence);
+      }
+    }
+    obs::TraceRecorder recorder;
+    recorder.Install();
+    for (const Update& u : stream) mgr.ApplyUpdateAsync(u);
+    auto results = mgr.Drain();
+    recorder.Uninstall();
+    *staged = 0;
+    for (const obs::TraceEvent& e : recorder.events()) {
+      *staged += e.name == "distsim.stage_batch";
+    }
+    std::string text;
+    for (const auto& reports : results) {
+      EXPECT_TRUE(reports.ok());
+      if (!reports.ok()) continue;
+      for (const CheckReport& r : *reports) text += ReportText(r) + "; ";
+      text += "\n";
+    }
+    return text + StatsText(mgr.stats());
+  };
+  for (bool warm_memo : {true, false}) {
+    SCOPED_TRACE(warm_memo ? "memo hold" : "memo miss");
+    size_t serial_staged = 0;
+    const std::string serial = run(1, warm_memo, &serial_staged);
+    EXPECT_EQ(serial_staged, 0u);  // depth 1 never speculates
+    size_t staged = 0;
+    EXPECT_EQ(run(8, warm_memo, &staged), serial);
+    EXPECT_EQ(staged, warm_memo ? 0u : 1u);
   }
 }
 

@@ -3,8 +3,8 @@
 // of either handle never leak into the other, and the content-version
 // stamps name relation contents across handles — equal versions imply
 // equal contents. These are the invariants the pipelined episode scheduler
-// leans on when it runs speculative check phases against admission
-// snapshots while commits mutate the live database.
+// leans on when its speculations probe admission snapshots and stage
+// batches at their versions while commits mutate the live database.
 
 #include <gtest/gtest.h>
 

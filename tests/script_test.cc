@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 #include <map>
 #include <string>
@@ -306,6 +307,58 @@ TEST(ScriptRunTest, UnsafeConstraintEndsTheRunBeforeAnyUpdate) {
       << report.status().message();
 }
 
+TEST(ScriptRunTest, DeepDefinitionChainRegisters) {
+  // p0 :- p1, ..., p9999 :- p10000, p10000 :- l & r: unfolding used to
+  // recurse once per level and overflowed the stack at registration.
+  std::string text = "local l\nconstraint chain\n";
+  constexpr int kDepth = 10000;
+  for (int i = 0; i < kDepth; ++i) {
+    text += "p" + std::to_string(i) + "(X) :- p" + std::to_string(i + 1) +
+            "(X)\n";
+  }
+  text += "p" + std::to_string(kDepth) + "(X) :- l(X) & r(X)\n";
+  text += "panic :- p0(X)\n";
+  auto script = ParseScript(text);
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  auto report = RunScript(*script);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->text.find("constraint chain"), std::string::npos);
+  EXPECT_EQ(report->updates_applied, 0u);
+}
+
+TEST(ScriptRunTest, ExponentialUnfoldingFallsThroughToTheFullCheck) {
+  // Two rules per level, 30 levels: 2^30 disjuncts. Unfolding used to run
+  // out of memory; past the expansion cap it reports kUnsupported, so tier
+  // 1 and tier 2 fall through and tier 3 decides both inserts.
+  std::string text = "local l\nconstraint deep\n";
+  constexpr int kLevels = 30;
+  for (int i = 0; i < kLevels; ++i) {
+    const std::string p = "p" + std::to_string(i);
+    const std::string next = "p" + std::to_string(i + 1);
+    text += p + "(X) :- " + next + "(X)\n";
+    text += p + "(X) :- q" + std::to_string(i) + "(X) & " + next + "(X)\n";
+  }
+  text += "p" + std::to_string(kLevels) + "(X) :- l(X) & r(X)\n";
+  text += "panic :- p0(X)\nfact r(1)\ninsert l(2)\ninsert l(1)\n";
+  auto script = ParseScript(text);
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  const auto start = std::chrono::steady_clock::now();
+  auto report = RunScript(*script);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->updates_applied, 1u);
+  EXPECT_EQ(report->updates_rejected, 1u);
+  EXPECT_NE(report->text.find("apply  +l(2)"), std::string::npos)
+      << report->text;
+  EXPECT_NE(report->text.find("REJECT +l(1) violates:deep(full-check)"),
+            std::string::npos)
+      << report->text;
+#ifdef NDEBUG
+  EXPECT_LT(took.count(), 1.0);
+#endif
+}
+
 // ---- pipeline directive and --pipeline-depth flag -------------------------
 
 TEST(ScriptParseTest, PipelineDirective) {
@@ -364,10 +417,10 @@ TEST(ScriptRunTest, PipelinedRunMatchesSerialByteForByte) {
 }
 
 /// Comparison-free, and every insert writes l, which both constraints
-/// read. The second insert is the first of its pattern, so its
-/// speculation stores plan entries that its commit turn's phase 1 then
-/// finds. Billing must still follow the serial run: a compile for the
-/// first consultation of an entry, a hit after.
+/// read. Later inserts repeat earlier patterns while their speculations
+/// read the tier-1 memo on pool workers and the commit turn stores into
+/// it. Billing must still follow the serial run: a compile for the first
+/// consultation of an entry, a hit after.
 const char kRepeatedPatternScript[] =
     "local l\n"
     "constraint noloop\n"

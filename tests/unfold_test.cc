@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "datalog/parser.h"
 #include "datalog/unfold.h"
 
@@ -127,6 +129,61 @@ TEST(UnfoldTest, DeadBranchFromAlwaysTrueFact) {
       "always\n"));
   ASSERT_TRUE(ucq.ok());
   EXPECT_TRUE(ucq->empty());
+}
+
+TEST(UnfoldTest, DisjunctsComeInDepthFirstOrder) {
+  // Each alternative of `a` is unfolded through every alternative of `b`
+  // before the next alternative of `a`, as the recursive definition reads.
+  auto ucq = UnfoldToUCQ(MustParse(
+      "panic :- a(X) & b(X)\n"
+      "a(X) :- p(X)\n"
+      "a(X) :- q(X)\n"
+      "b(X) :- r(X)\n"
+      "b(X) :- s(X)\n"));
+  ASSERT_TRUE(ucq.ok());
+  std::string order;
+  for (const CQ& q : *ucq) {
+    for (const Atom& a : q.positives) order += a.pred;
+    order += "|";
+  }
+  EXPECT_EQ(order, "rp|sp|rq|sq|");
+}
+
+/// p0(X) :- p1(X), ..., p<depth-1>(X) :- p<depth>(X), each level with a
+/// second alternative q<i>(X) & p<i+1>(X) when `two_per_level`, and
+/// p<depth>(X) :- l(X) & r(X).
+std::string Chain(int depth, bool two_per_level) {
+  std::string text = "panic :- p0(X)\n";
+  for (int i = 0; i < depth; ++i) {
+    const std::string p = "p" + std::to_string(i);
+    const std::string next = "p" + std::to_string(i + 1);
+    text += p + "(X) :- " + next + "(X)\n";
+    if (two_per_level) {
+      text += p + "(X) :- q" + std::to_string(i) + "(X) & " + next + "(X)\n";
+    }
+  }
+  return text + "p" + std::to_string(depth) + "(X) :- l(X) & r(X)\n";
+}
+
+TEST(UnfoldTest, DeepChainUnfoldsWithoutExhaustingTheStack) {
+  auto program = ParseProgram(Chain(10000, false));
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  auto ucq = UnfoldToUCQ(*program);
+  ASSERT_TRUE(ucq.ok()) << ucq.status().ToString();
+  ASSERT_EQ(ucq->size(), 1u);
+  EXPECT_EQ((*ucq)[0].positives.size(), 2u);
+}
+
+TEST(UnfoldTest, ExponentialUnfoldingIsUnsupported) {
+  // 2^10 disjuncts unfold; 2^20 exceed the expansion cap.
+  auto small = ParseProgram(Chain(10, true));
+  ASSERT_TRUE(small.ok());
+  auto ucq = UnfoldToUCQ(*small);
+  ASSERT_TRUE(ucq.ok()) << ucq.status().ToString();
+  EXPECT_EQ(ucq->size(), 1024u);
+  auto wide = ParseProgram(Chain(20, true));
+  ASSERT_TRUE(wide.ok());
+  EXPECT_EQ(UnfoldToUCQ(*wide).status().code(), StatusCode::kUnsupported);
 }
 
 }  // namespace
