@@ -3,7 +3,7 @@
 // constraints `panic :- emp(E,D,S) & not dept<k>(D)` — negation over a
 // remote table defeats every local test, so each emp insert costs K full
 // tier-3 checks, each reading one remote relation (and probing it once
-// per emp row). The sweep crosses the
+// per emp row, which is local work after the read). The sweep crosses the
 // fraction f of emp inserts that follow a mutation of a remote-referenced
 // relation (and so find its cached snapshot invalidated) with K: at f=0
 // the cache converges to zero trips per update; at f=1 every episode
@@ -16,12 +16,10 @@
 // zero-rate fault injector attached: an injector turns batched prefetch
 // off, so every logical read is one trip or one cache hit, and pricing
 // each hit as a remote trip gives what the reads cost uncached. A logical
-// read is one engine enumeration, not one relation: `not dept<k>(D)` is
-// probed once per emp row, so K=4 reads 96400 times over 200 inserts
-// (about 120 per check). `trip_reduction` is therefore the saving over a
-// checker that refetches on every probe; against one that fetches each
-// relation once per evaluation (about K trips per update) it is two
-// orders of magnitude smaller.
+// read is one remote relation per evaluation, so the baseline is a
+// checker that fetches each relation once per check: K reads per emp
+// insert (tools/check_bench_json.py caps `remote_trips_off` at
+// updates x constraints).
 
 #include <benchmark/benchmark.h>
 

@@ -94,9 +94,11 @@ struct AccessStats {
 /// physical fetch is a cache hit — no round trip, tuples billed at
 /// cached_tuple_cost — and a miss pays the physical trip and refreshes
 /// the entry. Each read is one *logical* remote read, counted once as a
-/// trip or a hit, so without a batched prefetch (a bare site, or any
-/// fault injector attached) remote_trips + cache_hits and remote_tuples +
-/// cached_tuples are what every read would have cost uncached. See
+/// trip or a hit. An evaluation makes one logical read per remote relation
+/// it enumerates, billed at the relation's full size (see AccessObserver),
+/// so without a batched prefetch (a bare site, or any fault injector
+/// attached) remote_trips + cache_hits and remote_tuples + cached_tuples
+/// are what the reads would have cost uncached. See
 /// docs/remote_cache.md for the keying, invalidation, and fault-interaction
 /// rules, and docs/distsim.md for the topology semantics.
 ///
@@ -183,15 +185,18 @@ class SiteDatabase : public AccessObserver, public RemoteAccessor {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// AccessObserver: attributes `count` enumerated tuples of `pred`.
-  /// Each remote read event also counts one round trip; a remote read may
-  /// fail when a fault injector is attached.
+  /// AccessObserver: a local `pred` adds `count` to local_tuples; a
+  /// remote one is one logical read of `count` tuples (ReadRemote), which
+  /// may fail when a fault injector is attached.
   Status OnRead(const std::string& pred, size_t count) override;
 
-  /// RemoteAccessor: one remote episode of `count` tuples of `pred`.
+  /// AccessObserver and RemoteAccessor: every predicate not held locally.
   bool IsRemote(const std::string& pred) const override {
     return !IsLocal(pred);
   }
+  /// RemoteAccessor: one logical remote read of `count` tuples of `pred`
+  /// — a cache hit, or a physical fetch that fills the cache. The engine
+  /// passes the relation's full size: a miss ships the whole relation.
   Status ReadRemote(const std::string& pred, size_t count) override;
 
   /// Overrides (or with nullptr restores to this site's own db) the

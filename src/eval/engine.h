@@ -21,6 +21,13 @@ class MetricsRegistry;
 /// paper's motivation is precisely that a test's value depends on *which*
 /// relations it reads.
 ///
+/// The unit of a remote read is the logical read: one (relation,
+/// evaluation). An evaluation reports a remote relation once, at its first
+/// enumeration, with the relation's full size; its later probes, scans and
+/// membership tests are local work and are not reported. A local relation
+/// is reported once per evaluation too, when the evaluation ends, with the
+/// rows its enumerations visited in total.
+///
 /// OnRead is fallible: a simulated remote site may refuse the read
 /// (kUnavailable / kDeadlineExceeded), in which case the evaluation engine
 /// aborts and propagates the status — an evaluation that could not see all
@@ -28,13 +35,21 @@ class MetricsRegistry;
 class AccessObserver {
  public:
   virtual ~AccessObserver() = default;
-  /// `count` tuples of EDB predicate `pred` are being enumerated (scanned
-  /// or probed) by the engine. Returning non-OK fails the read.
+  /// Whether `pred` is read remotely, once per evaluation. Asked once per
+  /// EDB predicate when an evaluation starts.
+  virtual bool IsRemote(const std::string& pred) const {
+    (void)pred;
+    return false;
+  }
+  /// `count` tuples of EDB predicate `pred` are read: a remote relation's
+  /// one logical read (all its rows), or a local relation's tally.
+  /// Returning non-OK fails the read.
   virtual Status OnRead(const std::string& pred, size_t count) = 0;
 };
 
 struct EvalOptions {
-  /// If set, receives one callback per EDB enumeration.
+  /// If set, receives one callback per EDB predicate read (see
+  /// AccessObserver for when).
   AccessObserver* observer = nullptr;
   /// If set, the engine accounts rule evaluations, fixpoint rounds, and
   /// derived tuples into `eval.*` counters of this registry (see
@@ -42,8 +57,8 @@ struct EvalOptions {
   obs::MetricsRegistry* metrics = nullptr;
   /// Execution budget (null = unbudgeted; the check is then a single branch
   /// and the engine reads no clocks). When set, the engine checks it at the
-  /// start of every fixpoint round, after every rule evaluation's batch of
-  /// derived tuples, and on every EDB enumeration, failing the evaluation
+  /// start of every fixpoint round, after every round's batch of derived
+  /// tuples, and on every relation enumeration, failing the evaluation
   /// with kResourceExhausted once the envelope is spent. Checkpoint counts
   /// land in the `eval.budget_checks` counter when `metrics` is set.
   const BudgetScope* budget = nullptr;
@@ -67,23 +82,22 @@ std::set<std::string> EdbPredicates(const Program& program);
 
 /// A program's evaluation-independent analysis, computed once and reusable
 /// across any number of evaluations: the safety check has passed, the
-/// stratification is fixed, and the IDB/EDB predicate partition and goal
-/// arity are precomputed. Everything in here is a pure function of the
-/// program text — never of the data — so a CompiledProgram built at
+/// stratification is fixed, and the EDB predicates and the goal arity are
+/// precomputed. Everything in here is a pure function of the program
+/// text — never of the data — so a CompiledProgram built at
 /// constraint-registration time stays valid for the constraint's lifetime
 /// (the manager keeps one per constraint for its tier-3 checks; see
 /// docs/plan_cache.md).
 struct CompiledProgram {
   Program program;
   Stratification strat;
-  std::set<std::string> idb_preds;
   std::set<std::string> edb_preds;
   /// Arity of the goal predicate's head (0 when no rule derives the goal).
   size_t goal_arity = 0;
 };
 
-/// Runs the per-program analysis (safety, stratification, predicate
-/// partition) without evaluating anything. Fails exactly where
+/// Runs the per-program analysis (safety, stratification, EDB
+/// predicates) without evaluating anything. Fails exactly where
 /// Evaluate(program, ...) would: unsafe or unstratifiable programs.
 Result<CompiledProgram> CompileProgram(Program program);
 

@@ -12,6 +12,8 @@
 
 #include "datalog/parser.h"
 #include "distsim/fault_injector.h"
+#include "distsim/site_db.h"
+#include "eval/engine.h"
 #include "manager/constraint_manager.h"
 #include "manager/script.h"
 
@@ -966,6 +968,118 @@ TEST(FaultToleranceTest, LocalOnlyTier3CheckIsNotGatedBySiteBreaker) {
   ASSERT_TRUE(reports.ok());
   EXPECT_EQ(OutcomeOf(*reports, "neg"), Outcome::kHolds);
   EXPECT_EQ(mgr.site_breaker(0).state(), CircuitState::kHalfOpen);
+}
+
+// ---- The logical remote read: one (relation, evaluation) -------------------
+
+/// `panic :- emp(E,D,S) & not dept(D)` over 50 local emp rows and a remote
+/// dept of 10: the engine probes dept once per emp row, but reads it once.
+void SeedEmpDept(Database* db) {
+  for (int d = 0; d < 10; ++d) {
+    ASSERT_TRUE(db->Insert("dept", {V("d" + std::to_string(d))}).ok());
+  }
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(
+        db->Insert("emp", {V(i), V("d" + std::to_string(i % 10)), V(i)})
+            .ok());
+  }
+}
+
+TEST(FaultToleranceTest, LogicalReadDrawsOncePerEvaluation) {
+  SiteDatabase site({"emp"});
+  SeedEmpDept(&site.db());
+  FaultConfig faults;  // zero rates: every draw passes, whatever the seed
+  faults.seed = FaultSeedOr(13);
+  FaultInjector injector(faults);
+  site.set_site_fault_injector(0, &injector);
+  const Program c = MustParse("panic :- emp(E,D,S) & not dept(D)");
+  EvalOptions options;
+  options.observer = &site;
+  for (uint64_t eval = 1; eval <= 3; ++eval) {
+    auto violated = IsViolated(c, site.db(), options);
+    ASSERT_TRUE(violated.ok()) << violated.status().ToString();
+    EXPECT_FALSE(*violated);
+    const AccessStats s = site.stats();
+    // One draw per evaluation, not one per probe.
+    EXPECT_EQ(injector.stats().trips, eval);
+    // The first evaluation fills the cache with the whole of dept; each
+    // later one is one hit of the whole relation.
+    EXPECT_EQ(s.remote_trips, 1u);
+    EXPECT_EQ(s.remote_tuples, 10u);
+    EXPECT_EQ(s.cache_hits, eval - 1);
+    EXPECT_EQ(s.cached_tuples, 10u * (eval - 1));
+    // Local rows are still counted as enumerated: one scan of emp each.
+    EXPECT_EQ(s.local_tuples, 50u * eval);
+  }
+}
+
+/// Runs one stream of emp inserts, with a fresh dept row (a new version
+/// of the remote relation) before every fifth, and returns its access
+/// counters. `injector` (zero-rate, or null) turns batched prefetch off.
+AccessStats RunEmpDeptStream(FaultInjector* injector) {
+  ConstraintManager mgr({.local_preds = {"emp"}});
+  EXPECT_TRUE(
+      mgr.AddConstraint("ref", MustParse("panic :- emp(E,D,S) & not dept(D)"))
+          .ok());
+  SeedEmpDept(&mgr.site().db());
+  if (injector != nullptr) mgr.site().set_site_fault_injector(0, injector);
+  for (int i = 0; i < 30; ++i) {
+    if (i % 5 == 0) {
+      EXPECT_TRUE(mgr.ApplyUpdate(Update::Insert(
+                                      "dept", {V("n" + std::to_string(i))}))
+                      .ok());
+    }
+    auto reports = mgr.ApplyUpdate(
+        Update::Insert("emp", {V(100 + i), V("d" + std::to_string(i % 10)),
+                               V(i)}));
+    EXPECT_TRUE(reports.ok());
+    EXPECT_EQ(OutcomeOf(*reports, "ref"), Outcome::kHolds);
+  }
+  return mgr.stats().access;
+}
+
+TEST(FaultToleranceTest, DemandMissBillsTheWholeRelation) {
+  // Unfaulted, the batched prefetch ships and bills dept whole. With an
+  // injector attached the prefetch is off and every miss is a demand read
+  // by the engine, which must bill the same whole relation.
+  FaultConfig faults;
+  faults.seed = FaultSeedOr(17);
+  FaultInjector never_fails(faults);
+  const AccessStats batched = RunEmpDeptStream(nullptr);
+  const AccessStats demand = RunEmpDeptStream(&never_fails);
+  EXPECT_GT(demand.remote_trips, 1u);  // the stream refetched dept
+  EXPECT_EQ(demand.remote_tuples, batched.remote_tuples);
+  EXPECT_EQ(never_fails.stats().trips,
+            demand.remote_trips + demand.cache_hits);
+}
+
+TEST(FaultToleranceTest, EachRetryAttemptIsANewLogicalRead) {
+  // Every tier-3 attempt is its own evaluation: it reads dept once, so it
+  // draws once, whether the draw fails it or not.
+  ResilienceConfig resilience;
+  resilience.retry.max_attempts = 6;
+  resilience.breaker.failure_threshold = 1000;  // every attempt is made
+  FaultConfig faults;
+  faults.seed = FaultSeedOr(21);
+  faults.transient_rate = 0.5;
+  FaultInjector injector(faults);
+  ConstraintManager mgr({.local_preds = {"emp"}, .resilience = resilience});
+  ASSERT_TRUE(
+      mgr.AddConstraint("ref", MustParse("panic :- emp(E,D,S) & not dept(D)"))
+          .ok());
+  SeedEmpDept(&mgr.site().db());
+  mgr.site().set_site_fault_injector(0, &injector);
+  for (int i = 0; i < 15; ++i) {
+    ASSERT_TRUE(mgr.ApplyUpdate(Update::Insert("emp", {V(100 + i), V("d1"),
+                                                       V(i)}))
+                    .ok());
+  }
+  const ManagerStats stats = mgr.stats();
+  // Non-vacuous at every CI seed: 15 checks at a 50% rate retried.
+  EXPECT_GT(stats.remote_retries, 0u);
+  EXPECT_EQ(injector.stats().trips, stats.remote_attempts);
+  EXPECT_EQ(injector.stats().trips,
+            stats.access.remote_trips + stats.access.cache_hits);
 }
 
 }  // namespace

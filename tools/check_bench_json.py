@@ -157,6 +157,20 @@ def check_remote_cache(path, doc, problems):
                 fail(path,
                      f"remote_cache: sweep {point['name']!r} missing "
                      f"metric {key!r}", problems)
+        # The uncached baseline counts logical reads: one per remote
+        # relation per tier-3 check, and each update runs at most one
+        # check per constraint. A return to per-probe billing reads
+        # hundreds of times more and fails here.
+        try:
+            reads = metrics["remote_trips_off"]
+            bound = metrics["updates"] * metrics["constraints"]
+        except (KeyError, TypeError):
+            continue  # a missing metric is reported above
+        if reads > bound:
+            fail(path,
+                 f"remote_cache: sweep {point['name']!r} remote_trips_off "
+                 f"{reads} exceeds updates x constraints ({bound}): more "
+                 "than one logical read per relation per check", problems)
 
 
 # The topology sweep is the acceptance evidence of the N-site sharded
